@@ -19,8 +19,9 @@ to finite sums of logarithms:
   and any additive constant cancels in degree-zero double sums, so the
   constant is fixed to zero.
 
-Both evaluators accumulate the pairwise terms in an order that is
-symmetric in (Z, W), so linking(z, w) == linking(w, z) holds bit for bit.
+Both evaluators add the terms of canonically oriented pairs with
+``math.fsum``, which is correctly rounded and so order independent: hence
+linking(z, w) == linking(w, z) holds bit for bit.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ from .errors import (
     CapabilityError,
     CurveMismatchError,
     DisjointnessError,
+    DivergenceError,
     DomainError,
     HomologyError,
     PoleError,
 )
 from .special_functions import (
+    SNAP_TOL,
     TauParameter,
     as_tau,
     half_period_values,
@@ -52,9 +55,6 @@ from .special_functions import (
 
 #: Tolerance below which two support points count as colliding.
 DISJOINTNESS_TOL = 1e-9
-
-#: Snap radius used when reducing elliptic points into the fundamental cell.
-SNAP_TOL = 1e-12
 
 
 class _InfinityType:
@@ -139,7 +139,7 @@ class Divisor:
                 if not (math.isfinite(point.real) and math.isfinite(point.imag)):
                     raise DomainError(f"divisor point must be finite, got {point!r}")
                 if curve.kind == "elliptic":
-                    point = reduce_mod_lattice(point, curve.tau, snap=SNAP_TOL)
+                    point = reduce_mod_lattice(point, curve.tau)
             # merge with an existing representative, if any
             for i, (p0, m0) in enumerate(canon):
                 if self._same_point(curve, p0, point):
@@ -210,11 +210,6 @@ class Divisor:
         return f"Divisor({self.curve!r}, {list(self.terms)!r})"
 
 
-def degree(d: Divisor) -> int:
-    """Total multiplicity of a divisor (its class in H^2, i.e. the degree)."""
-    return d.degree()
-
-
 class LinkingMethod(enum.Enum):
     CROSS_RATIO = "cross-ratio"
     ARAKELOV_GREEN = "arakelov-green"
@@ -276,23 +271,15 @@ def linking_sphere(z: Divisor, w: Divisor) -> LinkingResult:
     """<Z, W> on the sphere: (1/pi) sum a*b*log|P - Q|.
 
     Any pair containing the infinity marker contributes nothing (the factor
-    containing infinity drops out of the cross-ratio limit).  Pairwise terms
-    are evaluated on the sorted unordered pair and accumulated in sorted
-    order, making the swap symmetry exact.
+    containing infinity drops out of the cross-ratio limit).  The swap
+    symmetry is exact: abs(p - q) == abs(q - p), and ``fsum`` is order
+    independent.
     """
     _check_pair(z, w, "sphere")
-    contributions = []
-    for p, a in z.terms:
-        for q, b in w.terms:
-            if isinstance(p, _InfinityType) or isinstance(q, _InfinityType):
-                continue
-            u, v = sorted((p, q), key=_point_key)
-            contributions.append(((_point_key(u), _point_key(v)),
-                                  a * b * math.log(abs(u - v))))
-    contributions.sort(key=lambda c: c[0])
-    total = 0.0
-    for _, val in contributions:
-        total += val
+    total = math.fsum(
+        a * b * math.log(abs(p - q))
+        for p, a in z.terms for q, b in w.terms
+        if not (isinstance(p, _InfinityType) or isinstance(q, _InfinityType)))
     return LinkingResult(total / math.pi, LinkingMethod.CROSS_RATIO, 0.0)
 
 
@@ -303,14 +290,19 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     additive constant zero.  The argument is reduced into the fundamental
     cell first, so periodicity is exact; theta1's quasi-periodicity makes
     the unreduced formula periodic as well, up to roundoff.  Lattice points
-    are poles (log -infinity) and raise PoleError.
+    are poles (log -infinity) and raise PoleError; a theta1 that underflows
+    to 0 away from the lattice (large Im tau) raises DivergenceError.
     """
     t = as_tau(tau)
     ur = reduce_mod_lattice(u, t)
     if torus_distance(ur, 0.0, t) < 1e-12:
         raise PoleError(f"green kernel has a logarithmic pole at {u!r}")
-    th1 = theta(1, ur, t)
-    return math.log(abs(th1)) / math.pi - ur.imag ** 2 / t.value.imag
+    th1 = abs(theta(1, ur, t))
+    if th1 == 0.0:
+        raise DivergenceError(
+            f"theta1({ur!r}, {t.value!r}) underflows to 0: log|theta1| is "
+            "out of double range")
+    return math.log(th1) / math.pi - ur.imag ** 2 / t.value.imag
 
 
 # Fundamental-cell coordinates of the half-period configuration:
@@ -365,16 +357,10 @@ def linking_elliptic(z: Divisor, w: Divisor, *,
     tau = z.curve.tau
     kernel = arakelov_green if green is None else green
 
-    contributions = []
-    for p, a in z.terms:
-        for q, b in w.terms:
-            u, v = sorted((p, q), key=_point_key)
-            contributions.append(((_point_key(u), _point_key(v)),
-                                  a * b * kernel(u - v, tau)))
-    contributions.sort(key=lambda c: c[0])
-    total = 0.0
-    for _, val in contributions:
-        total += val
+    total = math.fsum(
+        a * b * (kernel(p - q, tau) if _point_key(p) <= _point_key(q)
+                 else kernel(q - p, tau))
+        for p, a in z.terms for q, b in w.terms)
 
     sign = 0
     s_za = _match_half_config(z, _HALF_CONFIG_A)
@@ -389,16 +375,19 @@ def linking_elliptic(z: Divisor, w: Divisor, *,
 
     if sign and green is None:
         hp = half_period_values(tau)
-        closed = sign * math.log(abs(hp.e3 - hp.e1) / abs(hp.e2 - hp.e1)) / (2 * math.pi)
+        ratio = abs(hp.e3 - hp.e1) / abs(hp.e2 - hp.e1)
+        if ratio == 0.0:
+            raise DivergenceError(
+                f"|e3 - e1| rounds to 0 at tau = {tau.value!r}: the half-period "
+                "closed form diverges")
+        closed = sign * math.log(ratio) / (2 * math.pi)
         return LinkingResult(total, LinkingMethod.HALF_PERIOD_CLOSED_FORM,
                              abs(total - closed))
     return LinkingResult(total, LinkingMethod.ARAKELOV_GREEN, 0.0)
 
 
 def linking(z: Divisor, w: Divisor) -> LinkingResult:
-    """Dispatch to the sphere or elliptic evaluator by the divisors' curve."""
-    if z.curve != w.curve:
-        raise CurveMismatchError(f"divisors on different curves: {z.curve!r} vs {w.curve!r}")
+    """Dispatch by curve kind; the evaluator rejects mismatched curves."""
     if z.curve.kind == "sphere":
         return linking_sphere(z, w)
     return linking_elliptic(z, w)

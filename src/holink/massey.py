@@ -41,7 +41,7 @@ def _closed_form_from_lambda(lam: complex) -> float:
 
 def massey_value_closed_form(tau: TauParameter | complex) -> float:
     """value(tau) = (4/pi) * log|1 - lambda(tau)|."""
-    return _closed_form_from_lambda(modular_lambda(as_tau(tau)))
+    return _closed_form_from_lambda(modular_lambda(tau))
 
 
 def massey_value_via_linking(tau: TauParameter | complex) -> float:

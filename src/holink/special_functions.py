@@ -48,6 +48,9 @@ MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
 MAX_TERMS = 10_000
 
+#: Snap radius onto half-integer lattice coordinates in ``reduce_mod_lattice``.
+SNAP_TOL = 1e-12
+
 # Largest exponent handed to exp() before we give up; doubles overflow at ~709.
 _EXP_CAP = 700.0
 
@@ -59,9 +62,10 @@ _PI2_3 = math.pi ** 2 / 3.0
 class TauParameter:
     """Modulus of the curve C / (Z + Z*tau).
 
-    Requires Im tau >= MIN_IM_TAU.  There is deliberately no reduction to a
-    fundamental domain: callers get the lattice they asked for, and the
-    translation identities (lambda(tau + 1), lambda(tau + 2)) stay testable.
+    Requires Im tau >= MIN_IM_TAU, which also bounds the nome, |q| < 0.855.
+    There is deliberately no reduction to a fundamental domain: callers get
+    the lattice they asked for, and the translation identities
+    (lambda(tau + 1), lambda(tau + 2)) stay testable.
     """
 
     value: complex
@@ -78,9 +82,6 @@ class TauParameter:
                 f"Im tau = {v.imag:g} is below the supported floor {MIN_IM_TAU:g}; "
                 "the q-series loses double-precision accuracy near the real axis"
             )
-        # Implied by the floor; kept as a recorded guarantee for the nome.
-        if abs(cmath.exp(1j * _PI * v)) >= 1.0 - 1e-12:
-            raise InternalError("nome magnitude check failed for valid tau")
 
     @property
     def nome(self) -> complex:
@@ -89,14 +90,18 @@ class TauParameter:
 
 
 def as_tau(tau: TauParameter | complex) -> TauParameter:
-    """Coerce a bare complex number to a validated TauParameter."""
+    """Coerce a bare complex number to a validated TauParameter.
+
+    Public functions call this once and hand the TauParameter, never its
+    bare ``.value``, to the functions they call.
+    """
     if isinstance(tau, TauParameter):
         return tau
     return TauParameter(complex(tau))
 
 
 def theta(kind: int, z: complex, tau: TauParameter | complex, *,
-          eps: float = EPS_SERIES, max_terms: int = MAX_TERMS) -> complex:
+          max_terms: int = MAX_TERMS) -> complex:
     """Jacobi theta function theta_kind(z, tau), kind in {1, 2, 3, 4}.
 
     Unit-period convention (q = exp(i*pi*tau)):
@@ -106,11 +111,13 @@ def theta(kind: int, z: complex, tau: TauParameter | complex, *,
         theta3(z) =      sum_n        q^(n^2)       e^(2*pi*i*n*z)
         theta4(z) =      sum_n (-1)^n q^(n^2)       e^(2*pi*i*n*z)
 
-    with n over Z; terms are grouped as n and -(n+1) (kinds 1, 2) or +-n
-    (kinds 3, 4), so oddness of theta1 holds exactly in floating point.
-    Truncation stops once an upper bound for the next grouped term falls
-    below eps * (1 + |partial sum|); exceeding max_terms raises
-    ConvergenceError, as does a term too large for double precision.
+    with n over Z.  One loop serves all kinds: the terms of exponent
+    a = n + 1/2 (kinds 1, 2) or a = n >= 1 (kinds 3, 4, after the n = 0
+    term) are paired at frequencies +-k, k = 2a, so oddness of theta1 holds
+    exactly in floating point.  Truncation stops once an upper bound for the
+    next paired term falls below EPS_SERIES * (1 + |partial sum|); exceeding
+    max_terms raises ConvergenceError, as does a term too large for double
+    precision.
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"theta kind must be 1..4, got {kind!r}")
@@ -121,55 +128,35 @@ def theta(kind: int, z: complex, tau: TauParameter | complex, *,
 
     im_tau = t.imag
     abs_im_z = abs(z.imag)
-
-    if kind in (1, 2):
-        total = 0.0 + 0.0j
-        for n in range(max_terms):
-            a = n + 0.5
-            k = 2 * n + 1
-            # |term| <= exp(-pi*Im(tau)*a^2 + pi*k*|Im z|) for each exponential.
-            log_mag = -_PI * im_tau * a * a + _PI * k * abs_im_z
-            if log_mag > _EXP_CAP:
-                raise ConvergenceError(
-                    f"theta{kind} term at n={n} exceeds double range "
-                    f"(z={z!r}, tau={t!r}); reduce z modulo the lattice first"
-                )
-            bound = 2.0 * math.exp(log_mag)
-            if bound < eps * (1.0 + abs(total)):
-                return total
-            e_plus = cmath.exp(1j * _PI * (t * a * a + k * z))
-            e_minus = cmath.exp(1j * _PI * (t * a * a - k * z))
-            if kind == 1:
-                term = (-1) ** n * (-1j) * (e_plus - e_minus)
-            else:
-                term = (e_plus + e_minus)
-            total += term
-        raise ConvergenceError(f"theta{kind} did not converge in {max_terms} terms")
-
-    total = 1.0 + 0.0j
-    for n in range(1, max_terms):
-        log_mag = -_PI * im_tau * n * n + 2.0 * _PI * n * abs_im_z
+    half = kind in (1, 2)
+    total = 0.0 + 0.0j if half else 1.0 + 0.0j
+    for n in range(0 if half else 1, max_terms):
+        a = n + 0.5 if half else n
+        k = 2 * a
+        # |term| <= exp(-pi*Im(tau)*a^2 + pi*k*|Im z|) for each exponential.
+        log_mag = -_PI * im_tau * a * a + _PI * k * abs_im_z
         if log_mag > _EXP_CAP:
             raise ConvergenceError(
                 f"theta{kind} term at n={n} exceeds double range "
                 f"(z={z!r}, tau={t!r}); reduce z modulo the lattice first"
             )
         bound = 2.0 * math.exp(log_mag)
-        if bound < eps * (1.0 + abs(total)):
+        if bound < EPS_SERIES * (1.0 + abs(total)):
             return total
-        e_plus = cmath.exp(1j * _PI * (t * n * n + 2 * n * z))
-        e_minus = cmath.exp(1j * _PI * (t * n * n - 2 * n * z))
-        term = e_plus + e_minus
-        if kind == 4 and n % 2 == 1:
-            term = -term
-        total += term
+        e_plus = cmath.exp(1j * _PI * (t * a * a + k * z))
+        e_minus = cmath.exp(1j * _PI * (t * a * a - k * z))
+        if kind == 1:
+            total += (-1) ** n * (-1j) * (e_plus - e_minus)
+        elif kind == 4 and n % 2 == 1:
+            total += -(e_plus + e_minus)
+        else:
+            total += e_plus + e_minus
     raise ConvergenceError(f"theta{kind} did not converge in {max_terms} terms")
 
 
 @lru_cache(maxsize=512)
-def _theta_constants(tau_value: complex) -> tuple[complex, complex, complex]:
+def _theta_constants(t: TauParameter) -> tuple[complex, complex, complex]:
     """(theta2, theta3, theta4) at z = 0.  Cached; pure function of tau."""
-    t = TauParameter(tau_value)
     return theta(2, 0.0, t), theta(3, 0.0, t), theta(4, 0.0, t)
 
 
@@ -188,6 +175,13 @@ class HalfPeriodValues:
         return (self.e1, self.e2, self.e3)
 
 
+def _half_periods(c2: complex, c3: complex,
+                  c4: complex) -> tuple[complex, complex, complex]:
+    """(e1, e2, e3) from the theta constants: the only copy of the formulas."""
+    t2, t3, t4 = c2 ** 4, c3 ** 4, c4 ** 4
+    return _PI2_3 * (t3 + t4), -_PI2_3 * (t2 + t3), _PI2_3 * (t2 - t4)
+
+
 def half_period_values(tau: TauParameter | complex) -> HalfPeriodValues:
     """Half-period values via zero-argument theta constants.
 
@@ -195,16 +189,10 @@ def half_period_values(tau: TauParameter | complex) -> HalfPeriodValues:
     quotient with a double zero at omega_j, which yields the pairwise
     differences e1 - e2 = pi^2 theta3^4, e1 - e3 = pi^2 theta4^4,
     e3 - e2 = pi^2 theta2^4; combining with e1 + e2 + e3 = 0 gives the
-    closed forms below.  Independently cross-checked against the direct
-    lattice sum (``lattice_sum_p``) in the test suite.
+    closed forms in ``_half_periods``.  Independently cross-checked
+    against the direct lattice sum (``lattice_sum_p``) in the test suite.
     """
-    t = as_tau(tau)
-    c2, c3, c4 = _theta_constants(t.value)
-    t2, t3, t4 = c2 ** 4, c3 ** 4, c4 ** 4
-    e1 = _PI2_3 * (t3 + t4)
-    e2 = -_PI2_3 * (t2 + t3)
-    e3 = _PI2_3 * (t2 - t4)
-    return HalfPeriodValues(e1, e2, e3)
+    return HalfPeriodValues(*_half_periods(*_theta_constants(as_tau(tau))))
 
 
 def lattice_coords(z: complex, tau: TauParameter | complex) -> tuple[float, float]:
@@ -216,41 +204,35 @@ def lattice_coords(z: complex, tau: TauParameter | complex) -> tuple[float, floa
     return x, y
 
 
-def _snap_unit(x: float, snap: float) -> float:
-    """Reduce x mod 1 and snap to the nearest half-integer within ``snap``."""
+def _snap_unit(x: float) -> float:
+    """Reduce x mod 1 and snap to the nearest half-integer within SNAP_TOL."""
     x = x - math.floor(x)
     half = round(2.0 * x) / 2.0
-    if abs(x - half) < snap:
+    if abs(x - half) < SNAP_TOL:
         x = half % 1.0
-    if x >= 1.0:
-        x -= 1.0
     return x
 
 
-def reduce_mod_lattice(z: complex, tau: TauParameter | complex, *,
-                       snap: float = 1e-12) -> complex:
+def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
     """Representative of z in the fundamental cell [0,1) x [0,1) of (1, tau).
 
-    Coordinates within ``snap`` of a half-integer are snapped onto it, so
+    Coordinates within SNAP_TOL of a half-integer are snapped onto it, so
     points meant to be half-periods are recognized exactly downstream.
     """
-    t = as_tau(tau).value
+    t = as_tau(tau)
     x, y = lattice_coords(z, t)
-    x = _snap_unit(x, snap)
-    y = _snap_unit(y, snap)
-    return complex(x + y * t.real, y * t.imag)
+    x = _snap_unit(x)
+    y = _snap_unit(y)
+    return complex(x + y * t.value.real, y * t.value.imag)
 
 
 def torus_distance(u: complex, v: complex, tau: TauParameter | complex) -> float:
     """Euclidean distance between u and v modulo the lattice Z + Z*tau."""
-    t = as_tau(tau).value
+    t = as_tau(tau)
     d = reduce_mod_lattice(complex(u) - complex(v), t)
     best = abs(d)
-    for m in (0, -1):
-        for n in (0, -1):
-            if m == 0 and n == 0:
-                continue
-            best = min(best, abs(d + m + n * t))
+    for m, n in ((0, -1), (-1, 0), (-1, -1)):
+        best = min(best, abs(d + m + n * t.value))
     return best
 
 
@@ -266,21 +248,21 @@ def lattice_sum_p(z: complex, tau: TauParameter | complex, radius: int) -> compl
     (n = 0 row first, then rows n = 1..radius), so results are reproducible
     bit for bit.
     """
-    t = as_tau(tau).value
+    t = as_tau(tau)
     z = complex(z)
     if not isinstance(radius, int):
         raise ValueError(f"radius must be an int, got {radius!r}")
     if radius < 10:
         raise ValueError(f"radius must be >= 10, got {radius}")
     if torus_distance(z, 0.0, t) < 1e-12:
-        raise PoleError(f"z = {z!r} lies on the lattice of tau = {t!r}")
+        raise PoleError(f"z = {z!r} lies on the lattice of tau = {t.value!r}")
 
     # Half-lattice enumeration: (m, 0) for m = 1..R, then (m, n) for n >= 1.
     m0 = np.arange(1, radius + 1, dtype=np.float64)
     w0 = m0.astype(np.complex128)
     mg, ng = np.meshgrid(np.arange(-radius, radius + 1, dtype=np.float64),
                          np.arange(1, radius + 1, dtype=np.float64))
-    w1 = (mg + ng * t).ravel()
+    w1 = (mg + ng * t.value).ravel()
     w = np.concatenate([w0, w1])
 
     terms = 1.0 / (z - w) ** 2 + 1.0 / (z + w) ** 2 - 2.0 / w ** 2
@@ -298,8 +280,8 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
     zr = reduce_mod_lattice(z, t)
     if torus_distance(zr, 0.0, t) < 1e-12:
         raise PoleError(f"p(z) has a pole at lattice point z = {z!r}")
-    c2, c3, c4 = _theta_constants(t.value)
-    e1 = _PI2_3 * (c3 ** 4 + c4 ** 4)
+    c2, c3, c4 = _theta_constants(t)
+    e1, _, _ = _half_periods(c2, c3, c4)
     quot = theta(2, zr, t) / theta(1, zr, t)
     return e1 + (_PI * c3 * c4 * quot) ** 2
 
@@ -317,12 +299,9 @@ def modular_lambda(tau: TauParameter | complex) -> complex:
     InternalError because no valid input can produce it.
     """
     t = as_tau(tau)
-    c2, c3, c4 = _theta_constants(t.value)
-    t2, t3, t4 = c2 ** 4, c3 ** 4, c4 ** 4
-    lam = t2 / t3
-    e1 = _PI2_3 * (t3 + t4)
-    e2 = -_PI2_3 * (t2 + t3)
-    e3 = _PI2_3 * (t2 - t4)
+    c2, c3, c4 = _theta_constants(t)
+    lam = c2 ** 4 / c3 ** 4
+    e1, e2, e3 = _half_periods(c2, c3, c4)
     pin = (e3 - e2) / (e1 - e2)
     if abs(lam - pin) > _LAMBDA_PIN_TOL:
         raise InternalError(
@@ -339,22 +318,19 @@ def lambda_complement_ratio(tau: TauParameter | complex) -> complex:
     suite rather than here, so the two routes stay independent.
     """
     hp = half_period_values(tau)
-    denom = hp.e2 - hp.e1
-    if denom == 0:
-        raise InternalError("e1 = e2 cannot occur for tau in the upper half-plane")
-    return (hp.e3 - hp.e1) / denom
+    return (hp.e3 - hp.e1) / (hp.e2 - hp.e1)
 
 
 @dataclass(frozen=True)
 class LambdaInversionReport:
-    """How the two candidate inversions of tau relate to 1 - lambda(tau).
+    """How lambda(-1/tau) relates to 1 - lambda(tau).
 
     ``neg_inverse_*`` describes lambda(-1/tau), which stays in the upper
-    half-plane and satisfies lambda(-1/tau) = 1 - lambda(tau).  ``inverse_*``
-    describes lambda(1/tau); for Im tau > 0 the point 1/tau always lies in
-    the lower half-plane where the q-series diverges, so that comparison is
-    reported as unavailable.  This pins down which reading of "the inverse
-    modulus" the complement identity actually supports.
+    half-plane and satisfies lambda(-1/tau) = 1 - lambda(tau); it is
+    unavailable only when Im(-1/tau) falls below MIN_IM_TAU.  The other
+    reading of "the inverse modulus", 1/tau, always lies in the lower
+    half-plane, where the q-series diverges, so it is not evaluated: the
+    complement identity is supported by -1/tau alone.
     """
 
     tau: complex
@@ -363,13 +339,10 @@ class LambdaInversionReport:
     neg_inverse_lambda: complex | None
     neg_inverse_residual: float | None
     neg_inverse_note: str
-    inverse_lambda: complex | None
-    inverse_residual: float | None
-    inverse_note: str
 
 
 def lambda_inversion_report(tau: TauParameter | complex) -> LambdaInversionReport:
-    """Evaluate lambda at -1/tau and 1/tau and compare both with 1 - lambda(tau)."""
+    """Evaluate lambda at -1/tau and compare it with 1 - lambda(tau)."""
     t = as_tau(tau)
     lam = modular_lambda(t)
     comp = 1.0 - lam
@@ -382,19 +355,8 @@ def lambda_inversion_report(tau: TauParameter | complex) -> LambdaInversionRepor
     except DomainError as exc:
         neg_note = f"unavailable: {exc}"
 
-    inv_lam = inv_res = None
-    try:
-        inv_lam = modular_lambda(TauParameter(1.0 / t.value))
-        inv_res = abs(inv_lam - comp)
-        inv_note = "lambda(1/tau) evaluated"
-    except DomainError:
-        inv_note = ("unavailable: 1/tau lies in the lower half-plane for "
-                    "Im tau > 0, where the q-series diverges")
-
     return LambdaInversionReport(
         tau=t.value, lam=lam, complement=comp,
         neg_inverse_lambda=neg_lam, neg_inverse_residual=neg_res,
         neg_inverse_note=neg_note,
-        inverse_lambda=inv_lam, inverse_residual=inv_res,
-        inverse_note=inv_note,
     )

@@ -413,14 +413,12 @@ def run_all(seed: int = 42, tol: float | None = None) -> list[SuiteResult]:
 
     ``tol``, when given, replaces each suite's default tolerance.
     """
+    if tol is not None and float(tol) <= 0:
+        raise ValueError(f"tolerance must be positive, got {float(tol)!r}")
     children = np.random.SeedSequence(seed).spawn(len(_SUITES))
-    results = []
-    for (runner, default_tol), child in zip(_SUITES, children):
-        effective = default_tol if tol is None else float(tol)
-        if effective <= 0:
-            raise ValueError(f"tolerance must be positive, got {effective!r}")
-        results.append(runner(np.random.default_rng(child), effective))
-    return results
+    return [runner(np.random.default_rng(child),
+                   default_tol if tol is None else float(tol))
+            for (runner, default_tol), child in zip(_SUITES, children)]
 
 
 def format_summary(results: list[SuiteResult], seed: int,

@@ -136,6 +136,12 @@ def test_massey_command(capsys):
     assert fields["diverged"] == "false"
 
 
+def test_massey_divergence_is_domain_exit(capsys):
+    # The half-period closed form diverges here: a typed error, exit code 3.
+    assert main(["massey", "--", "-0.018+0.059i"]) == 3
+    assert "diverges" in capsys.readouterr().err
+
+
 def test_massey_tolerance_sources(capsys, monkeypatch):
     main(["massey", "0+1i", "--tol", "1.0"])
     assert "nonvanishing       = false" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from holink import (
     Curve,
     CurveMismatchError,
     DisjointnessError,
+    DivergenceError,
     Divisor,
     DomainError,
     HomologyError,
@@ -179,6 +180,12 @@ def test_green_kernel_periodic_and_pole():
         arakelov_green(3 + 2j, 1j)
 
 
+def test_green_kernel_underflow_is_divergence():
+    # theta1(1/2, tau) ~ 2|q|^(1/4) underflows to 0 once Im tau > ~950.
+    with pytest.raises(DivergenceError):
+        arakelov_green(0.5, 0.3 + 950j)
+
+
 # -------------------------------------------------------- elliptic pairing
 
 
@@ -207,6 +214,39 @@ def test_half_period_dual_route_random_tau():
         res = linking_elliptic(z, w)
         assert res.method is LinkingMethod.HALF_PERIOD_CLOSED_FORM
         assert res.residual < 1e-8
+
+
+def test_half_period_closed_form_underflow_is_divergence():
+    # Near the Im tau floor |e3 - e1| = pi^2 |theta4|^4 rounds to 0.
+    tau = -0.018 + 0.059j
+    z = Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)])
+    w = Divisor.elliptic(tau, [(tau / 2, 1), ((1 + tau) / 2, -1)])
+    with pytest.raises(DivergenceError):
+        linking_elliptic(z, w)
+
+
+def test_multi_point_swap_symmetry_bitwise():
+    rng = np.random.default_rng(215)
+    mults_z = [3, -1, 2, -2, 1, -4, 2, -1]
+    mults_w = [1, 1, -2, 3, -1, -1, 2, -3]
+    for _ in range(10):
+        tau = _random_tau(rng)
+        while True:
+            pts = [complex(rng.uniform(0, 1), 0) + rng.uniform(0, 1) * tau
+                   for _ in range(16)]
+            if all(torus_distance(p, q, tau) > 1e-3
+                   for i, p in enumerate(pts) for q in pts[i + 1:]):
+                break
+        z = Divisor.elliptic(tau, list(zip(pts[:8], mults_z)))
+        w = Divisor.elliptic(tau, list(zip(pts[8:], mults_w)))
+        assert len(z.terms) == len(w.terms) == 8
+        assert linking(z, w).value == linking(w, z).value
+
+        pts = [complex(a, b) for a, b in rng.uniform(-3.0, 3.0, size=(15, 2))]
+        z = Divisor.sphere(list(zip([INFINITY] + pts[:7], mults_z)))
+        w = Divisor.sphere(list(zip(pts[7:], mults_w)))
+        assert len(z.terms) == len(w.terms) == 8
+        assert linking(z, w).value == linking(w, z).value
 
 
 def test_generic_configuration_reports_green_method():
