@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import DivergenceError, DomainError, HolinkError
 from .hodge import hodge_diamond_x
 from .linking import Curve, Divisor, INFINITY, SPHERE, linking
-from .massey import DEFAULT_NONVANISHING_TOL, massey_report, massey_value_closed_form
+from .massey import DEFAULT_NONVANISHING_TOL, _closed_form_from_lambda, massey_report
 from .special_functions import modular_lambda
 from .verify import format_summary, run_all
 
@@ -218,18 +218,13 @@ def cmd_link(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    try:
-        grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
-                        args.steps_re, args.steps_im)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
+                    args.steps_re, args.steps_im)
     rows = [CSV_HEADER]
     for re_, im in grid.points():
-        tau = complex(re_, im)
-        lam = modular_lambda(tau)
+        lam = modular_lambda(complex(re_, im))
         try:
-            value = massey_value_closed_form(tau)
+            value = _closed_form_from_lambda(lam)
         except DivergenceError:
             value = -math.inf
         rows.append(f"{re_:.12g},{im:.12g},{lam.real:.12g},{lam.imag:.12g},"

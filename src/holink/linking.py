@@ -45,6 +45,7 @@ from .errors import (
 from .special_functions import (
     SNAP_TOL,
     TauParameter,
+    _corner_distance,
     as_tau,
     half_period_values,
     lattice_coords,
@@ -114,6 +115,17 @@ def _point_key(p: Point) -> tuple:
     return (0, p.real, p.imag)
 
 
+def _distance(curve: Curve, p: Point, q: Point) -> float:
+    """Distance between two points of the curve: modulo the lattice on an
+    elliptic curve, plain on the sphere, where INFINITY is at distance 0
+    from itself and inf from every finite point."""
+    if isinstance(p, _InfinityType) or isinstance(q, _InfinityType):
+        return 0.0 if p is q else math.inf
+    if curve.kind == "elliptic":
+        return torus_distance(p, q, curve.tau)
+    return abs(p - q)
+
+
 class Divisor:
     """Formal integer combination of points on a fixed curve.
 
@@ -142,7 +154,7 @@ class Divisor:
                     point = reduce_mod_lattice(point, curve.tau)
             # merge with an existing representative, if any
             for i, (p0, m0) in enumerate(canon):
-                if self._same_point(curve, p0, point):
+                if _distance(curve, p0, point) < SNAP_TOL:
                     canon[i] = (p0, m0 + mult)
                     break
             else:
@@ -150,16 +162,6 @@ class Divisor:
         canon = [(p, m) for (p, m) in canon if m != 0]
         canon.sort(key=lambda t: _point_key(t[0]))
         object.__setattr__(self, "terms", tuple(canon))
-
-    @staticmethod
-    def _same_point(curve: Curve, p: Point, q: Point) -> bool:
-        p_inf = isinstance(p, _InfinityType)
-        q_inf = isinstance(q, _InfinityType)
-        if p_inf or q_inf:
-            return p_inf and q_inf
-        if curve.kind == "elliptic":
-            return torus_distance(p, q, curve.tau) < SNAP_TOL
-        return abs(p - q) < SNAP_TOL
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
@@ -245,22 +247,12 @@ def _check_pair(z: Divisor, w: Divisor, kind: str) -> None:
             f"divisors live on different elliptic curves: tau = "
             f"{z.curve.tau.value!r} vs {w.curve.tau.value!r}"
         )
-    if z.degree() != 0:
-        raise HomologyError(f"first divisor has degree {z.degree()}, expected 0")
-    if w.degree() != 0:
-        raise HomologyError(f"second divisor has degree {w.degree()}, expected 0")
+    for which, d in (("first", z), ("second", w)):
+        if d.degree() != 0:
+            raise HomologyError(f"{which} divisor has degree {d.degree()}, expected 0")
     for p, _ in z.terms:
         for q, _ in w.terms:
-            p_inf = isinstance(p, _InfinityType)
-            q_inf = isinstance(q, _InfinityType)
-            if p_inf or q_inf:
-                if p_inf and q_inf:
-                    raise DisjointnessError("both divisors contain infinity")
-                continue
-            if kind == "elliptic":
-                dist = torus_distance(p, q, z.curve.tau)
-            else:
-                dist = abs(p - q)
+            dist = _distance(z.curve, p, q)
             if dist < DISJOINTNESS_TOL:
                 raise DisjointnessError(
                     f"supports collide near {p!r} (distance {dist:.3e})"
@@ -288,14 +280,14 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
 
     g_tau(u) = (1/pi) * (log|theta1(u, tau)| - pi*(Im u)^2 / Im tau), with
     additive constant zero.  The argument is reduced into the fundamental
-    cell first, so periodicity is exact; theta1's quasi-periodicity makes
+    cell once, so periodicity is exact; theta1's quasi-periodicity makes
     the unreduced formula periodic as well, up to roundoff.  Lattice points
-    are poles (log -infinity) and raise PoleError; a theta1 that underflows
-    to 0 away from the lattice (large Im tau) raises DivergenceError.
+    are poles: PoleError within 1e-12 of a cell corner.  A theta1 that
+    underflows to 0 off the lattice (large Im tau) raises DivergenceError.
     """
     t = as_tau(tau)
     ur = reduce_mod_lattice(u, t)
-    if torus_distance(ur, 0.0, t) < 1e-12:
+    if _corner_distance(ur, t) < 1e-12:
         raise PoleError(f"green kernel has a logarithmic pole at {u!r}")
     th1 = abs(theta(1, ur, t))
     if th1 == 0.0:

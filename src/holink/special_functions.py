@@ -226,14 +226,18 @@ def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
     return complex(x + y * t.value.real, y * t.value.imag)
 
 
+def _corner_distance(zr: complex, t: TauParameter) -> float:
+    """Distance from zr, a point of the fundamental cell, to the lattice:
+    the nearest lattice point is one of the cell corners 0, 1, tau, 1+tau."""
+    tv = t.value
+    return min(abs(zr), abs(zr - 1.0), abs(zr - tv), abs(zr - 1.0 - tv))
+
+
 def torus_distance(u: complex, v: complex, tau: TauParameter | complex) -> float:
-    """Euclidean distance between u and v modulo the lattice Z + Z*tau."""
+    """Euclidean distance between u and v modulo the lattice Z + Z*tau: one
+    reduction of u - v, then the distance to the nearest cell corner."""
     t = as_tau(tau)
-    d = reduce_mod_lattice(complex(u) - complex(v), t)
-    best = abs(d)
-    for m, n in ((0, -1), (-1, 0), (-1, -1)):
-        best = min(best, abs(d + m + n * t.value))
-    return best
+    return _corner_distance(reduce_mod_lattice(complex(u) - complex(v), t), t)
 
 
 def lattice_sum_p(z: complex, tau: TauParameter | complex, radius: int) -> complex:
@@ -273,12 +277,12 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
     """Weierstrass p(z) for the lattice Z + Z*tau, via theta functions.
 
     Uses p(z) = e1 + (pi * theta3(0) * theta4(0) * theta2(z) / theta1(z))^2
-    after reducing z into the fundamental cell.  Raises PoleError on the
-    lattice itself.
+    after reducing z into the fundamental cell, once.  Raises PoleError
+    within 1e-12 of a cell corner, i.e. of the lattice.
     """
     t = as_tau(tau)
     zr = reduce_mod_lattice(z, t)
-    if torus_distance(zr, 0.0, t) < 1e-12:
+    if _corner_distance(zr, t) < 1e-12:
         raise PoleError(f"p(z) has a pole at lattice point z = {z!r}")
     c2, c3, c4 = _theta_constants(t)
     e1, _, _ = _half_periods(c2, c3, c4)

@@ -1,7 +1,8 @@
 """Seeded verification suites for every numerical invariant in the package.
 
 Each suite draws its own random samples from a child seed derived from the
-master seed, evaluates one invariant, and reports the worst residual seen.
+master seed, evaluates one invariant, and reports the worst residual seen;
+``run_all`` alone decides whether that passes its tolerance.
 The formatted summary is a pure function of (seed, tolerance override), so
 two runs with the same arguments produce byte-identical text.
 
@@ -32,12 +33,12 @@ from .linking import (
     RationalMapSpec,
     arakelov_green,
     check_adjunction,
-    linking,
     linking_elliptic,
     linking_sphere,
 )
 from .massey import massey_value_closed_form, massey_value_via_linking
 from .special_functions import (
+    as_tau,
     half_period_values,
     lambda_complement_ratio,
     lattice_sum_p,
@@ -87,17 +88,16 @@ def _disjoint_pair(rng: np.random.Generator, tau: complex,
             return z, w
 
 
-def _suite_half_period_sum(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_half_period_sum(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(100):
         hp = half_period_values(_random_tau(rng))
         scale = max(abs(hp.e1), abs(hp.e2), abs(hp.e3))
         worst = max(worst, abs(hp.e1 + hp.e2 + hp.e3) / scale)
-    return SuiteResult("half-period-sum", worst < tol, worst, tol,
-                       "e1+e2+e3 relative to max |e_k|, 100 tau")
+    return worst, "e1+e2+e3 relative to max |e_k|, 100 tau"
 
 
-def _suite_weierstrass_oracle(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_weierstrass_oracle(rng: np.random.Generator) -> tuple[float, str]:
     # The truncated square sum misses ~|z|^2/radius^2 of the tail, so the
     # sample points stay inside |z| <= 0.3 where radius 400 leaves a margin
     # of about 2x under the 1e-6 default.
@@ -107,42 +107,38 @@ def _suite_weierstrass_oracle(rng: np.random.Generator, tol: float) -> SuiteResu
             z = _random_annulus_point(rng)
             worst = max(worst, abs(weierstrass_p(z, tau)
                                    - lattice_sum_p(z, tau, 400)))
-    return SuiteResult("weierstrass-oracle", worst < tol, worst, tol,
-                       "theta path vs lattice sum at radius 400, 20 points")
+    return worst, "theta path vs lattice sum at radius 400, 20 points"
 
 
-def _suite_lambda_periodicity(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_lambda_periodicity(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(100):
         tau = _random_tau(rng)
         lam = modular_lambda(tau)
         worst = max(worst, abs(modular_lambda(tau + 2) - lam))
         worst = max(worst, abs(modular_lambda(tau + 1) - lam / (lam - 1)))
-    return SuiteResult("lambda-periodicity", worst < tol, worst, tol,
-                       "lambda(tau+2) and lambda(tau+1) functional equations, 100 tau")
+    return worst, "lambda(tau+2) and lambda(tau+1) functional equations, 100 tau"
 
 
-def _suite_lambda_complement(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_lambda_complement(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(100):
         tau = _random_tau(rng)
         worst = max(worst, abs(lambda_complement_ratio(tau)
                                - (1.0 - modular_lambda(tau))))
-    return SuiteResult("lambda-complement", worst < tol, worst, tol,
-                       "(e3-e1)/(e2-e1) vs 1-lambda, 100 tau")
+    return worst, "(e3-e1)/(e2-e1) vs 1-lambda, 100 tau"
 
 
-def _suite_lambda_no_underflow(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_lambda_no_underflow(rng: np.random.Generator) -> tuple[float, str]:
     smallest = math.inf
     for _ in range(100):
         lam = modular_lambda(_random_tau(rng))
         smallest = min(smallest, abs(lam), abs(1.0 - lam))
     worst = 0.0 if smallest > 1e-300 else math.inf
-    return SuiteResult("lambda-no-underflow", worst < tol, worst, tol,
-                       f"min(|lambda|, |1-lambda|) = {smallest:.6e} over 100 tau")
+    return worst, f"min(|lambda|, |1-lambda|) = {smallest:.6e} over 100 tau"
 
 
-def _suite_sphere_closed_form(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_sphere_closed_form(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(50):
         while True:
@@ -159,11 +155,10 @@ def _suite_sphere_closed_form(rng: np.random.Generator, tol: float) -> SuiteResu
             break
         cross = ((r - p) * (s - q)) / ((r - q) * (s - p))
         worst = max(worst, abs(res.value - math.log(abs(cross)) / math.pi))
-    return SuiteResult("sphere-closed-form", worst < tol, worst, tol,
-                       "bitwise swap symmetry and (1/pi)log|cross ratio|, 50 pairs")
+    return worst, "bitwise swap symmetry and (1/pi)log|cross ratio|, 50 pairs"
 
 
-def _suite_linking_bilinearity(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_linking_bilinearity(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(25):
         tau = _random_tau(rng)
@@ -186,11 +181,10 @@ def _suite_linking_bilinearity(rng: np.random.Generator, tol: float) -> SuiteRes
         lhs = linking_sphere(z1 + z2, w).value
         rhs = linking_sphere(z1, w).value + linking_sphere(z2, w).value
         worst = max(worst, abs(lhs - rhs))
-    return SuiteResult("linking-bilinearity", worst < tol, worst, tol,
-                       "linking(z1+z2, w) vs sum, elliptic and sphere draws")
+    return worst, "linking(z1+z2, w) vs sum, elliptic and sphere draws"
 
 
-def _suite_translation_invariance(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_translation_invariance(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(50):
         tau = _random_tau(rng)
@@ -200,11 +194,10 @@ def _suite_translation_invariance(rng: np.random.Generator, tol: float) -> Suite
         wt = Divisor.elliptic(tau, [(p + c, m) for p, m in w.terms])
         worst = max(worst, abs(linking_elliptic(zt, wt).value
                                - linking_elliptic(z, w).value))
-    return SuiteResult("translation-invariance", worst < tol, worst, tol,
-                       "pairing depends on point differences only, 50 draws")
+    return worst, "pairing depends on point differences only, 50 draws"
 
 
-def _suite_half_period_dual_route(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_half_period_dual_route(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(50):
         tau = _random_tau(rng)
@@ -215,11 +208,10 @@ def _suite_half_period_dual_route(rng: np.random.Generator, tol: float) -> Suite
             worst = math.inf
             break
         worst = max(worst, res.residual)
-    return SuiteResult("half-period-dual-route", worst < tol, worst, tol,
-                       "green double sum vs p-function closed form, 50 tau")
+    return worst, "green double sum vs p-function closed form, 50 tau"
 
 
-def _suite_adjunction_square(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_adjunction_square(rng: np.random.Generator) -> tuple[float, str]:
     spec = RationalMapSpec.power(2)
     worst = 0.0
     count = 0
@@ -236,11 +228,10 @@ def _suite_adjunction_square(rng: np.random.Generator, tol: float) -> SuiteResul
             continue
         worst = max(worst, chk.residual)
         count += 1
-    return SuiteResult("adjunction-square", worst < tol, worst, tol,
-                       "<z, f^*w> vs <f_*z, w> under z -> z^2, 50 draws")
+    return worst, "<z, f^*w> vs <f_*z, w> under z -> z^2, 50 draws"
 
 
-def _suite_green_flexibility(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_green_flexibility(rng: np.random.Generator) -> tuple[float, str]:
     # Admissible kernel changes leave degree-zero pairings fixed: an added
     # constant cancels against the zero total multiplicity, and the
     # oscillation eps*cos(2*pi*Re u) drops out whenever one divisor has
@@ -266,39 +257,37 @@ def _suite_green_flexibility(rng: np.random.Generator, tol: float) -> SuiteResul
             z, w, green=lambda u, t: arakelov_green(u, t)
             + eps * math.cos(2 * math.pi * u.real)).value
         worst = max(worst, abs(wobbled - base))
-    return SuiteResult("green-flexibility", worst < tol, worst, tol,
-                       "kernel + const and + eps*cos leave pairings fixed, 10 draws")
+    return worst, "kernel + const and + eps*cos leave pairings fixed, 10 draws"
 
 
 def _laplacian_grid(tau: complex, step: float = 2e-5,
                     n: int = 64) -> np.ndarray:
     """Five-point finite-difference Laplacian of the Green kernel over the
     n x n grid of fundamental-cell midpoints at least 3/n from the lattice."""
+    t = as_tau(tau)
     h = 1.0 / n
     out = []
     for a in range(n):
         for b in range(n):
-            u = (a + 0.5) * h + (b + 0.5) * h * tau
-            if torus_distance(u, 0.0, tau) < 3.0 * h:
+            u = (a + 0.5) * h + (b + 0.5) * h * t.value
+            if torus_distance(u, 0.0, t) < 3.0 * h:
                 continue
-            lap = (arakelov_green(u + step, tau)
-                   + arakelov_green(u - step, tau)
-                   + arakelov_green(u + 1j * step, tau)
-                   + arakelov_green(u - 1j * step, tau)
-                   - 4.0 * arakelov_green(u, tau)) / (step * step)
+            lap = (arakelov_green(u + step, t)
+                   + arakelov_green(u - step, t)
+                   + arakelov_green(u + 1j * step, t)
+                   + arakelov_green(u - 1j * step, t)
+                   - 4.0 * arakelov_green(u, t)) / (step * step)
             out.append(lap)
     return np.array(out)
 
 
-def _suite_green_laplacian(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_green_laplacian(rng: np.random.Generator) -> tuple[float, str]:
     tau = 1j
     vals = _laplacian_grid(tau)
     mean = float(vals.mean())
     spread = float((vals.max() - vals.min()) / abs(mean))
-    return SuiteResult(
-        "green-laplacian", spread < tol, spread, tol,
-        f"64x64 grid at tau=i: mean {mean:+.8f} (flat value -2/Im tau), "
-        f"{vals.size} cells")
+    return spread, (f"64x64 grid at tau=i: mean {mean:+.8f} "
+                    f"(flat value -2/Im tau), {vals.size} cells")
 
 
 def _random_sign_family(rng: np.random.Generator, conjugate: bool,
@@ -313,8 +302,7 @@ def _random_sign_family(rng: np.random.Generator, conjugate: bool,
     return GroupAction.closed(gens, require_conjugation=conjugate)
 
 
-def _suite_invariant_dims_dual_route(rng: np.random.Generator,
-                                     tol: float) -> SuiteResult:
+def _suite_invariant_dims_dual_route(rng: np.random.Generator) -> tuple[float, str]:
     actions = [standard_quotient_action()]
     for k in range(8):
         actions.append(_random_sign_family(rng, conjugate=(k % 2 == 0)))
@@ -324,14 +312,11 @@ def _suite_invariant_dims_dual_route(rng: np.random.Generator,
         enum = invariant_dims_by_enumeration(action)
         worst = max(worst, max(abs(chars[p, q] - enum[p, q])
                                for p in range(4) for q in range(4)))
-    return SuiteResult("invariant-dims-dual-route", float(worst) < tol,
-                       float(worst), tol,
-                       "character averaging vs monomial enumeration, "
-                       f"{len(actions)} groups (orders up to 8)")
+    return worst, ("character averaging vs monomial enumeration, "
+                   f"{len(actions)} groups (orders up to 8)")
 
 
-def _suite_hodge_conjugation_symmetry(rng: np.random.Generator,
-                                      tol: float) -> SuiteResult:
+def _suite_hodge_conjugation_symmetry(rng: np.random.Generator) -> tuple[float, str]:
     actions = [standard_quotient_action()]
     for _ in range(6):
         actions.append(_random_sign_family(rng, conjugate=True))
@@ -340,85 +325,83 @@ def _suite_hodge_conjugation_symmetry(rng: np.random.Generator,
         dims = invariant_dims(action)
         worst = max(worst, max(abs(dims[p, q] - dims[q, p])
                                for p in range(4) for q in range(4)))
-    return SuiteResult("hodge-conjugation-symmetry", float(worst) < tol,
-                       float(worst), tol,
-                       "dims(p,q) == dims(q,p) for conjugation-compatible actions")
+    return worst, "dims(p,q) == dims(q,p) for conjugation-compatible actions"
 
 
-def _suite_serre_symmetry(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_serre_symmetry(rng: np.random.Generator) -> tuple[float, str]:
     dims = hodge_diamond_x()
     worst = max(abs(dims[p, q] - dims[3 - p, 3 - q])
                 for p in range(4) for q in range(4))
-    return SuiteResult("serre-symmetry", float(worst) < tol, float(worst), tol,
-                       "dims(p,q) == dims(3-p,3-q) on the assembled diamond")
+    return worst, "dims(p,q) == dims(3-p,3-q) on the assembled diamond"
 
 
-def _suite_massey_cross_path(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_massey_cross_path(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(50):
         tau = _random_tau(rng)
         worst = max(worst, abs(massey_value_closed_form(tau)
                                - massey_value_via_linking(tau)))
-    return SuiteResult("massey-cross-path", worst < tol, worst, tol,
-                       "closed form vs 8x elliptic linking, 50 tau")
+    return worst, "closed form vs 8x elliptic linking, 50 tau"
 
 
-def _suite_massey_reality(rng: np.random.Generator, tol: float) -> SuiteResult:
+def _suite_massey_reality(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(20):
         tau = _random_tau(rng)
         for val in (massey_value_closed_form(tau), massey_value_via_linking(tau)):
             if not isinstance(val, float) or not math.isfinite(val):
                 worst = math.inf
-    return SuiteResult("massey-reality", worst < tol, worst, tol,
-                       "both routes return finite real values, 20 tau")
+    return worst, "both routes return finite real values, 20 tau"
 
 
-def _suite_massey_lambda_periodicity(rng: np.random.Generator,
-                                     tol: float) -> SuiteResult:
+def _suite_massey_lambda_periodicity(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(30):
         tau = _random_tau(rng)
         worst = max(worst, abs(massey_value_closed_form(tau + 2)
                                - massey_value_closed_form(tau)))
-    return SuiteResult("massey-lambda-periodicity", worst < tol, worst, tol,
-                       "closed form is 2-periodic in tau, 30 tau")
+    return worst, "closed form is 2-periodic in tau, 30 tau"
 
 
-#: (runner, default tolerance) in report order.
+#: (name, runner, default tolerance) in report order.
 _SUITES = (
-    (_suite_half_period_sum, 1e-9),
-    (_suite_weierstrass_oracle, 1e-6),
-    (_suite_lambda_periodicity, 1e-9),
-    (_suite_lambda_complement, 1e-9),
-    (_suite_lambda_no_underflow, 1e-9),
-    (_suite_sphere_closed_form, 1e-12),
-    (_suite_linking_bilinearity, 1e-12),
-    (_suite_translation_invariance, 1e-10),
-    (_suite_half_period_dual_route, 1e-8),
-    (_suite_adjunction_square, 1e-10),
-    (_suite_green_flexibility, 1e-10),
-    (_suite_green_laplacian, 1e-4),
-    (_suite_invariant_dims_dual_route, 1e-9),
-    (_suite_hodge_conjugation_symmetry, 1e-9),
-    (_suite_serre_symmetry, 1e-9),
-    (_suite_massey_cross_path, 1e-8),
-    (_suite_massey_reality, 1e-9),
-    (_suite_massey_lambda_periodicity, 1e-9),
+    ("half-period-sum", _suite_half_period_sum, 1e-9),
+    ("weierstrass-oracle", _suite_weierstrass_oracle, 1e-6),
+    ("lambda-periodicity", _suite_lambda_periodicity, 1e-9),
+    ("lambda-complement", _suite_lambda_complement, 1e-9),
+    ("lambda-no-underflow", _suite_lambda_no_underflow, 1e-9),
+    ("sphere-closed-form", _suite_sphere_closed_form, 1e-12),
+    ("linking-bilinearity", _suite_linking_bilinearity, 1e-12),
+    ("translation-invariance", _suite_translation_invariance, 1e-10),
+    ("half-period-dual-route", _suite_half_period_dual_route, 1e-8),
+    ("adjunction-square", _suite_adjunction_square, 1e-10),
+    ("green-flexibility", _suite_green_flexibility, 1e-10),
+    ("green-laplacian", _suite_green_laplacian, 1e-4),
+    ("invariant-dims-dual-route", _suite_invariant_dims_dual_route, 1e-9),
+    ("hodge-conjugation-symmetry", _suite_hodge_conjugation_symmetry, 1e-9),
+    ("serre-symmetry", _suite_serre_symmetry, 1e-9),
+    ("massey-cross-path", _suite_massey_cross_path, 1e-8),
+    ("massey-reality", _suite_massey_reality, 1e-9),
+    ("massey-lambda-periodicity", _suite_massey_lambda_periodicity, 1e-9),
 )
 
 
 def run_all(seed: int = 42, tol: float | None = None) -> list[SuiteResult]:
     """Run every suite with child seeds spawned from ``seed``.
 
-    ``tol``, when given, replaces each suite's default tolerance.
+    ``tol``, when given, replaces each suite's default tolerance.  The
+    verdict, worst residual below tolerance, is decided here for every suite.
     """
     if tol is not None and float(tol) <= 0:
         raise ValueError(f"tolerance must be positive, got {float(tol)!r}")
     children = np.random.SeedSequence(seed).spawn(len(_SUITES))
-    return [runner(np.random.default_rng(child),
-                   default_tol if tol is None else float(tol))
-            for (runner, default_tol), child in zip(_SUITES, children)]
+    results = []
+    for (name, runner, default_tol), child in zip(_SUITES, children):
+        limit = default_tol if tol is None else float(tol)
+        worst, detail = runner(np.random.default_rng(child))
+        worst = float(worst)
+        results.append(SuiteResult(name, worst < limit, worst, limit, detail))
+    return results
 
 
 def format_summary(results: list[SuiteResult], seed: int,

@@ -1,5 +1,6 @@
 """Divisor arithmetic and the linking pairings on both curves."""
 
+import importlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from holink import (
     LinkingMethod,
     PoleError,
     RationalMapSpec,
+    TauParameter,
     arakelov_green,
     check_adjunction,
     linking,
@@ -27,6 +29,7 @@ from holink import (
     pullback,
     pushforward,
     torus_distance,
+    weierstrass_p,
 )
 
 LINK_AT_I = math.log(0.5) / (2.0 * math.pi)  # half-period pairing on tau = i
@@ -178,6 +181,44 @@ def test_green_kernel_periodic_and_pole():
         arakelov_green(0.0, 1j)
     with pytest.raises(PoleError):
         arakelov_green(3 + 2j, 1j)
+
+
+def test_green_kernel_and_p_reduce_once(monkeypatch):
+    # ``holink.linking`` names the function, so fetch the module itself.
+    modules = [importlib.import_module(f"holink.{name}")
+               for name in ("linking", "special_functions")]
+    reduce = modules[1].reduce_mod_lattice
+    calls = []
+
+    def counting(z, tau):
+        calls.append(z)
+        return reduce(z, tau)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "reduce_mod_lattice", counting)
+    tau = TauParameter(0.3 + 1.1j)
+    arakelov_green(0.4 + 0.3j, tau)
+    assert len(calls) == 1
+    calls.clear()
+    weierstrass_p(0.4 + 0.3j, tau)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x, y, tau", [
+    (5e-12, 5e-12, -1 + 0.1j),                # near the corner 0
+    (1 - 5e-12, 1 - 5e-12, -1 + 0.1j),        # near 1 + tau
+    (-5e-12, 5e-12, 1 + 0.1j),                # near 1
+    (5e-12, 1 - 5e-12, 1 + 0.1j),             # near tau
+])
+def test_pole_detected_at_every_cell_corner(x, y, tau):
+    # The lattice coordinates sit 5e-12 off the corner, outside the snap
+    # radius, yet the point lies about 5e-13 from the lattice.
+    u = x + y * tau
+    assert torus_distance(u, 0.0, tau) < 1e-12
+    with pytest.raises(PoleError):
+        arakelov_green(u, tau)
+    with pytest.raises(PoleError):
+        weierstrass_p(u, tau)
 
 
 def test_green_kernel_underflow_is_divergence():

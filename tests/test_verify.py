@@ -61,6 +61,7 @@ def test_absurd_tolerance_fails_float_suites():
     failed = [r.name for r in results if not r.passed]
     assert failed  # residuals of genuine float computations cannot hit 1e-30
     assert all(r.tolerance == 1e-30 for r in results)
+    assert all(r.passed == (r.worst < r.tolerance) for r in results)
     # the exact integer identities still hold at any positive tolerance
     passed = {r.name for r in results if r.passed}
     assert "invariant-dims-dual-route" in passed
