@@ -26,7 +26,7 @@ from .errors import DivergenceError, DomainError, HolinkError
 from .hodge import hodge_diamond_x
 from .linking import Curve, Divisor, INFINITY, SPHERE, linking
 from .massey import DEFAULT_NONVANISHING_TOL, _closed_form_from_lambda, massey_report
-from .special_functions import modular_lambda
+from .special_functions import modular_lambda, modular_lambdas
 from .verify import format_summary, run_all
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -221,8 +221,8 @@ def cmd_scan(args) -> int:
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
     rows = [CSV_HEADER]
-    for re_, im in grid.points():
-        lam = modular_lambda(complex(re_, im))
+    lams = modular_lambdas(complex(re_, im) for re_, im in grid.points())
+    for (re_, im), lam in zip(grid.points(), lams):
         try:
             value = _closed_form_from_lambda(lam)
         except DivergenceError:

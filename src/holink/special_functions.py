@@ -26,7 +26,18 @@ Conventions, pinned here and relied on by every consumer in the package:
 
 All series are truncated adaptively: summation stops once an upper bound
 for the next term drops below EPS_SERIES * (1 + |partial sum|), and a
-ConvergenceError is raised if MAX_TERMS terms do not get there.  No
+ConvergenceError is raised if MAX_TERMS terms do not get there.
+
+Two paths evaluate the theta constants, selected by input: ``theta`` (and
+its cache ``_theta_constants``) for one tau, and the numpy kernel
+``_theta_constants_array`` for a sequence of taus, which ``modular_lambdas``
+feeds THETA_BLOCK consecutive taus at a time.  The kernel sums the same
+terms in the same order with the same per-point stopping rule and
+MAX_TERMS guard, so its values equal ``theta(k, 0, tau)`` bit for bit (a
+test compares them by ``float.hex``); the fourth powers and the lambda pin
+stay scalar, shared by both paths.  One tau does not go through the
+kernel: a size-1 batch takes about 190 us, the three scalar loops about
+13 us (2-vCPU x86-64 host, numpy 2.4).  No
 fundamental-domain reduction of tau is performed; instead construction of
 ``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05).  Precision of the
 q-series degrades as Im tau approaches that floor (|q| -> 0.855), which is
@@ -37,8 +48,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -47,6 +60,11 @@ from .errors import ConvergenceError, DomainError, InternalError, PoleError
 MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
 MAX_TERMS = 10_000
+
+#: Taus per call of the array kernel in ``modular_lambdas``: enough to
+#: spread numpy's per-call cost thin, few enough that a long sequence holds
+#: one block of arrays at a time.
+THETA_BLOCK = 1024
 
 #: Snap radius onto half-integer lattice coordinates in ``reduce_mod_lattice``.
 SNAP_TOL = 1e-12
@@ -158,6 +176,38 @@ def theta(kind: int, z: complex, tau: TauParameter | complex, *,
 def _theta_constants(t: TauParameter) -> tuple[complex, complex, complex]:
     """(theta2, theta3, theta4) at z = 0.  Cached; pure function of tau."""
     return theta(2, 0.0, t), theta(3, 0.0, t), theta(4, 0.0, t)
+
+
+def _theta_constants_array(tau: np.ndarray) -> list[np.ndarray]:
+    """[theta2, theta3, theta4] at z = 0 over a complex array of taus.
+
+    ``theta``'s loop at z = 0 for every point at once: the same terms in the
+    same order, each point stopping on its own partial sum.  Exponentials go
+    through complex ``np.exp``, which computes exp(x) * (cos y, sin y) with
+    libm as ``cmath.exp`` does; numpy's real float64 ``exp`` has SIMD loops
+    that can differ from ``math.exp`` in the last bit, so the stopping bound
+    takes the complex route too.
+    """
+    im = tau.imag
+    out = []
+    for kind in (2, 3, 4):
+        half = kind == 2
+        total = np.zeros_like(tau) if half else np.ones_like(tau)
+        active = np.ones(tau.shape, dtype=bool)
+        for n in range(0 if half else 1, MAX_TERMS):
+            a = n + 0.5 if half else n
+            bound = 2.0 * np.exp(-_PI * im * a * a + 0j).real
+            active &= ~(bound < EPS_SERIES * (1.0 + np.abs(total)))
+            if not active.any():
+                break
+            e = np.exp(1j * _PI * (tau * a * a))
+            term = -(e + e) if kind == 4 and n % 2 == 1 else e + e
+            total = np.where(active, total + term, total)
+        else:
+            raise ConvergenceError(
+                f"theta{kind} did not converge in {MAX_TERMS} terms")
+        out.append(total)
+    return out
 
 
 @dataclass(frozen=True)
@@ -293,6 +343,20 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
 _LAMBDA_PIN_TOL = 1e-9
 
 
+def _pinned_lambda(t: TauParameter, c2: complex, c3: complex,
+                   c4: complex) -> complex:
+    """theta2^4 / theta3^4, checked against the half-period quotient."""
+    lam = c2 ** 4 / c3 ** 4
+    e1, e2, e3 = _half_periods(c2, c3, c4)
+    pin = (e3 - e2) / (e1 - e2)
+    if abs(lam - pin) > _LAMBDA_PIN_TOL:
+        raise InternalError(
+            f"lambda convention pin violated at tau = {t.value!r}: "
+            f"theta quotient {lam!r} vs half-period quotient {pin!r}"
+        )
+    return lam
+
+
 def modular_lambda(tau: TauParameter | complex) -> complex:
     """Modular lambda(tau) = theta2(0)^4 / theta3(0)^4.
 
@@ -303,16 +367,22 @@ def modular_lambda(tau: TauParameter | complex) -> complex:
     InternalError because no valid input can produce it.
     """
     t = as_tau(tau)
-    c2, c3, c4 = _theta_constants(t)
-    lam = c2 ** 4 / c3 ** 4
-    e1, e2, e3 = _half_periods(c2, c3, c4)
-    pin = (e3 - e2) / (e1 - e2)
-    if abs(lam - pin) > _LAMBDA_PIN_TOL:
-        raise InternalError(
-            f"lambda convention pin violated at tau = {t.value!r}: "
-            f"theta quotient {lam!r} vs half-period quotient {pin!r}"
-        )
-    return lam
+    return _pinned_lambda(t, *_theta_constants(t))
+
+
+def modular_lambdas(taus: Iterable[TauParameter | complex]) -> Iterator[complex]:
+    """``modular_lambda`` over a sequence of taus, bit for bit, in order.
+
+    Taus are read THETA_BLOCK at a time; each block is validated with
+    ``as_tau`` (same DomainError messages), its theta constants come from
+    the array kernel, and each lambda is pinned as in ``modular_lambda``.
+    A block is validated before any of its points is evaluated.
+    """
+    it = iter(taus)
+    while block := [as_tau(tau) for tau in islice(it, THETA_BLOCK)]:
+        consts = _theta_constants_array(np.array([t.value for t in block]))
+        for t, c2, c3, c4 in zip(block, *(c.tolist() for c in consts)):
+            yield _pinned_lambda(t, c2, c3, c4)
 
 
 def lambda_complement_ratio(tau: TauParameter | complex) -> complex:

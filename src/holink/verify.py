@@ -38,6 +38,7 @@ from .linking import (
 )
 from .massey import massey_value_closed_form, massey_value_via_linking
 from .special_functions import (
+    TauParameter,
     as_tau,
     half_period_values,
     lambda_complement_ratio,
@@ -60,9 +61,11 @@ class SuiteResult:
     detail: str
 
 
-def _random_tau(rng: np.random.Generator) -> complex:
+def _random_tau(rng: np.random.Generator) -> TauParameter:
+    """A tau drawn from TAU_BOX, validated once: suites hand the
+    TauParameter to the library and use ``.value`` for their own arithmetic."""
     (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
-    return complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
+    return as_tau(complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi)))
 
 
 def _random_annulus_point(rng: np.random.Generator,
@@ -73,13 +76,13 @@ def _random_annulus_point(rng: np.random.Generator,
             return complex(x, y)
 
 
-def _disjoint_pair(rng: np.random.Generator, tau: complex,
+def _disjoint_pair(rng: np.random.Generator, tau: TauParameter,
                    ) -> tuple[Divisor, Divisor]:
     """Two random degree-zero 2-point divisors on C_tau with separated supports."""
     while True:
         pts = [complex(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
                for _ in range(4)]
-        pts = [p.real + p.imag * tau for p in pts]
+        pts = [p.real + p.imag * tau.value for p in pts]
         ok = all(torus_distance(pts[i], pts[j], tau) > 1e-3
                  for i in range(4) for j in range(i + 1, 4))
         if ok:
@@ -102,7 +105,7 @@ def _suite_weierstrass_oracle(rng: np.random.Generator) -> tuple[float, str]:
     # sample points stay inside |z| <= 0.3 where radius 400 leaves a margin
     # of about 2x under the 1e-6 default.
     worst = 0.0
-    for tau in (1j, 1.3j):
+    for tau in (as_tau(1j), as_tau(1.3j)):
         for _ in range(10):
             z = _random_annulus_point(rng)
             worst = max(worst, abs(weierstrass_p(z, tau)
@@ -115,8 +118,8 @@ def _suite_lambda_periodicity(rng: np.random.Generator) -> tuple[float, str]:
     for _ in range(100):
         tau = _random_tau(rng)
         lam = modular_lambda(tau)
-        worst = max(worst, abs(modular_lambda(tau + 2) - lam))
-        worst = max(worst, abs(modular_lambda(tau + 1) - lam / (lam - 1)))
+        worst = max(worst, abs(modular_lambda(tau.value + 2) - lam))
+        worst = max(worst, abs(modular_lambda(tau.value + 1) - lam / (lam - 1)))
     return worst, "lambda(tau+2) and lambda(tau+1) functional equations, 100 tau"
 
 
@@ -189,7 +192,7 @@ def _suite_translation_invariance(rng: np.random.Generator) -> tuple[float, str]
     for _ in range(50):
         tau = _random_tau(rng)
         z, w = _disjoint_pair(rng, tau)
-        c = complex(rng.uniform(0, 1), 0) + rng.uniform(0, 1) * tau
+        c = complex(rng.uniform(0, 1), 0) + rng.uniform(0, 1) * tau.value
         zt = Divisor.elliptic(tau, [(p + c, m) for p, m in z.terms])
         wt = Divisor.elliptic(tau, [(p + c, m) for p, m in w.terms])
         worst = max(worst, abs(linking_elliptic(zt, wt).value
@@ -202,7 +205,7 @@ def _suite_half_period_dual_route(rng: np.random.Generator) -> tuple[float, str]
     for _ in range(50):
         tau = _random_tau(rng)
         z = Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)])
-        w = Divisor.elliptic(tau, [(tau / 2, 1), ((1 + tau) / 2, -1)])
+        w = Divisor.elliptic(tau, [(tau.value / 2, 1), ((1 + tau.value) / 2, -1)])
         res = linking_elliptic(z, w)
         if res.method is not LinkingMethod.HALF_PERIOD_CLOSED_FORM:
             worst = math.inf
@@ -240,7 +243,7 @@ def _suite_green_flexibility(rng: np.random.Generator) -> tuple[float, str]:
     worst = 0.0
     for _ in range(10):
         tau = _random_tau(rng)
-        v0 = complex(rng.uniform(0.0, 1.0), 0) + rng.uniform(0.05, 0.95) * tau
+        v0 = complex(rng.uniform(0.0, 1.0), 0) + rng.uniform(0.05, 0.95) * tau.value
         z = Divisor.elliptic(tau, [(v0, 1), (v0 + 0.5, 1),
                                    (v0 + 0.25, -1), (v0 + 0.75, -1)])
         while True:
@@ -358,7 +361,7 @@ def _suite_massey_lambda_periodicity(rng: np.random.Generator) -> tuple[float, s
     worst = 0.0
     for _ in range(30):
         tau = _random_tau(rng)
-        worst = max(worst, abs(massey_value_closed_form(tau + 2)
+        worst = max(worst, abs(massey_value_closed_form(tau.value + 2)
                                - massey_value_closed_form(tau)))
     return worst, "closed form is 2-periodic in tau, 30 tau"
 

@@ -1,5 +1,6 @@
 """Command-line contract: parsing, formatting, exit codes, CSV output."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -15,6 +16,8 @@ from holink.cli import (
     main,
     parse_complex,
 )
+from holink.massey import massey_value_closed_form
+from holink.special_functions import THETA_BLOCK, modular_lambda
 
 
 @pytest.fixture(autouse=True)
@@ -260,6 +263,47 @@ def test_scan_single_point_and_errors(tmp_path, capsys):
     assert rc == 4
     assert not (tmp_path / "missing").exists()
     capsys.readouterr()
+
+
+def _scan(out_path, re_min, re_max, im_min, im_max, steps_re, steps_im):
+    return main(["scan", "--re-min", str(re_min), "--re-max", str(re_max),
+                 "--im-min", str(im_min), "--im-max", str(im_max),
+                 "--steps-re", str(steps_re), "--steps-im", str(steps_im),
+                 "--out", str(out_path)])
+
+
+def test_scan_readme_box_csv_is_pinned(tmp_path):
+    out_path = tmp_path / "box.csv"
+    assert _scan(out_path, -1, 1, 0.5, 2, 201, 151) == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == ("672888beb7ab19b42c00211ca43241c8"
+                      "d06b9e8dccba761aa32e98a20d107a03")
+
+
+def test_scan_one_column_matches_scalar_loop(tmp_path):
+    # One column longer than a block: blocks run across grid rows.
+    steps_im = THETA_BLOCK + 37
+    out_path = tmp_path / "column.csv"
+    assert _scan(out_path, 0.25, 0.25, 0.5, 3, 1, steps_im) == 0
+    rows = []
+    for re_, im in ScanGrid(0.25, 0.25, 0.5, 3.0, 1, steps_im).points():
+        tau = complex(re_, im)
+        lam = modular_lambda(tau)
+        rows.append(f"{re_:.12g},{im:.12g},{lam.real:.12g},{lam.imag:.12g},"
+                    f"{massey_value_closed_form(tau):.12g}")
+    assert out_path.read_text().splitlines() == [CSV_HEADER] + rows
+
+
+def test_scan_first_failing_tau_decides(tmp_path, capsys):
+    out_path = tmp_path / "grid.csv"
+    # below the Im tau floor: DomainError from validation
+    assert _scan(out_path, -1, 1, 0.01, 1, 3, 2) == 3
+    assert "below the supported floor" in capsys.readouterr().err
+    # first row at Im 0.3 reaches Re -1, where the lambda pin fails
+    assert _scan(out_path, -1, 1, 0.3, 1, 3, 2) == 3
+    assert ("lambda convention pin violated at tau = (-1+0.3j)"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_command(capsys):

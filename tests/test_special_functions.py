@@ -19,9 +19,12 @@ from holink import (
     linking_elliptic,
     massey_report,
     modular_lambda,
+    modular_lambdas,
     theta,
     weierstrass_p,
 )
+from holink.special_functions import THETA_BLOCK, _theta_constants_array
+from holink.verify import TAU_BOX
 
 # Golden values, frozen from independent derivations:
 #   theta3(0, i) = pi^(1/4) / Gamma(3/4)    (classical closed form)
@@ -80,6 +83,45 @@ def test_theta_frozen_values_bitwise():
         for kind, (re_hex, im_hex) in enumerate(by_kind, start=1):
             val = theta(kind, z, tau)
             assert (val.real.hex(), val.imag.hex()) == (re_hex, im_hex), (kind, z, tau)
+
+
+def _hex(value):
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def test_theta_constants_array_matches_scalar_bitwise():
+    # The scalar loop is the reference; the array kernel must reproduce it
+    # to the last bit (signed zeros included) over the verify box, toward
+    # the cusp and far along Re tau.
+    rng = np.random.default_rng(2024)
+    (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
+    taus = np.concatenate([
+        rng.uniform(re_lo, re_hi, 300) + 1j * rng.uniform(im_lo, im_hi, 300),
+        rng.uniform(-1.0, 1.0, 100)
+        + 1j * np.exp(rng.uniform(math.log(3.0), math.log(400.0), 100)),
+        rng.uniform(-1e3, 1e3, 100) + 1j * rng.uniform(0.05, 3.0, 100),
+        np.array([1j, 400j, -1e3 + 0.05j, 0.5 + 0.05j]),
+    ])
+    for batch in (taus, taus[:1]):
+        consts = _theta_constants_array(batch)
+        for i, tau in enumerate(batch.tolist()):
+            for kind, values in zip((2, 3, 4), consts):
+                assert _hex(values[i]) == _hex(theta(kind, 0.0, tau)), (kind, tau)
+
+
+def test_modular_lambdas_blocks_match_scalar_bitwise():
+    # THETA_BLOCK + 1 taus: one full block, then a size-1 partial block.
+    # Im tau starts at 0.5: near Re tau = -1, Im tau = 0.3 the pin fails.
+    rng = np.random.default_rng(7)
+    (re_lo, re_hi), (_, im_hi) = TAU_BOX
+    taus = [complex(rng.uniform(re_lo, re_hi), rng.uniform(0.5, im_hi))
+            for _ in range(THETA_BLOCK + 1)]
+    got = list(modular_lambdas(taus))
+    assert [_hex(v) for v in got] == [_hex(modular_lambda(t)) for t in taus]
+    assert list(modular_lambdas([])) == []
+    with pytest.raises(DomainError, match="below the supported floor"):
+        list(modular_lambdas([1j, 0.3 + 0.01j]))
 
 
 def test_tau_validated_once_per_public_call(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from holink import format_summary, run_all
+from holink import TauParameter, format_summary, run_all
 
 EXPECTED_SUITES = [
     "half-period-sum",
@@ -75,3 +75,18 @@ def test_tolerance_must_be_positive():
         run_all(seed=42, tol=0.0)
     with pytest.raises(ValueError):
         run_all(seed=42, tol=-1.0)
+
+
+def test_run_all_validates_each_tau_once(monkeypatch):
+    # seed 42 draws 867 distinct tau values; each suite validates a tau once
+    # and hands the TauParameter on.
+    built = []
+    validate = TauParameter.__post_init__
+
+    def counting(self):
+        built.append(self.value)
+        validate(self)
+
+    monkeypatch.setattr(TauParameter, "__post_init__", counting)
+    run_all(seed=42)
+    assert len(built) < 900
