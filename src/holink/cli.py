@@ -22,11 +22,11 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import DivergenceError, DomainError, HolinkError
+from .errors import DivergenceError, HolinkError
 from .hodge import hodge_diamond_x
 from .linking import Curve, Divisor, INFINITY, SPHERE, linking
 from .massey import DEFAULT_NONVANISHING_TOL, _closed_form_from_lambda, massey_report
-from .special_functions import modular_lambda, modular_lambdas
+from .special_functions import as_tau, modular_lambda, modular_lambdas
 from .verify import format_summary, run_all
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -113,20 +113,16 @@ def _load_divisor_file(path: str) -> Divisor:
 
 
 def _tolerance(args, default: float | None):
-    """--tol flag, else HOLINK_TOL, else the given default."""
+    """--tol flag, else HOLINK_TOL, else the given default; the callee checks it."""
     if getattr(args, "tol", None) is not None:
-        value = args.tol
-    else:
-        env = os.environ.get("HOLINK_TOL")
-        if env is None:
-            return default
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(f"HOLINK_TOL is not a number: {env!r}")
-    if not (value > 0 and math.isfinite(value)):
-        raise DomainError(f"tolerance must be a positive finite number, got {value!r}")
-    return value
+        return args.tol
+    env = os.environ.get("HOLINK_TOL")
+    if env is None:
+        return default
+    try:
+        return float(env)
+    except ValueError:
+        raise ValueError(f"HOLINK_TOL is not a number: {env!r}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,8 @@ class ScanGrid:
         if self.re_min > self.re_max or (self.re_min == self.re_max
                                          and self.steps_re != 1):
             raise ValueError("need re-min < re-max (equality only with steps-re 1)")
-        if self.im_min <= 0:
-            raise ValueError("need im-min > 0")
+        # The lowest row holds the smallest Im tau of every grid point.
+        as_tau(complex(self.re_min, self.im_min))
         if self.im_min > self.im_max or (self.im_min == self.im_max
                                          and self.steps_im != 1):
             raise ValueError("need im-min < im-max (equality only with steps-im 1)")

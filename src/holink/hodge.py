@@ -188,7 +188,7 @@ def invariant_dims(action: GroupAction) -> BigradedDims:
     Lambda^p(frame) tensor Lambda^q(conjugate frame) is
     e_p(s_0, s_1, s_2) * e_q(s_3, s_4, s_5) with e_k the elementary
     symmetric polynomial; the invariant dimension is the group average,
-    which must come out a non-negative integer.
+    an exact integer because ``GroupAction`` admits only groups.
     """
     order = action.order()
 
@@ -199,11 +199,6 @@ def invariant_dims(action: GroupAction) -> BigradedDims:
         total = 0
         for el in action.elements:
             total += (elementary(el[:3], p) * elementary(el[3:], q))
-        if total % order != 0:
-            raise ActionValidationError(
-                f"character average is not integral at (p,q)=({p},{q}); "
-                "the element set cannot be a group"
-            )
         return total // order
 
     return BigradedDims.from_function(dim)
@@ -256,6 +251,12 @@ class BlowupCenter:
     label: str
     dims: tuple[tuple[int, int], tuple[int, int]]
 
+    def __post_init__(self) -> None:
+        if (len(self.dims) != 2 or any(len(row) != 2 for row in self.dims)
+                or any(not isinstance(v, int) or v < 0
+                       for row in self.dims for v in row)):
+            raise ValueError(f"center {self.label!r} has invalid dims {self.dims!r}")
+
     @classmethod
     def elliptic_curve(cls, label: str) -> "BlowupCenter":
         return cls(label, ((1, 1), (1, 1)))
@@ -278,10 +279,6 @@ def blowup_assemble(base: BigradedDims, centers: list[BlowupCenter]) -> Bigraded
     for c in centers:
         if not isinstance(c, BlowupCenter):
             raise ValueError(f"centers must be BlowupCenter instances, got {c!r}")
-        for row in c.dims:
-            for v in row:
-                if not isinstance(v, int) or v < 0:
-                    raise ValueError(f"center {c.label!r} has invalid dims {c.dims!r}")
 
     def dim(p: int, q: int) -> int:
         extra = sum(c.dim(p - 1, q - 1) for c in centers)

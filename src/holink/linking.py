@@ -43,6 +43,7 @@ from .errors import (
     PoleError,
 )
 from .special_functions import (
+    POLE_TOL,
     SNAP_TOL,
     TauParameter,
     _corner_distance,
@@ -90,7 +91,7 @@ class Curve:
 
     @classmethod
     def elliptic(cls, tau: TauParameter | complex) -> "Curve":
-        return cls("elliptic", as_tau(tau))
+        return cls("elliptic", tau)
 
     def __post_init__(self) -> None:
         if self.kind not in ("sphere", "elliptic"):
@@ -99,6 +100,8 @@ class Curve:
             raise ValueError("elliptic curve needs a tau parameter")
         if self.kind == "sphere" and self.tau is not None:
             raise ValueError("the sphere carries no tau parameter")
+        if self.kind == "elliptic":
+            object.__setattr__(self, "tau", as_tau(self.tau))
 
     def __repr__(self) -> str:
         if self.kind == "sphere":
@@ -237,15 +240,10 @@ class LinkingResult:
 
 
 def _check_pair(z: Divisor, w: Divisor, kind: str) -> None:
-    if z.curve.kind != kind or w.curve.kind != kind:
+    if z.curve.kind != kind or z.curve != w.curve:
         raise CurveMismatchError(
-            f"expected two divisors on a {kind} curve, got "
+            f"expected two divisors on one {kind} curve, got "
             f"{z.curve!r} and {w.curve!r}"
-        )
-    if kind == "elliptic" and z.curve.tau.value != w.curve.tau.value:
-        raise CurveMismatchError(
-            f"divisors live on different elliptic curves: tau = "
-            f"{z.curve.tau.value!r} vs {w.curve.tau.value!r}"
         )
     for which, d in (("first", z), ("second", w)):
         if d.degree() != 0:
@@ -282,12 +280,12 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     additive constant zero.  The argument is reduced into the fundamental
     cell once, so periodicity is exact; theta1's quasi-periodicity makes
     the unreduced formula periodic as well, up to roundoff.  Lattice points
-    are poles: PoleError within 1e-12 of a cell corner.  A theta1 that
+    are poles: PoleError within POLE_TOL of a cell corner.  A theta1 that
     underflows to 0 off the lattice (large Im tau) raises DivergenceError.
     """
     t = as_tau(tau)
     ur = reduce_mod_lattice(u, t)
-    if _corner_distance(ur, t) < 1e-12:
+    if _corner_distance(ur, t) < POLE_TOL:
         raise PoleError(f"green kernel has a logarithmic pole at {u!r}")
     th1 = abs(theta(1, ur, t))
     if th1 == 0.0:
@@ -391,8 +389,8 @@ class RationalMapSpec:
 
     kind = "identity" (either curve), "power" with exponent n in {2, 3}
     (sphere to sphere, z -> z^n), or "translation" by a fixed offset
-    (elliptic curve to itself).  Anything else raises CapabilityError when
-    applied.
+    (elliptic curve to itself).  Anything else raises CapabilityError on
+    construction, as does applying a map to a curve it is not defined on.
     """
 
     kind: str
@@ -411,25 +409,20 @@ class RationalMapSpec:
     def translation(cls, offset: complex) -> "RationalMapSpec":
         return cls("translation", offset=complex(offset))
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("identity", "power", "translation"):
+            raise CapabilityError(f"map kind {self.kind!r} is outside the catalog")
+        if self.kind == "power" and self.exponent not in (2, 3):
+            raise CapabilityError("power maps are supported for exponents 2 "
+                                  f"and 3 only, got {self.exponent!r}")
+        if self.kind == "translation" and self.offset is None:
+            raise CapabilityError("translation map needs an offset")
+
     def _validate_for(self, curve: Curve) -> None:
-        if self.kind == "identity":
-            return
-        if self.kind == "power":
-            if self.exponent not in (2, 3):
-                raise CapabilityError(
-                    f"power maps are supported for exponents 2 and 3 only, "
-                    f"got {self.exponent!r}"
-                )
-            if curve.kind != "sphere":
-                raise CapabilityError("power maps are defined on the sphere only")
-            return
-        if self.kind == "translation":
-            if curve.kind != "elliptic":
-                raise CapabilityError("translations are defined on elliptic curves only")
-            if self.offset is None:
-                raise CapabilityError("translation map needs an offset")
-            return
-        raise CapabilityError(f"map kind {self.kind!r} is outside the catalog")
+        if self.kind == "power" and curve.kind != "sphere":
+            raise CapabilityError("power maps are defined on the sphere only")
+        if self.kind == "translation" and curve.kind != "elliptic":
+            raise CapabilityError("translations are defined on elliptic curves only")
 
 
 def pushforward(d: Divisor, spec: RationalMapSpec) -> Divisor:

@@ -30,6 +30,12 @@ from .special_functions import TauParameter, as_tau, modular_lambda
 DEFAULT_NONVANISHING_TOL = 1e-6
 
 
+def _check_tolerance(tol: float) -> None:
+    """The one tolerance rule: positive and finite, else DomainError."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be a positive finite number, got {tol!r}")
+
+
 def _closed_form_from_lambda(lam: complex) -> float:
     modulus = abs(1.0 - lam)
     if modulus == 0.0:
@@ -81,8 +87,7 @@ class MasseyReport:
 def massey_report(tau: TauParameter | complex,
                   tolerance: float = DEFAULT_NONVANISHING_TOL) -> MasseyReport:
     """Evaluate both routes and package the comparison."""
-    if not (tolerance > 0.0):
-        raise DomainError(f"tolerance must be positive, got {tolerance!r}")
+    _check_tolerance(tolerance)
     t = as_tau(tau)
     lam = modular_lambda(t)
     via_linking = massey_value_via_linking(t)

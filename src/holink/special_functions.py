@@ -69,6 +69,9 @@ THETA_BLOCK = 1024
 #: Snap radius onto half-integer lattice coordinates in ``reduce_mod_lattice``.
 SNAP_TOL = 1e-12
 
+#: Distance from the lattice within which p and the Green kernel raise PoleError.
+POLE_TOL = 1e-12
+
 # Largest exponent handed to exp() before we give up; doubles overflow at ~709.
 _EXP_CAP = 700.0
 
@@ -118,8 +121,7 @@ def as_tau(tau: TauParameter | complex) -> TauParameter:
     return TauParameter(complex(tau))
 
 
-def theta(kind: int, z: complex, tau: TauParameter | complex, *,
-          max_terms: int = MAX_TERMS) -> complex:
+def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     """Jacobi theta function theta_kind(z, tau), kind in {1, 2, 3, 4}.
 
     Unit-period convention (q = exp(i*pi*tau)):
@@ -134,7 +136,7 @@ def theta(kind: int, z: complex, tau: TauParameter | complex, *,
     term) are paired at frequencies +-k, k = 2a, so oddness of theta1 holds
     exactly in floating point.  Truncation stops once an upper bound for the
     next paired term falls below EPS_SERIES * (1 + |partial sum|); exceeding
-    max_terms raises ConvergenceError, as does a term too large for double
+    MAX_TERMS raises ConvergenceError, as does a term too large for double
     precision.
     """
     if kind not in (1, 2, 3, 4):
@@ -148,7 +150,7 @@ def theta(kind: int, z: complex, tau: TauParameter | complex, *,
     abs_im_z = abs(z.imag)
     half = kind in (1, 2)
     total = 0.0 + 0.0j if half else 1.0 + 0.0j
-    for n in range(0 if half else 1, max_terms):
+    for n in range(0 if half else 1, MAX_TERMS):
         a = n + 0.5 if half else n
         k = 2 * a
         # |term| <= exp(-pi*Im(tau)*a^2 + pi*k*|Im z|) for each exponential.
@@ -169,7 +171,7 @@ def theta(kind: int, z: complex, tau: TauParameter | complex, *,
             total += -(e_plus + e_minus)
         else:
             total += e_plus + e_minus
-    raise ConvergenceError(f"theta{kind} did not converge in {max_terms} terms")
+    raise ConvergenceError(f"theta{kind} did not converge in {MAX_TERMS} terms")
 
 
 @lru_cache(maxsize=512)
@@ -308,7 +310,7 @@ def lattice_sum_p(z: complex, tau: TauParameter | complex, radius: int) -> compl
         raise ValueError(f"radius must be an int, got {radius!r}")
     if radius < 10:
         raise ValueError(f"radius must be >= 10, got {radius}")
-    if torus_distance(z, 0.0, t) < 1e-12:
+    if torus_distance(z, 0.0, t) < POLE_TOL:
         raise PoleError(f"z = {z!r} lies on the lattice of tau = {t.value!r}")
 
     # Half-lattice enumeration: (m, 0) for m = 1..R, then (m, n) for n >= 1.
@@ -328,11 +330,11 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
 
     Uses p(z) = e1 + (pi * theta3(0) * theta4(0) * theta2(z) / theta1(z))^2
     after reducing z into the fundamental cell, once.  Raises PoleError
-    within 1e-12 of a cell corner, i.e. of the lattice.
+    within POLE_TOL of a cell corner, i.e. of the lattice.
     """
     t = as_tau(tau)
     zr = reduce_mod_lattice(z, t)
-    if _corner_distance(zr, t) < 1e-12:
+    if _corner_distance(zr, t) < POLE_TOL:
         raise PoleError(f"p(z) has a pole at lattice point z = {z!r}")
     c2, c3, c4 = _theta_constants(t)
     e1, _, _ = _half_periods(c2, c3, c4)
@@ -349,7 +351,9 @@ def _pinned_lambda(t: TauParameter, c2: complex, c3: complex,
     lam = c2 ** 4 / c3 ** 4
     e1, e2, e3 = _half_periods(c2, c3, c4)
     pin = (e3 - e2) / (e1 - e2)
-    if abs(lam - pin) > _LAMBDA_PIN_TOL:
+    err = abs(lam - pin)
+    # err > _LAMBDA_PIN_TOL * max(1, |lam|); |lam| is only formed on a miss
+    if err > _LAMBDA_PIN_TOL and err > _LAMBDA_PIN_TOL * abs(lam):
         raise InternalError(
             f"lambda convention pin violated at tau = {t.value!r}: "
             f"theta quotient {lam!r} vs half-period quotient {pin!r}"
@@ -361,10 +365,11 @@ def modular_lambda(tau: TauParameter | complex) -> complex:
     """Modular lambda(tau) = theta2(0)^4 / theta3(0)^4.
 
     The labeling convention is self-verified on every call: the value must
-    match the half-period quotient (e3 - e2) / (e1 - e2) to 1e-9, which in
-    particular exercises the quartic theta identity
-    theta3^4 = theta2^4 + theta4^4 numerically.  A failure raises
-    InternalError because no valid input can produce it.
+    match the half-period quotient (e3 - e2) / (e1 - e2) to 1e-9 relative
+    to max(1, |lambda|), which in particular exercises the quartic theta
+    identity theta3^4 = theta2^4 + theta4^4 numerically.  A failure raises
+    InternalError; valid tau still fail where the unreduced q-series lose
+    accuracy, near the floor at Re tau ~ +-1 and far along Re tau.
     """
     t = as_tau(tau)
     return _pinned_lambda(t, *_theta_constants(t))

@@ -36,7 +36,8 @@ from .linking import (
     linking_elliptic,
     linking_sphere,
 )
-from .massey import massey_value_closed_form, massey_value_via_linking
+from .massey import (_check_tolerance, massey_value_closed_form,
+                     massey_value_via_linking)
 from .special_functions import (
     TauParameter,
     as_tau,
@@ -392,11 +393,11 @@ _SUITES = (
 def run_all(seed: int = 42, tol: float | None = None) -> list[SuiteResult]:
     """Run every suite with child seeds spawned from ``seed``.
 
-    ``tol``, when given, replaces each suite's default tolerance.  The
-    verdict, worst residual below tolerance, is decided here for every suite.
+    ``tol``, when given (positive and finite), replaces each suite's default
+    tolerance.  The verdict, worst residual below tolerance, is decided here.
     """
-    if tol is not None and float(tol) <= 0:
-        raise ValueError(f"tolerance must be positive, got {float(tol)!r}")
+    if tol is not None:
+        _check_tolerance(tol)
     children = np.random.SeedSequence(seed).spawn(len(_SUITES))
     results = []
     for (name, runner, default_tol), child in zip(_SUITES, children):

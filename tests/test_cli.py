@@ -299,11 +299,18 @@ def test_scan_first_failing_tau_decides(tmp_path, capsys):
     # below the Im tau floor: DomainError from validation
     assert _scan(out_path, -1, 1, 0.01, 1, 3, 2) == 3
     assert "below the supported floor" in capsys.readouterr().err
-    # first row at Im 0.3 reaches Re -1, where the lambda pin fails
-    assert _scan(out_path, -1, 1, 0.3, 1, 3, 2) == 3
-    assert ("lambda convention pin violated at tau = (-1+0.3j)"
-            in capsys.readouterr().err)
+    # on the real axis: the same tau rule, the same exit code
+    assert _scan(out_path, -1, 1, 0, 1, 3, 2) == 3
+    assert "not in upper half-plane" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    # the first row at Im 0.3 reaches the TAU_BOX corner -1+0.3i, where
+    # |lambda| is about 2206: the relative lambda pin passes it
+    assert _scan(out_path, -1, 1, 0.3, 1, 3, 2) == 0
+    lam = modular_lambda(-1 + 0.3j)
+    assert out_path.read_text().splitlines()[1] == (
+        f"-1,0.3,{lam.real:.12g},{lam.imag:.12g},"
+        f"{massey_value_closed_form(-1 + 0.3j):.12g}")
+    assert list(tmp_path.iterdir()) == [out_path]
 
 
 def test_verify_command(capsys):
@@ -315,6 +322,7 @@ def test_verify_command(capsys):
     assert main(["verify", "--seed", "42", "--tol", "1e-30"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
     assert main(["verify", "--tol", "-1"]) == 3
+    assert main(["verify", "--tol", "nan"]) == 3
     capsys.readouterr()
 
 

@@ -137,6 +137,10 @@ def test_blowup_centers():
         blowup_assemble(torus_hodge(), ["not-a-center"])
     with pytest.raises(ValueError):
         blowup_assemble(torus_hodge(), [BlowupCenter("bad", ((1, -1), (1, 1)))])
+    # a center's table is checked when the center is built
+    for bad in (((1, 1),), ((1, 1), (1, 1.0))):
+        with pytest.raises(ValueError):
+            BlowupCenter("bad", bad)
 
 
 def test_blowup_shifts_middle_only():

@@ -113,10 +113,15 @@ def test_pairing_rejects_overlap():
 def test_pairing_rejects_curve_mismatch():
     z = Divisor.elliptic(1j, [(0.2, 1), (0.4 + 0.4j, -1)])
     w = Divisor.elliptic(1.5j, [(0.2, 1), (0.4 + 0.4j, -1)])
+    sph = Divisor.sphere([(0.0, 1), (1.0, -1)])
     with pytest.raises(CurveMismatchError):
         linking_elliptic(z, w)
     with pytest.raises(CurveMismatchError):
-        linking(z, Divisor.sphere([(0.0, 1), (1.0, -1)]))
+        linking(z, sph)
+    with pytest.raises(CurveMismatchError):
+        linking_elliptic(z, sph)
+    with pytest.raises(CurveMismatchError):
+        linking_sphere(z, z)
 
 
 # ------------------------------------------------------------------ sphere
@@ -370,6 +375,11 @@ def test_map_catalog_validation():
         pushforward(sph, RationalMapSpec.power(5))
     with pytest.raises(CapabilityError):
         pushforward(sph, RationalMapSpec("rational"))
+    # catalog membership is decided when the spec is built
+    for bad in (lambda: RationalMapSpec.power(5),
+                lambda: RationalMapSpec("translation")):
+        with pytest.raises(CapabilityError):
+            bad()
     assert pushforward(sph, RationalMapSpec.identity()) == sph
     assert pullback(ell, RationalMapSpec.identity()) == ell
 
@@ -451,3 +461,7 @@ def test_curve_constructors():
         Curve("mystery")
     with pytest.raises(DomainError):
         Curve.elliptic(1.0 - 2j)
+    with pytest.raises(DomainError):
+        Curve("elliptic", -1j)
+    assert Curve("elliptic", 1j) == Curve.elliptic(TauParameter(1j))
+    assert repr(Curve("elliptic", 1j)) == "Curve.elliptic(1j)"

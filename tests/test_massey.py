@@ -83,6 +83,9 @@ def test_nonvanishing_threshold():
         massey_report(1j, tolerance=0.0)
     with pytest.raises(DomainError):
         massey_report(1j, tolerance=-1e-9)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            massey_report(1j, tolerance=bad)
 
 
 def test_divergent_lambda_value():

@@ -23,6 +23,7 @@ from holink import (
     theta,
     weierstrass_p,
 )
+from holink import special_functions
 from holink.special_functions import THETA_BLOCK, _theta_constants_array
 from holink.verify import TAU_BOX
 
@@ -112,7 +113,6 @@ def test_theta_constants_array_matches_scalar_bitwise():
 
 def test_modular_lambdas_blocks_match_scalar_bitwise():
     # THETA_BLOCK + 1 taus: one full block, then a size-1 partial block.
-    # Im tau starts at 0.5: near Re tau = -1, Im tau = 0.3 the pin fails.
     rng = np.random.default_rng(7)
     (re_lo, re_hi), (_, im_hi) = TAU_BOX
     taus = [complex(rng.uniform(re_lo, re_hi), rng.uniform(0.5, im_hi))
@@ -179,13 +179,14 @@ def test_theta_quasi_periodicity():
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
 
-def test_theta_kind_and_convergence_guards():
+def test_theta_kind_and_convergence_guards(monkeypatch):
     with pytest.raises(ValueError):
         theta(5, 0.0, 1j)
-    with pytest.raises(ConvergenceError):
-        theta(3, 0.0, 1j, max_terms=2)
     with pytest.raises(DomainError):
         theta(2, 0.0, 1.0 - 1.0j)
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 2)
+    with pytest.raises(ConvergenceError, match="did not converge in 2 terms"):
+        theta(3, 0.0, 1j)
 
 
 def test_half_periods_square_lattice():

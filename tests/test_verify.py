@@ -2,7 +2,7 @@
 
 import pytest
 
-from holink import TauParameter, format_summary, run_all
+from holink import DomainError, TauParameter, format_summary, run_all
 
 EXPECTED_SUITES = [
     "half-period-sum",
@@ -75,6 +75,9 @@ def test_tolerance_must_be_positive():
         run_all(seed=42, tol=0.0)
     with pytest.raises(ValueError):
         run_all(seed=42, tol=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            run_all(seed=42, tol=bad)
 
 
 def test_run_all_validates_each_tau_once(monkeypatch):
