@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import DivergenceError, HolinkError
+from .errors import HolinkError
 from .hodge import hodge_diamond_x
 from .linking import Curve, Divisor, INFINITY, SPHERE, linking
 from .massey import DEFAULT_NONVANISHING_TOL, _closed_form_from_lambda, massey_report
@@ -184,7 +184,6 @@ def cmd_massey(args) -> int:
     print(f"residual           = {report.residual:.3e}")
     print(f"nonvanishing       = {'true' if report.nonvanishing else 'false'}")
     print(f"tolerance          = {tol:g}")
-    print(f"diverged           = {'true' if report.diverged else 'false'}")
     return 0
 
 
@@ -209,7 +208,6 @@ def cmd_link(args) -> int:
     res = linking(z, w)
     print(f"value    = {res.value:.15g}")
     print(f"method   = {res.method.value}")
-    print(f"residual = {res.residual:.3e}")
     return 0
 
 
@@ -219,12 +217,8 @@ def cmd_scan(args) -> int:
     rows = [CSV_HEADER]
     lams = modular_lambdas(complex(re_, im) for re_, im in grid.points())
     for (re_, im), lam in zip(grid.points(), lams):
-        try:
-            value = _closed_form_from_lambda(lam)
-        except DivergenceError:
-            value = -math.inf
         rows.append(f"{re_:.12g},{im:.12g},{lam.real:.12g},{lam.imag:.12g},"
-                    f"{value:.12g}")
+                    f"{_closed_form_from_lambda(lam):.12g}")
     tmp_path = args.out + ".tmp"
     try:
         with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -38,7 +38,8 @@ class BranchError(HolinkError, ValueError):
 
 
 class DivergenceError(HolinkError, ArithmeticError):
-    """Value is -inf because the modulus inside a logarithm vanished."""
+    """The argument of a logarithm rounds to 0 in double precision, so the
+    value is lost (it is finite, never -inf, on the admissible domain)."""
 
 
 class ActionValidationError(HolinkError, ValueError):

@@ -21,7 +21,9 @@ to finite sums of logarithms:
 
 Both evaluators add the terms of canonically oriented pairs with
 ``math.fsum``, which is correctly rounded and so order independent: hence
-linking(z, w) == linking(w, z) holds bit for bit.
+linking(z, w) == linking(w, z) holds bit for bit.  They only sum: the
+comparison with the half-period closed form lives with the other route
+comparisons, in ``massey`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from .special_functions import (
     TauParameter,
     _corner_distance,
     as_tau,
-    half_period_values,
-    lattice_coords,
     reduce_mod_lattice,
     theta,
     torus_distance,
@@ -218,25 +218,16 @@ class Divisor:
 class LinkingMethod(enum.Enum):
     CROSS_RATIO = "cross-ratio"
     ARAKELOV_GREEN = "arakelov-green"
-    HALF_PERIOD_CLOSED_FORM = "half-period-closed-form"
 
 
 @dataclass(frozen=True)
 class LinkingResult:
-    """Linking value plus provenance.
-
-    ``value`` always comes from the generic evaluator for the curve
-    (cross-ratio log sum on the sphere, Green-kernel double sum on an
-    elliptic curve).  ``method`` records which routes ran:
-    HALF_PERIOD_CLOSED_FORM means the divisors matched the half-period
-    configuration, the p-function closed form was evaluated as well, and
-    ``residual`` holds the disagreement between the two routes.  Otherwise
-    ``residual`` is 0.0.
-    """
+    """Linking value plus provenance: ``method`` names the evaluator that
+    produced ``value``, the cross-ratio log sum on the sphere or the
+    Green-kernel double sum on an elliptic curve."""
 
     value: float
     method: LinkingMethod
-    residual: float
 
 
 def _check_pair(z: Divisor, w: Divisor, kind: str) -> None:
@@ -270,7 +261,7 @@ def linking_sphere(z: Divisor, w: Divisor) -> LinkingResult:
         a * b * math.log(abs(p - q))
         for p, a in z.terms for q, b in w.terms
         if not (isinstance(p, _InfinityType) or isinstance(q, _InfinityType)))
-    return LinkingResult(total / math.pi, LinkingMethod.CROSS_RATIO, 0.0)
+    return LinkingResult(total / math.pi, LinkingMethod.CROSS_RATIO)
 
 
 def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
@@ -295,85 +286,27 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     return math.log(th1) / math.pi - ur.imag ** 2 / t.value.imag
 
 
-# Fundamental-cell coordinates of the half-period configuration:
-# [0] - [1/2]  paired with  [tau/2] - [(1+tau)/2].
-_HALF_CONFIG_A = (((0.0, 0.0), 1), ((0.5, 0.0), -1))
-_HALF_CONFIG_B = (((0.0, 0.5), 1), ((0.5, 0.5), -1))
-
-
-def _match_half_config(d: Divisor, target) -> int:
-    """+1/-1 if d equals the target configuration up to overall sign, else 0."""
-    if len(d.terms) != 2:
-        return 0
-    for sign in (1, -1):
-        ok = True
-        for (p, m) in d.terms:
-            x, y = lattice_coords(p, d.curve.tau)
-            for (tx, ty), tm in target:
-                if abs(x - tx) < SNAP_TOL and abs(y - ty) < SNAP_TOL:
-                    if m != sign * tm:
-                        ok = False
-                    break
-            else:
-                ok = False
-            if not ok:
-                break
-        if ok:
-            return sign
-    return 0
-
-
 def linking_elliptic(z: Divisor, w: Divisor, *,
                      green: Callable[[complex, TauParameter], float] | None = None,
                      ) -> LinkingResult:
     """<Z, W> on C/(Z + Z*tau) via the Green-kernel double sum.
 
-    value = sum_{(P,a)} sum_{(Q,b)} a * b * g_tau(P - Q).  When the two
-    divisors form the half-period configuration [0] - [1/2] against
-    [tau/2] - [(1+tau)/2] (in either order, up to overall sign), the
-    p-function closed form
-
-        (1/2pi) * log( |p((1+tau)/2) - p(1/2)| / |p(tau/2) - p(1/2)| )
-
-    is evaluated as well and the cross-route disagreement is reported in
-    ``residual``.
+    value = sum_{(P,a)} sum_{(Q,b)} a * b * g_tau(P - Q).
 
     ``green`` substitutes the kernel (used by the flexibility tests); the
-    default is ``arakelov_green``.  Kernels must be even on the torus, since
-    each difference P - Q is evaluated with a canonical orientation so that
-    swap symmetry holds bit for bit.
+    default, ``arakelov_green``, is looked up when called, so a rebound
+    module name (a tracer, say) takes effect.  Kernels must be even on the
+    torus, since each difference P - Q is evaluated with a canonical
+    orientation so that swap symmetry holds bit for bit.
     """
     _check_pair(z, w, "elliptic")
     tau = z.curve.tau
     kernel = arakelov_green if green is None else green
-
     total = math.fsum(
         a * b * (kernel(p - q, tau) if _point_key(p) <= _point_key(q)
                  else kernel(q - p, tau))
         for p, a in z.terms for q, b in w.terms)
-
-    sign = 0
-    s_za = _match_half_config(z, _HALF_CONFIG_A)
-    s_wb = _match_half_config(w, _HALF_CONFIG_B)
-    if s_za and s_wb:
-        sign = s_za * s_wb
-    else:
-        s_zb = _match_half_config(z, _HALF_CONFIG_B)
-        s_wa = _match_half_config(w, _HALF_CONFIG_A)
-        if s_zb and s_wa:
-            sign = s_zb * s_wa
-
-    if sign and green is None:
-        hp = half_period_values(tau)
-        ratio = abs(hp.e3 - hp.e1) / abs(hp.e2 - hp.e1)
-        if ratio == 0.0:
-            raise DivergenceError(
-                f"|e3 - e1| rounds to 0 at tau = {tau.value!r}: the half-period "
-                "closed form diverges")
-        closed = sign * math.log(ratio) / (2 * math.pi)
-        return LinkingResult(total, LinkingMethod.HALF_PERIOD_CLOSED_FORM,
-                             abs(total - closed))
-    return LinkingResult(total, LinkingMethod.ARAKELOV_GREEN, 0.0)
+    return LinkingResult(total, LinkingMethod.ARAKELOV_GREEN)
 
 
 def linking(z: Divisor, w: Divisor) -> LinkingResult:

@@ -37,10 +37,12 @@ def _check_tolerance(tol: float) -> None:
 
 
 def _closed_form_from_lambda(lam: complex) -> float:
+    """(4/pi) log|1 - lam|.  lambda(tau) never equals 1, it only rounds to
+    1 near the Im tau floor, so a log of 0 is a lost value: DivergenceError."""
     modulus = abs(1.0 - lam)
     if modulus == 0.0:
         raise DivergenceError(
-            "lambda(tau) = 1: the product value diverges to -infinity"
+            "|1 - lambda(tau)| rounds to 0: the closed form diverges"
         )
     return (4.0 / math.pi) * math.log(modulus)
 
@@ -70,9 +72,8 @@ def massey_value_via_linking(tau: TauParameter | complex) -> float:
 class MasseyReport:
     """Both evaluation routes at one tau, with the nonvanishing verdict.
 
-    ``nonvanishing`` is |value_closed_form| > tolerance.  ``diverged``
-    flags the degenerate case lambda(tau) = 1 (value -infinity), which is
-    reported in-band rather than raised.
+    ``nonvanishing`` is |value_closed_form| > tolerance.  Where |1 - lambda|
+    rounds to 0 no report is made: ``massey_report`` raises DivergenceError.
     """
 
     tau: complex
@@ -81,24 +82,17 @@ class MasseyReport:
     residual: float
     nonvanishing: bool
     lambda_at_tau: complex
-    diverged: bool = False
 
 
 def massey_report(tau: TauParameter | complex,
                   tolerance: float = DEFAULT_NONVANISHING_TOL) -> MasseyReport:
-    """Evaluate both routes and package the comparison."""
+    """Evaluate both routes and package the comparison; DivergenceError
+    where |1 - lambda(tau)| rounds to 0."""
     _check_tolerance(tolerance)
     t = as_tau(tau)
     lam = modular_lambda(t)
     via_linking = massey_value_via_linking(t)
-    try:
-        closed = _closed_form_from_lambda(lam)
-    except DivergenceError:
-        return MasseyReport(
-            tau=t.value, value_closed_form=-math.inf,
-            value_via_linking=via_linking, residual=math.inf,
-            nonvanishing=True, lambda_at_tau=lam, diverged=True,
-        )
+    closed = _closed_form_from_lambda(lam)
     return MasseyReport(
         tau=t.value, value_closed_form=closed, value_via_linking=via_linking,
         residual=abs(closed - via_linking),

@@ -247,15 +247,6 @@ def half_period_values(tau: TauParameter | complex) -> HalfPeriodValues:
     return HalfPeriodValues(*_half_periods(*_theta_constants(as_tau(tau))))
 
 
-def lattice_coords(z: complex, tau: TauParameter | complex) -> tuple[float, float]:
-    """Real coordinates (x, y) of z in the basis (1, tau): z = x + y*tau."""
-    t = as_tau(tau).value
-    z = complex(z)
-    y = z.imag / t.imag
-    x = z.real - y * t.real
-    return x, y
-
-
 def _snap_unit(x: float) -> float:
     """Reduce x mod 1 and snap to the nearest half-integer within SNAP_TOL."""
     x = x - math.floor(x)
@@ -271,11 +262,13 @@ def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
     Coordinates within SNAP_TOL of a half-integer are snapped onto it, so
     points meant to be half-periods are recognized exactly downstream.
     """
-    t = as_tau(tau)
-    x, y = lattice_coords(z, t)
-    x = _snap_unit(x)
+    tv = as_tau(tau).value
+    z = complex(z)
+    # coordinates in the basis (1, tau): z = x + y*tau
+    y = z.imag / tv.imag
+    x = _snap_unit(z.real - y * tv.real)
     y = _snap_unit(y)
-    return complex(x + y * t.value.real, y * t.value.imag)
+    return complex(x + y * tv.real, y * tv.imag)
 
 
 def _corner_distance(zr: complex, t: TauParameter) -> float:

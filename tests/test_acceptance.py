@@ -15,7 +15,6 @@ import numpy as np
 from holink import (
     Divisor,
     INFINITY,
-    LinkingMethod,
     RationalMapSpec,
     arakelov_green,
     check_adjunction,

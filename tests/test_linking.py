@@ -23,9 +23,12 @@ from holink import (
     TauParameter,
     arakelov_green,
     check_adjunction,
+    half_period_values,
     linking,
     linking_elliptic,
     linking_sphere,
+    massey_report,
+    massey_value_via_linking,
     pullback,
     pushforward,
     torus_distance,
@@ -235,20 +238,26 @@ def test_green_kernel_underflow_is_divergence():
 # -------------------------------------------------------- elliptic pairing
 
 
+def _half_period_closed_form(tau):
+    """(1/2pi) log(|p((1+tau)/2) - p(1/2)| / |p(tau/2) - p(1/2)|): the
+    pairing of [0] - [1/2] with [tau/2] - [(1+tau)/2] by the p-function."""
+    hp = half_period_values(tau)
+    return math.log(abs(hp.e3 - hp.e1) / abs(hp.e2 - hp.e1)) / (2 * math.pi)
+
+
 def test_half_period_configuration_closed_form():
     tau = 1j
     z = Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)])
     w = Divisor.elliptic(tau, [(tau / 2, 1), ((1 + tau) / 2, -1)])
     res = linking_elliptic(z, w)
-    assert res.method is LinkingMethod.HALF_PERIOD_CLOSED_FORM
-    assert res.residual < 1e-12
+    assert res.method is LinkingMethod.ARAKELOV_GREEN
+    assert abs(res.value - _half_period_closed_form(tau)) < 1e-12
     assert abs(res.value - LINK_AT_I) < 1e-13
     # swap and sign flips
     assert linking_elliptic(w, z).value == res.value
     assert abs(linking_elliptic(-z, w).value + res.value) < 1e-15
     flipped = linking_elliptic(-z, w)
-    assert flipped.method is LinkingMethod.HALF_PERIOD_CLOSED_FORM
-    assert flipped.residual < 1e-12
+    assert abs(flipped.value + _half_period_closed_form(tau)) < 1e-12
 
 
 def test_half_period_dual_route_random_tau():
@@ -258,17 +267,19 @@ def test_half_period_dual_route_random_tau():
         z = Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)])
         w = Divisor.elliptic(tau, [(tau / 2, 1), ((1 + tau) / 2, -1)])
         res = linking_elliptic(z, w)
-        assert res.method is LinkingMethod.HALF_PERIOD_CLOSED_FORM
-        assert res.residual < 1e-8
+        assert abs(res.value - _half_period_closed_form(tau)) < 1e-8
 
 
 def test_half_period_closed_form_underflow_is_divergence():
-    # Near the Im tau floor |e3 - e1| = pi^2 |theta4|^4 rounds to 0.
+    # Near the Im tau floor |1 - lambda| = |theta4/theta3|^4 rounds to 0, so
+    # the closed form raises; the Green-kernel route still sums correctly.
     tau = -0.018 + 0.059j
-    z = Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)])
-    w = Divisor.elliptic(tau, [(tau / 2, 1), ((1 + tau) / 2, -1)])
     with pytest.raises(DivergenceError):
-        linking_elliptic(z, w)
+        massey_report(tau)
+    # (4/pi) log|1 - lambda(tau)| from mpmath at 40 digits
+    # (bench/checks.py, ref_massey).
+    ref = -58.493483485599626
+    assert abs(massey_value_via_linking(tau) - ref) < 1e-11 * abs(ref)
 
 
 def test_multi_point_swap_symmetry_bitwise():
@@ -300,7 +311,6 @@ def test_generic_configuration_reports_green_method():
     z, w = _pair(rng, 0.2 + 1.1j)
     res = linking_elliptic(z, w)
     assert res.method is LinkingMethod.ARAKELOV_GREEN
-    assert res.residual == 0.0
     assert linking_elliptic(w, z).value == res.value
 
 
@@ -348,15 +358,12 @@ def test_green_hook_flexibility():
         zg, w, green=lambda u, t: arakelov_green(u, t)
         + eps * math.cos(2 * math.pi * u.real)).value
     assert abs(gen_wobbled - gen_base) > 1e-5
-
-
-def test_custom_green_disables_closed_form_route():
-    tau = 1j
-    z = Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)])
-    w = Divisor.elliptic(tau, [(tau / 2, 1), ((1 + tau) / 2, -1)])
+    # the half-period pairing at tau = i moves by no constant either
+    z = Divisor.elliptic(1j, [(0.0, 1), (0.5, -1)])
+    w = Divisor.elliptic(1j, [(0.5j, 1), (0.5 + 0.5j, -1)])
     res = linking_elliptic(z, w, green=lambda u, t: arakelov_green(u, t) + 1.0)
     assert res.method is LinkingMethod.ARAKELOV_GREEN
-    assert abs(res.value - LINK_AT_I) < 1e-12  # constant cancels anyway
+    assert abs(res.value - LINK_AT_I) < 1e-12
 
 
 # -------------------------------------------------------------- catalog maps
