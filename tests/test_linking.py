@@ -358,12 +358,19 @@ def test_green_hook_flexibility():
         zg, w, green=lambda u, t: arakelov_green(u, t)
         + eps * math.cos(2 * math.pi * u.real)).value
     assert abs(gen_wobbled - gen_base) > 1e-5
-    # the half-period pairing at tau = i moves by no constant either
-    z = Divisor.elliptic(1j, [(0.0, 1), (0.5, -1)])
-    w = Divisor.elliptic(1j, [(0.5j, 1), (0.5 + 0.5j, -1)])
+
+
+def test_custom_green_disables_closed_form_route():
+    # a custom kernel is summed as given on the half-period pair too: a
+    # constant cancels, a scaled kernel scales the value
+    tau = 1j
+    z = Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)])
+    w = Divisor.elliptic(tau, [(tau / 2, 1), ((1 + tau) / 2, -1)])
     res = linking_elliptic(z, w, green=lambda u, t: arakelov_green(u, t) + 1.0)
     assert res.method is LinkingMethod.ARAKELOV_GREEN
-    assert abs(res.value - LINK_AT_I) < 1e-12
+    assert abs(res.value - LINK_AT_I) < 1e-12  # constant cancels anyway
+    doubled = linking_elliptic(z, w, green=lambda u, t: 2 * arakelov_green(u, t))
+    assert abs(doubled.value - 2 * LINK_AT_I) < 1e-12
 
 
 # -------------------------------------------------------------- catalog maps
