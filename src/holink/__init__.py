@@ -40,7 +40,6 @@ from .special_functions import (
     lambda_inversion_report,
     lattice_sum_p,
     modular_lambda,
-    modular_lambdas,
     reduce_mod_lattice,
     theta,
     torus_distance,
@@ -93,8 +92,7 @@ __all__ = [
     "HalfPeriodValues", "LambdaInversionReport", "TauParameter",
     "half_period_values", "lambda_complement_ratio",
     "lambda_inversion_report", "lattice_sum_p", "modular_lambda",
-    "modular_lambdas", "reduce_mod_lattice", "theta", "torus_distance",
-    "weierstrass_p",
+    "reduce_mod_lattice", "theta", "torus_distance", "weierstrass_p",
     "INFINITY", "AdjunctionCheck", "Curve", "Divisor", "LinkingMethod",
     "LinkingResult", "RationalMapSpec", "arakelov_green",
     "check_adjunction", "linking", "linking_elliptic", "linking_sphere",

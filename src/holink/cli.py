@@ -20,13 +20,15 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import HolinkError
 from .hodge import hodge_diamond_x
 from .linking import Curve, Divisor, INFINITY, SPHERE, linking
 from .massey import DEFAULT_NONVANISHING_TOL, _closed_form_from_lambda, massey_report
-from .special_functions import as_tau, modular_lambda, modular_lambdas
+from .special_functions import _batch_lambdas, as_tau, modular_lambda
 from .verify import format_summary, run_all
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -60,12 +62,12 @@ def parse_complex(text: str) -> complex:
                      f"(expected forms: a+bi, a-bi, bi, a)")
 
 
-def format_complex(value: complex, digits: int = 15) -> str:
-    """Render a complex as "a+bi" with the given significant digits."""
+def format_complex(value: complex) -> str:
+    """Render a complex as "a+bi" with 15 significant digits."""
     value = complex(value)
-    re_s = f"{value.real:.{digits}g}"
+    re_s = f"{value.real:.15g}"
     sign = "+" if value.imag >= 0 else "-"
-    im_s = f"{abs(value.imag):.{digits}g}"
+    im_s = f"{abs(value.imag):.15g}"
     return f"{re_s}{sign}{im_s}i"
 
 
@@ -99,7 +101,11 @@ def divisor_from_json(obj) -> Divisor:
         elif len(entry) == 3 and all(isinstance(x, (int, float))
                                      and not isinstance(x, bool)
                                      for x in entry[:2]):
-            point, mult = complex(entry[0], entry[1]), entry[2]
+            try:
+                point, mult = complex(entry[0], entry[1]), entry[2]
+            except OverflowError:  # an int beyond the double range
+                raise ValueError(f"term coordinates must fit in a double, "
+                                 f"got {entry!r}") from None
         else:
             raise ValueError(f"term must be [re, im, mult] or [\"inf\", mult], "
                              f"got {entry!r}")
@@ -135,6 +141,8 @@ class ScanGrid:
     im_max: float
     steps_re: int
     steps_im: int
+    #: The points, row-major with re varying fastest; each passes the tau rule.
+    taus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for steps, name in ((self.steps_re, "steps-re"), (self.steps_im, "steps-im")):
@@ -151,17 +159,21 @@ class ScanGrid:
         if self.im_min > self.im_max or (self.im_min == self.im_max
                                          and self.steps_im != 1):
             raise ValueError("need im-min < im-max (equality only with steps-im 1)")
+        re_axis = self.axis(self.re_min, self.re_max, self.steps_re)
+        im_axis = self.axis(self.im_min, self.im_max, self.steps_im)
+        taus = np.empty((self.steps_im, self.steps_re), dtype=complex)
+        taus.real = re_axis  # part by part: re + 1j*im turns -0.0 into +0.0
+        taus.imag = np.array(im_axis)[:, np.newaxis]
+        # The tau rule tests Re tau and Im tau apart, so the first row, then
+        # the first column, meets the first failing point in row-major order.
+        for tau in taus[0].tolist() + taus[:, 0].tolist():
+            as_tau(tau)
+        object.__setattr__(self, "taus", taus.ravel())
 
     def axis(self, lo: float, hi: float, steps: int) -> list[float]:
         if steps == 1:
             return [lo]
         return [lo + k * (hi - lo) / (steps - 1) for k in range(steps)]
-
-    def points(self):
-        """Row-major iteration, re varying fastest."""
-        for im in self.axis(self.im_min, self.im_max, self.steps_im):
-            for re_ in self.axis(self.re_min, self.re_max, self.steps_re):
-                yield re_, im
 
 
 CSV_HEADER = "re_tau,im_tau,lambda_re,lambda_im,massey_value"
@@ -215,10 +227,9 @@ def cmd_scan(args) -> int:
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
     rows = [CSV_HEADER]
-    lams = modular_lambdas(complex(re_, im) for re_, im in grid.points())
-    for (re_, im), lam in zip(grid.points(), lams):
-        rows.append(f"{re_:.12g},{im:.12g},{lam.real:.12g},{lam.imag:.12g},"
-                    f"{_closed_form_from_lambda(lam):.12g}")
+    for tau, lam in _batch_lambdas(grid.taus):
+        rows.append(f"{tau.real:.12g},{tau.imag:.12g},{lam.real:.12g},"
+                    f"{lam.imag:.12g},{_closed_form_from_lambda(lam):.12g}")
     tmp_path = args.out + ".tmp"
     try:
         with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -30,14 +30,18 @@ ConvergenceError is raised if MAX_TERMS terms do not get there.
 
 Two paths evaluate the theta constants, selected by input: ``theta`` (and
 its cache ``_theta_constants``) for one tau, and the numpy kernel
-``_theta_constants_array`` for a sequence of taus, which ``modular_lambdas``
-feeds THETA_BLOCK consecutive taus at a time.  The kernel sums the same
-terms in the same order with the same per-point stopping rule and
-MAX_TERMS guard, so its values equal ``theta(k, 0, tau)`` bit for bit (a
-test compares them by ``float.hex``); the fourth powers and the lambda pin
-stay scalar, shared by both paths.  One tau does not go through the
-kernel: a size-1 batch takes about 190 us, the three scalar loops about
-13 us (2-vCPU x86-64 host, numpy 2.4).  No
+``_theta_constants_array`` for an array of taus, which the private
+``_batch_lambdas`` feeds THETA_BLOCK consecutive taus at a time.  That
+batch path is ``holink scan``'s: its taus come from a grid that has already
+applied the tau rule to every point, so it validates nothing itself.  The
+kernel sums the same terms in the same order with the same per-point
+stopping rule and MAX_TERMS guard, and raises the same ConvergenceError
+where a term's phase pi * Re(tau) * a^2 leaves double range, so its values
+equal ``theta(k, 0, tau)`` bit for bit (a test compares them by
+``float.hex``); the fourth powers and the lambda pin stay scalar, shared by
+both paths.  One tau does not go through the kernel: a size-1 batch takes
+about 190 us, the three scalar loops about 13 us (2-vCPU x86-64 host,
+numpy 2.4).  No
 fundamental-domain reduction of tau is performed; instead construction of
 ``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05).  Precision of the
 q-series degrades as Im tau approaches that floor (|q| -> 0.855), which is
@@ -48,10 +52,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -61,7 +64,7 @@ MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
 MAX_TERMS = 10_000
 
-#: Taus per call of the array kernel in ``modular_lambdas``: enough to
+#: Taus per call of the array kernel in ``_batch_lambdas``: enough to
 #: spread numpy's per-call cost thin, few enough that a long sequence holds
 #: one block of arrays at a time.
 THETA_BLOCK = 1024
@@ -121,6 +124,14 @@ def as_tau(tau: TauParameter | complex) -> TauParameter:
     return TauParameter(complex(tau))
 
 
+def _phase_overflow(kind: int, tau: complex) -> ConvergenceError:
+    """The error of both theta paths for a term whose phase, about
+    pi * Re(tau) * a^2, leaves double range: far along Re tau."""
+    return ConvergenceError(
+        f"theta{kind} term exceeds double range: its phase overflows at "
+        f"tau = {tau!r}")
+
+
 def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     """Jacobi theta function theta_kind(z, tau), kind in {1, 2, 3, 4}.
 
@@ -137,7 +148,7 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     exactly in floating point.  Truncation stops once an upper bound for the
     next paired term falls below EPS_SERIES * (1 + |partial sum|); exceeding
     MAX_TERMS raises ConvergenceError, as does a term too large for double
-    precision.
+    precision or one whose phase leaves double range.
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"theta kind must be 1..4, got {kind!r}")
@@ -161,10 +172,17 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
                 f"(z={z!r}, tau={t!r}); reduce z modulo the lattice first"
             )
         bound = 2.0 * math.exp(log_mag)
-        if bound < EPS_SERIES * (1.0 + abs(total)):
+        # "not >=" stops on a NaN sum too: a phase that overflowed in the
+        # product below, before cmath.exp saw it, leaves a NaN term.
+        if not bound >= EPS_SERIES * (1.0 + abs(total)):
+            if cmath.isnan(total):
+                raise _phase_overflow(kind, t)
             return total
-        e_plus = cmath.exp(1j * _PI * (t * a * a + k * z))
-        e_minus = cmath.exp(1j * _PI * (t * a * a - k * z))
+        try:
+            e_plus = cmath.exp(1j * _PI * (t * a * a + k * z))
+            e_minus = cmath.exp(1j * _PI * (t * a * a - k * z))
+        except ValueError:  # an infinite phase with a finite real part
+            raise _phase_overflow(kind, t) from None
         if kind == 1:
             total += (-1) ** n * (-1j) * (e_plus - e_minus)
         elif kind == 4 and n % 2 == 1:
@@ -180,6 +198,12 @@ def _theta_constants(t: TauParameter) -> tuple[complex, complex, complex]:
     return theta(2, 0.0, t), theta(3, 0.0, t), theta(4, 0.0, t)
 
 
+# Overflow in the kernel is not an error, so numpy's warnings for it are
+# off: -pi * Im(tau) * a^2 may reach -inf, whose exp is the bound 0 that
+# stops the scalar loop too; a phase past double range leaves a NaN sum,
+# which raises as in ``theta``, or a NaN term of a stopped point, which
+# ``np.where`` drops.
+@np.errstate(over="ignore", invalid="ignore")
 def _theta_constants_array(tau: np.ndarray) -> list[np.ndarray]:
     """[theta2, theta3, theta4] at z = 0 over a complex array of taus.
 
@@ -199,7 +223,8 @@ def _theta_constants_array(tau: np.ndarray) -> list[np.ndarray]:
         for n in range(0 if half else 1, MAX_TERMS):
             a = n + 0.5 if half else n
             bound = 2.0 * np.exp(-_PI * im * a * a + 0j).real
-            active &= ~(bound < EPS_SERIES * (1.0 + np.abs(total)))
+            # false for a NaN sum, as in the scalar loop
+            active &= bound >= EPS_SERIES * (1.0 + np.abs(total))
             if not active.any():
                 break
             e = np.exp(1j * _PI * (tau * a * a))
@@ -208,6 +233,9 @@ def _theta_constants_array(tau: np.ndarray) -> list[np.ndarray]:
         else:
             raise ConvergenceError(
                 f"theta{kind} did not converge in {MAX_TERMS} terms")
+        overflowed = np.isnan(total)
+        if overflowed.any():
+            raise _phase_overflow(kind, complex(tau[overflowed][0]))
         out.append(total)
     return out
 
@@ -338,7 +366,7 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
 _LAMBDA_PIN_TOL = 1e-9
 
 
-def _pinned_lambda(t: TauParameter, c2: complex, c3: complex,
+def _pinned_lambda(tau: complex, c2: complex, c3: complex,
                    c4: complex) -> complex:
     """theta2^4 / theta3^4, checked against the half-period quotient."""
     lam = c2 ** 4 / c3 ** 4
@@ -348,7 +376,7 @@ def _pinned_lambda(t: TauParameter, c2: complex, c3: complex,
     # err > _LAMBDA_PIN_TOL * max(1, |lam|); |lam| is only formed on a miss
     if err > _LAMBDA_PIN_TOL and err > _LAMBDA_PIN_TOL * abs(lam):
         raise InternalError(
-            f"lambda convention pin violated at tau = {t.value!r}: "
+            f"lambda convention pin violated at tau = {tau!r}: "
             f"theta quotient {lam!r} vs half-period quotient {pin!r}"
         )
     return lam
@@ -365,22 +393,17 @@ def modular_lambda(tau: TauParameter | complex) -> complex:
     accuracy, near the floor at Re tau ~ +-1 and far along Re tau.
     """
     t = as_tau(tau)
-    return _pinned_lambda(t, *_theta_constants(t))
+    return _pinned_lambda(t.value, *_theta_constants(t))
 
 
-def modular_lambdas(taus: Iterable[TauParameter | complex]) -> Iterator[complex]:
-    """``modular_lambda`` over a sequence of taus, bit for bit, in order.
-
-    Taus are read THETA_BLOCK at a time; each block is validated with
-    ``as_tau`` (same DomainError messages), its theta constants come from
-    the array kernel, and each lambda is pinned as in ``modular_lambda``.
-    A block is validated before any of its points is evaluated.
-    """
-    it = iter(taus)
-    while block := [as_tau(tau) for tau in islice(it, THETA_BLOCK)]:
-        consts = _theta_constants_array(np.array([t.value for t in block]))
-        for t, c2, c3, c4 in zip(block, *(c.tolist() for c in consts)):
-            yield _pinned_lambda(t, c2, c3, c4)
+def _batch_lambdas(taus: np.ndarray) -> Iterator[tuple[complex, complex]]:
+    """(tau, ``modular_lambda(tau)``) in order, bit for bit, over a 1-d array
+    of taus that already pass the tau rule: THETA_BLOCK taus per call of the
+    array kernel, and each lambda pinned as in ``modular_lambda``."""
+    for block in np.split(taus, range(THETA_BLOCK, taus.size, THETA_BLOCK)):
+        consts = [c.tolist() for c in _theta_constants_array(block)]
+        for tau, c2, c3, c4 in zip(block.tolist(), *consts):
+            yield tau, _pinned_lambda(tau, c2, c3, c4)
 
 
 def lambda_complement_ratio(tau: TauParameter | complex) -> complex:

@@ -69,8 +69,8 @@ def _random_tau(rng: np.random.Generator) -> TauParameter:
     return as_tau(complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi)))
 
 
-def _random_annulus_point(rng: np.random.Generator,
-                          r_lo: float = 0.1, r_hi: float = 0.3) -> complex:
+def _random_annulus_point(rng: np.random.Generator) -> complex:
+    r_lo, r_hi = 0.1, 0.3
     while True:
         x, y = rng.uniform(-r_hi, r_hi, size=2)
         if r_lo <= abs(complex(x, y)) <= r_hi:
@@ -270,11 +270,11 @@ def _suite_green_flexibility(rng: np.random.Generator) -> tuple[float, str]:
     return worst, "kernel + const and + eps*cos leave pairings fixed, 10 draws"
 
 
-def _laplacian_grid(tau: complex, step: float = 2e-5,
-                    n: int = 64) -> np.ndarray:
+def _laplacian_grid(tau: complex) -> np.ndarray:
     """Five-point finite-difference Laplacian of the Green kernel over the
     n x n grid of fundamental-cell midpoints at least 3/n from the lattice."""
     t = as_tau(tau)
+    step, n = 2e-5, 64
     h = 1.0 / n
     out = []
     for a in range(n):

@@ -166,7 +166,7 @@ def test_criterion_08_weierstrass_oracle_and_lambda():
 
 
 def test_criterion_09_green_laplacian_and_shift_invariance():
-    vals = _laplacian_grid(1j, step=2e-5, n=64)
+    vals = _laplacian_grid(1j)
     mean = float(vals.mean())
     spread = float((vals.max() - vals.min()) / abs(mean))
     assert spread < 1e-4, spread

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -17,7 +18,7 @@ from holink.cli import (
     parse_complex,
 )
 from holink.massey import massey_value_closed_form
-from holink.special_functions import THETA_BLOCK, modular_lambda
+from holink.special_functions import THETA_BLOCK, TauParameter, modular_lambda
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +76,7 @@ def test_divisor_json_schema():
         {"curve": "sphere", "terms": [[True, 0.0, 1]]},       # bool as number
         {"curve": "sphere", "terms": ["inf"]},                # term not a list
         {"curve": "sphere", "terms": {"a": 1}},               # terms not a list
+        {"curve": "sphere", "terms": [[10 ** 400, 0.0, 1]]},  # beyond a double
     ):
         with pytest.raises(ValueError):
             divisor_from_json(bad)
@@ -82,15 +84,17 @@ def test_divisor_json_schema():
 
 def test_scan_grid_geometry():
     g = ScanGrid(-1.0, 1.0, 0.5, 1.5, 3, 2)
-    pts = list(g.points())
+    pts = g.taus.tolist()
     assert len(pts) == 6
-    assert pts[0] == (-1.0, 0.5)
-    assert pts[1] == (0.0, 0.5)          # re varies fastest
-    assert pts[2] == (1.0, 0.5)
-    assert pts[3] == (-1.0, 1.5)
-    assert pts[-1] == (1.0, 1.5)         # endpoints inclusive
+    assert pts[0] == -1.0 + 0.5j
+    assert pts[1] == 0.0 + 0.5j          # re varies fastest
+    assert pts[2] == 1.0 + 0.5j
+    assert pts[3] == -1.0 + 1.5j
+    assert pts[-1] == 1.0 + 1.5j         # endpoints inclusive
     single = ScanGrid(0.25, 0.25, 1.0, 1.0, 1, 1)
-    assert list(single.points()) == [(0.25, 1.0)]
+    assert single.taus.tolist() == [0.25 + 1.0j]
+    signed_zero = ScanGrid(-0.0, -0.0, 1.0, 1.0, 1, 1).taus[0].real
+    assert math.copysign(1.0, signed_zero) == -1.0
     for bad in (
         dict(re_min=1.0, re_max=-1.0, im_min=0.5, im_max=1.5, steps_re=2, steps_im=2),
         dict(re_min=0.0, re_max=0.0, im_min=0.5, im_max=1.5, steps_re=2, steps_im=2),
@@ -98,6 +102,9 @@ def test_scan_grid_geometry():
         dict(re_min=-1.0, re_max=1.0, im_min=1.5, im_max=0.5, steps_re=2, steps_im=2),
         dict(re_min=-1.0, re_max=1.0, im_min=0.5, im_max=1.5, steps_re=0, steps_im=2),
         dict(re_min=-math.inf, re_max=1.0, im_min=0.5, im_max=1.5, steps_re=2, steps_im=2),
+        # the axis formula overflows to inf inside these bounds
+        dict(re_min=-5e307, re_max=5e307, im_min=0.5, im_max=1.5, steps_re=3, steps_im=2),
+        dict(re_min=-1.0, re_max=1.0, im_min=0.05, im_max=1e308, steps_re=2, steps_im=3),
     ):
         with pytest.raises(ValueError):
             ScanGrid(**bad)
@@ -117,6 +124,8 @@ def test_lambda_errors(capsys):
     assert main(["lambda", "bogus"]) == 2          # unparseable tau
     assert main(["lambda", "1-2i"]) == 3           # lower half-plane
     assert main(["lambda", "1+0.01i"]) == 3        # below the Im floor
+    assert main(["lambda", "--", "3e306+0.5i"]) == 3   # term phase overflows
+    assert main(["massey", "--", "-5e307+0.5i"]) == 3
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -189,6 +198,9 @@ def test_link_command(tmp_path, capsys):
     assert main(["link", str(tmp_path / "nope.json"), str(w)]) == 4
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert main(["link", str(bad), str(w)]) == 2
+    bad.write_text('{"curve": "sphere", "terms": [[1%s, 0.0, 1], ["inf", -1]]}'
+                   % ("0" * 400))
     assert main(["link", str(bad), str(w)]) == 2
     w2 = tmp_path / "w2.json"
     w2.write_text(json.dumps({"curve": "sphere", "terms": [[0.0, 0.0, 1], [3.0, 0.0, -1]]}))
@@ -279,18 +291,47 @@ def test_scan_readme_box_csv_is_pinned(tmp_path):
                       "d06b9e8dccba761aa32e98a20d107a03")
 
 
+def test_scan_validates_grid_once(tmp_path, monkeypatch):
+    built = []
+    validate = TauParameter.__post_init__
+
+    def counting(self):
+        built.append(self.value)
+        validate(self)
+
+    monkeypatch.setattr(TauParameter, "__post_init__", counting)
+    assert _scan(tmp_path / "box.csv", -1, 1, 0.5, 2, 201, 151) == 0
+    assert len(built) <= 201 + 151 + 1
+
+
+def _scalar_rows(grid):
+    """The CSV rows of ``grid`` from a scalar ``modular_lambda`` loop."""
+    rows = []
+    for tau in grid.taus.tolist():
+        lam = modular_lambda(tau)
+        rows.append(f"{tau.real:.12g},{tau.imag:.12g},{lam.real:.12g},"
+                    f"{lam.imag:.12g},{massey_value_closed_form(tau):.12g}")
+    return [CSV_HEADER] + rows
+
+
 def test_scan_one_column_matches_scalar_loop(tmp_path):
     # One column longer than a block: blocks run across grid rows.
     steps_im = THETA_BLOCK + 37
     out_path = tmp_path / "column.csv"
     assert _scan(out_path, 0.25, 0.25, 0.5, 3, 1, steps_im) == 0
-    rows = []
-    for re_, im in ScanGrid(0.25, 0.25, 0.5, 3.0, 1, steps_im).points():
-        tau = complex(re_, im)
-        lam = modular_lambda(tau)
-        rows.append(f"{re_:.12g},{im:.12g},{lam.real:.12g},{lam.imag:.12g},"
-                    f"{massey_value_closed_form(tau):.12g}")
-    assert out_path.read_text().splitlines() == [CSV_HEADER] + rows
+    grid = ScanGrid(0.25, 0.25, 0.5, 3.0, 1, steps_im)
+    assert out_path.read_text().splitlines() == _scalar_rows(grid)
+
+
+def test_scan_far_up_the_imaginary_axis_is_silent(tmp_path):
+    # -pi * Im(tau) * a^2 overflows to -inf there: the stopping bound is 0,
+    # as in the scalar loop, and no RuntimeWarning is printed.
+    out_path = tmp_path / "far.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _scan(out_path, -0.0, 0.5, 1e300, 1e308, 3, 2) == 0
+        grid = ScanGrid(-0.0, 0.5, 1e300, 1e308, 3, 2)
+        assert out_path.read_text().splitlines() == _scalar_rows(grid)
 
 
 def test_scan_first_failing_tau_decides(tmp_path, capsys):

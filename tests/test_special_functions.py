@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,12 +20,15 @@ from holink import (
     linking_elliptic,
     massey_report,
     modular_lambda,
-    modular_lambdas,
     theta,
     weierstrass_p,
 )
 from holink import special_functions
-from holink.special_functions import THETA_BLOCK, _theta_constants_array
+from holink.special_functions import (
+    THETA_BLOCK,
+    _batch_lambdas,
+    _theta_constants_array,
+)
 from holink.verify import TAU_BOX
 
 # Golden values, frozen from independent derivations:
@@ -117,11 +121,32 @@ def test_modular_lambdas_blocks_match_scalar_bitwise():
     (re_lo, re_hi), (_, im_hi) = TAU_BOX
     taus = [complex(rng.uniform(re_lo, re_hi), rng.uniform(0.5, im_hi))
             for _ in range(THETA_BLOCK + 1)]
-    got = list(modular_lambdas(taus))
-    assert [_hex(v) for v in got] == [_hex(modular_lambda(t)) for t in taus]
-    assert list(modular_lambdas([])) == []
-    with pytest.raises(DomainError, match="below the supported floor"):
-        list(modular_lambdas([1j, 0.3 + 0.01j]))
+    got = list(_batch_lambdas(np.array(taus)))
+    assert [tau for tau, _ in got] == taus
+    assert ([_hex(lam) for _, lam in got]
+            == [_hex(modular_lambda(t)) for t in taus])
+    assert list(_batch_lambdas(np.array([], dtype=complex))) == []
+
+
+def test_phase_overflow_is_convergence_error_on_both_paths():
+    # Far along Re tau the phase pi * Re(tau) * a^2 of a term leaves double
+    # range: cmath.exp raises ValueError (3e306, -5e307), or the product
+    # overflows first and leaves a NaN (1e308).  Both paths stop at that term
+    # with one message, and numpy warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (3e306 + 0.5j, -5e307 + 0.5j, 1e308 + 0.5j):
+            with pytest.raises(ConvergenceError,
+                               match="term exceeds double range") as scalar:
+                modular_lambda(tau)
+            for batch in (np.array([tau]), np.array([1j, tau])):
+                with pytest.raises(ConvergenceError) as kernel:
+                    _theta_constants_array(batch)
+                assert str(kernel.value) == str(scalar.value)
+        # a point that stops before its phase overflows is not an error
+        consts = _theta_constants_array(np.array([0.3 + 0.05j, 1e306 + 5j]))
+        for kind, values in zip((2, 3, 4), consts):
+            assert _hex(values[1]) == _hex(theta(kind, 0.0, 1e306 + 5j))
 
 
 def test_tau_validated_once_per_public_call(monkeypatch):
