@@ -33,11 +33,9 @@ from .errors import (
 )
 from .special_functions import (
     HalfPeriodValues,
-    LambdaInversionReport,
     TauParameter,
     half_period_values,
     lambda_complement_ratio,
-    lambda_inversion_report,
     lattice_sum_p,
     modular_lambda,
     reduce_mod_lattice,
@@ -89,9 +87,8 @@ __all__ = [
     "ConvergenceError", "CurveMismatchError", "DisjointnessError",
     "DivergenceError", "DomainError", "HolinkError", "HomologyError",
     "InternalError", "PoleError",
-    "HalfPeriodValues", "LambdaInversionReport", "TauParameter",
-    "half_period_values", "lambda_complement_ratio",
-    "lambda_inversion_report", "lattice_sum_p", "modular_lambda",
+    "HalfPeriodValues", "TauParameter", "half_period_values",
+    "lambda_complement_ratio", "lattice_sum_p", "modular_lambda",
     "reduce_mod_lattice", "theta", "torus_distance", "weierstrass_p",
     "INFINITY", "AdjunctionCheck", "Curve", "Divisor", "LinkingMethod",
     "LinkingResult", "RationalMapSpec", "arakelov_green",

@@ -248,6 +248,19 @@ def _check_pair(z: Divisor, w: Divisor, kind: str) -> None:
                 )
 
 
+def _pairing_sum(terms: Iterable[float]) -> float:
+    """``math.fsum`` of a pairing's terms.  Multiplicities are unbounded
+    ints, so a term or the sum can leave double range: DomainError."""
+    try:
+        values = list(terms)
+        if not any(map(math.isinf, values)):
+            return math.fsum(values)
+    except OverflowError:
+        pass
+    raise DomainError("linking sum leaves double range: the multiplicities "
+                      "are too large for double precision")
+
+
 def linking_sphere(z: Divisor, w: Divisor) -> LinkingResult:
     """<Z, W> on the sphere: (1/pi) sum a*b*log|P - Q|.
 
@@ -257,7 +270,7 @@ def linking_sphere(z: Divisor, w: Divisor) -> LinkingResult:
     independent.
     """
     _check_pair(z, w, "sphere")
-    total = math.fsum(
+    total = _pairing_sum(
         a * b * math.log(abs(p - q))
         for p, a in z.terms for q, b in w.terms
         if not (isinstance(p, _InfinityType) or isinstance(q, _InfinityType)))
@@ -302,7 +315,7 @@ def linking_elliptic(z: Divisor, w: Divisor, *,
     _check_pair(z, w, "elliptic")
     tau = z.curve.tau
     kernel = arakelov_green if green is None else green
-    total = math.fsum(
+    total = _pairing_sum(
         a * b * (kernel(p - q, tau) if _point_key(p) <= _point_key(q)
                  else kernel(q - p, tau))
         for p, a in z.terms for q, b in w.terms)

@@ -100,9 +100,7 @@ def massey_report(tau: TauParameter | complex,
     )
 
 
-def find_vanishing_crossing(im_tau: float = 1.0, re_lo: float = 0.25,
-                            re_hi: float = 0.75, *, xtol: float = 1e-12,
-                            max_iter: int = 200) -> complex:
+def find_vanishing_crossing() -> complex:
     """Locate a zero of |1 - lambda(tau)| - 1 by bisection in Re tau.
 
     The vanishing locus of the product value contains the whole line
@@ -111,30 +109,21 @@ def find_vanishing_crossing(im_tau: float = 1.0, re_lo: float = 0.25,
     |1 - lambda| = 1.  A horizontal path therefore crosses the locus
     transversally (the two sides carry reciprocal values of |1 - lambda|),
     whereas a path *along* the line sees the function vanish identically
-    and admits no sign change.  Bisection runs at fixed Im tau across the
-    line and converges to Re tau = 1/2.
+    and admits no sign change.  Bisection runs at Im tau = 1 across the
+    line, over Re tau in [1/4, 3/4] (the function is -0.386 at the left end
+    and +0.629 at the right), and stops once the bracket is narrower than
+    1e-12, after 39 halvings, at Re tau = 1/2.
     """
     def f(re: float) -> float:
-        return abs(1.0 - modular_lambda(TauParameter(complex(re, im_tau)))) - 1.0
+        return abs(1.0 - modular_lambda(TauParameter(complex(re, 1.0)))) - 1.0
 
-    lo, hi = float(re_lo), float(re_hi)
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return complex(lo, im_tau)
-    if f_hi == 0.0:
-        return complex(hi, im_tau)
-    if f_lo * f_hi > 0.0:
-        raise DomainError(
-            f"no sign change of |1 - lambda| - 1 on [{re_lo}, {re_hi}] "
-            f"at Im tau = {im_tau}"
-        )
-    for _ in range(max_iter):
+    lo, hi = 0.25, 0.75
+    while True:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if f_mid == 0.0 or (hi - lo) < xtol:
-            return complex(mid, im_tau)
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
+        if f_mid == 0.0 or hi - lo < 1e-12:
+            return complex(mid, 1.0)
+        if f_mid > 0.0:
+            hi = mid
         else:
-            lo, f_lo = mid, f_mid
-    return complex(0.5 * (lo + hi), im_tau)
+            lo = mid

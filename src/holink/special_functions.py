@@ -415,43 +415,3 @@ def lambda_complement_ratio(tau: TauParameter | complex) -> complex:
     hp = half_period_values(tau)
     return (hp.e3 - hp.e1) / (hp.e2 - hp.e1)
 
-
-@dataclass(frozen=True)
-class LambdaInversionReport:
-    """How lambda(-1/tau) relates to 1 - lambda(tau).
-
-    ``neg_inverse_*`` describes lambda(-1/tau), which stays in the upper
-    half-plane and satisfies lambda(-1/tau) = 1 - lambda(tau); it is
-    unavailable only when Im(-1/tau) falls below MIN_IM_TAU.  The other
-    reading of "the inverse modulus", 1/tau, always lies in the lower
-    half-plane, where the q-series diverges, so it is not evaluated: the
-    complement identity is supported by -1/tau alone.
-    """
-
-    tau: complex
-    lam: complex
-    complement: complex
-    neg_inverse_lambda: complex | None
-    neg_inverse_residual: float | None
-    neg_inverse_note: str
-
-
-def lambda_inversion_report(tau: TauParameter | complex) -> LambdaInversionReport:
-    """Evaluate lambda at -1/tau and compare it with 1 - lambda(tau)."""
-    t = as_tau(tau)
-    lam = modular_lambda(t)
-    comp = 1.0 - lam
-
-    neg_lam = neg_res = None
-    try:
-        neg_lam = modular_lambda(TauParameter(-1.0 / t.value))
-        neg_res = abs(neg_lam - comp)
-        neg_note = "lambda(-1/tau) evaluated in the upper half-plane"
-    except DomainError as exc:
-        neg_note = f"unavailable: {exc}"
-
-    return LambdaInversionReport(
-        tau=t.value, lam=lam, complement=comp,
-        neg_inverse_lambda=neg_lam, neg_inverse_residual=neg_res,
-        neg_inverse_note=neg_note,
-    )

@@ -208,6 +208,25 @@ def test_link_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("curve, a, b", [("sphere", 10 ** 400, 1),
+                                         ({"elliptic": "i"}, 10 ** 200, 10 ** 200)])
+def test_link_huge_multiplicity_is_domain_exit(tmp_path, capsys, curve, a, b):
+    # a multiplicity product beyond double range: exit 3 with one error
+    # line, not an OverflowError traceback and exit 1
+    z = tmp_path / "z.json"
+    w = tmp_path / "w.json"
+    z.write_text(json.dumps({"curve": curve,
+                             "terms": [[0.1, 0.1, a], [0.3, 0.2, -a]]}))
+    w.write_text(json.dumps({"curve": curve,
+                             "terms": [[0.6, 0.5, b], [0.7, 0.8, -b]]}))
+    assert main(["link", str(z), str(w)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "double range" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_link_elliptic_half_periods(tmp_path, capsys):
     z = tmp_path / "z.json"
     w = tmp_path / "w.json"

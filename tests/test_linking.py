@@ -127,6 +127,36 @@ def test_pairing_rejects_curve_mismatch():
         linking_sphere(z, z)
 
 
+def test_multiplicities_beyond_double_range_are_domain_errors():
+    # a * b of Python ints can leave double range: one typed error, not a
+    # bare OverflowError, whether a term overflows on conversion, a term
+    # becomes inf, or finite terms overflow in the sum
+    huge = 10 ** 400
+    z = Divisor.sphere([(0.0, 1), (1.0, -1)])
+    w = Divisor.sphere([(2.0, huge), (3.0, -huge)])
+    with pytest.raises(DomainError, match="double range"):
+        linking_sphere(z, w)
+    with pytest.raises(DomainError, match="double range"):
+        linking(w, z)
+    inf_term = Divisor.sphere([(1e200, 10 ** 306), (3.0, -10 ** 306)])
+    with pytest.raises(DomainError, match="double range"):
+        linking_sphere(z, inf_term)
+    with pytest.raises(DomainError, match="double range"):
+        importlib.import_module("holink.linking")._pairing_sum(
+            [1e308, 1e308, -1e308])
+    ze = Divisor.elliptic(1j, [(0.1 + 0.1j, 10 ** 200), (0.3 + 0.2j, -10 ** 200)])
+    we = Divisor.elliptic(1j, [(0.6 + 0.5j, 10 ** 200), (0.7 + 0.8j, -10 ** 200)])
+    with pytest.raises(DomainError, match="double range"):
+        linking_elliptic(ze, we)
+    with pytest.raises(DomainError, match="double range"):
+        linking(we, ze)
+    # large but representable multiplicities still pair bilinearly
+    scaled = Divisor.sphere([(2.0, 10 ** 300), (3.0, -10 ** 300)])
+    unit = Divisor.sphere([(2.0, 1), (3.0, -1)])
+    assert linking_sphere(z, scaled).value == pytest.approx(
+        1e300 * linking_sphere(z, unit).value, rel=1e-15)
+
+
 # ------------------------------------------------------------------ sphere
 
 

@@ -1,10 +1,14 @@
 """Determinism and coverage of the bundled invariant suites."""
 
+import math
+
 import numpy as np
 import pytest
 
-from holink import DomainError, TauParameter, format_summary, run_all
-from holink.verify import _SUITES
+from holink import (DomainError, LinkingMethod, LinkingResult, TauParameter,
+                    format_summary, run_all)
+from holink import verify
+from holink.verify import _SUITES, _worst_residual
 
 EXPECTED_SUITES = [
     "half-period-sum",
@@ -109,5 +113,49 @@ def test_lambda_suites_pass_at_every_seed():
         _, runner, tol = _SUITES[i]
         for seed in range(200):
             child = np.random.SeedSequence(seed).spawn(len(_SUITES))[i]
-            worst, _ = runner(np.random.default_rng(child))
+            residuals, _ = runner(np.random.default_rng(child))
+            worst = _worst_residual(residuals)
             assert worst < tol, (name, seed, worst)
+
+
+def test_worst_residual_rule():
+    assert _worst_residual([]) == 0.0
+    assert _worst_residual([1e-3, 2.5, 0.1]) == 2.5
+    assert _worst_residual([0, 3, 1]) == 3.0
+    assert isinstance(_worst_residual([0, 3, 1]), float)
+    assert _worst_residual([0.0, math.inf, 1.0]) == math.inf
+    # max() alone keeps whatever it saw first; the rule never drops a NaN
+    for at in range(4):
+        residuals = [0.5, 1.0, 2.0]
+        residuals.insert(at, math.nan)
+        assert math.isnan(_worst_residual(residuals)), residuals
+
+
+def test_nan_residual_fails_its_suite(monkeypatch):
+    # A route that returns NaN must fail every suite that compares it,
+    # rather than vanish from the worst residual as it would under max().
+    nan_link = LinkingResult(math.nan, LinkingMethod.ARAKELOV_GREEN)
+    monkeypatch.setattr(verify, "weierstrass_p", lambda z, tau: math.nan)
+    monkeypatch.setattr(verify, "linking_elliptic", lambda *a, **k: nan_link)
+    monkeypatch.setattr(verify, "massey_value_via_linking", lambda tau: math.nan)
+    results = {r.name: r for r in run_all(seed=42)}
+    nan_suites = {"weierstrass-oracle", "linking-bilinearity",
+                  "translation-invariance", "half-period-dual-route",
+                  "green-flexibility", "massey-cross-path"}
+    assert {n for n, r in results.items() if math.isnan(r.worst)} == nan_suites
+    assert results["massey-reality"].worst == math.inf
+    failed = {n for n, r in results.items() if not r.passed}
+    assert failed == nan_suites | {"massey-reality"}
+    text = format_summary(list(results.values()), seed=42)
+    line = next(ln for ln in text.splitlines() if "weierstrass-oracle" in ln)
+    assert line.startswith("[FAIL]") and "worst=nan " in line
+    assert text.splitlines()[-1] == "result: 11/18 suites passed"
+
+
+def test_nan_lambda_fails_no_underflow(monkeypatch):
+    monkeypatch.setattr(verify, "modular_lambda",
+                        lambda tau: complex(math.nan, math.nan))
+    result = next(r for r in run_all(seed=42)
+                  if r.name == "lambda-no-underflow")
+    assert not result.passed
+    assert result.worst == math.inf
