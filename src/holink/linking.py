@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .errors import (
     BranchError,
     CapabilityError,
@@ -49,6 +51,8 @@ from .special_functions import (
     SNAP_TOL,
     TauParameter,
     _corner_distance,
+    _reduce_array,
+    _theta_array,
     as_tau,
     reduce_mod_lattice,
     theta,
@@ -297,6 +301,29 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
             f"theta1({ur!r}, {t.value!r}) underflows to 0: log|theta1| is "
             "out of double range")
     return math.log(th1) / math.pi - ur.imag ** 2 / t.value.imag
+
+
+def _green_array(us: np.ndarray, t: TauParameter) -> np.ndarray:
+    """``arakelov_green`` at each point of a 1-d complex array, bit for bit,
+    with its PoleError and DivergenceError naming the first offending point.
+    One theta kernel call serves every point.  ``arakelov_green`` itself
+    stays scalar: for one point numpy's per-call cost is many times the
+    scalar evaluation."""
+    ur, dist = _reduce_array(us, t)
+    pole = dist < POLE_TOL
+    if pole.any():
+        raise PoleError(f"green kernel has a logarithmic pole at "
+                        f"{complex(us[pole][0])!r}")
+    th1 = _theta_array(1, ur, t.value)
+    th1 = np.hypot(th1.real, th1.imag)
+    zero = th1 == 0.0
+    if zero.any():
+        raise DivergenceError(
+            f"theta1({complex(ur[zero][0])!r}, {t.value!r}) underflows to 0: "
+            "log|theta1| is out of double range")
+    im_tau = t.value.imag
+    return np.array([math.log(a) / math.pi - b ** 2 / im_tau
+                     for a, b in zip(th1.tolist(), ur.imag.tolist())])
 
 
 def linking_elliptic(z: Divisor, w: Divisor, *,

@@ -91,8 +91,8 @@ def massey_report(tau: TauParameter | complex,
     _check_tolerance(tolerance)
     t = as_tau(tau)
     lam = modular_lambda(t)
-    via_linking = massey_value_via_linking(t)
     closed = _closed_form_from_lambda(lam)
+    via_linking = massey_value_via_linking(t)
     return MasseyReport(
         tau=t.value, value_closed_form=closed, value_via_linking=via_linking,
         residual=abs(closed - via_linking),

@@ -28,20 +28,23 @@ All series are truncated adaptively: summation stops once an upper bound
 for the next term drops below EPS_SERIES * (1 + |partial sum|), and a
 ConvergenceError is raised if MAX_TERMS terms do not get there.
 
-Two paths evaluate the theta constants, selected by input: ``theta`` (and
-its cache ``_theta_constants``) for one tau, and the numpy kernel
-``_theta_constants_array`` for an array of taus, which the private
-``_batch_lambdas`` feeds THETA_BLOCK consecutive taus at a time.  That
-batch path is ``holink scan``'s: its taus come from a grid that has already
-applied the tau rule to every point, so it validates nothing itself.  The
+Two paths evaluate theta, selected by input: ``theta`` (and its cache
+``_theta_constants``) for one point, and one numpy kernel,
+``_theta_array(kind, z, tau)`` with z broadcast against tau, for many.  The
 kernel sums the same terms in the same order with the same per-point
-stopping rule and MAX_TERMS guard, and raises the same ConvergenceError
-where a term's phase pi * Re(tau) * a^2 leaves double range, so its values
-equal ``theta(k, 0, tau)`` bit for bit (a test compares them by
-``float.hex``); the fourth powers and the lambda pin stay scalar, shared by
-both paths.  One tau does not go through the kernel: a size-1 batch takes
-about 190 us, the three scalar loops about 13 us (2-vCPU x86-64 host,
-numpy 2.4).  No
+stopping rule (|partial sum| is ``np.hypot``, the libm function behind
+``abs``), MAX_TERMS guard and ConvergenceErrors, so its values equal
+``theta`` bit for bit (tests compare them by ``float.hex``).  Where every z
+is 0 it takes one exponential per term and leaves the |Im z| part out of
+the bound.  ``_batch_lambdas``, ``holink scan``'s path, feeds it THETA_BLOCK
+consecutive taus at a time at z = 0, for kinds 2, 3 and 4; its taus come
+from a grid that has already applied the tau rule, so it validates
+nothing itself, and the fourth powers and the lambda pin stay scalar,
+shared with ``modular_lambda``.  ``linking._green_array`` runs it for
+theta1 over many z of one tau.  One point does not go through the
+kernel: a size-1 call takes 170-250 us against 5-15 us for the scalar
+loops (2-vCPU x86-64 host, numpy 2.4), while over verify's 20,320
+Green-kernel points it costs about 1 us a point.  No
 fundamental-domain reduction of tau is performed; instead construction of
 ``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05).  Precision of the
 q-series degrades as Im tau approaches that floor (|q| -> 0.855), which is
@@ -204,40 +207,66 @@ def _theta_constants(t: TauParameter) -> tuple[complex, complex, complex]:
 # which raises as in ``theta``, or a NaN term of a stopped point, which
 # ``np.where`` drops.
 @np.errstate(over="ignore", invalid="ignore")
-def _theta_constants_array(tau: np.ndarray) -> list[np.ndarray]:
-    """[theta2, theta3, theta4] at z = 0 over a complex array of taus.
+def _theta_array(kind: int, z, tau) -> np.ndarray:
+    """theta_kind(z, tau) over z broadcast against tau (complex arrays or
+    scalars), equal to ``theta`` bit for bit.
 
-    ``theta``'s loop at z = 0 for every point at once: the same terms in the
-    same order, each point stopping on its own partial sum.  Exponentials go
-    through complex ``np.exp``, which computes exp(x) * (cos y, sin y) with
-    libm as ``cmath.exp`` does; numpy's real float64 ``exp`` has SIMD loops
-    that can differ from ``math.exp`` in the last bit, so the stopping bound
-    takes the complex route too.
+    ``theta``'s loop for every point at once: the same terms in the same
+    order, each point stopping on its own partial sum, and the same
+    MAX_TERMS guard.  A term beyond _EXP_CAP raises ``theta``'s
+    ConvergenceError, naming the first point still summing.  Exponentials,
+    the stopping bound's included, go through complex ``np.exp``, which
+    computes exp(x) * (cos y, sin y) with libm as ``cmath.exp`` does (numpy's
+    real float64 ``exp`` has SIMD loops that can differ from ``math.exp`` in
+    the last bit), and |partial sum| is ``np.hypot``, libm's as in ``abs``.
+    Where every z is 0 each term takes one exponential and the bound has no
+    |Im z| part.
     """
+    z, tau = np.broadcast_arrays(np.asarray(z, complex), np.asarray(tau, complex))
+    at_zero = not z.any()
     im = tau.imag
-    out = []
-    for kind in (2, 3, 4):
-        half = kind == 2
-        total = np.zeros_like(tau) if half else np.ones_like(tau)
-        active = np.ones(tau.shape, dtype=bool)
-        for n in range(0 if half else 1, MAX_TERMS):
-            a = n + 0.5 if half else n
-            bound = 2.0 * np.exp(-_PI * im * a * a + 0j).real
-            # false for a NaN sum, as in the scalar loop
-            active &= bound >= EPS_SERIES * (1.0 + np.abs(total))
-            if not active.any():
-                break
-            e = np.exp(1j * _PI * (tau * a * a))
-            term = -(e + e) if kind == 4 and n % 2 == 1 else e + e
-            total = np.where(active, total + term, total)
+    abs_im_z = np.abs(z.imag)
+    half = kind in (1, 2)
+    total = np.zeros(z.shape, complex) if half else np.ones(z.shape, complex)
+    active = np.ones(z.shape, dtype=bool)
+    for n in range(0 if half else 1, MAX_TERMS):
+        a = n + 0.5 if half else n
+        k = 2 * a
+        log_mag = -_PI * im * a * a
+        if not at_zero:
+            log_mag = log_mag + _PI * k * abs_im_z
+            capped = active & (log_mag > _EXP_CAP)
+            if capped.any():
+                raise ConvergenceError(
+                    f"theta{kind} term at n={n} exceeds double range "
+                    f"(z={complex(z[capped][0])!r}, "
+                    f"tau={complex(tau[capped][0])!r}); "
+                    "reduce z modulo the lattice first"
+                )
+        bound = 2.0 * np.exp(log_mag + 0j).real
+        # false for a NaN sum, as in the scalar loop
+        active &= bound >= EPS_SERIES * (1.0 + np.hypot(total.real, total.imag))
+        if not active.any():
+            break
+        ta = tau * a * a
+        if at_zero:
+            e_plus = e_minus = np.exp(1j * _PI * ta)
         else:
-            raise ConvergenceError(
-                f"theta{kind} did not converge in {MAX_TERMS} terms")
-        overflowed = np.isnan(total)
-        if overflowed.any():
-            raise _phase_overflow(kind, complex(tau[overflowed][0]))
-        out.append(total)
-    return out
+            e_plus = np.exp(1j * _PI * (ta + k * z))
+            e_minus = np.exp(1j * _PI * (ta - k * z))
+        if kind == 1:
+            term = (-1) ** n * (-1j) * (e_plus - e_minus)
+        elif kind == 4 and n % 2 == 1:
+            term = -(e_plus + e_minus)
+        else:
+            term = e_plus + e_minus
+        total = np.where(active, total + term, total)
+    else:
+        raise ConvergenceError(f"theta{kind} did not converge in {MAX_TERMS} terms")
+    overflowed = np.isnan(total)
+    if overflowed.any():
+        raise _phase_overflow(kind, complex(tau[overflowed][0]))
+    return total
 
 
 @dataclass(frozen=True)
@@ -299,6 +328,29 @@ def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
     return complex(x + y * tv.real, y * tv.imag)
 
 
+def _snap_units(x: np.ndarray) -> np.ndarray:
+    """``_snap_unit`` over a float array, bit for bit."""
+    x = x - np.floor(x)
+    half = np.round(2.0 * x) / 2.0
+    return np.where(np.abs(x - half) < SNAP_TOL, half % 1.0, x)
+
+
+def _reduce_array(z: np.ndarray,
+                  t: TauParameter) -> tuple[np.ndarray, np.ndarray]:
+    """``reduce_mod_lattice`` over a complex array, bit for bit, and the
+    ``_corner_distance`` of each reduced point."""
+    tv = t.value
+    y = z.imag / tv.imag
+    x = _snap_units(z.real - y * tv.real)
+    y = _snap_units(y)
+    zr = np.empty(z.shape, complex)
+    zr.real = x + y * tv.real
+    zr.imag = y * tv.imag
+    dist = np.minimum.reduce([np.hypot(d.real, d.imag) for d in
+                              (zr, zr - 1.0, zr - tv, zr - 1.0 - tv)])
+    return zr, dist
+
+
 def _corner_distance(zr: complex, t: TauParameter) -> float:
     """Distance from zr, a point of the fundamental cell, to the lattice:
     the nearest lattice point is one of the cell corners 0, 1, tau, 1+tau."""
@@ -333,17 +385,25 @@ def lattice_sum_p(z: complex, tau: TauParameter | complex, radius: int) -> compl
         raise ValueError(f"radius must be >= 10, got {radius}")
     if torus_distance(z, 0.0, t) < POLE_TOL:
         raise PoleError(f"z = {z!r} lies on the lattice of tau = {t.value!r}")
+    return _lattice_sums_p([z], t, radius)[0]
 
+
+def _lattice_sums_p(zs: list[complex], t: TauParameter,
+                    radius: int) -> list[complex]:
+    """``lattice_sum_p`` at each z of ``zs``, bit for bit, off the lattice:
+    the half-lattice and its 2/w^2 are built once for all of them."""
     # Half-lattice enumeration: (m, 0) for m = 1..R, then (m, n) for n >= 1.
-    m0 = np.arange(1, radius + 1, dtype=np.float64)
-    w0 = m0.astype(np.complex128)
+    w0 = np.arange(1, radius + 1, dtype=np.complex128)
     mg, ng = np.meshgrid(np.arange(-radius, radius + 1, dtype=np.float64),
                          np.arange(1, radius + 1, dtype=np.float64))
-    w1 = (mg + ng * t.value).ravel()
-    w = np.concatenate([w0, w1])
-
-    terms = 1.0 / (z - w) ** 2 + 1.0 / (z + w) ** 2 - 2.0 / w ** 2
-    return complex(1.0 / z ** 2 + np.sum(terms))
+    w = np.concatenate([w0, (mg + ng * t.value).ravel()])
+    del w0, mg, ng
+    c = 2.0 / w ** 2
+    # One 1-d sum per z: np.sum's pairwise blocks depend on the length, and
+    # a 2-d batch would hold a lattice-sized temporary per z.
+    return [complex(1.0 / z ** 2 + np.sum(1.0 / (z - w) ** 2
+                                          + 1.0 / (z + w) ** 2 - c))
+            for z in zs]
 
 
 def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
@@ -401,7 +461,7 @@ def _batch_lambdas(taus: np.ndarray) -> Iterator[tuple[complex, complex]]:
     of taus that already pass the tau rule: THETA_BLOCK taus per call of the
     array kernel, and each lambda pinned as in ``modular_lambda``."""
     for block in np.split(taus, range(THETA_BLOCK, taus.size, THETA_BLOCK)):
-        consts = [c.tolist() for c in _theta_constants_array(block)]
+        consts = [_theta_array(kind, 0.0, block).tolist() for kind in (2, 3, 4)]
         for tau, c2, c3, c4 in zip(block.tolist(), *consts):
             yield tau, _pinned_lambda(tau, c2, c3, c4)
 

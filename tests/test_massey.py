@@ -1,5 +1,6 @@
 """The triple-product obstruction value: closed form vs. the linking route."""
 
+import importlib
 import math
 
 import numpy as np
@@ -92,6 +93,25 @@ def test_divergent_lambda_value():
         _closed_form_from_lambda(1.0)
     # slightly off the pole is fine and very negative
     assert _closed_form_from_lambda(1.0 + 1e-30j) < -80.0
+
+
+def test_report_divergence_runs_no_kernel(monkeypatch):
+    # The closed form decides before the linking route runs.
+    # ``holink.linking`` names the function, so fetch the module itself.
+    linking = importlib.import_module("holink.linking")
+    calls = []
+    green = linking.arakelov_green
+
+    def counting(u, tau):
+        calls.append(u)
+        return green(u, tau)
+
+    monkeypatch.setattr(linking, "arakelov_green", counting)
+    with pytest.raises(DivergenceError):
+        massey_report(-0.018 + 0.059j)
+    assert calls == []
+    massey_report(1j)
+    assert len(calls) == 4
 
 
 def test_vanishing_crossing_located():

@@ -26,8 +26,9 @@ from holink import special_functions
 from holink.special_functions import (
     THETA_BLOCK,
     _batch_lambdas,
-    _theta_constants_array,
+    _theta_array,
 )
+from holink import verify
 from holink.verify import TAU_BOX
 
 # Golden values, frozen from independent derivations:
@@ -108,10 +109,55 @@ def test_theta_constants_array_matches_scalar_bitwise():
         np.array([1j, 400j, -1e3 + 0.05j, 0.5 + 0.05j]),
     ])
     for batch in (taus, taus[:1]):
-        consts = _theta_constants_array(batch)
+        consts = [_theta_array(kind, 0.0, batch) for kind in (2, 3, 4)]
         for i, tau in enumerate(batch.tolist()):
             for kind, values in zip((2, 3, 4), consts):
                 assert _hex(values[i]) == _hex(theta(kind, 0.0, tau)), (kind, tau)
+
+
+def test_theta_array_matches_scalar_bitwise():
+    # Every kind at seeded (z, tau) over the verify box, |Im z| up to Im tau
+    # and z = 0 among them: paired arrays, and z against one tau.
+    rng = np.random.default_rng(2025)
+    (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
+    taus = rng.uniform(re_lo, re_hi, 200) + 1j * rng.uniform(im_lo, im_hi, 200)
+    zs = (rng.uniform(-1.0, 1.0, 200)
+          + 1j * rng.uniform(-1.0, 1.0, 200) * taus.imag)
+    zs[:3] = 0.0
+    tau = complex(taus[7])
+    for kind in (1, 2, 3, 4):
+        for z, t in ((zs, taus), (zs, tau)):
+            values = _theta_array(kind, z, t)
+            for i, zi in enumerate(z.tolist()):
+                ti = t if isinstance(t, complex) else complex(t[i])
+                assert _hex(values[i]) == _hex(theta(kind, zi, ti)), (kind, zi, ti)
+        # where every z is 0
+        values = _theta_array(kind, 0.0, taus)
+        for i, ti in enumerate(taus.tolist()):
+            assert _hex(values[i]) == _hex(theta(kind, 0.0, ti)), (kind, ti)
+
+
+def test_theta_array_term_cap_matches_scalar():
+    # At tau = 0.3+900i, z = tau/2 the first term of theta1 passes exp's cap.
+    tau = 0.3 + 900j
+    z = tau / 2
+    with pytest.raises(ConvergenceError) as scalar:
+        theta(1, z, tau)
+    with pytest.raises(ConvergenceError) as kernel:
+        _theta_array(1, np.array([0.1 + 0.1j, z]), tau)
+    assert str(kernel.value) == str(scalar.value)
+
+
+def test_lattice_sums_match_scalar_bitwise():
+    # The weierstrass-oracle suite's 20 points at seed 42.
+    i = [name for name, _, _ in verify._SUITES].index("weierstrass-oracle")
+    child = np.random.SeedSequence(42).spawn(len(verify._SUITES))[i]
+    rng = np.random.default_rng(child)
+    for tau in (TauParameter(1j), TauParameter(1.3j)):
+        zs = [verify._random_annulus_point(rng) for _ in range(10)]
+        got = special_functions._lattice_sums_p(zs, tau, 400)
+        assert [_hex(p) for p in got] == [_hex(lattice_sum_p(z, tau, 400))
+                                          for z in zs]
 
 
 def test_modular_lambdas_blocks_match_scalar_bitwise():
@@ -140,10 +186,11 @@ def test_phase_overflow_is_convergence_error_on_both_paths():
                 modular_lambda(tau)
             for batch in (np.array([tau]), np.array([1j, tau])):
                 with pytest.raises(ConvergenceError) as kernel:
-                    _theta_constants_array(batch)
+                    [_theta_array(kind, 0.0, batch) for kind in (2, 3, 4)]
                 assert str(kernel.value) == str(scalar.value)
         # a point that stops before its phase overflows is not an error
-        consts = _theta_constants_array(np.array([0.3 + 0.05j, 1e306 + 5j]))
+        batch = np.array([0.3 + 0.05j, 1e306 + 5j])
+        consts = [_theta_array(kind, 0.0, batch) for kind in (2, 3, 4)]
         for kind, values in zip((2, 3, 4), consts):
             assert _hex(values[1]) == _hex(theta(kind, 0.0, 1e306 + 5j))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from holink import (DomainError, LinkingMethod, LinkingResult, TauParameter,
-                    format_summary, run_all)
+                    arakelov_green, format_summary, run_all, torus_distance)
 from holink import verify
 from holink.verify import _SUITES, _worst_residual
 
@@ -159,3 +159,32 @@ def test_nan_lambda_fails_no_underflow(monkeypatch):
                   if r.name == "lambda-no-underflow")
     assert not result.passed
     assert result.worst == math.inf
+
+
+def _laplacian_grid_scalar(tau):
+    """The cell-by-cell loop of scalar kernel calls that ``_laplacian_grid``
+    replaces: the reference it must equal bit for bit."""
+    t = TauParameter(tau)
+    step, n = 2e-5, 64
+    h = 1.0 / n
+    out = []
+    for a in range(n):
+        for b in range(n):
+            u = (a + 0.5) * h + (b + 0.5) * h * t.value
+            if torus_distance(u, 0.0, t) < 3.0 * h:
+                continue
+            lap = (arakelov_green(u + step, t)
+                   + arakelov_green(u - step, t)
+                   + arakelov_green(u + 1j * step, t)
+                   + arakelov_green(u - 1j * step, t)
+                   - 4.0 * arakelov_green(u, t)) / (step * step)
+            out.append(lap)
+    return np.array(out)
+
+
+def test_laplacian_grid_matches_scalar_loop_bitwise():
+    for tau in (1j, 0.3 + 0.8j):
+        got = verify._laplacian_grid(tau)
+        expected = _laplacian_grid_scalar(tau)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
