@@ -177,6 +177,8 @@ class ScanGrid:
 
 
 CSV_HEADER = "re_tau,im_tau,lambda_re,lambda_im,massey_value"
+# %-formatting renders a float as the f-string spec ".12g" does.
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g\n"
 
 
 def cmd_lambda(args) -> int:
@@ -226,16 +228,22 @@ def cmd_link(args) -> int:
 def cmd_scan(args) -> int:
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
-    rows = [CSV_HEADER]
-    for tau, lam in _batch_lambdas(grid.taus):
-        rows.append(f"{tau.real:.12g},{tau.imag:.12g},{lam.real:.12g},"
-                    f"{lam.imag:.12g},{_closed_form_from_lambda(lam):.12g}")
-    tmp_path = args.out + ".tmp"
+    chunks = [CSV_HEADER + "\n"]
+    for taus, lams in _batch_lambdas(grid.taus):
+        closed = [_closed_form_from_lambda(lam) for lam in lams.tolist()]
+        cells = np.column_stack([taus.real, taus.imag, lams.real, lams.imag,
+                                 closed])
+        flat = tuple(cells.ravel().tolist())
+        chunks.append((_CSV_ROW * len(closed)) % flat)
+    # A sibling of scan's own: mode "x" never opens an existing file, and a
+    # clash of the 48 random bits would fail with exit 4, not overwrite.
+    tmp_path = f"{args.out}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
     try:
-        with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+        with fh:
+            fh.write("".join(chunks))
         os.replace(tmp_path, args.out)
-    except OSError:
+    except BaseException:
         try:
             os.unlink(tmp_path)
         except OSError:

@@ -39,8 +39,11 @@ is 0 it takes one exponential per term and leaves the |Im z| part out of
 the bound.  ``_batch_lambdas``, ``holink scan``'s path, feeds it THETA_BLOCK
 consecutive taus at a time at z = 0, for kinds 2, 3 and 4; its taus come
 from a grid that has already applied the tau rule, so it validates
-nothing itself, and the fourth powers and the lambda pin stay scalar,
-shared with ``modular_lambda``.  ``linking._green_array`` runs it for
+nothing itself.  It takes the fourth powers, lambda and the lambda pin
+over each block's arrays too, with ``_complex_quotients`` dividing as
+Python's ``/`` does, so its values and its pin decisions equal
+``modular_lambda``'s bit for bit; a tau the pin rejects is handed to
+the scalar pin, which raises.  ``linking._green_array`` runs it for
 theta1 over many z of one tau.  One point does not go through the
 kernel: a size-1 call takes 170-250 us against 5-15 us for the scalar
 loops (2-vCPU x86-64 host, numpy 2.4), while over verify's 20,320
@@ -67,9 +70,10 @@ MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
 MAX_TERMS = 10_000
 
-#: Taus per call of the array kernel in ``_batch_lambdas``: enough to
-#: spread numpy's per-call cost thin, few enough that a long sequence holds
-#: one block of arrays at a time.
+#: Taus per block of ``_batch_lambdas`` (one call of the array kernel per
+#: theta kind, then lambda and its pin over the block): enough to spread
+#: numpy's per-call cost thin, few enough that a long sequence holds one
+#: block of arrays at a time.
 THETA_BLOCK = 1024
 
 #: Snap radius onto half-integer lattice coordinates in ``reduce_mod_lattice``.
@@ -456,14 +460,56 @@ def modular_lambda(tau: TauParameter | complex) -> complex:
     return _pinned_lambda(t.value, *_theta_constants(t))
 
 
-def _batch_lambdas(taus: np.ndarray) -> Iterator[tuple[complex, complex]]:
-    """(tau, ``modular_lambda(tau)``) in order, bit for bit, over a 1-d array
-    of taus that already pass the tau rule: THETA_BLOCK taus per call of the
-    array kernel, and each lambda pinned as in ``modular_lambda``."""
-    for block in np.split(taus, range(THETA_BLOCK, taus.size, THETA_BLOCK)):
-        consts = [_theta_array(kind, 0.0, block).tolist() for kind in (2, 3, 4)]
-        for tau, c2, c3, c4 in zip(block.tolist(), *consts):
-            yield tau, _pinned_lambda(tau, c2, c3, c4)
+def _complex_quotients(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b over complex arrays, each quotient equal to Python's ``/`` bit
+    for bit, for finite a and nonzero finite b.
+
+    CPython divides by Smith's method (``_Py_c_quot``): scale by the larger
+    part of b, Re b where |Re b| >= |Im b|.  numpy's complex ``/`` rounds
+    otherwise, and differs at 43% of the lambdas of ``holink scan``'s
+    README box.  Both branches are computed and ``np.where`` keeps one, so
+    the other's divisions by zero are discarded, without a warning.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        q = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
+        q.real = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+        q.imag = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return q
+
+
+def _batch_lambdas(taus: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(taus, lambdas) array pairs that run through a 1-d array of taus in
+    order, each lambda equal to ``modular_lambda(tau)`` bit for bit; the
+    taus already pass the tau rule.
+
+    One pair per THETA_BLOCK block: the array kernel gives the block's theta
+    constants, and lambda and the half-period quotient of the pin follow in
+    array arithmetic that rounds as the scalar path does.  At the first tau
+    the pin rejects, the pair of the taus before it is yielded and then
+    ``_pinned_lambda``, the one pin rule, raises for it.  So does a pin
+    divisor e1 - e2 that rounds to 0, where Python's ``/`` raises.
+    """
+    for lo in range(0, taus.size, THETA_BLOCK):
+        block = taus[lo:lo + THETA_BLOCK]
+        c2, c3, c4 = (_theta_array(kind, 0.0, block) for kind in (2, 3, 4))
+        lam = _complex_quotients(c2 ** 4, c3 ** 4)
+        e1, e2, e3 = _half_periods(c2, c3, c4)
+        miss = lam - _complex_quotients(e3 - e2, e1 - e2)
+        err = np.hypot(miss.real, miss.imag)
+        rejected = np.flatnonzero(
+            ((err > _LAMBDA_PIN_TOL)
+             & (err > _LAMBDA_PIN_TOL * np.hypot(lam.real, lam.imag)))
+            | (e1 == e2))
+        start = 0
+        if rejected.size:
+            start = int(rejected[0])
+            yield block[:start], lam[:start]
+            _pinned_lambda(*(x[start].item() for x in (block, c2, c3, c4)))
+        yield block[start:], lam[start:]
 
 
 def lambda_complement_ratio(tau: TauParameter | complex) -> complex:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -373,6 +375,44 @@ def test_scan_first_failing_tau_decides(tmp_path, capsys):
         f"-1,0.3,{lam.real:.12g},{lam.imag:.12g},"
         f"{massey_value_closed_form(-1 + 0.3j):.12g}")
     assert list(tmp_path.iterdir()) == [out_path]
+
+
+def test_scan_pin_miss_fails_as_lambda_does(tmp_path, capsys):
+    # |lambda| ~ 6e10 there and the pin's half-period quotient loses the
+    # digits: scan fails with the same InternalError as the lambda command.
+    assert main(["lambda", "--", "-0.983094027854641+0.11120398821644994i"]) == 3
+    expected = capsys.readouterr().err
+    assert "lambda convention pin violated at tau = " in expected
+    re_tau, im_tau = -0.983094027854641, 0.11120398821644994
+    assert _scan(tmp_path / "grid.csv", re_tau, re_tau, im_tau, im_tau, 1, 1) == 3
+    assert capsys.readouterr().err == expected
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("im_tau, replace_fails, code", [
+    (1.0, False, 0),
+    (0.059, False, 3),   # |1 - lambda| rounds to 0 before any file is made
+    (1.0, True, 4),      # the rename fails: only scan's own file is removed
+])
+def test_scan_leaves_other_tmp_files_alone(tmp_path, capsys, monkeypatch,
+                                           im_tau, replace_fails, code):
+    out_path = tmp_path / "g.csv"
+    precious = tmp_path / "g.csv.tmp"
+    precious.write_bytes(b"precious\n")
+    if replace_fails:
+        def failing_replace(src, dst):
+            raise PermissionError(f"cannot rename {src} to {dst}")
+        monkeypatch.setattr(os, "replace", failing_replace)
+    assert _scan(out_path, -0.018, -0.018, im_tau, im_tau, 1, 1) == code
+    assert precious.read_bytes() == b"precious\n"
+    assert set(tmp_path.iterdir()) == ({precious, out_path} if code == 0
+                                       else {precious})
+    if code == 0:
+        # the output's mode is what open() gives under the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o666 & ~umask
+    capsys.readouterr()
 
 
 def test_verify_command(capsys):
