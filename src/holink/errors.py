@@ -47,4 +47,6 @@ class ActionValidationError(HolinkError, ValueError):
 
 
 class InternalError(HolinkError, RuntimeError):
-    """A pinned internal identity failed; indicates a bug, not bad input."""
+    """A failed internal identity: a bug, not bad input.  Nothing in the
+    package raises it; it stays public so that callers' handlers keep
+    working."""

@@ -9,12 +9,13 @@ linking number on the base curve:
     value(tau) = 8 * < [0] - [1/2], [tau/2] - [(1+tau)/2] >_{C_tau}
                = (4/pi) * log|1 - lambda(tau)|.
 
-The two routes share only the theta primitives and are computed
-independently here; their agreement is one of the package's acceptance
-checks.  The value vanishes exactly on the locus |1 - lambda(tau)| = 1
-(which contains the whole vertical line Re tau = 1/2), and is nonzero for
-generic tau, so the obstruction it measures does not vanish identically in
-the family.
+The two routes share only the theta primitives and the exact even shift
+of Re tau into [-1, 1] (``special_functions._even_shift``), and are
+computed independently here; their agreement is one of the package's
+acceptance checks.  The value vanishes exactly on the locus
+|1 - lambda(tau)| = 1 (which contains the whole vertical line
+Re tau = 1/2), and is nonzero for generic tau, so the obstruction it
+measures does not vanish identically in the family.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
 from .linking import Divisor, linking_elliptic
-from .special_functions import TauParameter, as_tau, modular_lambda
+from .special_functions import TauParameter, _even_shift, as_tau, modular_lambda
 
 #: Default threshold deciding the ``nonvanishing`` flag of a report.
 DEFAULT_NONVANISHING_TOL = 1e-6
@@ -60,9 +61,13 @@ def massey_value_via_linking(tau: TauParameter | complex) -> float:
     doubles each class (2^4), while integrating upstairs costs the covering
     factor 1/2.  The remaining factor is the elliptic linking number of the
     half-period configuration, evaluated by the Green-kernel double sum.
+    It runs at ``_even_shift`` of tau, as lambda does: the same lattice,
+    on which both divisors are the same.
     """
     t = as_tau(tau)
-    tv = t.value
+    tv = _even_shift(t.value)
+    if tv != t.value:
+        t = TauParameter(tv)
     z = Divisor.elliptic(t, [(0.0, 1), (0.5, -1)])
     w = Divisor.elliptic(t, [(tv / 2.0, 1), ((1.0 + tv) / 2.0, -1)])
     return 8.0 * linking_elliptic(z, w).value

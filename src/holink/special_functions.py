@@ -9,9 +9,9 @@ Conventions, pinned here and relied on by every consumer in the package:
       theta1(z + 1, tau) = -theta1(z, tau),
       theta1(z + tau, tau) = -exp(-i*pi*tau - 2*pi*i*z) * theta1(z, tau);
 
-* lambda(tau) = theta2(0, tau)^4 / theta3(0, tau)^4, and ``modular_lambda``
-  checks on every call that this equals the half-period quotient
-  (e3 - e2) / (e1 - e2), so the convention is enforced rather than assumed;
+* lambda(tau) = theta2(0, tau)^4 / theta3(0, tau)^4, which equals the
+  half-period quotient (e3 - e2) / (e1 - e2); the verify suites check the
+  convention (the lambda-complement suite and exact singular values);
 
 * half-period values are e1 = p(1/2), e2 = p(tau/2), e3 = p((1+tau)/2)
   for the Weierstrass p-function of the lattice Z + Z*tau.  In terms of
@@ -37,21 +37,18 @@ stopping rule (|partial sum| is ``np.hypot``, the libm function behind
 ``theta`` bit for bit (tests compare them by ``float.hex``).  Where every z
 is 0 it takes one exponential per term and leaves the |Im z| part out of
 the bound.  ``_batch_lambdas``, ``holink scan``'s path, feeds it THETA_BLOCK
-consecutive taus at a time at z = 0, for kinds 2, 3 and 4; its taus come
-from a grid that has already applied the tau rule, so it validates
-nothing itself.  It takes the fourth powers, lambda and the lambda pin
-over each block's arrays too, with ``_complex_quotients`` dividing as
-Python's ``/`` does, so its values and its pin decisions equal
-``modular_lambda``'s bit for bit; a tau the pin rejects is handed to
-the scalar pin, which raises.  ``linking._green_array`` runs it for
-theta1 over many z of one tau.  One point does not go through the
-kernel: a size-1 call takes 170-250 us against 5-15 us for the scalar
-loops (2-vCPU x86-64 host, numpy 2.4), while over verify's 20,320
-Green-kernel points it costs about 1 us a point.  No
-fundamental-domain reduction of tau is performed; instead construction of
-``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05).  Precision of the
-q-series degrades as Im tau approaches that floor (|q| -> 0.855), which is
-why the floor exists.
+consecutive taus at a time at z = 0, for kinds 2 and 3; its taus come from
+a grid that has already applied the tau rule, so it validates nothing
+itself.  ``linking._green_array`` runs it for theta1 over many z of one
+tau.  One point does not go through the kernel: a size-1
+call takes 170-250 us against 5-15 us for the scalar loops (2-vCPU x86-64
+host, numpy 2.4), while over verify's 20,320 Green-kernel points it costs
+about 1 us a point.  No fundamental-domain reduction of tau is performed;
+construction of ``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05),
+as the q-series lose precision near that floor (|q| -> 0.855).  The theta
+constants, lambda and the Massey routes run at ``_even_shift(tau)``, an
+exact shift into |Re tau| <= 1 that keeps their values and the series'
+phases small; the public ``theta`` is the raw series at the caller's tau.
 """
 
 from __future__ import annotations
@@ -64,14 +61,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InternalError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError
 
 MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
 MAX_TERMS = 10_000
 
 #: Taus per block of ``_batch_lambdas`` (one call of the array kernel per
-#: theta kind, then lambda and its pin over the block): enough to spread
+#: theta kind, then lambda over the block): enough to spread
 #: numpy's per-call cost thin, few enough that a long sequence holds one
 #: block of arrays at a time.
 THETA_BLOCK = 1024
@@ -94,9 +91,9 @@ class TauParameter:
     """Modulus of the curve C / (Z + Z*tau).
 
     Requires Im tau >= MIN_IM_TAU, which also bounds the nome, |q| < 0.855.
-    There is deliberately no reduction to a fundamental domain: callers get
-    the lattice they asked for, and the translation identities
-    (lambda(tau + 1), lambda(tau + 2)) stay testable.
+    There is deliberately no reduction to a fundamental domain: ``value``
+    keeps the caller's tau and lattice, so lambda(tau + 1) stays testable.
+    Evaluators of period-2 quantities run at ``_even_shift(value)``.
     """
 
     value: complex
@@ -163,7 +160,11 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"theta argument must be finite, got {z!r}")
+    return _theta_series(kind, z, t)
 
+
+def _theta_series(kind: int, z: complex, t: complex) -> complex:
+    """``theta``'s series at a valid kind, finite z and admissible tau t."""
     im_tau = t.imag
     abs_im_z = abs(z.imag)
     half = kind in (1, 2)
@@ -199,10 +200,26 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     raise ConvergenceError(f"theta{kind} did not converge in {MAX_TERMS} terms")
 
 
+def _even_shift(tau):
+    """tau - 2*round(Re tau / 2) where |Re tau| > 1, else tau, for a complex
+    or, element by element with the same bits, a complex array.  The shift
+    is exact and keeps the lattice, e1, e2, e3 and the 2-torsion points;
+    theta3, theta4 and theta2^4 have period 2.  An odd shift would not: it
+    maps lambda to lambda / (lambda - 1)."""
+    if isinstance(tau, np.ndarray):
+        re = tau.real
+        return np.where(np.abs(re) > 1.0, tau - 2.0 * np.round(re / 2.0), tau)
+    if abs(tau.real) > 1.0:
+        return tau - 2.0 * round(tau.real / 2.0)
+    return tau
+
+
 @lru_cache(maxsize=512)
 def _theta_constants(t: TauParameter) -> tuple[complex, complex, complex]:
-    """(theta2, theta3, theta4) at z = 0.  Cached; pure function of tau."""
-    return theta(2, 0.0, t), theta(3, 0.0, t), theta(4, 0.0, t)
+    """(theta2, theta3, theta4) at z = 0 and ``_even_shift`` of tau, where
+    theta2 gains a power of i (only theta2^4 is used).  Cached."""
+    s = _even_shift(t.value)
+    return tuple(_theta_series(kind, 0.0, s) for kind in (2, 3, 4))
 
 
 # Overflow in the kernel is not an error, so numpy's warnings for it are
@@ -427,89 +444,33 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
     return e1 + (_PI * c3 * c4 * quot) ** 2
 
 
-_LAMBDA_PIN_TOL = 1e-9
-
-
-def _pinned_lambda(tau: complex, c2: complex, c3: complex,
-                   c4: complex) -> complex:
-    """theta2^4 / theta3^4, checked against the half-period quotient."""
-    lam = c2 ** 4 / c3 ** 4
-    e1, e2, e3 = _half_periods(c2, c3, c4)
-    pin = (e3 - e2) / (e1 - e2)
-    err = abs(lam - pin)
-    # err > _LAMBDA_PIN_TOL * max(1, |lam|); |lam| is only formed on a miss
-    if err > _LAMBDA_PIN_TOL and err > _LAMBDA_PIN_TOL * abs(lam):
-        raise InternalError(
-            f"lambda convention pin violated at tau = {tau!r}: "
-            f"theta quotient {lam!r} vs half-period quotient {pin!r}"
-        )
-    return lam
-
-
 def modular_lambda(tau: TauParameter | complex) -> complex:
-    """Modular lambda(tau) = theta2(0)^4 / theta3(0)^4.
+    """Modular lambda(tau) = theta2(0)^4 / theta3(0)^4, at ``_even_shift``
+    of tau.
 
-    The labeling convention is self-verified on every call: the value must
-    match the half-period quotient (e3 - e2) / (e1 - e2) to 1e-9 relative
-    to max(1, |lambda|), which in particular exercises the quartic theta
-    identity theta3^4 = theta2^4 + theta4^4 numerically.  A failure raises
-    InternalError; valid tau still fail where the unreduced q-series lose
-    accuracy, near the floor at Re tau ~ +-1 and far along Re tau.
+    Accuracy relative to max(1, |lambda|), measured against mpmath over
+    seeded taus: up to 4e-9 within 0.15 of the cusps +-1 near the Im tau
+    floor, where the q-series run at |q| up to 0.855 and |lambda| reaches
+    1e26; 3e-14 elsewhere in the band Im tau in [0.05, 0.5); 2.1e-15 far
+    along Re tau (|Re tau| from 1e3 to 1e15, Im tau in [0.3, 3]), where the
+    shift leaves the error of the shifted tau.
     """
-    t = as_tau(tau)
-    return _pinned_lambda(t.value, *_theta_constants(t))
-
-
-def _complex_quotients(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b over complex arrays, each quotient equal to Python's ``/`` bit
-    for bit, for finite a and nonzero finite b.
-
-    CPython divides by Smith's method (``_Py_c_quot``): scale by the larger
-    part of b, Re b where |Re b| >= |Im b|.  numpy's complex ``/`` rounds
-    otherwise, and differs at 43% of the lambdas of ``holink scan``'s
-    README box.  Both branches are computed and ``np.where`` keeps one, so
-    the other's divisions by zero are discarded, without a warning.
-    """
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_re = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_re, bi / br, br / bi)
-        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-        q = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
-        q.real = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
-        q.imag = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
-    return q
+    c2, c3, _ = _theta_constants(as_tau(tau))
+    return c2 ** 4 / c3 ** 4
 
 
 def _batch_lambdas(taus: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(taus, lambdas) array pairs that run through a 1-d array of taus in
-    order, each lambda equal to ``modular_lambda(tau)`` bit for bit; the
-    taus already pass the tau rule.
-
-    One pair per THETA_BLOCK block: the array kernel gives the block's theta
-    constants, and lambda and the half-period quotient of the pin follow in
-    array arithmetic that rounds as the scalar path does.  At the first tau
-    the pin rejects, the pair of the taus before it is yielded and then
-    ``_pinned_lambda``, the one pin rule, raises for it.  So does a pin
-    divisor e1 - e2 that rounds to 0, where Python's ``/`` raises.
-    """
+    """(taus, lambdas) array pairs, one per THETA_BLOCK block, that run
+    through a 1-d array of taus that already pass the tau rule.  The kernel
+    gives theta2 and theta3 at the shifted taus, and each lambda is formed
+    in Python over ``.tolist()``, as ``modular_lambda`` forms it: the two
+    agree bit for bit by construction."""
     for lo in range(0, taus.size, THETA_BLOCK):
         block = taus[lo:lo + THETA_BLOCK]
-        c2, c3, c4 = (_theta_array(kind, 0.0, block) for kind in (2, 3, 4))
-        lam = _complex_quotients(c2 ** 4, c3 ** 4)
-        e1, e2, e3 = _half_periods(c2, c3, c4)
-        miss = lam - _complex_quotients(e3 - e2, e1 - e2)
-        err = np.hypot(miss.real, miss.imag)
-        rejected = np.flatnonzero(
-            ((err > _LAMBDA_PIN_TOL)
-             & (err > _LAMBDA_PIN_TOL * np.hypot(lam.real, lam.imag)))
-            | (e1 == e2))
-        start = 0
-        if rejected.size:
-            start = int(rejected[0])
-            yield block[:start], lam[:start]
-            _pinned_lambda(*(x[start].item() for x in (block, c2, c3, c4)))
-        yield block[start:], lam[start:]
+        shifted = _even_shift(block)
+        c2, c3 = (_theta_array(kind, 0.0, shifted).tolist() for kind in (2, 3))
+        yield block, np.array([a ** 4 / b ** 4 for a, b in zip(c2, c3)],
+                              dtype=complex)
 
 
 def lambda_complement_ratio(tau: TauParameter | complex) -> complex:

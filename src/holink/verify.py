@@ -16,6 +16,7 @@ is what makes an absurd override fail loudly rather than silently.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -123,15 +124,29 @@ def _scaled_error(got: complex, expected: complex) -> float:
     return abs(got - expected) / max(1.0, abs(expected))
 
 
+#: Exact (tau, lambda(tau)) at singular moduli.  They check lambda itself:
+#: with Re tau shifted by an even integer, lambda(tau + 2) tests little more
+#: than the rounding of Re tau + 2.
+_LAMBDA_SINGULAR_VALUES = (
+    (1j, 0.5),
+    (1 + 1j, -1.0),
+    (2j, 17.0 - 12.0 * math.sqrt(2.0)),
+    (0.5j, 12.0 * math.sqrt(2.0) - 16.0),
+    (cmath.exp(1j * math.pi / 3), cmath.exp(1j * math.pi / 3)),
+)
+
+
 def _suite_lambda_periodicity(rng: np.random.Generator) -> tuple[list, str]:
-    residuals = []
+    residuals = [_scaled_error(modular_lambda(tau), lam)
+                 for tau, lam in _LAMBDA_SINGULAR_VALUES]
     for _ in range(100):
         tau = _random_tau(rng)
         lam = modular_lambda(tau)
         residuals.append(_scaled_error(modular_lambda(tau.value + 2), lam))
         residuals.append(_scaled_error(modular_lambda(tau.value + 1),
                                        lam / (lam - 1)))
-    return residuals, "lambda(tau+2) and lambda(tau+1) functional equations, 100 tau"
+    return residuals, ("lambda(tau+2) and lambda(tau+1) functional equations, "
+                       "100 tau; 5 singular values")
 
 
 def _suite_lambda_complement(rng: np.random.Generator) -> tuple[list, str]:

@@ -126,10 +126,17 @@ def test_lambda_errors(capsys):
     assert main(["lambda", "bogus"]) == 2          # unparseable tau
     assert main(["lambda", "1-2i"]) == 3           # lower half-plane
     assert main(["lambda", "1+0.01i"]) == 3        # below the Im floor
-    assert main(["lambda", "--", "3e306+0.5i"]) == 3   # term phase overflows
-    assert main(["massey", "--", "-5e307+0.5i"]) == 3
     err = capsys.readouterr().err
     assert "error:" in err
+    # far along Re tau the even shift moves tau to 0.5i exactly
+    assert main(["lambda", "--", "3e306+0.5i"]) == 0
+    far = capsys.readouterr().out
+    assert main(["lambda", "0.5i"]) == 0
+    assert far == capsys.readouterr().out
+    assert main(["massey", "--", "-5e307+0.5i"]) == 0
+    far = capsys.readouterr().out.splitlines()
+    assert main(["massey", "0.5i"]) == 0
+    assert far[1:] == capsys.readouterr().out.splitlines()[1:]
 
 
 def test_massey_command(capsys):
@@ -377,16 +384,17 @@ def test_scan_first_failing_tau_decides(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [out_path]
 
 
-def test_scan_pin_miss_fails_as_lambda_does(tmp_path, capsys):
-    # |lambda| ~ 6e10 there and the pin's half-period quotient loses the
-    # digits: scan fails with the same InternalError as the lambda command.
-    assert main(["lambda", "--", "-0.983094027854641+0.11120398821644994i"]) == 3
-    expected = capsys.readouterr().err
-    assert "lambda convention pin violated at tau = " in expected
+def test_scan_near_the_cusp_matches_lambda(tmp_path, capsys):
+    # |lambda| ~ 6e10 near the cusp -1: scan's lambda cells and the lambda
+    # command print the same lambda.
+    assert main(["lambda", "--", "-0.983094027854641+0.11120398821644994i"]) == 0
     re_tau, im_tau = -0.983094027854641, 0.11120398821644994
-    assert _scan(tmp_path / "grid.csv", re_tau, re_tau, im_tau, im_tau, 1, 1) == 3
-    assert capsys.readouterr().err == expected
-    assert list(tmp_path.iterdir()) == []
+    lam = modular_lambda(complex(re_tau, im_tau))
+    assert capsys.readouterr().out == format_complex(lam) + "\n"
+    out_path = tmp_path / "grid.csv"
+    assert _scan(out_path, re_tau, re_tau, im_tau, im_tau, 1, 1) == 0
+    cells = out_path.read_text().splitlines()[1].split(",")
+    assert cells[2:4] == [f"{lam.real:.12g}", f"{lam.imag:.12g}"]
 
 
 @pytest.mark.parametrize("im_tau, replace_fails, code", [

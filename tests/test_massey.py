@@ -75,6 +75,15 @@ def test_lambda_shift_periodicity():
                    - massey_value_closed_form(tau)) < 1e-9
 
 
+@pytest.mark.parametrize("k", [1, 5e11, 5e14], ids=["1", "5e11", "5e14"])
+def test_even_shift_keeps_the_value_far_along_re_tau(k):
+    # tau = i + 2k lies on the lattice of i, where the value is exactly
+    # -(4/pi) log 2; unshifted, the series' phases lose digits with |Re tau|.
+    tau = complex(2 * k, 1.0)
+    for route in (massey_value_closed_form, massey_value_via_linking):
+        assert abs(route(tau) - VALUE_AT_I) <= 1e-14 * abs(VALUE_AT_I)
+
+
 def test_nonvanishing_threshold():
     rep = massey_report(0.3 + 1.7j)
     assert rep.nonvanishing

@@ -11,7 +11,6 @@ from holink import (
     ConvergenceError,
     Divisor,
     DomainError,
-    InternalError,
     PoleError,
     TauParameter,
     half_period_values,
@@ -163,9 +162,10 @@ def test_lattice_sums_match_scalar_bitwise():
 
 def test_batch_lambdas_blocks_match_scalar_bitwise():
     # THETA_BLOCK + 1 taus: one full block, then a size-1 partial block.
+    # Re tau reaches past +-1, where both paths shift it, and Im tau the floor.
     rng = np.random.default_rng(7)
-    (re_lo, re_hi), (_, im_hi) = TAU_BOX
-    taus = [complex(rng.uniform(re_lo, re_hi), rng.uniform(0.5, im_hi))
+    _, (_, im_hi) = TAU_BOX
+    taus = [complex(rng.uniform(-3.0, 3.0), rng.uniform(0.05, im_hi))
             for _ in range(THETA_BLOCK + 1)]
     got = list(_batch_lambdas(np.array(taus)))
     assert [block.size for block, _ in got] == [THETA_BLOCK, 1]
@@ -175,66 +175,42 @@ def test_batch_lambdas_blocks_match_scalar_bitwise():
     assert list(_batch_lambdas(np.array([], dtype=complex))) == []
 
 
-# A domain-probe tau whose lambda is right but |lambda| ~ 6e10, where the
-# half-period quotient of the pin loses the digits: modular_lambda raises.
-PIN_MISS_TAU = -0.983094027854641 + 0.11120398821644994j
-# Near the cusp 1 at the Im floor theta2^4 and theta4^4 cancel in e1 - e2,
-# which rounds to 0: the pin's quotient raises ZeroDivisionError.
-PIN_ZERO_TAU = 0.9822354269566855 + 0.06316982813230464j
+# Floor-band taus near the cusps Re tau = +-1, where |lambda| is 6e10 to
+# 1e26, with (4/pi) log|1 - lambda| from mpmath: lambda = (theta2 / theta3)^4
+# by mpmath.jtheta at the tau's exact binary value, at mp.dps = 40 and 80
+# (the two agree to 25 digits), rounded to 16 digits.
+CUSP_REFERENCES = [
+    (-0.983094027854641 + 0.11120398821644994j, 31.62720234496480),
+    (0.9822354269566855 + 0.06316982813230464j, 55.15048241403219),
+    (0.999 + 0.05j, 76.43784319243962),
+]
 
 
-@pytest.mark.parametrize("tau, error", [(PIN_MISS_TAU, InternalError),
-                                        (PIN_ZERO_TAU, ZeroDivisionError)],
-                         ids=["pin-miss", "zero-divisor"])
-def test_batch_lambdas_pin_raises_the_scalar_error(tau, error):
-    with pytest.raises(error) as scalar:
-        modular_lambda(tau)
-    pairs = _batch_lambdas(np.array([0.3 + 1.7j, tau, 0.2 + 1j]))
-    # the taus before the rejected one come first, so an error of theirs
-    # downstream still wins
-    block, lams = next(pairs)
-    assert block.tolist() == [0.3 + 1.7j]
-    assert _hex(lams[0]) == _hex(modular_lambda(0.3 + 1.7j))
-    with pytest.raises(error) as batch:
-        next(pairs)
-    assert str(batch.value) == str(scalar.value)
-
-
-def test_complex_quotients_match_python_division_bitwise():
-    # Smith's method branches on |Re b| >= |Im b|: seeded values of mixed
-    # magnitude, plus ties, zero parts of b and of a, in every sign.
-    rng = np.random.default_rng(11)
-    parts = list(rng.standard_normal(40) * 10.0 ** rng.integers(-8, 9, 40))
-    b = [complex(x, y) for x, y in zip(parts[:20], parts[20:])]
-    for m in (1.0, 0.3, 2.5e-7, 4e6):
-        for sr in (1.0, -1.0):
-            for si in (1.0, -1.0):
-                b += [complex(sr * m, si * m), complex(sr * m, si * 0.0),
-                      complex(sr * 0.0, si * m)]
-    a = [complex(x, y) for x, y in zip(parts[::2], parts[1::2])]
-    a += [complex(sr * 1.5, si * 0.0) for sr in (1, -1) for si in (1, -1)]
-    a += [complex(sr * 0.0, si * 1.5) for sr in (1, -1) for si in (1, -1)]
-    a += [complex(sr * 0.0, si * 0.0) for sr in (1, -1) for si in (1, -1)]
-    num = np.array([x for x in a for _ in b])
-    den = np.array([y for _ in a for y in b])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = special_functions._complex_quotients(num, den)
-    assert ([_hex(q) for q in got.tolist()]
-            == [_hex(x / y) for x, y in zip(num.tolist(), den.tolist())])
+@pytest.mark.parametrize("tau, value", CUSP_REFERENCES,
+                         ids=["abs-lambda-6e10", "abs-lambda-6e18",
+                              "abs-lambda-1e26"])
+def test_cusp_floor_lambda_and_massey_match_reference(tau, value):
+    lam = modular_lambda(tau)
+    (_, lams), = _batch_lambdas(np.array([tau]))
+    assert _hex(lams[0]) == _hex(lam)
+    rep = massey_report(tau)
+    for got in (rep.value_closed_form, rep.value_via_linking):
+        assert abs(got - value) <= 1e-9 * abs(value)
 
 
 def test_phase_overflow_is_convergence_error_on_both_paths():
     # Far along Re tau the phase pi * Re(tau) * a^2 of a term leaves double
     # range: cmath.exp raises ValueError (3e306, -5e307), or the product
     # overflows first and leaves a NaN (1e308).  Both paths stop at that term
-    # with one message, and numpy warns of nothing.
+    # with one message, and numpy warns of nothing.  Lambda does not: it
+    # shifts Re tau by an even integer, here to exactly 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tau in (3e306 + 0.5j, -5e307 + 0.5j, 1e308 + 0.5j):
+            assert _hex(modular_lambda(tau)) == _hex(modular_lambda(0.5j))
             with pytest.raises(ConvergenceError,
                                match="term exceeds double range") as scalar:
-                modular_lambda(tau)
+                theta(2, 0.0, tau)
             for batch in (np.array([tau]), np.array([1j, tau])):
                 with pytest.raises(ConvergenceError) as kernel:
                     [_theta_array(kind, 0.0, batch) for kind in (2, 3, 4)]
