@@ -21,8 +21,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import HolinkError
 from .hodge import hodge_diamond_x
@@ -30,6 +29,9 @@ from .linking import Curve, Divisor, INFINITY, SPHERE, linking
 from .massey import DEFAULT_NONVANISHING_TOL, _closed_form_from_lambda, massey_report
 from .special_functions import _batch_lambdas, as_tau, modular_lambda
 from .verify import format_summary, run_all
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _FULL_RE = re.compile(rf"^(?P<re>[+-]?{_NUM})(?P<imsign>[+-])(?P<im>{_NUM})?i$")
@@ -145,6 +147,7 @@ class ScanGrid:
     taus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
         for steps, name in ((self.steps_re, "steps-re"), (self.steps_im, "steps-im")):
             if not isinstance(steps, int) or steps < 1:
                 raise ValueError(f"{name} must be a positive integer, got {steps!r}")
@@ -226,6 +229,7 @@ def cmd_link(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    import numpy as np
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
     chunks = [CSV_HEADER + "\n"]

@@ -32,9 +32,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import (
     BranchError,
@@ -58,6 +56,9 @@ from .special_functions import (
     theta,
     torus_distance,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Tolerance below which two support points count as colliding.
 DISJOINTNESS_TOL = 1e-9
@@ -309,6 +310,7 @@ def _green_array(us: np.ndarray, t: TauParameter) -> np.ndarray:
     One theta kernel call serves every point.  ``arakelov_green`` itself
     stays scalar: for one point numpy's per-call cost is many times the
     scalar evaluation."""
+    import numpy as np
     ur, dist = _reduce_array(us, t)
     pole = dist < POLE_TOL
     if pole.any():

@@ -43,9 +43,11 @@ itself.  ``linking._green_array`` runs it for theta1 over many z of one
 tau.  One point does not go through the kernel: a size-1
 call takes 170-250 us against 5-15 us for the scalar loops (2-vCPU x86-64
 host, numpy 2.4), while over verify's 20,320 Green-kernel points it costs
-about 1 us a point.  No fundamental-domain reduction of tau is performed;
-construction of ``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05),
-as the q-series lose precision near that floor (|q| -> 0.855).  The theta
+about 1 us a point.  numpy is imported by these array paths only, inside
+their functions, so a process that builds no array never loads it.  No
+fundamental-domain reduction of tau is performed; construction of
+``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05), as the q-series
+lose precision near that floor (|q| -> 0.855).  The theta
 constants, lambda and the Massey routes run at ``_even_shift(tau)``, an
 exact shift into |Re tau| <= 1 that keeps their values and the series'
 phases small; the public ``theta`` is the raw series at the caller's tau.
@@ -58,10 +60,12 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, PoleError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
@@ -84,6 +88,9 @@ _EXP_CAP = 700.0
 
 _PI = math.pi
 _PI2_3 = math.pi ** 2 / 3.0
+_IPI = 1j * _PI
+#: theta1's factor (-1)^n * (-i), indexed by n & 1.
+_THETA1_SIGNS = ((-1) ** 0 * (-1j), (-1) ** 1 * (-1j))
 
 
 @dataclass(frozen=True)
@@ -186,13 +193,14 @@ def _theta_series(kind: int, z: complex, t: complex) -> complex:
             if cmath.isnan(total):
                 raise _phase_overflow(kind, t)
             return total
+        ta, kz = t * a * a, k * z
         try:
-            e_plus = cmath.exp(1j * _PI * (t * a * a + k * z))
-            e_minus = cmath.exp(1j * _PI * (t * a * a - k * z))
+            e_plus = cmath.exp(_IPI * (ta + kz))
+            e_minus = cmath.exp(_IPI * (ta - kz))
         except ValueError:  # an infinite phase with a finite real part
             raise _phase_overflow(kind, t) from None
         if kind == 1:
-            total += (-1) ** n * (-1j) * (e_plus - e_minus)
+            total += _THETA1_SIGNS[n & 1] * (e_plus - e_minus)
         elif kind == 4 and n % 2 == 1:
             total += -(e_plus + e_minus)
         else:
@@ -205,13 +213,14 @@ def _even_shift(tau):
     or, element by element with the same bits, a complex array.  The shift
     is exact and keeps the lattice, e1, e2, e3 and the 2-torsion points;
     theta3, theta4 and theta2^4 have period 2.  An odd shift would not: it
-    maps lambda to lambda / (lambda - 1)."""
-    if isinstance(tau, np.ndarray):
-        re = tau.real
-        return np.where(np.abs(re) > 1.0, tau - 2.0 * np.round(re / 2.0), tau)
-    if abs(tau.real) > 1.0:
-        return tau - 2.0 * round(tau.real / 2.0)
-    return tau
+    maps lambda to lambda / (lambda - 1).  A complex never reaches numpy."""
+    if isinstance(tau, complex):
+        if abs(tau.real) > 1.0:
+            return tau - 2.0 * round(tau.real / 2.0)
+        return tau
+    import numpy as np
+    re = tau.real
+    return np.where(np.abs(re) > 1.0, tau - 2.0 * np.round(re / 2.0), tau)
 
 
 @lru_cache(maxsize=512)
@@ -222,12 +231,6 @@ def _theta_constants(t: TauParameter) -> tuple[complex, complex, complex]:
     return tuple(_theta_series(kind, 0.0, s) for kind in (2, 3, 4))
 
 
-# Overflow in the kernel is not an error, so numpy's warnings for it are
-# off: -pi * Im(tau) * a^2 may reach -inf, whose exp is the bound 0 that
-# stops the scalar loop too; a phase past double range leaves a NaN sum,
-# which raises as in ``theta``, or a NaN term of a stopped point, which
-# ``np.where`` drops.
-@np.errstate(over="ignore", invalid="ignore")
 def _theta_array(kind: int, z, tau) -> np.ndarray:
     """theta_kind(z, tau) over z broadcast against tau (complex arrays or
     scalars), equal to ``theta`` bit for bit.
@@ -243,51 +246,61 @@ def _theta_array(kind: int, z, tau) -> np.ndarray:
     Where every z is 0 each term takes one exponential and the bound has no
     |Im z| part.
     """
-    z, tau = np.broadcast_arrays(np.asarray(z, complex), np.asarray(tau, complex))
-    at_zero = not z.any()
-    im = tau.imag
-    abs_im_z = np.abs(z.imag)
-    half = kind in (1, 2)
-    total = np.zeros(z.shape, complex) if half else np.ones(z.shape, complex)
-    active = np.ones(z.shape, dtype=bool)
-    for n in range(0 if half else 1, MAX_TERMS):
-        a = n + 0.5 if half else n
-        k = 2 * a
-        log_mag = -_PI * im * a * a
-        if not at_zero:
-            log_mag = log_mag + _PI * k * abs_im_z
-            capped = active & (log_mag > _EXP_CAP)
-            if capped.any():
-                raise ConvergenceError(
-                    f"theta{kind} term at n={n} exceeds double range "
-                    f"(z={complex(z[capped][0])!r}, "
-                    f"tau={complex(tau[capped][0])!r}); "
-                    "reduce z modulo the lattice first"
-                )
-        bound = 2.0 * np.exp(log_mag + 0j).real
-        # false for a NaN sum, as in the scalar loop
-        active &= bound >= EPS_SERIES * (1.0 + np.hypot(total.real, total.imag))
-        if not active.any():
-            break
-        ta = tau * a * a
-        if at_zero:
-            e_plus = e_minus = np.exp(1j * _PI * ta)
+    import numpy as np
+    # Overflow in the kernel is not an error, so numpy's warnings for it are
+    # off: -pi * Im(tau) * a^2 may reach -inf, whose exp is the bound 0 that
+    # stops the scalar loop too; a phase past double range leaves a NaN sum,
+    # which raises as in ``theta``, or a NaN term of a stopped point, which
+    # ``np.where`` drops.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, tau = np.broadcast_arrays(np.asarray(z, complex),
+                                     np.asarray(tau, complex))
+        at_zero = not z.any()
+        im = tau.imag
+        abs_im_z = np.abs(z.imag)
+        half = kind in (1, 2)
+        total = np.zeros(z.shape, complex) if half else np.ones(z.shape, complex)
+        active = np.ones(z.shape, dtype=bool)
+        for n in range(0 if half else 1, MAX_TERMS):
+            a = n + 0.5 if half else n
+            k = 2 * a
+            log_mag = -_PI * im * a * a
+            if not at_zero:
+                log_mag = log_mag + _PI * k * abs_im_z
+                capped = active & (log_mag > _EXP_CAP)
+                if capped.any():
+                    raise ConvergenceError(
+                        f"theta{kind} term at n={n} exceeds double range "
+                        f"(z={complex(z[capped][0])!r}, "
+                        f"tau={complex(tau[capped][0])!r}); "
+                        "reduce z modulo the lattice first"
+                    )
+            bound = 2.0 * np.exp(log_mag + 0j).real
+            # false for a NaN sum, as in the scalar loop
+            active &= bound >= EPS_SERIES * (1.0 + np.hypot(total.real,
+                                                            total.imag))
+            if not active.any():
+                break
+            ta = tau * a * a
+            if at_zero:
+                e_plus = e_minus = np.exp(1j * _PI * ta)
+            else:
+                e_plus = np.exp(1j * _PI * (ta + k * z))
+                e_minus = np.exp(1j * _PI * (ta - k * z))
+            if kind == 1:
+                term = (-1) ** n * (-1j) * (e_plus - e_minus)
+            elif kind == 4 and n % 2 == 1:
+                term = -(e_plus + e_minus)
+            else:
+                term = e_plus + e_minus
+            total = np.where(active, total + term, total)
         else:
-            e_plus = np.exp(1j * _PI * (ta + k * z))
-            e_minus = np.exp(1j * _PI * (ta - k * z))
-        if kind == 1:
-            term = (-1) ** n * (-1j) * (e_plus - e_minus)
-        elif kind == 4 and n % 2 == 1:
-            term = -(e_plus + e_minus)
-        else:
-            term = e_plus + e_minus
-        total = np.where(active, total + term, total)
-    else:
-        raise ConvergenceError(f"theta{kind} did not converge in {MAX_TERMS} terms")
-    overflowed = np.isnan(total)
-    if overflowed.any():
-        raise _phase_overflow(kind, complex(tau[overflowed][0]))
-    return total
+            raise ConvergenceError(
+                f"theta{kind} did not converge in {MAX_TERMS} terms")
+        overflowed = np.isnan(total)
+        if overflowed.any():
+            raise _phase_overflow(kind, complex(tau[overflowed][0]))
+        return total
 
 
 @dataclass(frozen=True)
@@ -351,6 +364,7 @@ def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
 
 def _snap_units(x: np.ndarray) -> np.ndarray:
     """``_snap_unit`` over a float array, bit for bit."""
+    import numpy as np
     x = x - np.floor(x)
     half = np.round(2.0 * x) / 2.0
     return np.where(np.abs(x - half) < SNAP_TOL, half % 1.0, x)
@@ -360,6 +374,7 @@ def _reduce_array(z: np.ndarray,
                   t: TauParameter) -> tuple[np.ndarray, np.ndarray]:
     """``reduce_mod_lattice`` over a complex array, bit for bit, and the
     ``_corner_distance`` of each reduced point."""
+    import numpy as np
     tv = t.value
     y = z.imag / tv.imag
     x = _snap_units(z.real - y * tv.real)
@@ -381,9 +396,13 @@ def _corner_distance(zr: complex, t: TauParameter) -> float:
 
 def torus_distance(u: complex, v: complex, tau: TauParameter | complex) -> float:
     """Euclidean distance between u and v modulo the lattice Z + Z*tau: one
-    reduction of u - v, then the distance to the nearest cell corner."""
+    reduction of the difference, then the distance to the nearest cell
+    corner.  The difference is taken in one canonical orientation, so that
+    torus_distance(u, v) == torus_distance(v, u) bit for bit."""
     t = as_tau(tau)
-    return _corner_distance(reduce_mod_lattice(complex(u) - complex(v), t), t)
+    u, v = complex(u), complex(v)
+    d = u - v if (u.real, u.imag) <= (v.real, v.imag) else v - u
+    return _corner_distance(reduce_mod_lattice(d, t), t)
 
 
 def lattice_sum_p(z: complex, tau: TauParameter | complex, radius: int) -> complex:
@@ -413,6 +432,7 @@ def _lattice_sums_p(zs: list[complex], t: TauParameter,
                     radius: int) -> list[complex]:
     """``lattice_sum_p`` at each z of ``zs``, bit for bit, off the lattice:
     the half-lattice and its 2/w^2 are built once for all of them."""
+    import numpy as np
     # Half-lattice enumeration: (m, 0) for m = 1..R, then (m, n) for n >= 1.
     w0 = np.arange(1, radius + 1, dtype=np.complex128)
     mg, ng = np.meshgrid(np.arange(-radius, radius + 1, dtype=np.float64),
@@ -465,6 +485,7 @@ def _batch_lambdas(taus: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     gives theta2 and theta3 at the shifted taus, and each lambda is formed
     in Python over ``.tolist()``, as ``modular_lambda`` forms it: the two
     agree bit for bit by construction."""
+    import numpy as np
     for lo in range(0, taus.size, THETA_BLOCK):
         block = taus[lo:lo + THETA_BLOCK]
         shifted = _even_shift(block)

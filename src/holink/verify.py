@@ -19,8 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DisjointnessError
 from .hodge import (
@@ -52,6 +51,9 @@ from .special_functions import (
     torus_distance,
     weierstrass_p,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The tau sampling box used throughout: Re in [-1, 1], Im in [0.3, 3].
 TAU_BOX = ((-1.0, 1.0), (0.3, 3.0))
@@ -287,6 +289,7 @@ def _laplacian_grid(tau: complex) -> np.ndarray:
     """Five-point finite-difference Laplacian of the Green kernel over the
     n x n grid of fundamental-cell midpoints at least 3/n from the lattice,
     in row-major cell order, with one kernel call for all five stencils."""
+    import numpy as np
     t = as_tau(tau)
     step, n = 2e-5, 64
     h = 1.0 / n
@@ -414,6 +417,7 @@ def run_all(seed: int = 42, tol: float | None = None) -> list[SuiteResult]:
     ``tol``, when given (positive and finite), replaces each suite's default
     tolerance.  The verdict, worst residual below tolerance, is decided here.
     """
+    import numpy as np
     if tol is not None:
         _check_tolerance(tol)
     children = np.random.SeedSequence(seed).spawn(len(_SUITES))

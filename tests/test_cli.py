@@ -452,3 +452,57 @@ def test_verify_byte_determinism_subprocess():
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout  # not empty
+
+
+# The child runs every scalar path, checking after each that numpy is still
+# unloaded, then a 2x2 scan, which must load it: the check is not vacuous.
+_NUMPY_FREE_SCRIPT = """
+import sys
+import holink, holink.cli
+from holink import Divisor, RationalMapSpec
+
+def numpy_free(step):
+    assert "numpy" not in sys.modules, step
+
+numpy_free("import holink, holink.cli")
+sz, sw, ez, ew, out = sys.argv[1:]
+for argv in (["lambda", "0.3+1.7i"], ["massey", "0.3+1.7i"], ["hodge"],
+             ["link", sz, sw], ["link", ez, ew]):
+    assert holink.cli.main(argv) == 0, argv
+    numpy_free(argv)
+tau = 0.3 + 1.7j
+holink.massey_report(tau)
+numpy_free("massey_report")
+pts = [(k % 4) / 4 + 0.1 + ((k // 4) / 4 + 0.1) * tau for k in range(16)]
+signs = [1, -1] * 4
+z = Divisor.elliptic(tau, list(zip(pts[:8], signs)))
+w = Divisor.elliptic(tau, list(zip(pts[8:], signs)))
+holink.linking(z, w)
+numpy_free("8-point elliptic linking")
+holink.check_adjunction(RationalMapSpec.power(2),
+                        Divisor.sphere([(0.5 + 0.2j, 1), (1.5 - 0.3j, -1)]),
+                        Divisor.sphere([(2.0 + 1.0j, 1), (-0.7 + 0.4j, -1)]))
+holink.check_adjunction(RationalMapSpec.translation(0.25 + 0.1j), z, w)
+numpy_free("check_adjunction")
+assert holink.cli.main(["scan", "--re-min", "-0.5", "--re-max", "0.5",
+                        "--im-min", "1", "--im-max", "2", "--steps-re", "2",
+                        "--steps-im", "2", "--out", out]) == 0
+assert "numpy" in sys.modules, "scan ran without numpy"
+"""
+
+
+def test_scalar_paths_never_import_numpy(tmp_path):
+    paths = []
+    for name, curve, terms in (
+            ("sz", "sphere", [[0.0, 0.0, 1], [1.0, 0.0, -1]]),
+            ("sw", "sphere", [[2.0, 0.0, 1], ["inf", -1]]),
+            ("ez", {"elliptic": "0.3+1.7i"}, [[0.1, 0.2, 1], [0.6, 0.3, -1]]),
+            ("ew", {"elliptic": "0.3+1.7i"}, [[0.2, 1.1, 1], [0.7, 0.9, -1]])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"curve": curve, "terms": terms}))
+        paths.append(str(path))
+    paths.append(str(tmp_path / "grid.csv"))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_SCRIPT, *paths],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "grid.csv").read_text().count("\n") == 5

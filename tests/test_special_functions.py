@@ -20,6 +20,7 @@ from holink import (
     massey_report,
     modular_lambda,
     theta,
+    torus_distance,
     weierstrass_p,
 )
 from holink import special_functions
@@ -304,6 +305,20 @@ def test_half_period_sum_and_distinctness():
         assert abs(hp.e1 - hp.e2) > 1e-9 * scale
         assert abs(hp.e1 - hp.e3) > 1e-9 * scale
         assert abs(hp.e2 - hp.e3) > 1e-9 * scale
+
+
+def test_torus_distance_symmetric_bitwise():
+    # Without one canonical orientation of the difference, about half of
+    # all cell pairs give (u, v) and (v, u) different last bits.
+    rng = np.random.default_rng(17)
+    for tau in (1j, 0.5 + 0.8j, -0.3 + 2.4j):
+        for _ in range(200):
+            u, v = (complex(*rng.uniform(-2.0, 2.0, size=2)) for _ in range(2))
+            assert (torus_distance(u, v, tau).hex()
+                    == torus_distance(v, u, tau).hex())
+            u, v = (rng.uniform() + rng.uniform() * tau for _ in range(2))
+            assert (torus_distance(u, v, tau).hex()
+                    == torus_distance(v, u, tau).hex())
 
 
 def test_lattice_sum_validation():
