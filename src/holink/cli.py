@@ -34,8 +34,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_FULL_RE = re.compile(rf"^(?P<re>[+-]?{_NUM})(?P<imsign>[+-])(?P<im>{_NUM})?i$")
-_IMAG_RE = re.compile(rf"^(?P<imsign>[+-]?)(?P<im>{_NUM})?i$")
+# "a+bi", "a-bi" and "bi": a real part is present only where a sign follows it.
+_COMPLEX_RE = re.compile(
+    rf"^(?:(?P<re>[+-]?{_NUM})(?=[+-]))?(?P<imsign>[+-]?)(?P<im>{_NUM})?i$")
 _REAL_RE = re.compile(rf"^[+-]?{_NUM}$")
 
 
@@ -46,18 +47,12 @@ def parse_complex(text: str) -> complex:
     part.  Raises ValueError on anything else.
     """
     s = "".join(str(text).split())
-    m = _FULL_RE.match(s)
+    m = _COMPLEX_RE.match(s)
     if m:
         im = float(m.group("im")) if m.group("im") is not None else 1.0
         if m.group("imsign") == "-":
             im = -im
-        return complex(float(m.group("re")), im)
-    m = _IMAG_RE.match(s)
-    if m:
-        im = float(m.group("im")) if m.group("im") is not None else 1.0
-        if m.group("imsign") == "-":
-            im = -im
-        return complex(0.0, im)
+        return complex(float(m.group("re") or 0.0), im)
     if _REAL_RE.match(s):
         return complex(float(s), 0.0)
     raise ValueError(f"cannot parse {text!r} as a complex number "
@@ -313,9 +308,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if isinstance(code, int) else (0 if code is None else 2)
+    except SystemExit as exc:  # argparse exits with 0 (--help) or 2
+        return exc.code
     try:
         return args.func(args)
     except HolinkError as exc:

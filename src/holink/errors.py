@@ -14,7 +14,7 @@ class PoleError(DomainError):
 
 
 class ConvergenceError(HolinkError, ArithmeticError):
-    """A series failed to reach the requested truncation within the term cap."""
+    """A series term, or its phase, leaves double range."""
 
 
 class HomologyError(HolinkError, ValueError):

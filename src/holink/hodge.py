@@ -90,21 +90,15 @@ class GroupAction:
 
     @classmethod
     def closed(cls, generators, *, require_conjugation: bool = True) -> "GroupAction":
-        """Close a list of sign vectors under composition and build the action."""
-        gens = [_validate_element(g) for g in generators]
+        """Close a list of sign vectors under composition and build the action:
+        diagonal sign elements commute and square to the identity, so they
+        generate the products of their subsets."""
         els = {(1, 1, 1, 1, 1, 1)}
-        frontier = list(els)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    c = _compose(a, g)
-                    if c not in els:
-                        els.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        ordered = sorted(els, reverse=True)
-        return cls(tuple(ordered), require_conjugation=require_conjugation)
+        for g in generators:
+            g = _validate_element(g)
+            els |= {_compose(e, g) for e in els}
+        return cls(tuple(sorted(els, reverse=True)),
+                   require_conjugation=require_conjugation)
 
     def order(self) -> int:
         return len(self.elements)
@@ -190,26 +184,14 @@ def invariant_dims(action: GroupAction) -> BigradedDims:
     symmetric polynomial; the invariant dimension is the group average,
     an exact integer because ``GroupAction`` admits only groups.
     """
-    order = action.order()
-
     def elementary(signs: tuple[int, int, int], k: int) -> int:
-        return sum(s for s in _symmetric_products(signs, k))
+        return sum(map(math.prod, itertools.combinations(signs, k)))
 
     def dim(p: int, q: int) -> int:
-        total = 0
-        for el in action.elements:
-            total += (elementary(el[:3], p) * elementary(el[3:], q))
-        return total // order
+        return sum(elementary(el[:3], p) * elementary(el[3:], q)
+                   for el in action.elements) // action.order()
 
     return BigradedDims.from_function(dim)
-
-
-def _symmetric_products(signs, k: int):
-    for combo in itertools.combinations(signs, k):
-        prod = 1
-        for s in combo:
-            prod *= s
-        yield prod
 
 
 def invariant_dims_by_enumeration(action: GroupAction) -> BigradedDims:
@@ -220,24 +202,12 @@ def invariant_dims_by_enumeration(action: GroupAction) -> BigradedDims:
     spanned by monomials whose total sign is +1 for all group elements.
     """
     def dim(p: int, q: int) -> int:
-        count = 0
-        for s_idx in itertools.combinations(range(3), p):
-            for t_idx in itertools.combinations(range(3, 6), q):
-                if all(_monomial_sign(el, s_idx, t_idx) == 1
-                       for el in action.elements):
-                    count += 1
-        return count
+        return sum(all(math.prod(el[i] for i in s_idx + t_idx) == 1
+                       for el in action.elements)
+                   for s_idx in itertools.combinations(range(3), p)
+                   for t_idx in itertools.combinations(range(3, 6), q))
 
     return BigradedDims.from_function(dim)
-
-
-def _monomial_sign(el: Signs, s_idx, t_idx) -> int:
-    sign = 1
-    for i in s_idx:
-        sign *= el[i]
-    for j in t_idx:
-        sign *= el[j]
-    return sign
 
 
 @dataclass(frozen=True)

@@ -296,12 +296,18 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     ur = reduce_mod_lattice(u, t)
     if _corner_distance(ur, t) < POLE_TOL:
         raise PoleError(f"green kernel has a logarithmic pole at {u!r}")
-    th1 = abs(theta(1, ur, t))
-    if th1 == 0.0:
+    return _green_from_theta1(theta(1, ur, t), ur, t)
+
+
+def _green_from_theta1(th1: complex, ur: complex, t: TauParameter) -> float:
+    """g_tau at ur, a reduced point off the lattice, from theta1(ur, tau):
+    the formula and underflow rule of ``arakelov_green`` and ``_green_array``."""
+    mod = abs(th1)
+    if mod == 0.0:
         raise DivergenceError(
             f"theta1({ur!r}, {t.value!r}) underflows to 0: log|theta1| is "
             "out of double range")
-    return math.log(th1) / math.pi - ur.imag ** 2 / t.value.imag
+    return math.log(mod) / math.pi - ur.imag ** 2 / t.value.imag
 
 
 def _green_array(us: np.ndarray, t: TauParameter) -> np.ndarray:
@@ -317,15 +323,8 @@ def _green_array(us: np.ndarray, t: TauParameter) -> np.ndarray:
         raise PoleError(f"green kernel has a logarithmic pole at "
                         f"{complex(us[pole][0])!r}")
     th1 = _theta_array(1, ur, t.value)
-    th1 = np.hypot(th1.real, th1.imag)
-    zero = th1 == 0.0
-    if zero.any():
-        raise DivergenceError(
-            f"theta1({complex(ur[zero][0])!r}, {t.value!r}) underflows to 0: "
-            "log|theta1| is out of double range")
-    im_tau = t.value.imag
-    return np.array([math.log(a) / math.pi - b ** 2 / im_tau
-                     for a, b in zip(th1.tolist(), ur.imag.tolist())])
+    return np.array([_green_from_theta1(th, u, t)
+                     for th, u in zip(th1.tolist(), ur.tolist())])
 
 
 def linking_elliptic(z: Divisor, w: Divisor, *,

@@ -25,15 +25,15 @@ Conventions, pinned here and relied on by every consumer in the package:
   (the lemniscatic value) at tau = i.
 
 All series are truncated adaptively: summation stops once an upper bound
-for the next term drops below EPS_SERIES * (1 + |partial sum|), and a
-ConvergenceError is raised if MAX_TERMS terms do not get there.
+for the next term drops below EPS_SERIES * (1 + |partial sum|), within
+about 136 terms at Im tau >= MIN_IM_TAU, as _EXP_CAP bounds the peak term.
 
 Two paths evaluate theta, selected by input: ``theta`` (and its cache
 ``_theta_constants``) for one point, and one numpy kernel,
 ``_theta_array(kind, z, tau)`` with z broadcast against tau, for many.  The
-kernel sums the same terms in the same order with the same per-point
-stopping rule (|partial sum| is ``np.hypot``, the libm function behind
-``abs``), MAX_TERMS guard and ConvergenceErrors, so its values equal
+kernel sums the same ``_paired_term``s in the same order with the same
+per-point stopping rule (|partial sum| is ``np.hypot``, the libm function
+behind ``abs``) and ConvergenceErrors, so its values equal
 ``theta`` bit for bit (tests compare them by ``float.hex``).  Where every z
 is 0 it takes one exponential per term and leaves the |Im z| part out of
 the bound.  ``_batch_lambdas``, ``holink scan``'s path, feeds it THETA_BLOCK
@@ -56,6 +56,7 @@ phases small; the public ``theta`` is the raw series at the caller's tau.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -69,7 +70,6 @@ if TYPE_CHECKING:
 
 MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
-MAX_TERMS = 10_000
 
 #: Taus per block of ``_batch_lambdas`` (one call of the array kernel per
 #: theta kind, then lambda over the block): enough to spread
@@ -143,6 +143,23 @@ def _phase_overflow(kind: int, tau: complex) -> ConvergenceError:
         f"tau = {tau!r}")
 
 
+def _term_overflow(kind: int, n: int, z: complex, tau: complex) -> ConvergenceError:
+    """The error of both theta paths for a term beyond _EXP_CAP at (z, tau)."""
+    return ConvergenceError(
+        f"theta{kind} term at n={n} exceeds double range "
+        f"(z={z!r}, tau={tau!r}); reduce z modulo the lattice first")
+
+
+def _paired_term(kind: int, n: int, e_plus, e_minus):
+    """The n-th paired term of theta_kind from its exponentials at +-k, for
+    complex numbers or arrays alike: the sign rule of both theta paths."""
+    if kind == 1:
+        return _THETA1_SIGNS[n & 1] * (e_plus - e_minus)
+    if kind == 4 and n & 1:
+        return -(e_plus + e_minus)
+    return e_plus + e_minus
+
+
 def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     """Jacobi theta function theta_kind(z, tau), kind in {1, 2, 3, 4}.
 
@@ -157,9 +174,9 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     a = n + 1/2 (kinds 1, 2) or a = n >= 1 (kinds 3, 4, after the n = 0
     term) are paired at frequencies +-k, k = 2a, so oddness of theta1 holds
     exactly in floating point.  Truncation stops once an upper bound for the
-    next paired term falls below EPS_SERIES * (1 + |partial sum|); exceeding
-    MAX_TERMS raises ConvergenceError, as does a term too large for double
-    precision or one whose phase leaves double range.
+    next paired term falls below EPS_SERIES * (1 + |partial sum|), with no
+    term cap; a term too large for double precision raises ConvergenceError,
+    as does one whose phase leaves double range.
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"theta kind must be 1..4, got {kind!r}")
@@ -176,16 +193,13 @@ def _theta_series(kind: int, z: complex, t: complex) -> complex:
     abs_im_z = abs(z.imag)
     half = kind in (1, 2)
     total = 0.0 + 0.0j if half else 1.0 + 0.0j
-    for n in range(0 if half else 1, MAX_TERMS):
+    for n in itertools.count(0 if half else 1):
         a = n + 0.5 if half else n
         k = 2 * a
         # |term| <= exp(-pi*Im(tau)*a^2 + pi*k*|Im z|) for each exponential.
         log_mag = -_PI * im_tau * a * a + _PI * k * abs_im_z
         if log_mag > _EXP_CAP:
-            raise ConvergenceError(
-                f"theta{kind} term at n={n} exceeds double range "
-                f"(z={z!r}, tau={t!r}); reduce z modulo the lattice first"
-            )
+            raise _term_overflow(kind, n, z, t)
         bound = 2.0 * math.exp(log_mag)
         # "not >=" stops on a NaN sum too: a phase that overflowed in the
         # product below, before cmath.exp saw it, leaves a NaN term.
@@ -199,13 +213,7 @@ def _theta_series(kind: int, z: complex, t: complex) -> complex:
             e_minus = cmath.exp(_IPI * (ta - kz))
         except ValueError:  # an infinite phase with a finite real part
             raise _phase_overflow(kind, t) from None
-        if kind == 1:
-            total += _THETA1_SIGNS[n & 1] * (e_plus - e_minus)
-        elif kind == 4 and n % 2 == 1:
-            total += -(e_plus + e_minus)
-        else:
-            total += e_plus + e_minus
-    raise ConvergenceError(f"theta{kind} did not converge in {MAX_TERMS} terms")
+        total += _paired_term(kind, n, e_plus, e_minus)
 
 
 def _even_shift(tau):
@@ -235,14 +243,14 @@ def _theta_array(kind: int, z, tau) -> np.ndarray:
     """theta_kind(z, tau) over z broadcast against tau (complex arrays or
     scalars), equal to ``theta`` bit for bit.
 
-    ``theta``'s loop for every point at once: the same terms in the same
-    order, each point stopping on its own partial sum, and the same
-    MAX_TERMS guard.  A term beyond _EXP_CAP raises ``theta``'s
-    ConvergenceError, naming the first point still summing.  Exponentials,
-    the stopping bound's included, go through complex ``np.exp``, which
-    computes exp(x) * (cos y, sin y) with libm as ``cmath.exp`` does (numpy's
-    real float64 ``exp`` has SIMD loops that can differ from ``math.exp`` in
-    the last bit), and |partial sum| is ``np.hypot``, libm's as in ``abs``.
+    ``theta``'s loop for every point at once: the same ``_paired_term``s in
+    the same order, each point stopping on its own partial sum.  A term
+    beyond _EXP_CAP raises ``theta``'s ``_term_overflow`` error, naming the
+    first point still summing.  Exponentials, the stopping bound's
+    included, go through complex ``np.exp``, which computes
+    exp(x) * (cos y, sin y) with libm as ``cmath.exp`` does (numpy's real
+    float64 ``exp`` has SIMD loops that can differ from ``math.exp`` in the
+    last bit), and |partial sum| is ``np.hypot``, libm's as in ``abs``.
     Where every z is 0 each term takes one exponential and the bound has no
     |Im z| part.
     """
@@ -261,7 +269,7 @@ def _theta_array(kind: int, z, tau) -> np.ndarray:
         half = kind in (1, 2)
         total = np.zeros(z.shape, complex) if half else np.ones(z.shape, complex)
         active = np.ones(z.shape, dtype=bool)
-        for n in range(0 if half else 1, MAX_TERMS):
+        for n in itertools.count(0 if half else 1):
             a = n + 0.5 if half else n
             k = 2 * a
             log_mag = -_PI * im * a * a
@@ -269,12 +277,8 @@ def _theta_array(kind: int, z, tau) -> np.ndarray:
                 log_mag = log_mag + _PI * k * abs_im_z
                 capped = active & (log_mag > _EXP_CAP)
                 if capped.any():
-                    raise ConvergenceError(
-                        f"theta{kind} term at n={n} exceeds double range "
-                        f"(z={complex(z[capped][0])!r}, "
-                        f"tau={complex(tau[capped][0])!r}); "
-                        "reduce z modulo the lattice first"
-                    )
+                    raise _term_overflow(kind, n, complex(z[capped][0]),
+                                         complex(tau[capped][0]))
             bound = 2.0 * np.exp(log_mag + 0j).real
             # false for a NaN sum, as in the scalar loop
             active &= bound >= EPS_SERIES * (1.0 + np.hypot(total.real,
@@ -287,16 +291,8 @@ def _theta_array(kind: int, z, tau) -> np.ndarray:
             else:
                 e_plus = np.exp(1j * _PI * (ta + k * z))
                 e_minus = np.exp(1j * _PI * (ta - k * z))
-            if kind == 1:
-                term = (-1) ** n * (-1j) * (e_plus - e_minus)
-            elif kind == 4 and n % 2 == 1:
-                term = -(e_plus + e_minus)
-            else:
-                term = e_plus + e_minus
+            term = _paired_term(kind, n, e_plus, e_minus)
             total = np.where(active, total + term, total)
-        else:
-            raise ConvergenceError(
-                f"theta{kind} did not converge in {MAX_TERMS} terms")
         overflowed = np.isnan(total)
         if overflowed.any():
             raise _phase_overflow(kind, complex(tau[overflowed][0]))
@@ -388,17 +384,19 @@ def _reduce_array(z: np.ndarray,
 
 
 def _corner_distance(zr: complex, t: TauParameter) -> float:
-    """Distance from zr, a point of the fundamental cell, to the lattice:
-    the nearest lattice point is one of the cell corners 0, 1, tau, 1+tau."""
+    """Distance from zr, a point of the fundamental cell, to the nearest of
+    its corners 0, 1, tau, 1+tau; see ``torus_distance`` on skewed cells."""
     tv = t.value
     return min(abs(zr), abs(zr - 1.0), abs(zr - tv), abs(zr - 1.0 - tv))
 
 
 def torus_distance(u: complex, v: complex, tau: TauParameter | complex) -> float:
-    """Euclidean distance between u and v modulo the lattice Z + Z*tau: one
-    reduction of the difference, then the distance to the nearest cell
-    corner.  The difference is taken in one canonical orientation, so that
-    torus_distance(u, v) == torus_distance(v, u) bit for bit."""
+    """Distance between u and v modulo the lattice Z + Z*tau: one reduction
+    of the difference, then the distance to the nearest cell corner.  On a
+    skewed cell a nearer lattice point can lie outside it, and this then
+    overestimates (4.5x in a seeded sweep, only where the true distance is
+    at least Im tau).  The difference is taken in one canonical orientation,
+    so that torus_distance(u, v) == torus_distance(v, u) bit for bit."""
     t = as_tau(tau)
     u, v = complex(u), complex(v)
     d = u - v if (u.real, u.imag) <= (v.real, v.imag) else v - u

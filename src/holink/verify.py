@@ -373,10 +373,14 @@ def _suite_massey_reality(rng: np.random.Generator) -> tuple[list, str]:
 
 
 def _suite_massey_lambda_periodicity(rng: np.random.Generator) -> tuple[list, str]:
+    # tau -+ 1 negates both routes: |1 - lambda| inverts and [tau/2] -
+    # [(1+tau)/2] changes sign.  A step toward Re tau = 0 stays in TAU_BOX.
     taus = [_random_tau(rng) for _ in range(30)]
-    residuals = [abs(massey_value_closed_form(tau.value + 2)
-                     - massey_value_closed_form(tau)) for tau in taus]
-    return residuals, "closed form is 2-periodic in tau, 30 tau"
+    steps = [as_tau(t.value - 1.0 if t.value.real > 0.0 else t.value + 1.0)
+             for t in taus]
+    residuals = [abs(route(t1) + route(tau)) for tau, t1 in zip(taus, steps)
+                 for route in (massey_value_closed_form, massey_value_via_linking)]
+    return residuals, "tau -+ 1 negates both routes, 30 tau"
 
 
 #: (name, runner, default tolerance) in report order.

@@ -44,10 +44,16 @@ def test_parse_complex_forms():
     assert parse_complex("-3") == complex(-3, 0)
     assert parse_complex(" 1 + 2 i ") == 1 + 2j
     assert parse_complex(".5i") == 0.5j
+    assert parse_complex("1e-3i") == complex(0.0, 1e-3)
+    assert parse_complex("-1e-3-2e+3i") == complex(-1e-3, -2e3)
+    one_minus_zero = parse_complex("1-0i")
+    assert one_minus_zero == 1.0
+    assert math.copysign(1.0, one_minus_zero.imag) == -1.0
 
 
 @pytest.mark.parametrize("bad", ["", "5j", "1+2", "i5", "nan", "inf",
-                                 "1+nan i", "1++2i", "2i+1", "abc"])
+                                 "1+nan i", "1++2i", "2i+1", "abc",
+                                 "+-2i"])
 def test_parse_complex_rejects(bad):
     with pytest.raises(ValueError):
         parse_complex(bad)

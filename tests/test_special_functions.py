@@ -149,6 +149,45 @@ def test_theta_array_term_cap_matches_scalar():
     assert str(kernel.value) == str(scalar.value)
 
 
+def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
+    # No term count caps a series: the cap edge is the largest |Im z| at
+    # which no term passes exp(_EXP_CAP).  Up to just under it every kind
+    # sums at most 140 paired terms on both paths; just past it both raise
+    # one message.
+    calls = []
+    paired = special_functions._paired_term
+
+    def counting(*args):
+        calls.append(None)
+        return paired(*args)
+
+    monkeypatch.setattr(special_functions, "_paired_term", counting)
+    cap = special_functions._EXP_CAP
+    for im_tau in (0.05, 0.3, 3.0):
+        tau = 0.2 + 1j * im_tau
+        for kind in (1, 2, 3, 4):
+            exponents = ([n + 0.5 for n in range(500)] if kind in (1, 2)
+                         else range(1, 500))
+            edge = min((cap + math.pi * im_tau * a * a) / (2.0 * math.pi * a)
+                       for a in exponents)
+            ys = np.linspace(0.0, edge * (1.0 - 1e-9), 25)
+            zs = np.concatenate([0.3 + 1j * ys, -0.3 - 1j * ys])
+            for z in zs.tolist():
+                calls.clear()
+                theta(kind, z, tau)
+                assert 0 < len(calls) <= 140, (kind, z, tau)
+            calls.clear()
+            _theta_array(kind, zs, tau)
+            assert 0 < len(calls) <= 140, (kind, tau)
+            past = complex(0.3, edge * (1.0 + 1e-9))
+            with pytest.raises(ConvergenceError,
+                               match="exceeds double range") as scalar:
+                theta(kind, past, tau)
+            with pytest.raises(ConvergenceError) as kernel:
+                _theta_array(kind, np.array([0.3 + 0j, past]), tau)
+            assert str(kernel.value) == str(scalar.value)
+
+
 def test_lattice_sums_match_scalar_bitwise():
     # The weierstrass-oracle suite's 20 points at seed 42.
     i = [name for name, _, _ in verify._SUITES].index("weierstrass-oracle")
@@ -278,14 +317,11 @@ def test_theta_quasi_periodicity():
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
 
-def test_theta_kind_and_convergence_guards(monkeypatch):
+def test_theta_kind_and_convergence_guards():
     with pytest.raises(ValueError):
         theta(5, 0.0, 1j)
     with pytest.raises(DomainError):
         theta(2, 0.0, 1.0 - 1.0j)
-    monkeypatch.setattr(special_functions, "MAX_TERMS", 2)
-    with pytest.raises(ConvergenceError, match="did not converge in 2 terms"):
-        theta(3, 0.0, 1j)
 
 
 def test_half_periods_square_lattice():
