@@ -19,7 +19,9 @@ to finite sums of logarithms:
   and any additive constant cancels in degree-zero double sums, so the
   constant is fixed to zero.
 
-Both evaluators add the terms of canonically oriented pairs with
+``_check_pair`` measures each pair of points once, as |P - Q| on the sphere
+or the canonically oriented P - Q reduced into the cell; that decides
+disjointness, and the evaluator sums its terms from it.  Both add them with
 ``math.fsum``, which is correctly rounded and so order independent: hence
 linking(z, w) == linking(w, z) holds bit for bit.  They only sum: the
 comparison with the half-period closed form lives with the other route
@@ -50,11 +52,13 @@ from .special_functions import (
     TauParameter,
     _corner_distance,
     _reduce_array,
+    _reduce_point,
+    _reduced_difference,
     _theta_array,
+    _theta_series,
     as_tau,
     reduce_mod_lattice,
     theta,
-    torus_distance,
 )
 
 if TYPE_CHECKING:
@@ -123,15 +127,18 @@ def _point_key(p: Point) -> tuple:
     return (0, p.real, p.imag)
 
 
-def _distance(curve: Curve, p: Point, q: Point) -> float:
-    """Distance between two points of the curve: modulo the lattice on an
-    elliptic curve, plain on the sphere, where INFINITY is at distance 0
-    from itself and inf from every finite point."""
+def _measure(curve: Curve, p: Point,
+             q: Point) -> tuple[complex | float | None, float]:
+    """(what the pairing sums from, distance) of two canonical points: the
+    reduced oriented difference and its distance from the lattice on an
+    elliptic curve; |p - q| twice on the sphere, or None where INFINITY
+    takes part, at distance 0 from itself and inf from every finite point."""
     if isinstance(p, _InfinityType) or isinstance(q, _InfinityType):
-        return 0.0 if p is q else math.inf
+        return None, 0.0 if p is q else math.inf
     if curve.kind == "elliptic":
-        return torus_distance(p, q, curve.tau)
-    return abs(p - q)
+        return _reduced_difference(p, q, curve.tau)
+    r = abs(p - q)
+    return r, r
 
 
 class Divisor:
@@ -159,10 +166,10 @@ class Divisor:
                 if not (math.isfinite(point.real) and math.isfinite(point.imag)):
                     raise DomainError(f"divisor point must be finite, got {point!r}")
                 if curve.kind == "elliptic":
-                    point = reduce_mod_lattice(point, curve.tau)
+                    point = _reduce_point(point, curve.tau.value)
             # merge with an existing representative, if any
             for i, (p0, m0) in enumerate(canon):
-                if _distance(curve, p0, point) < SNAP_TOL:
+                if _measure(curve, p0, point)[1] < SNAP_TOL:
                     canon[i] = (p0, m0 + mult)
                     break
             else:
@@ -190,7 +197,7 @@ class Divisor:
         return tuple(p for p, _ in self.terms)
 
     def __neg__(self) -> "Divisor":
-        return Divisor(self.curve, [(p, -m) for p, m in self.terms])
+        return -1 * self
 
     def __add__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
@@ -205,9 +212,14 @@ class Divisor:
         return self + (-other)
 
     def __rmul__(self, k: int) -> "Divisor":
+        """k * self.  A nonzero k keeps the canonical points distinct, sorted
+        and with nonzero multiplicities, so they are not reduced again."""
         if not isinstance(k, int):
             return NotImplemented
-        return Divisor(self.curve, [(p, k * m) for p, m in self.terms])
+        d = Divisor(self.curve, ())
+        if k:
+            object.__setattr__(d, "terms", tuple((p, k * m) for p, m in self.terms))
+        return d
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Divisor) and self.curve == other.curve
@@ -235,7 +247,9 @@ class LinkingResult:
     method: LinkingMethod
 
 
-def _check_pair(z: Divisor, w: Divisor, kind: str) -> None:
+def _check_pair(z: Divisor, w: Divisor, kind: str) -> list:
+    """Check curve kind, degrees and disjointness, in that order, and return
+    (a * b, what ``_measure`` gave) for each pair (P, a), (Q, b), z-major."""
     if z.curve.kind != kind or z.curve != w.curve:
         raise CurveMismatchError(
             f"expected two divisors on one {kind} curve, got "
@@ -244,13 +258,16 @@ def _check_pair(z: Divisor, w: Divisor, kind: str) -> None:
     for which, d in (("first", z), ("second", w)):
         if d.degree() != 0:
             raise HomologyError(f"{which} divisor has degree {d.degree()}, expected 0")
-    for p, _ in z.terms:
-        for q, _ in w.terms:
-            dist = _distance(z.curve, p, q)
+    measured = []
+    for p, a in z.terms:
+        for q, b in w.terms:
+            m, dist = _measure(z.curve, p, q)
             if dist < DISJOINTNESS_TOL:
                 raise DisjointnessError(
                     f"supports collide near {p!r} (distance {dist:.3e})"
                 )
+            measured.append((a * b, m))
+    return measured
 
 
 def _pairing_sum(terms: Iterable[float]) -> float:
@@ -274,11 +291,8 @@ def linking_sphere(z: Divisor, w: Divisor) -> LinkingResult:
     symmetry is exact: abs(p - q) == abs(q - p), and ``fsum`` is order
     independent.
     """
-    _check_pair(z, w, "sphere")
-    total = _pairing_sum(
-        a * b * math.log(abs(p - q))
-        for p, a in z.terms for q, b in w.terms
-        if not (isinstance(p, _InfinityType) or isinstance(q, _InfinityType)))
+    total = _pairing_sum(ab * math.log(r) for ab, r in _check_pair(z, w, "sphere")
+                         if r is not None)
     return LinkingResult(total / math.pi, LinkingMethod.CROSS_RATIO)
 
 
@@ -334,19 +348,25 @@ def linking_elliptic(z: Divisor, w: Divisor, *,
 
     value = sum_{(P,a)} sum_{(Q,b)} a * b * g_tau(P - Q).
 
-    ``green`` substitutes the kernel (used by the flexibility tests); the
-    default, ``arakelov_green``, is looked up when called, so a rebound
-    module name (a tracer, say) takes effect.  Kernels must be even on the
-    torus, since each difference P - Q is evaluated with a canonical
-    orientation so that swap symmetry holds bit for bit.
+    ``_check_pair`` reduces each difference once, and the default kernel is
+    ``arakelov_green``'s formula at that point, DISJOINTNESS_TOL > POLE_TOL
+    off the lattice.  ``green`` substitutes the kernel (used by the
+    flexibility tests): it receives the canonically oriented, unreduced
+    P - Q and the TauParameter, so that swap symmetry holds bit for bit;
+    it must be even on the torus.
     """
-    _check_pair(z, w, "elliptic")
-    tau = z.curve.tau
-    kernel = arakelov_green if green is None else green
-    total = _pairing_sum(
-        a * b * (kernel(p - q, tau) if _point_key(p) <= _point_key(q)
-                 else kernel(q - p, tau))
-        for p, a in z.terms for q, b in w.terms)
+    pairs = _check_pair(z, w, "elliptic")
+    t = z.curve.tau
+    if green is None:
+        tv = t.value
+        total = _pairing_sum(
+            ab * _green_from_theta1(_theta_series(1, ur, tv), ur, t)
+            for ab, ur in pairs)
+    else:
+        total = _pairing_sum(
+            a * b * (green(p - q, t) if _point_key(p) <= _point_key(q)
+                     else green(q - p, t))
+            for p, a in z.terms for q, b in w.terms)
     return LinkingResult(total, LinkingMethod.ARAKELOV_GREEN)
 
 

@@ -347,10 +347,14 @@ def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
     """Representative of z in the fundamental cell [0,1) x [0,1) of (1, tau).
 
     Coordinates within SNAP_TOL of a half-integer are snapped onto it, so
-    points meant to be half-periods are recognized exactly downstream.
+    points meant to be half-periods are recognized exactly downstream.  Its
+    body, ``_reduce_point``, serves ``Divisor`` and ``torus_distance`` too.
     """
-    tv = as_tau(tau).value
-    z = complex(z)
+    return _reduce_point(complex(z), as_tau(tau).value)
+
+
+def _reduce_point(z: complex, tv: complex) -> complex:
+    """``reduce_mod_lattice`` of a complex z at an admissible tau value tv."""
     # coordinates in the basis (1, tau): z = x + y*tau
     y = z.imag / tv.imag
     x = _snap_unit(z.real - y * tv.real)
@@ -396,11 +400,17 @@ def torus_distance(u: complex, v: complex, tau: TauParameter | complex) -> float
     skewed cell a nearer lattice point can lie outside it, and this then
     overestimates (4.5x in a seeded sweep, only where the true distance is
     at least Im tau).  The difference is taken in one canonical orientation,
-    so that torus_distance(u, v) == torus_distance(v, u) bit for bit."""
-    t = as_tau(tau)
-    u, v = complex(u), complex(v)
+    so that torus_distance(u, v) == torus_distance(v, u) bit for bit.  Its
+    body, ``_reduced_difference``, serves ``linking``'s pairs too."""
+    return _reduced_difference(complex(u), complex(v), as_tau(tau))[1]
+
+
+def _reduced_difference(u: complex, v: complex,
+                        t: TauParameter) -> tuple[complex, float]:
+    """(reduced oriented difference, its corner distance) of complex u, v."""
     d = u - v if (u.real, u.imag) <= (v.real, v.imag) else v - u
-    return _corner_distance(reduce_mod_lattice(d, t), t)
+    ur = _reduce_point(d, t.value)
+    return ur, _corner_distance(ur, t)
 
 
 def lattice_sum_p(z: complex, tau: TauParameter | complex, radius: int) -> complex:

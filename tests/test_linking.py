@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -45,15 +47,16 @@ def _random_tau(rng):
     return complex(rng.uniform(-1, 1), rng.uniform(0.3, 3.0))
 
 
-def _pair(rng, tau):
-    """Two disjoint degree-zero 2-point divisors on C_tau."""
+def _pair(rng, tau, k=2):
+    """Two disjoint degree-zero k-point divisors on C_tau."""
+    mults = [1, -1] * (k // 2)
     while True:
         pts = [complex(rng.uniform(0.05, 0.95), 0) + rng.uniform(0.05, 0.95) * tau
-               for _ in range(4)]
-        if all(torus_distance(pts[i], pts[j], tau) > 1e-3
-               for i in range(4) for j in range(i + 1, 4)):
-            return (Divisor.elliptic(tau, [(pts[0], 1), (pts[1], -1)]),
-                    Divisor.elliptic(tau, [(pts[2], 1), (pts[3], -1)]))
+               for _ in range(2 * k)]
+        if all(torus_distance(p, q, tau) > 1e-3
+               for i, p in enumerate(pts) for q in pts[i + 1:]):
+            return (Divisor.elliptic(tau, list(zip(pts[:k], mults))),
+                    Divisor.elliptic(tau, list(zip(pts[k:], mults))))
 
 
 # ---------------------------------------------------------------- divisors
@@ -94,6 +97,27 @@ def test_divisor_algebra():
     assert hash(z) == hash(Divisor.sphere([(1.0, -1), (0.0, 1)]))
     with pytest.raises(CurveMismatchError):
         z + Divisor.elliptic(1j, [(0.2, 1), (0.4, -1)])
+
+
+def test_negation_and_scaling_keep_canonical_terms():
+    # A second reduction can move a reduced point by an ulp, so -d and k*d
+    # must scale the canonical terms rather than rebuild the divisor.
+    rng = random.Random(0)
+    for _ in range(2000):
+        tau = complex(rng.uniform(-1, 1), rng.uniform(0.05, 3.0))
+        pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(4)]
+        if any(torus_distance(p, q, tau) < 1e-3
+               for i, p in enumerate(pts) for q in pts[i + 1:]):
+            continue
+        d = Divisor.elliptic(tau, [(pts[0], 1), (pts[1], -1)])
+        w = Divisor.elliptic(tau, [(pts[2], 1), (pts[3], -1)])
+        assert -(-d) == d
+        assert (-1) * d == -d
+        assert (3 * d).terms == tuple((p, 3 * m) for p, m in d.terms)
+        assert (0 * d).terms == ()
+        assert (linking(-d, w).value.hex()
+                == (-linking(d, w).value).hex())
 
 
 def test_pairing_rejects_nonzero_degree():
@@ -452,6 +476,71 @@ def test_custom_green_disables_closed_form_route():
     assert abs(res.value - LINK_AT_I) < 1e-12  # constant cancels anyway
     doubled = linking_elliptic(z, w, green=lambda u, t: 2 * arakelov_green(u, t))
     assert abs(doubled.value - 2 * LINK_AT_I) < 1e-12
+
+
+def _oriented(p, q):
+    return p - q if (p.real, p.imag) <= (q.real, q.imag) else q - p
+
+
+def test_linking_equals_sum_of_scalar_kernels_bitwise():
+    # One reduction per pair serves the disjointness test and the kernel:
+    # the sum equals that of arakelov_green at each oriented difference.
+    rng = np.random.default_rng(218)
+    (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
+    for im_range in ((im_lo, im_hi), (0.05, 0.3)):
+        for _ in range(10):
+            tau = complex(rng.uniform(re_lo, re_hi), rng.uniform(*im_range))
+            for k in (2, 4, 8):
+                z, w = _pair(rng, tau, k)
+                expected = math.fsum(a * b * arakelov_green(_oriented(p, q), tau)
+                                     for p, a in z.terms for q, b in w.terms)
+                assert linking_elliptic(z, w).value.hex() == expected.hex()
+
+
+def test_disjointness_is_checked_before_any_kernel():
+    # theta1 underflows at the first pair (0.25, 0), which alone would raise
+    # DivergenceError; the second pair collides, and that error wins.
+    tau = 0.3 + 950j
+    z = Divisor.elliptic(tau, [(0.5, 1), (0.25, -1)])
+    w = Divisor.elliptic(tau, [(0.0, 1), (0.25 + 1e-10, -1)])
+    with pytest.raises(DisjointnessError,
+                       match=re.escape("supports collide near (0.25+0j) "
+                                       "(distance 1.000e-10)")):
+        linking_elliptic(z, w)
+
+
+def test_linking_reduces_each_pair_once(monkeypatch):
+    rng = np.random.default_rng(219)
+    tau = 0.3 + 1.1j
+    z, w = _pair(rng, tau, 4)
+    modules = [importlib.import_module(f"holink.{name}")
+               for name in ("linking", "special_functions")]
+    reduce = modules[1]._reduce_point
+    calls = []
+
+    def counting(z, tv):
+        calls.append(z)
+        return reduce(z, tv)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "_reduce_point", counting)
+    linking_elliptic(z, w)
+    assert len(calls) == 4 * 4
+
+
+def test_green_hook_receives_oriented_differences():
+    rng = np.random.default_rng(220)
+    tau = -0.4 + 0.9j
+    z, w = _pair(rng, tau, 4)
+    seen = []
+
+    def recording(u, t):
+        assert t == TauParameter(tau)
+        seen.append(u)
+        return arakelov_green(u, t)
+
+    linking_elliptic(z, w, green=recording)
+    assert seen == [_oriented(p, q) for p in z.support() for q in w.support()]
 
 
 # -------------------------------------------------------------- catalog maps

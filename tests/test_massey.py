@@ -105,17 +105,18 @@ def test_divergent_lambda_value():
 
 
 def test_report_divergence_runs_no_kernel(monkeypatch):
-    # The closed form decides before the linking route runs.
+    # The closed form decides before the linking route runs.  Every Green
+    # kernel path forms its value in ``_green_from_theta1``, so count there.
     # ``holink.linking`` names the function, so fetch the module itself.
     linking = importlib.import_module("holink.linking")
     calls = []
-    green = linking.arakelov_green
+    green = linking._green_from_theta1
 
-    def counting(u, tau):
-        calls.append(u)
-        return green(u, tau)
+    def counting(th1, ur, t):
+        calls.append(ur)
+        return green(th1, ur, t)
 
-    monkeypatch.setattr(linking, "arakelov_green", counting)
+    monkeypatch.setattr(linking, "_green_from_theta1", counting)
     with pytest.raises(DivergenceError):
         massey_report(-0.018 + 0.059j)
     assert calls == []
