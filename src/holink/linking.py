@@ -34,7 +34,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     BranchError,
@@ -51,18 +51,13 @@ from .special_functions import (
     SNAP_TOL,
     TauParameter,
     _corner_distance,
-    _reduce_array,
     _reduce_point,
     _reduced_difference,
-    _theta_array,
     _theta_series,
     as_tau,
     reduce_mod_lattice,
     theta,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Tolerance below which two support points count as colliding.
 DISJOINTNESS_TOL = 1e-9
@@ -212,14 +207,11 @@ class Divisor:
         return self + (-other)
 
     def __rmul__(self, k: int) -> "Divisor":
-        """k * self.  A nonzero k keeps the canonical points distinct, sorted
-        and with nonzero multiplicities, so they are not reduced again."""
+        """k * self.  Reduction leaves the canonical points where they are,
+        so a nonzero k scales the multiplicities of the same terms."""
         if not isinstance(k, int):
             return NotImplemented
-        d = Divisor(self.curve, ())
-        if k:
-            object.__setattr__(d, "terms", tuple((p, k * m) for p, m in self.terms))
-        return d
+        return Divisor(self.curve, [(p, k * m) for p, m in self.terms])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Divisor) and self.curve == other.curve
@@ -315,30 +307,13 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
 
 def _green_from_theta1(th1: complex, ur: complex, t: TauParameter) -> float:
     """g_tau at ur, a reduced point off the lattice, from theta1(ur, tau):
-    the formula and underflow rule of ``arakelov_green`` and ``_green_array``."""
+    the formula and underflow rule of every Green-kernel evaluation."""
     mod = abs(th1)
     if mod == 0.0:
         raise DivergenceError(
             f"theta1({ur!r}, {t.value!r}) underflows to 0: log|theta1| is "
             "out of double range")
     return math.log(mod) / math.pi - ur.imag ** 2 / t.value.imag
-
-
-def _green_array(us: np.ndarray, t: TauParameter) -> np.ndarray:
-    """``arakelov_green`` at each point of a 1-d complex array, bit for bit,
-    with its PoleError and DivergenceError naming the first offending point.
-    One theta kernel call serves every point.  ``arakelov_green`` itself
-    stays scalar: for one point numpy's per-call cost is many times the
-    scalar evaluation."""
-    import numpy as np
-    ur, dist = _reduce_array(us, t)
-    pole = dist < POLE_TOL
-    if pole.any():
-        raise PoleError(f"green kernel has a logarithmic pole at "
-                        f"{complex(us[pole][0])!r}")
-    th1 = _theta_array(1, ur, t.value)
-    return np.array([_green_from_theta1(th, u, t)
-                     for th, u in zip(th1.tolist(), ur.tolist())])
 
 
 def linking_elliptic(z: Divisor, w: Divisor, *,

@@ -21,6 +21,7 @@ measures does not vanish identically in the family.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
@@ -32,8 +33,10 @@ DEFAULT_NONVANISHING_TOL = 1e-6
 
 
 def _check_tolerance(tol: float) -> None:
-    """The one tolerance rule: positive and finite, else DomainError."""
-    if not 0.0 < tol < math.inf:
+    """The one tolerance rule: a real number, not a bool, positive and
+    finite, else DomainError."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not 0.0 < tol < math.inf):
         raise DomainError(f"tolerance must be a positive finite number, got {tol!r}")
 
 

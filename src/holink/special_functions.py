@@ -39,8 +39,9 @@ is 0 it takes one exponential per term and leaves the |Im z| part out of
 the bound.  ``_batch_lambdas``, ``holink scan``'s path, feeds it THETA_BLOCK
 consecutive taus at a time at z = 0, for kinds 2 and 3; its taus come from
 a grid that has already applied the tau rule, so it validates nothing
-itself.  ``linking._green_array`` runs it for theta1 over many z of one
-tau.  One point does not go through the kernel: a size-1
+itself.  ``verify``'s Green-kernel Laplacian runs it for theta1 over many
+z of one tau, all inside the cell, where reduction leaves a point as it
+is.  One point does not go through the kernel: a size-1
 call takes 170-250 us against 5-15 us for the scalar loops (2-vCPU x86-64
 host, numpy 2.4), while over verify's 20,320 Green-kernel points it costs
 about 1 us a point.  numpy is imported by these array paths only, inside
@@ -347,8 +348,12 @@ def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
     """Representative of z in the fundamental cell [0,1) x [0,1) of (1, tau).
 
     Coordinates within SNAP_TOL of a half-integer are snapped onto it, so
-    points meant to be half-periods are recognized exactly downstream.  Its
-    body, ``_reduce_point``, serves ``Divisor`` and ``torus_distance`` too.
+    points meant to be half-periods are recognized exactly downstream.  A
+    point whose lattice coordinates lie strictly inside the cell, off the
+    snap lines, is its own representative, bit for bit; so reducing a
+    reduced point again leaves it where it is.  A finite z whose
+    coordinates leave double range raises DomainError.  Its body,
+    ``_reduce_point``, serves ``Divisor`` and ``torus_distance`` too.
     """
     return _reduce_point(complex(z), as_tau(tau).value)
 
@@ -357,34 +362,16 @@ def _reduce_point(z: complex, tv: complex) -> complex:
     """``reduce_mod_lattice`` of a complex z at an admissible tau value tv."""
     # coordinates in the basis (1, tau): z = x + y*tau
     y = z.imag / tv.imag
-    x = _snap_unit(z.real - y * tv.real)
-    y = _snap_unit(y)
-    return complex(x + y * tv.real, y * tv.imag)
-
-
-def _snap_units(x: np.ndarray) -> np.ndarray:
-    """``_snap_unit`` over a float array, bit for bit."""
-    import numpy as np
-    x = x - np.floor(x)
-    half = np.round(2.0 * x) / 2.0
-    return np.where(np.abs(x - half) < SNAP_TOL, half % 1.0, x)
-
-
-def _reduce_array(z: np.ndarray,
-                  t: TauParameter) -> tuple[np.ndarray, np.ndarray]:
-    """``reduce_mod_lattice`` over a complex array, bit for bit, and the
-    ``_corner_distance`` of each reduced point."""
-    import numpy as np
-    tv = t.value
-    y = z.imag / tv.imag
-    x = _snap_units(z.real - y * tv.real)
-    y = _snap_units(y)
-    zr = np.empty(z.shape, complex)
-    zr.real = x + y * tv.real
-    zr.imag = y * tv.imag
-    dist = np.minimum.reduce([np.hypot(d.real, d.imag) for d in
-                              (zr, zr - 1.0, zr - tv, zr - 1.0 - tv)])
-    return zr, dist
+    x = z.real - y * tv.real
+    try:
+        xs, ys = _snap_unit(x), _snap_unit(y)
+    except (OverflowError, ValueError):  # math.floor of an inf or a NaN
+        raise DomainError(
+            f"z = {z!r} has no lattice coordinates in double range at "
+            f"tau = {tv!r}") from None
+    if 0.0 < xs == x and 0.0 < ys == y:
+        return z
+    return complex(xs + ys * tv.real, ys * tv.imag)
 
 
 def _corner_distance(zr: complex, t: TauParameter) -> float:

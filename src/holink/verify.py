@@ -32,7 +32,7 @@ from .hodge import (
 from .linking import (
     Divisor,
     RationalMapSpec,
-    _green_array,
+    _green_from_theta1,
     arakelov_green,
     check_adjunction,
     linking_elliptic,
@@ -42,8 +42,9 @@ from .massey import (_check_tolerance, massey_value_closed_form,
                      massey_value_via_linking)
 from .special_functions import (
     TauParameter,
+    _corner_distance,
     _lattice_sums_p,
-    _reduce_array,
+    _theta_array,
     as_tau,
     half_period_values,
     lambda_complement_ratio,
@@ -288,16 +289,18 @@ def _suite_green_flexibility(rng: np.random.Generator) -> tuple[list, str]:
 def _laplacian_grid(tau: complex) -> np.ndarray:
     """Five-point finite-difference Laplacian of the Green kernel over the
     n x n grid of fundamental-cell midpoints at least 3/n from the lattice,
-    in row-major cell order, with one kernel call for all five stencils."""
+    in row-major cell order, from one theta kernel call at the stencil
+    points: they lie inside the cell, which reduction leaves as it is."""
     import numpy as np
     t = as_tau(tau)
     step, n = 2e-5, 64
     h = 1.0 / n
     mid = (np.arange(n) + 0.5) * h
-    u = (mid[:, None] + mid * t.value).ravel()
-    u = u[~(_reduce_array(u, t)[1] < 3.0 * h)]
-    g = _green_array(np.concatenate(
-        [u + step, u - step, u + 1j * step, u - 1j * step, u]), t)
+    u = np.array([p for p in (mid[:, None] + mid * t.value).ravel().tolist()
+                  if _corner_distance(p, t) >= 3.0 * h])
+    s = np.concatenate([u + step, u - step, u + 1j * step, u - 1j * step, u])
+    g = np.array([_green_from_theta1(th, p, t) for th, p in
+                  zip(_theta_array(1, s, t.value).tolist(), s.tolist())])
     g = g.reshape(5, u.size)
     return (g[0] + g[1] + g[2] + g[3] - 4.0 * g[4]) / (step * step)
 

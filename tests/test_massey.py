@@ -16,6 +16,7 @@ from holink import (
     modular_lambda,
 )
 from holink.massey import _closed_form_from_lambda
+from holink.verify import run_all
 
 # frozen reference values
 VALUE_AT_I = 4.0 * math.log(0.5) / math.pi     # = -0.8825424006106064
@@ -95,6 +96,24 @@ def test_nonvanishing_threshold():
     for bad in (math.inf, math.nan):
         with pytest.raises(DomainError):
             massey_report(1j, tolerance=bad)
+
+
+def _massey_report(tol):
+    massey_report(1j, tolerance=tol)
+
+
+def _run_all(tol):
+    run_all(seed=42, tol=tol)
+
+
+# run_all(tol=None) keeps the per-suite defaults
+@pytest.mark.parametrize("entry, bad", [
+    *((entry, bad) for entry in (_massey_report, _run_all)
+      for bad in ("1e-3", 1e-3 + 0j, True, False)),
+    (_massey_report, None)])
+def test_tolerance_must_be_a_real_number(entry, bad):
+    with pytest.raises(DomainError):
+        entry(bad)
 
 
 def test_divergent_lambda_value():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import warnings
 
 import numpy as np
@@ -13,18 +14,21 @@ from holink import (
     DomainError,
     PoleError,
     TauParameter,
+    arakelov_green,
     half_period_values,
     lambda_complement_ratio,
     lattice_sum_p,
     linking_elliptic,
     massey_report,
     modular_lambda,
+    reduce_mod_lattice,
     theta,
     torus_distance,
     weierstrass_p,
 )
 from holink import special_functions
 from holink.special_functions import (
+    SNAP_TOL,
     THETA_BLOCK,
     _batch_lambdas,
     _theta_array,
@@ -355,6 +359,56 @@ def test_torus_distance_symmetric_bitwise():
             u, v = (rng.uniform() + rng.uniform() * tau for _ in range(2))
             assert (torus_distance(u, v, tau).hex()
                     == torus_distance(v, u, tau).hex())
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_reduction_leaves_a_reduced_point_where_it_is():
+    # Recomputing x + y*tau from a point's own lattice coordinates can move
+    # it by an ulp; a point strictly inside the cell is returned as it is.
+    rng = random.Random(0)
+    moved = 0
+    for _ in range(5000):
+        tau = complex(rng.uniform(-1, 1), rng.uniform(0.05, 3.0))
+        z = reduce_mod_lattice(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                               tau)
+        moved += _bits(reduce_mod_lattice(z, tau)) != _bits(z)
+    assert moved == 0
+    # lattice coordinates (0.71, 0.64): rebuilt, the real part reads
+    # 0.9000000000000001
+    z = 0.9 + 0.7j
+    assert _bits(reduce_mod_lattice(z, 0.3 + 1.1j)) == _bits(z)
+
+
+def test_reduction_snaps_onto_half_periods():
+    # points a fraction of SNAP_TOL off a half-period in lattice coordinates
+    # land on it exactly, and a signed zero reduces to +0
+    d = 0.4 * SNAP_TOL
+    for tau in (1j, 0.3 + 0.7j, -0.9 + 2.5j):
+        for x, y in ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
+            half = complex(x + y * tau.real, y * tau.imag)
+            for dx in (-d, 0.0, d):
+                for dy in (-d, 0.0, d):
+                    u = x + dx + (y + dy) * tau
+                    assert _bits(reduce_mod_lattice(u, tau)) == _bits(half)
+    for z in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+        assert _bits(reduce_mod_lattice(z, 1j)) == _bits(0j)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reduce_mod_lattice(math.inf, 1j),
+    lambda: reduce_mod_lattice(1e308 + 1e308j, 0.3 + 0.5j),
+    lambda: torus_distance(1e308 + 1e308j, 0, 0.3 + 0.5j),
+    lambda: weierstrass_p(math.nan, 1j),
+    lambda: arakelov_green(1e308 + 1e308j, 0.3 + 0.5j),
+    lambda: Divisor.elliptic(0.3 + 0.5j, [(1e308 + 1e308j, 1), (0.1, -1)]),
+], ids=["reduce-inf", "reduce-huge", "torus-distance", "weierstrass-nan",
+        "green", "divisor"])
+def test_coordinates_beyond_double_range_are_domain_errors(call):
+    with pytest.raises(DomainError, match="no lattice coordinates"):
+        call()
 
 
 def test_lattice_sum_validation():
