@@ -56,7 +56,6 @@ from .special_functions import (
     _theta_series,
     as_tau,
     reduce_mod_lattice,
-    theta,
 )
 
 #: Tolerance below which two support points count as colliding.
@@ -161,7 +160,7 @@ class Divisor:
                 if not (math.isfinite(point.real) and math.isfinite(point.imag)):
                     raise DomainError(f"divisor point must be finite, got {point!r}")
                 if curve.kind == "elliptic":
-                    point = _reduce_point(point, curve.tau.value)
+                    point = _reduce_point(point, curve.tau.shifted)
             # merge with an existing representative, if any
             for i, (p0, m0) in enumerate(canon):
                 if _measure(curve, p0, point)[1] < SNAP_TOL:
@@ -292,17 +291,18 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     """Green kernel g_tau(u) of the flat torus C/(Z + Z*tau).
 
     g_tau(u) = (1/pi) * (log|theta1(u, tau)| - pi*(Im u)^2 / Im tau), with
-    additive constant zero.  The argument is reduced into the fundamental
-    cell once, so periodicity is exact; theta1's quasi-periodicity makes
-    the unreduced formula periodic as well, up to roundoff.  Lattice points
-    are poles: PoleError within POLE_TOL of a cell corner.  A theta1 that
-    underflows to 0 off the lattice (large Im tau) raises DivergenceError.
+    additive constant zero, at tau.shifted.  The argument is reduced into
+    the fundamental cell once, so periodicity is exact; theta1's
+    quasi-periodicity makes the unreduced formula periodic as well, up to
+    roundoff.  Lattice points are poles: PoleError within POLE_TOL of a
+    cell corner.  A theta1 that underflows to 0 off the lattice (large
+    Im tau) raises DivergenceError.
     """
     t = as_tau(tau)
     ur = reduce_mod_lattice(u, t)
     if _corner_distance(ur, t) < POLE_TOL:
         raise PoleError(f"green kernel has a logarithmic pole at {u!r}")
-    return _green_from_theta1(theta(1, ur, t), ur, t)
+    return _green_from_theta1(_theta_series(1, ur, t.shifted), ur, t)
 
 
 def _green_from_theta1(th1: complex, ur: complex, t: TauParameter) -> float:
@@ -333,7 +333,7 @@ def linking_elliptic(z: Divisor, w: Divisor, *,
     pairs = _check_pair(z, w, "elliptic")
     t = z.curve.tau
     if green is None:
-        tv = t.value
+        tv = t.shifted
         total = _pairing_sum(
             ab * _green_from_theta1(_theta_series(1, ur, tv), ur, t)
             for ab, ur in pairs)

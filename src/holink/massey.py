@@ -9,9 +9,9 @@ linking number on the base curve:
     value(tau) = 8 * < [0] - [1/2], [tau/2] - [(1+tau)/2] >_{C_tau}
                = (4/pi) * log|1 - lambda(tau)|.
 
-The two routes share only the theta primitives and the exact even shift
-of Re tau into [-1, 1] (``special_functions._even_shift``), and are
-computed independently here; their agreement is one of the package's
+The two routes share only the theta primitives and the evaluation tau,
+``TauParameter.shifted``, the exact even shift of Re tau into [-1, 1], and
+are computed independently here; their agreement is one of the package's
 acceptance checks.  The value vanishes exactly on the locus
 |1 - lambda(tau)| = 1 (which contains the whole vertical line
 Re tau = 1/2), and is nonzero for generic tau, so the obstruction it
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
 from .linking import Divisor, linking_elliptic
-from .special_functions import TauParameter, _even_shift, as_tau, modular_lambda
+from .special_functions import TauParameter, as_tau, modular_lambda
 
 #: Default threshold deciding the ``nonvanishing`` flag of a report.
 DEFAULT_NONVANISHING_TOL = 1e-6
@@ -64,13 +64,10 @@ def massey_value_via_linking(tau: TauParameter | complex) -> float:
     doubles each class (2^4), while integrating upstairs costs the covering
     factor 1/2.  The remaining factor is the elliptic linking number of the
     half-period configuration, evaluated by the Green-kernel double sum.
-    It runs at ``_even_shift`` of tau, as lambda does: the same lattice,
-    on which both divisors are the same.
+    Its half periods are those of ``t.shifted``, where every evaluator runs.
     """
     t = as_tau(tau)
-    tv = _even_shift(t.value)
-    if tv != t.value:
-        t = TauParameter(tv)
+    tv = t.shifted
     z = Divisor.elliptic(t, [(0.0, 1), (0.5, -1)])
     w = Divisor.elliptic(t, [(tv / 2.0, 1), ((1.0 + tv) / 2.0, -1)])
     return 8.0 * linking_elliptic(z, w).value
@@ -123,7 +120,7 @@ def find_vanishing_crossing() -> complex:
     1e-12, after 39 halvings, at Re tau = 1/2.
     """
     def f(re: float) -> float:
-        return abs(1.0 - modular_lambda(TauParameter(complex(re, 1.0)))) - 1.0
+        return abs(1.0 - modular_lambda(complex(re, 1.0))) - 1.0
 
     lo, hi = 0.25, 0.75
     while True:

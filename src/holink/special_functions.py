@@ -48,10 +48,10 @@ about 1 us a point.  numpy is imported by these array paths only, inside
 their functions, so a process that builds no array never loads it.  No
 fundamental-domain reduction of tau is performed; construction of
 ``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05), as the q-series
-lose precision near that floor (|q| -> 0.855).  The theta
-constants, lambda and the Massey routes run at ``_even_shift(tau)``, an
-exact shift into |Re tau| <= 1 that keeps their values and the series'
-phases small; the public ``theta`` is the raw series at the caller's tau.
+lose precision near that floor (|q| -> 0.855).  Every evaluator of a
+lattice quantity runs at ``TauParameter.shifted``, an exact shift into
+|Re tau| <= 1 taken once per tau that keeps the series' phases small; the
+public ``theta`` alone is the series at the caller's tau.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import cmath
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -100,11 +100,12 @@ class TauParameter:
 
     Requires Im tau >= MIN_IM_TAU, which also bounds the nome, |q| < 0.855.
     There is deliberately no reduction to a fundamental domain: ``value``
-    keeps the caller's tau and lattice, so lambda(tau + 1) stays testable.
-    Evaluators of period-2 quantities run at ``_even_shift(value)``.
+    keeps the caller's tau, so lambda(tau + 1) stays testable.  Every
+    evaluator runs at ``shifted = _even_shift(value)``, the same lattice.
     """
 
     value: complex
+    shifted: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = complex(self.value)
@@ -118,6 +119,7 @@ class TauParameter:
                 f"Im tau = {v.imag:g} is below the supported floor {MIN_IM_TAU:g}; "
                 "the q-series loses double-precision accuracy near the real axis"
             )
+        object.__setattr__(self, "shifted", _even_shift(v))
 
     @property
     def nome(self) -> complex:
@@ -177,7 +179,9 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     exactly in floating point.  Truncation stops once an upper bound for the
     next paired term falls below EPS_SERIES * (1 + |partial sum|), with no
     term cap; a term too large for double precision raises ConvergenceError,
-    as does one whose phase leaves double range.
+    as does one whose phase leaves double range.  Where |Re z| > 1 the
+    series runs at z - m, m = round(Re z), an exact shift, and the result
+    takes theta1's and theta2's sign (-1)^m; so theta(1, 2k, tau) is 0.
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"theta kind must be 1..4, got {kind!r}")
@@ -185,6 +189,10 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"theta argument must be finite, got {z!r}")
+    if abs(z.real) > 1.0:
+        m = round(z.real)
+        value = _theta_series(kind, z - m, t)
+        return -value if kind in (1, 2) and m & 1 else value
     return _theta_series(kind, z, t)
 
 
@@ -217,26 +225,20 @@ def _theta_series(kind: int, z: complex, t: complex) -> complex:
         total += _paired_term(kind, n, e_plus, e_minus)
 
 
-def _even_shift(tau):
-    """tau - 2*round(Re tau / 2) where |Re tau| > 1, else tau, for a complex
-    or, element by element with the same bits, a complex array.  The shift
+def _even_shift(tau: complex) -> complex:
+    """tau - 2*round(Re tau / 2) where |Re tau| > 1, else tau.  The shift
     is exact and keeps the lattice, e1, e2, e3 and the 2-torsion points;
     theta3, theta4 and theta2^4 have period 2.  An odd shift would not: it
-    maps lambda to lambda / (lambda - 1).  A complex never reaches numpy."""
-    if isinstance(tau, complex):
-        if abs(tau.real) > 1.0:
-            return tau - 2.0 * round(tau.real / 2.0)
-        return tau
-    import numpy as np
-    re = tau.real
-    return np.where(np.abs(re) > 1.0, tau - 2.0 * np.round(re / 2.0), tau)
+    maps lambda to lambda / (lambda - 1)."""
+    if abs(tau.real) > 1.0:
+        return tau - 2.0 * round(tau.real / 2.0)
+    return tau
 
 
 @lru_cache(maxsize=512)
-def _theta_constants(t: TauParameter) -> tuple[complex, complex, complex]:
-    """(theta2, theta3, theta4) at z = 0 and ``_even_shift`` of tau, where
-    theta2 gains a power of i (only theta2^4 is used).  Cached."""
-    s = _even_shift(t.value)
+def _theta_constants(s: complex) -> tuple[complex, complex, complex]:
+    """(theta2, theta3, theta4) at z = 0 and a ``TauParameter.shifted`` s,
+    where theta2 gains a power of i (only theta2^4 is used).  Cached."""
     return tuple(_theta_series(kind, 0.0, s) for kind in (2, 3, 4))
 
 
@@ -332,7 +334,7 @@ def half_period_values(tau: TauParameter | complex) -> HalfPeriodValues:
     closed forms in ``_half_periods``.  Independently cross-checked
     against the direct lattice sum (``lattice_sum_p``) in the test suite.
     """
-    return HalfPeriodValues(*_half_periods(*_theta_constants(as_tau(tau))))
+    return HalfPeriodValues(*_half_periods(*_theta_constants(as_tau(tau).shifted)))
 
 
 def _snap_unit(x: float) -> float:
@@ -345,7 +347,7 @@ def _snap_unit(x: float) -> float:
 
 
 def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
-    """Representative of z in the fundamental cell [0,1) x [0,1) of (1, tau).
+    """Representative of z in the cell [0,1) x [0,1) of (1, tau.shifted).
 
     Coordinates within SNAP_TOL of a half-integer are snapped onto it, so
     points meant to be half-periods are recognized exactly downstream.  A
@@ -355,7 +357,7 @@ def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
     coordinates leave double range raises DomainError.  Its body,
     ``_reduce_point``, serves ``Divisor`` and ``torus_distance`` too.
     """
-    return _reduce_point(complex(z), as_tau(tau).value)
+    return _reduce_point(complex(z), as_tau(tau).shifted)
 
 
 def _reduce_point(z: complex, tv: complex) -> complex:
@@ -377,7 +379,7 @@ def _reduce_point(z: complex, tv: complex) -> complex:
 def _corner_distance(zr: complex, t: TauParameter) -> float:
     """Distance from zr, a point of the fundamental cell, to the nearest of
     its corners 0, 1, tau, 1+tau; see ``torus_distance`` on skewed cells."""
-    tv = t.value
+    tv = t.shifted
     return min(abs(zr), abs(zr - 1.0), abs(zr - tv), abs(zr - 1.0 - tv))
 
 
@@ -396,7 +398,7 @@ def _reduced_difference(u: complex, v: complex,
                         t: TauParameter) -> tuple[complex, float]:
     """(reduced oriented difference, its corner distance) of complex u, v."""
     d = u - v if (u.real, u.imag) <= (v.real, v.imag) else v - u
-    ur = _reduce_point(d, t.value)
+    ur = _reduce_point(d, t.shifted)
     return ur, _corner_distance(ur, t)
 
 
@@ -432,7 +434,7 @@ def _lattice_sums_p(zs: list[complex], t: TauParameter,
     w0 = np.arange(1, radius + 1, dtype=np.complex128)
     mg, ng = np.meshgrid(np.arange(-radius, radius + 1, dtype=np.float64),
                          np.arange(1, radius + 1, dtype=np.float64))
-    w = np.concatenate([w0, (mg + ng * t.value).ravel()])
+    w = np.concatenate([w0, (mg + ng * t.shifted).ravel()])
     del w0, mg, ng
     c = 2.0 / w ** 2
     # One 1-d sum per z: np.sum's pairwise blocks depend on the length, and
@@ -446,22 +448,21 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
     """Weierstrass p(z) for the lattice Z + Z*tau, via theta functions.
 
     Uses p(z) = e1 + (pi * theta3(0) * theta4(0) * theta2(z) / theta1(z))^2
-    after reducing z into the fundamental cell, once.  Raises PoleError
-    within POLE_TOL of a cell corner, i.e. of the lattice.
+    at tau.shifted, after reducing z into the fundamental cell, once.
+    Raises PoleError within POLE_TOL of a cell corner, i.e. of the lattice.
     """
     t = as_tau(tau)
     zr = reduce_mod_lattice(z, t)
     if _corner_distance(zr, t) < POLE_TOL:
         raise PoleError(f"p(z) has a pole at lattice point z = {z!r}")
-    c2, c3, c4 = _theta_constants(t)
+    c2, c3, c4 = _theta_constants(t.shifted)
     e1, _, _ = _half_periods(c2, c3, c4)
-    quot = theta(2, zr, t) / theta(1, zr, t)
+    quot = _theta_series(2, zr, t.shifted) / _theta_series(1, zr, t.shifted)
     return e1 + (_PI * c3 * c4 * quot) ** 2
 
 
 def modular_lambda(tau: TauParameter | complex) -> complex:
-    """Modular lambda(tau) = theta2(0)^4 / theta3(0)^4, at ``_even_shift``
-    of tau.
+    """Modular lambda(tau) = theta2(0)^4 / theta3(0)^4, at tau.shifted.
 
     Accuracy relative to max(1, |lambda|), measured against mpmath over
     seeded taus: up to 4e-9 within 0.15 of the cusps +-1 near the Im tau
@@ -470,7 +471,7 @@ def modular_lambda(tau: TauParameter | complex) -> complex:
     along Re tau (|Re tau| from 1e3 to 1e15, Im tau in [0.3, 3]), where the
     shift leaves the error of the shifted tau.
     """
-    c2, c3, _ = _theta_constants(as_tau(tau))
+    c2, c3, _ = _theta_constants(as_tau(tau).shifted)
     return c2 ** 4 / c3 ** 4
 
 
@@ -483,7 +484,7 @@ def _batch_lambdas(taus: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     import numpy as np
     for lo in range(0, taus.size, THETA_BLOCK):
         block = taus[lo:lo + THETA_BLOCK]
-        shifted = _even_shift(block)
+        shifted = [_even_shift(tau) for tau in block.tolist()]
         c2, c3 = (_theta_array(kind, 0.0, shifted).tolist() for kind in (2, 3))
         yield block, np.array([a ** 4 / b ** 4 for a, b in zip(c2, c3)],
                               dtype=complex)

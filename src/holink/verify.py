@@ -296,11 +296,11 @@ def _laplacian_grid(tau: complex) -> np.ndarray:
     step, n = 2e-5, 64
     h = 1.0 / n
     mid = (np.arange(n) + 0.5) * h
-    u = np.array([p for p in (mid[:, None] + mid * t.value).ravel().tolist()
+    u = np.array([p for p in (mid[:, None] + mid * t.shifted).ravel().tolist()
                   if _corner_distance(p, t) >= 3.0 * h])
     s = np.concatenate([u + step, u - step, u + 1j * step, u - 1j * step, u])
     g = np.array([_green_from_theta1(th, p, t) for th, p in
-                  zip(_theta_array(1, s, t.value).tolist(), s.tolist())])
+                  zip(_theta_array(1, s, t.shifted).tolist(), s.tolist())])
     g = g.reshape(5, u.size)
     return (g[0] + g[1] + g[2] + g[3] - 4.0 * g[4]) / (step * step)
 

@@ -267,10 +267,7 @@ def test_phase_overflow_is_convergence_error_on_both_paths():
 
 
 def test_tau_validated_once_per_public_call(monkeypatch):
-    tau = 0.3 + 1.1j
-    massey_report(tau)  # warm the theta-constant cache
-    z = Divisor.elliptic(tau, [(0.1 + 0.2j, 1), (0.4 + 0.1j, -1)])
-    w = Divisor.elliptic(tau, [(0.7 + 0.5j, 1), (0.3 + 0.6j, -1)])
+    # 1e12+1i is far along Re tau: the shifted tau is taken once there too.
     built = []
     validate = TauParameter.__post_init__
 
@@ -278,12 +275,42 @@ def test_tau_validated_once_per_public_call(monkeypatch):
         built.append(self.value)
         validate(self)
 
-    monkeypatch.setattr(TauParameter, "__post_init__", counting)
-    massey_report(tau)
-    assert len(built) <= 1
-    built.clear()
-    linking_elliptic(z, w)
-    assert built == []
+    for tau in (0.3 + 1.1j, 1e12 + 1j):
+        massey_report(tau)  # warm the theta-constant cache
+        z = Divisor.elliptic(tau, [(0.1 + 0.2j, 1), (0.4 + 0.1j, -1)])
+        w = Divisor.elliptic(tau, [(0.7 + 0.5j, 1), (0.3 + 0.6j, -1)])
+        with monkeypatch.context() as patch:
+            patch.setattr(TauParameter, "__post_init__", counting)
+            built.clear()
+            massey_report(tau)
+            assert len(built) <= 1, tau
+            built.clear()
+            linking_elliptic(z, w)
+            assert built == [], tau
+
+
+@pytest.mark.parametrize("k", [1, 5e11, 5e14])
+def test_evaluators_keep_their_bits_under_an_even_shift_of_tau(k):
+    # tau and tau + 2k span one lattice; 0.25 + 2k is exact for these k.
+    base = 0.25 + 1.1j
+    far = base + 2 * k
+    assert far - 2 * k == base
+    u, v = 0.1 + 0.05j, 0.8 + 0.6j
+    terms = [(0.1 + 0.2j, 1), (2.6 + 0.5j, -1)]
+    values = []
+    for tau in (base, far):
+        z = Divisor.elliptic(tau, terms)
+        w = Divisor.elliptic(tau, [(0.35 + 0.9j, 1), (0.8 + 0.15j, -1)])
+        values.append([
+            _hex(weierstrass_p(u, tau)),
+            _hex(arakelov_green(u, tau)),
+            _hex(torus_distance(u, v + 3.0, tau)),
+            _hex(reduce_mod_lattice(v + 3.0 - 2.0j, tau)),
+            _hex(lattice_sum_p(u, tau, 20)),
+            _hex(linking_elliptic(z, w).value),
+            [(_hex(p), m) for p, m in z.terms],
+        ])
+    assert values[0] == values[1]
 
 
 def test_theta1_vanishes_at_zero():
@@ -297,6 +324,25 @@ def test_theta1_odd_bitwise():
         tau = _random_tau(rng)
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         assert theta(1, -z, tau) == -theta(1, z, tau)
+
+
+def test_theta_at_large_real_z_shifts_z_exactly():
+    # theta1 vanishes on the lattice; theta2 has period 2 in z.
+    for k in (1, 5e11, 5e16):
+        assert theta(1, 2 * k, 1j) == 0j
+        assert theta(1, -2 * k, 0.3 + 1.1j) == 0j
+    # 2k + 0.5 is exact up to k = 2**50, 2k + 1.25 up to k = 2**49.
+    for k in (1, 3, 2 ** 20, 2 ** 49, 2 ** 50):
+        for tau in (1j, 0.3 + 1.1j):
+            for kind in (1, 2, 3, 4):
+                assert (_hex(theta(kind, 2 * k + 0.5, tau))
+                        == _hex(theta(kind, 0.5, tau))), (kind, k, tau)
+                if k > 2 ** 49:
+                    continue
+                # an odd shift negates theta1 and theta2 exactly
+                sign = -1 if kind in (1, 2) else 1
+                assert (_hex(theta(kind, 2 * k + 1.25 + 0.1j, tau))
+                        == _hex(sign * theta(kind, 0.25 + 0.1j, tau))), (kind, k)
 
 
 def test_theta3_against_brute_series():
