@@ -121,18 +121,20 @@ def _point_key(p: Point) -> tuple:
     return (0, p.real, p.imag)
 
 
-def _measure(curve: Curve, p: Point,
-             q: Point) -> tuple[complex | float | None, float]:
-    """(what the pairing sums from, distance) of two canonical points: the
-    reduced oriented difference and its distance from the lattice on an
-    elliptic curve; |p - q| twice on the sphere, or None where INFINITY
-    takes part, at distance 0 from itself and inf from every finite point."""
+def _sphere_measure(p: Point, q: Point) -> tuple[float | None, float]:
+    """(what the pairing sums from, distance) of two points of the sphere:
+    |p - q| twice, or None where INFINITY takes part, at distance 0 from
+    itself and inf from every finite point.  On an elliptic curve the
+    measure is ``_reduced_difference``."""
     if isinstance(p, _InfinityType) or isinstance(q, _InfinityType):
         return None, 0.0 if p is q else math.inf
-    if curve.kind == "elliptic":
-        return _reduced_difference(p, q, curve.tau)
     r = abs(p - q)
     return r, r
+
+
+#: Margin of the merge screen in ``Divisor``, in units of Im tau: far above
+#: SNAP_TOL and SNAP_TOL / MIN_IM_TAU (2e-11).
+_SCREEN_MARGIN = 1e-9
 
 
 class Divisor:
@@ -142,12 +144,26 @@ class Divisor:
     into the fundamental cell (with half-period snapping), duplicate points
     are merged, zero multiplicities are dropped, and the term list is
     sorted.  Instances are immutable.
+
+    A point merges into the first earlier one within SNAP_TOL of it.  On an
+    elliptic curve a screen skips the measurement of most pairs: two
+    reduced points whose imaginary parts differ by a fraction of Im tau in
+    (_SCREEN_MARGIN, 1 - _SCREEN_MARGIN) have a difference whose lattice
+    coordinate y stays that far from an integer, so they lie at least
+    _SCREEN_MARGIN * MIN_IM_TAU apart on the torus.  Every other pair is
+    measured by ``_reduced_difference``, so the screen changes no term.
     """
 
     __slots__ = ("curve", "terms")
 
     def __init__(self, curve: Curve, terms: Iterable[tuple[Point, int]]):
         object.__setattr__(self, "curve", curve)
+        elliptic = curve.kind == "elliptic"
+        if elliptic:
+            t = curve.tau
+            tv = t.shifted
+            apart_lo = _SCREEN_MARGIN * tv.imag
+            apart_hi = (1.0 - _SCREEN_MARGIN) * tv.imag
         canon: list[tuple[Point, int]] = []
         for point, mult in terms:
             if not isinstance(mult, int) or isinstance(mult, bool):
@@ -159,11 +175,17 @@ class Divisor:
                 point = complex(point)
                 if not (math.isfinite(point.real) and math.isfinite(point.imag)):
                     raise DomainError(f"divisor point must be finite, got {point!r}")
-                if curve.kind == "elliptic":
-                    point = _reduce_point(point, curve.tau.shifted)
+                if elliptic:
+                    point = _reduce_point(point, tv)
             # merge with an existing representative, if any
             for i, (p0, m0) in enumerate(canon):
-                if _measure(curve, p0, point)[1] < SNAP_TOL:
+                if elliptic:
+                    if apart_lo < abs(p0.imag - point.imag) < apart_hi:
+                        continue
+                    dist = _reduced_difference(p0, point, t)[1]
+                else:
+                    dist = _sphere_measure(p0, point)[1]
+                if dist < SNAP_TOL:
                     canon[i] = (p0, m0 + mult)
                     break
             else:
@@ -240,7 +262,9 @@ class LinkingResult:
 
 def _check_pair(z: Divisor, w: Divisor, kind: str) -> list:
     """Check curve kind, degrees and disjointness, in that order, and return
-    (a * b, what ``_measure`` gave) for each pair (P, a), (Q, b), z-major."""
+    (a * b, what the curve's measure gave) for each pair (P, a), (Q, b),
+    z-major: ``_reduced_difference`` on an elliptic curve, else
+    ``_sphere_measure``."""
     if z.curve.kind != kind or z.curve != w.curve:
         raise CurveMismatchError(
             f"expected two divisors on one {kind} curve, got "
@@ -249,10 +273,12 @@ def _check_pair(z: Divisor, w: Divisor, kind: str) -> list:
     for which, d in (("first", z), ("second", w)):
         if d.degree() != 0:
             raise HomologyError(f"{which} divisor has degree {d.degree()}, expected 0")
+    t = z.curve.tau
     measured = []
     for p, a in z.terms:
         for q, b in w.terms:
-            m, dist = _measure(z.curve, p, q)
+            m, dist = (_reduced_difference(p, q, t) if kind == "elliptic"
+                       else _sphere_measure(p, q))
             if dist < DISJOINTNESS_TOL:
                 raise DisjointnessError(
                     f"supports collide near {p!r} (distance {dist:.3e})"
@@ -302,7 +328,7 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     ur = reduce_mod_lattice(u, t)
     if _corner_distance(ur, t) < POLE_TOL:
         raise PoleError(f"green kernel has a logarithmic pole at {u!r}")
-    return _green_from_theta1(_theta_series(1, ur, t.shifted), ur, t)
+    return _green_from_theta1(_theta_series(1, ur, t._theta_terms), ur, t)
 
 
 def _green_from_theta1(th1: complex, ur: complex, t: TauParameter) -> float:
@@ -333,9 +359,9 @@ def linking_elliptic(z: Divisor, w: Divisor, *,
     pairs = _check_pair(z, w, "elliptic")
     t = z.curve.tau
     if green is None:
-        tv = t.shifted
+        terms = t._theta_terms
         total = _pairing_sum(
-            ab * _green_from_theta1(_theta_series(1, ur, tv), ur, t)
+            ab * _green_from_theta1(_theta_series(1, ur, terms), ur, t)
             for ab, ur in pairs)
     else:
         total = _pairing_sum(

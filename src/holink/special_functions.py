@@ -28,10 +28,17 @@ All series are truncated adaptively: summation stops once an upper bound
 for the next term drops below EPS_SERIES * (1 + |partial sum|), within
 about 136 terms at Im tau >= MIN_IM_TAU, as _EXP_CAP bounds the peak term.
 
-Two paths evaluate theta, selected by input: ``theta`` (and its cache
-``_theta_constants``) for one point, and one numpy kernel,
-``_theta_array(kind, z, tau)`` with z broadcast against tau, for many.  The
-kernel sums the same ``_paired_term``s in the same order with the same
+Two paths evaluate theta, selected by input: the scalar series
+``_theta_series`` (behind ``theta`` and its cache ``_theta_constants``) for
+one point, and one numpy kernel, ``_theta_array(kind, z, tau)`` with z
+broadcast against tau, for many.  The scalar series reads the parts of
+each term that depend on tau alone (-pi*Im(tau)*a^2, pi*k and tau*a^2) from
+a ``_ThetaTerms``, built once per evaluation tau as far as some sum has
+needed them and kept on the ``TauParameter`` (``_theta_terms``, a cached
+property, so a TauParameter that sums no series builds none); the many
+theta1 series of one linking pairing share it.  The values are formed by
+the expressions the loop formed per term before, so they keep every bit,
+and the loop stops on the same term.  The kernel sums the same ``_paired_term``s in the same order with the same
 per-point stopping rule (|partial sum| is ``np.hypot``, the libm function
 behind ``abs``) and ConvergenceErrors, so its values equal
 ``theta`` bit for bit (tests compare them by ``float.hex``).  Where every z
@@ -61,7 +68,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -86,6 +93,10 @@ POLE_TOL = 1e-12
 
 # Largest exponent handed to exp() before we give up; doubles overflow at ~709.
 _EXP_CAP = 700.0
+
+# log(EPS_SERIES / 2): a series at z = 0 stops at the latest on the first term
+# whose log bound is below it.
+_LOG_HALF_EPS = math.log(EPS_SERIES / 2.0)
 
 _PI = math.pi
 _PI2_3 = math.pi ** 2 / 3.0
@@ -125,6 +136,25 @@ class TauParameter:
     def nome(self) -> complex:
         """q = exp(i*pi*tau), with |q| < 1."""
         return cmath.exp(1j * _PI * self.value)
+
+    @cached_property
+    def _theta_terms(self) -> _ThetaTerms:
+        """Theta's term data at ``shifted``, built on first use, so a
+        TauParameter that sums no series (``scan``'s) builds none."""
+        return _ThetaTerms(self.shifted)
+
+    @cached_property
+    def _gauss_basis(self) -> tuple[complex, complex]:
+        """A Lagrange-Gauss-reduced basis (w1, w2) of Z + Z*shifted:
+        |w1| <= |w2| <= |w2 - m*w1| for every integer m."""
+        w1, w2 = 1.0 + 0.0j, self.shifted
+        while True:
+            if abs(w2) < abs(w1):
+                w1, w2 = w2, w1
+            m = round((w2 * w1.conjugate()).real / abs(w1) ** 2)
+            if m == 0:
+                return w1, w2
+            w2 -= m * w1
 
 
 def as_tau(tau: TauParameter | complex) -> TauParameter:
@@ -185,44 +215,95 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"theta kind must be 1..4, got {kind!r}")
-    t = as_tau(tau).value
+    t = as_tau(tau)
+    terms = t._theta_terms if t.value == t.shifted else _ThetaTerms(t.value)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"theta argument must be finite, got {z!r}")
     if abs(z.real) > 1.0:
         m = round(z.real)
-        value = _theta_series(kind, z - m, t)
+        value = _theta_series(kind, z - m, terms)
         return -value if kind in (1, 2) and m & 1 else value
-    return _theta_series(kind, z, t)
+    return _theta_series(kind, z, terms)
 
 
-def _theta_series(kind: int, z: complex, t: complex) -> complex:
-    """``theta``'s series at a valid kind, finite z and admissible tau t."""
-    im_tau = t.imag
+class _ThetaTerms:
+    """The factors of theta's paired terms that depend on tau alone, at one
+    evaluation tau: for the n-th term of exponent a and frequency k = 2a,
+    (n, -pi*Im(tau)*a*a, pi*k, k, tau*a*a), formed by the expressions the
+    series would form per term, so each keeps its bits.  ``half`` holds
+    a = n + 1/2 (kinds 1, 2) from n = 0, ``whole`` a = n (kinds 3, 4) from
+    n = 1; each grows when a sum needs a term it does not hold yet.  A term
+    depends on (tau, n) alone and ``grow`` stores a longer tuple in one
+    step, so a sum that reads one while another thread grows it reads a
+    correct prefix."""
+
+    __slots__ = ("tau", "half", "whole")
+
+    def __init__(self, tau: complex) -> None:
+        self.tau = tau
+        self.half: tuple[tuple, ...] = ()
+        self.whole: tuple[tuple, ...] = ()
+
+    def grow(self, half: bool, n: int) -> tuple[tuple, ...]:
+        """The terms of ``half`` or ``whole`` from the n-th on, at least
+        one.  Missing ones are built on to the first whose tau-only bound
+        2*exp(-pi*Im(tau)*a*a) is below EPS_SERIES, where a series at z = 0
+        stops, so that one call builds what such a series needs."""
+        data = self.half if half else self.whole
+        index = n if half else n - 1
+        if index >= len(data):
+            t = self.tau
+            new = []
+            m = len(data) if half else len(data) + 1
+            while True:
+                a = m + 0.5 if half else m
+                k = 2 * a
+                log_mag_tau = -_PI * t.imag * a * a
+                new.append((m, log_mag_tau, _PI * k, k, t * a * a))
+                if m >= n and log_mag_tau < _LOG_HALF_EPS:
+                    break
+                m += 1
+            data += tuple(new)
+            if half:
+                self.half = data
+            else:
+                self.whole = data
+        return data[index:]
+
+
+def _theta_series(kind: int, z: complex, terms: _ThetaTerms) -> complex:
+    """``theta``'s series at a valid kind, finite z and the admissible tau
+    of ``terms``, whose data it extends as far as it needs."""
+    t = terms.tau
     abs_im_z = abs(z.imag)
     half = kind in (1, 2)
     total = 0.0 + 0.0j if half else 1.0 + 0.0j
-    for n in itertools.count(0 if half else 1):
-        a = n + 0.5 if half else n
-        k = 2 * a
-        # |term| <= exp(-pi*Im(tau)*a^2 + pi*k*|Im z|) for each exponential.
-        log_mag = -_PI * im_tau * a * a + _PI * k * abs_im_z
-        if log_mag > _EXP_CAP:
-            raise _term_overflow(kind, n, z, t)
-        bound = 2.0 * math.exp(log_mag)
-        # "not >=" stops on a NaN sum too: a phase that overflowed in the
-        # product below, before cmath.exp saw it, leaves a NaN term.
-        if not bound >= EPS_SERIES * (1.0 + abs(total)):
-            if cmath.isnan(total):
-                raise _phase_overflow(kind, t)
-            return total
-        ta, kz = t * a * a, k * z
-        try:
-            e_plus = cmath.exp(_IPI * (ta + kz))
-            e_minus = cmath.exp(_IPI * (ta - kz))
-        except ValueError:  # an infinite phase with a finite real part
-            raise _phase_overflow(kind, t) from None
-        total += _paired_term(kind, n, e_plus, e_minus)
+    # the terms built so far, then those from the one after the last, n
+    batch = terms.half if half else terms.whole
+    n = -1 if half else 0
+    while True:
+        for n, log_mag_tau, pi_k, k, ta in batch:
+            # |term| <= exp(-pi*Im(tau)*a^2 + pi*k*|Im z|) for each
+            # exponential.
+            log_mag = log_mag_tau + pi_k * abs_im_z
+            if log_mag > _EXP_CAP:
+                raise _term_overflow(kind, n, z, t)
+            bound = 2.0 * math.exp(log_mag)
+            # "not >=" stops on a NaN sum too: a phase that overflowed in
+            # the product below, before cmath.exp saw it, leaves a NaN term.
+            if not bound >= EPS_SERIES * (1.0 + abs(total)):
+                if cmath.isnan(total):
+                    raise _phase_overflow(kind, t)
+                return total
+            kz = k * z
+            try:
+                e_plus = cmath.exp(_IPI * (ta + kz))
+                e_minus = cmath.exp(_IPI * (ta - kz))
+            except ValueError:  # an infinite phase with a finite real part
+                raise _phase_overflow(kind, t) from None
+            total += _paired_term(kind, n, e_plus, e_minus)
+        batch = terms.grow(half, n + 1)
 
 
 def _even_shift(tau: complex) -> complex:
@@ -239,7 +320,8 @@ def _even_shift(tau: complex) -> complex:
 def _theta_constants(s: complex) -> tuple[complex, complex, complex]:
     """(theta2, theta3, theta4) at z = 0 and a ``TauParameter.shifted`` s,
     where theta2 gains a power of i (only theta2^4 is used).  Cached."""
-    return tuple(_theta_series(kind, 0.0, s) for kind in (2, 3, 4))
+    terms = _ThetaTerms(s)
+    return tuple(_theta_series(kind, 0.0, terms) for kind in (2, 3, 4))
 
 
 def _theta_array(kind: int, z, tau) -> np.ndarray:
@@ -337,15 +419,6 @@ def half_period_values(tau: TauParameter | complex) -> HalfPeriodValues:
     return HalfPeriodValues(*_half_periods(*_theta_constants(as_tau(tau).shifted)))
 
 
-def _snap_unit(x: float) -> float:
-    """Reduce x mod 1 and snap to the nearest half-integer within SNAP_TOL."""
-    x = x - math.floor(x)
-    half = round(2.0 * x) / 2.0
-    if abs(x - half) < SNAP_TOL:
-        x = half % 1.0
-    return x
-
-
 def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
     """Representative of z in the cell [0,1) x [0,1) of (1, tau.shifted).
 
@@ -353,32 +426,63 @@ def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
     points meant to be half-periods are recognized exactly downstream.  A
     point whose lattice coordinates lie strictly inside the cell, off the
     snap lines, is its own representative, bit for bit; so reducing a
-    reduced point again leaves it where it is.  A finite z whose
-    coordinates leave double range raises DomainError.  Its body,
+    reduced point again leaves it where it is.  Far out, where float
+    coordinates would have lost digits, the reduction is exact.  A finite
+    z whose coordinates leave double range raises DomainError.  Its body,
     ``_reduce_point``, serves ``Divisor`` and ``torus_distance`` too.
     """
     return _reduce_point(complex(z), as_tau(tau).shifted)
 
 
+#: Largest |x| + 2|y| of the lattice coordinates (x, y) that
+#: ``_reduce_point`` reduces in floats.  Their error is about
+#: eps * (|x| + (1 + |Re tau|) * |y|) <= eps * (|x| + 2|y|) at a shifted
+#: tau, so within the limit it stays below 2**-42 (2.3e-13), under
+#: SNAP_TOL; beyond it the reduction is exact.
+_FLOAT_REDUCTION_LIMIT = 2.0 ** 10
+
+
 def _reduce_point(z: complex, tv: complex) -> complex:
-    """``reduce_mod_lattice`` of a complex z at an admissible tau value tv."""
+    """``reduce_mod_lattice`` of a complex z at a shifted tau value tv."""
     # coordinates in the basis (1, tau): z = x + y*tau
     y = z.imag / tv.imag
     x = z.real - y * tv.real
-    try:
-        xs, ys = _snap_unit(x), _snap_unit(y)
-    except (OverflowError, ValueError):  # math.floor of an inf or a NaN
-        raise DomainError(
-            f"z = {z!r} has no lattice coordinates in double range at "
-            f"tau = {tv!r}") from None
+    if not abs(x) + 2.0 * abs(y) <= _FLOAT_REDUCTION_LIMIT:  # an inf or NaN too
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(
+                f"z = {z!r} has no lattice coordinates in double range at "
+                f"tau = {tv!r}")
+        return _reduce_point(_exact_cell_point(z, tv), tv)
+    # each coordinate mod 1, snapped onto a half-integer within SNAP_TOL
+    xs = x - math.floor(x)
+    half = round(2.0 * xs) / 2.0
+    if abs(xs - half) < SNAP_TOL:
+        xs = half % 1.0
+    ys = y - math.floor(y)
+    half = round(2.0 * ys) / 2.0
+    if abs(ys - half) < SNAP_TOL:
+        ys = half % 1.0
     if 0.0 < xs == x and 0.0 < ys == y:
         return z
     return complex(xs + ys * tv.real, ys * tv.imag)
 
 
+def _exact_cell_point(z: complex, tv: complex) -> complex:
+    """The point of the cell congruent to z, from z's rational lattice
+    coordinates reduced mod 1 and rounded once.  ``fractions`` is imported
+    here, off the import path, as numpy is in the array paths."""
+    from fractions import Fraction
+    tr, ti = Fraction(tv.real), Fraction(tv.imag)
+    y = Fraction(z.imag) / ti
+    x = Fraction(z.real) - y * tr
+    x, y = x - math.floor(x), y - math.floor(y)
+    return complex(x + y * tr, y * ti)
+
+
 def _corner_distance(zr: complex, t: TauParameter) -> float:
     """Distance from zr, a point of the fundamental cell, to the nearest of
-    its corners 0, 1, tau, 1+tau; see ``torus_distance`` on skewed cells."""
+    its corners 0, 1, tau, 1+tau: the distance from the lattice wherever it
+    is below min(1, Im tau)/2, since no other lattice point comes nearer."""
     tv = t.shifted
     return min(abs(zr), abs(zr - 1.0), abs(zr - tv), abs(zr - 1.0 - tv))
 
@@ -386,12 +490,23 @@ def _corner_distance(zr: complex, t: TauParameter) -> float:
 def torus_distance(u: complex, v: complex, tau: TauParameter | complex) -> float:
     """Distance between u and v modulo the lattice Z + Z*tau: one reduction
     of the difference, then the distance to the nearest cell corner.  On a
-    skewed cell a nearer lattice point can lie outside it, and this then
-    overestimates (4.5x in a seeded sweep, only where the true distance is
-    at least Im tau).  The difference is taken in one canonical orientation,
-    so that torus_distance(u, v) == torus_distance(v, u) bit for bit.  Its
-    body, ``_reduced_difference``, serves ``linking``'s pairs too."""
-    return _reduced_difference(complex(u), complex(v), as_tau(tau))[1]
+    skewed cell a nearer lattice point can lie outside the cell, but only
+    where the corner distance is at least min(1, Im tau)/2; there the
+    distance is that to the nearest corner of the point's cell in a
+    Lagrange-Gauss-reduced basis, which is the nearest lattice point.  The
+    difference is taken in one canonical orientation, so that
+    torus_distance(u, v) == torus_distance(v, u) bit for bit.  Its body,
+    ``_reduced_difference``, serves ``linking``'s pairs too."""
+    t = as_tau(tau)
+    ur, dist = _reduced_difference(complex(u), complex(v), t)
+    if dist < min(1.0, t.shifted.imag) / 2.0:
+        return dist
+    w1, w2 = t._gauss_basis
+    det = w1.real * w2.imag - w1.imag * w2.real
+    a = (ur.real * w2.imag - ur.imag * w2.real) / det
+    b = (w1.real * ur.imag - w1.imag * ur.real) / det
+    p = (a - math.floor(a)) * w1 + (b - math.floor(b)) * w2
+    return min(abs(p), abs(p - w1), abs(p - w2), abs(p - w1 - w2))
 
 
 def _reduced_difference(u: complex, v: complex,
@@ -457,7 +572,8 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
         raise PoleError(f"p(z) has a pole at lattice point z = {z!r}")
     c2, c3, c4 = _theta_constants(t.shifted)
     e1, _, _ = _half_periods(c2, c3, c4)
-    quot = _theta_series(2, zr, t.shifted) / _theta_series(1, zr, t.shifted)
+    quot = (_theta_series(2, zr, t._theta_terms)
+            / _theta_series(1, zr, t._theta_terms))
     return e1 + (_PI * c3 * c4 * quot) ** 2
 
 

@@ -19,7 +19,7 @@ from holink.cli import (
     main,
     parse_complex,
 )
-from holink.massey import massey_value_closed_form
+from holink.massey import massey_report, massey_value_closed_form
 from holink.special_functions import THETA_BLOCK, TauParameter, modular_lambda
 
 
@@ -276,6 +276,23 @@ def test_link_elliptic_half_periods(tmp_path, capsys):
     assert "residual" not in fields
 
 
+def test_link_elliptic_merge_across_the_cell_edge_is_pinned(tmp_path, capsys):
+    # The 8-point pair of the CI pin: its first two points, at lattice y
+    # 1.3e-12 and 1 - 1.3e-12, merge into one term of multiplicity 2.
+    z = tmp_path / "z.json"
+    w = tmp_path / "w.json"
+    z.write_text(json.dumps({"curve": {"elliptic": "0.1+0.3i"}, "terms": [
+        [0.4, 4e-13, 1], [0.5, 0.2999999999996, 1], [0.15, 0.1, -1],
+        [0.55, 0.22, -1], [0.9, 0.05, 1], [0.25, 0.27, -1], [0.65, 0.12, 1],
+        [0.05, 0.18, -1]]}))
+    w.write_text(json.dumps({"curve": {"elliptic": "0.1+0.3i"}, "terms": [
+        [0.3, 0.05, 1], [0.8, 0.25, -1], [0.45, 0.15, 1], [0.1, 0.28, -1],
+        [0.6, 0.02, 1], [0.95, 0.2, -1], [0.2, 0.12, 1], [0.75, 0.08, -1]]}))
+    assert main(["link", str(z), str(w)]) == 0
+    assert capsys.readouterr().out == ("value    = 0.145667684328484\n"
+                                       "method   = arakelov-green\n")
+
+
 def test_scan_command(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     rc = main(["scan", "--re-min", "-0.5", "--re-max", "0.5",
@@ -354,6 +371,24 @@ def test_scan_validates_grid_once(tmp_path, monkeypatch):
     monkeypatch.setattr(TauParameter, "__post_init__", counting)
     assert _scan(tmp_path / "box.csv", -1, 1, 0.5, 2, 201, 151) == 0
     assert len(built) <= 201 + 151 + 1
+
+
+def test_scan_builds_no_theta_term_data(tmp_path, monkeypatch):
+    # scan's taus go through the array kernel; their TauParameters sum no
+    # scalar series and so build no per-tau term data.
+    built = []
+    validate = TauParameter.__post_init__
+
+    def recording(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(TauParameter, "__post_init__", recording)
+    assert _scan(tmp_path / "box.csv", -1, 1, 0.5, 2, 21, 16) == 0
+    assert built
+    assert not any("_theta_terms" in vars(t) for t in built)
+    massey_report(built[0])
+    assert "_theta_terms" in vars(built[0])
 
 
 def _scalar_rows(grid):

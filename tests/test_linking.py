@@ -33,9 +33,11 @@ from holink import (
     massey_value_via_linking,
     pullback,
     pushforward,
+    reduce_mod_lattice,
     torus_distance,
     weierstrass_p,
 )
+from holink.special_functions import SNAP_TOL
 from holink.verify import TAU_BOX
 
 LINK_AT_I = math.log(0.5) / (2.0 * math.pi)  # half-period pairing on tau = i
@@ -70,6 +72,83 @@ def test_divisor_elliptic_reduction():
     tau = 0.3 + 1.2j
     d = Divisor.elliptic(tau, [(0.1 + 2 * tau + 5, 1), (0.1, -1)])
     assert d.terms == ()  # same point mod the lattice
+
+
+def _merged_measuring_every_pair(tau, terms):
+    """(canonical terms, merges) as ``Divisor`` makes them without its
+    screen: each reduced point measured against every representative."""
+    canon = []
+    for p, m in terms:
+        p = reduce_mod_lattice(p, tau)
+        for i, (p0, m0) in enumerate(canon):
+            if torus_distance(p0, p, tau) < SNAP_TOL:
+                canon[i] = (p0, m0 + m)
+                break
+        else:
+            canon.append((p, m))
+    merged = sorted(((p, m) for p, m in canon if m != 0),
+                    key=lambda t: (t[0].real, t[0].imag))
+    return merged, len(terms) - len(canon)
+
+
+def _hex_terms(terms):
+    return [(p.real.hex(), p.imag.hex(), m) for p, m in terms]
+
+
+def test_merge_screen_keeps_every_canonical_term():
+    # Seeded divisors with lattice translates of their points, nudged by
+    # less and by more than SNAP_TOL, and pairs of points near the lower and
+    # upper cell edges: the screened merge gives the reference's terms.
+    rng = random.Random(1709)
+    merges = 0
+    for _ in range(1500):
+        tau = complex(rng.uniform(-1, 1),
+                      math.exp(rng.uniform(math.log(0.05), math.log(900.0))))
+        pts = []
+        for _ in range(rng.randint(1, 4)):
+            p = rng.uniform(0, 1) + rng.uniform(0, 1) * tau
+            for _ in range(rng.randint(1, 3)):
+                nudge = complex(*(rng.choice((0.0, 1e-14, -4e-13, 3e-12))
+                                  for _ in range(2)))
+                pts.append(p + rng.randint(-2, 2) + rng.randint(-2, 2) * tau
+                           + nudge)
+        for _ in range(rng.randint(0, 2)):
+            x, eps = rng.uniform(0, 1), 10.0 ** rng.uniform(-13, -8)
+            pts += [x + eps * tau, x + (1.0 - eps) * tau]
+        rng.shuffle(pts)
+        terms = [(p, rng.choice((1, -1, 2))) for p in pts]
+        expected, merged = _merged_measuring_every_pair(tau, terms)
+        merges += merged
+        assert (_hex_terms(Divisor.elliptic(tau, terms).terms)
+                == _hex_terms(expected)), (tau, terms)
+    assert merges > 1000
+
+
+_TV = 0.3 + 1.1j
+_P = 3e-12 + 3e-12 * _TV  # lattice coordinates (3e-12, 3e-12), not snapped
+_Q = 0.3 + 5e-12 * (0.7 + 0.05j)
+
+
+@pytest.mark.parametrize("tau, points, n_terms", [
+    # lattice y 1e-11 and 1 - 1e-11 at Im tau = 0.05: 1.0000056e-12 apart,
+    # just over SNAP_TOL, so two terms; at 5e-12 from the edges, one
+    (0.05j, [0.3 + 1e-11 * 0.05j, 0.3 + (1 - 1e-11) * 0.05j], 2),
+    (0.05j, [0.3 + 5e-12 * 0.05j, 0.3 + (1 - 5e-12) * 0.05j], 1),
+    (0.7 + 0.05j, [_Q, _Q + (0.7 + 0.05j) - 5e-13j], 1),
+    # p and p + 1 + tau within 1e-13
+    (_TV, [0.2 + 0.4j, 0.2 + 0.4j + 1 + _TV + 6e-14 - 5e-14j], 1),
+    (_TV, [_P, _P + 1 + _TV + 5e-14j], 1),
+    # the half-period divisors of massey_value_via_linking share Im
+    (_TV, [0.0, 0.5, _TV / 2, (1 + _TV) / 2], 4),
+    (_TV, [0.0, 1.0, _TV, 1.0 + _TV], 1),
+], ids=["edge-y-1e-11", "edge-y-5e-12", "edge-skewed", "p-and-p+1+tau",
+        "p-and-p+1+tau-at-corner", "half-periods", "corners"])
+def test_merge_screen_edge_cases(tau, points, n_terms):
+    terms = [(p, 1) for p in points]
+    expected, _ = _merged_measuring_every_pair(tau, terms)
+    got = Divisor.elliptic(tau, terms).terms
+    assert _hex_terms(got) == _hex_terms(expected)
+    assert len(got) == n_terms
 
 
 def test_divisor_infinity_only_on_sphere():

@@ -3,7 +3,10 @@
 import cmath
 import math
 import random
+import sys
+import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -441,6 +444,110 @@ def test_reduction_snaps_onto_half_periods():
                     assert _bits(reduce_mod_lattice(u, tau)) == _bits(half)
     for z in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
         assert _bits(reduce_mod_lattice(z, 1j)) == _bits(0j)
+
+
+def _exact_coordinates(z, tau):
+    """z's lattice coordinates in the basis (1, shifted tau), as rationals."""
+    s = TauParameter(tau).shifted
+    y = Fraction(z.imag) / Fraction(s.imag)
+    return Fraction(z.real) - y * Fraction(s.real), y
+
+
+def test_reduce_mod_lattice_is_exact_far_out():
+    # 1e17 + 0.3i has coordinates (1e17 - 0.18, 0.6) at 0.3+0.5i; in floats
+    # the fractional 0.82 of x was lost and 0.18+0.3i came back.
+    assert abs(reduce_mod_lattice(1e17 + 0.3j, 0.3 + 0.5j) - (1 + 0.3j)) < 1e-15
+    # Seeded sweep up to |z| = 1e300: the representative's coordinates equal
+    # z's reduced exactly, within the float path's 2**-42 bound for points
+    # of ordinary size and within rounding once the reduction is exact.
+    rng = random.Random(1300)
+    for _ in range(3000):
+        tau = complex(rng.uniform(-3, 3), math.exp(rng.uniform(math.log(0.05),
+                                                               math.log(900))))
+        mag = 10.0 ** rng.uniform(-3, 300)
+        z = complex(mag * rng.uniform(-1, 1), mag * rng.uniform(-1, 1))
+        got = reduce_mod_lattice(z, tau)
+        x, y = _exact_coordinates(z, tau)
+        gx, gy = _exact_coordinates(got, tau)
+        assert 0 <= gx < 1 and 0 <= gy < 1, (z, tau)
+        dx, dy = gx - x, gy - y
+        err = float(max(abs(dx - round(dx)), abs(dy - round(dy))))
+        assert err <= 2.0 ** -42, (z, tau, err)
+        if abs(x) + 2 * abs(y) > 2 ** 11:
+            assert err <= 2.0 ** -50, (z, tau, err)
+
+
+def test_torus_distance_is_the_lattice_distance_on_skewed_cells():
+    # The lattice point -2 + 3*tau is nearer to 0.45+0.05i than any corner
+    # of its cell: 0.3536, not 0.4528.
+    assert abs(torus_distance(0.45 + 0.05j, 0, 0.9 + 0.1j)
+               - math.sqrt(0.125)) < 1e-15
+    # 40,000 seeded (u, tau) against a search over the 81 x 81 lattice
+    # points m + n*tau, |m|, |n| <= 40.
+    rng = random.Random(2026)
+    n_points = 40_000
+    taus = np.array([complex(rng.uniform(-1, 1), rng.uniform(0.05, 3.0))
+                     for _ in range(n_points)])
+    us = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                   for _ in range(n_points)])
+    got = np.array([torus_distance(u, 0.0, tau)
+                    for u, tau in zip(us.tolist(), taus.tolist())])
+    ms = np.arange(-40, 41.0)
+    best = np.full(n_points, np.inf)
+    for n in ms:
+        re = us.real - n * taus.real
+        im2 = (us.imag - n * taus.imag) ** 2
+        best = np.minimum(best, ((re[:, None] - ms) ** 2).min(axis=1) + im2)
+    brute = np.sqrt(best)
+    assert (np.abs(got - brute) <= 1e-13 * brute).all()
+
+
+def test_theta_term_data_keeps_every_bit_in_any_order():
+    # One TauParameter's term data grows with whichever series first needs
+    # a term; a series reads from it the bits a fresh TauParameter gives.
+    rng = random.Random(7)
+    for _ in range(40):
+        tau = complex(rng.uniform(-1, 1), rng.uniform(0.05, 3.0))
+        zs = [complex(rng.uniform(-1, 1), rng.uniform(-3, 3) * tau.imag)
+              for _ in range(6)] + [0.0]
+        shared = TauParameter(tau)
+        for kind in rng.sample((1, 2, 3, 4), 4):
+            for z in rng.sample(zs, len(zs)):
+                assert (_hex(theta(kind, z, shared))
+                        == _hex(theta(kind, z, tau))), (kind, z, tau)
+
+
+def test_theta_term_data_shared_across_threads():
+    # Threads summing at one fresh TauParameter grow its term data at once;
+    # each value keeps the bits of a sum at a TauParameter of its own.
+    rng = random.Random(11)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            tau = complex(rng.uniform(-1, 1), rng.uniform(0.05, 3.0))
+            work = [(kind, complex(rng.uniform(-1, 1),
+                                   rng.uniform(-2, 2) * tau.imag))
+                    for kind in (1, 2, 3, 4) for _ in range(4)]
+            expected = {case: _hex(theta(*case, tau)) for case in work}
+            shared = TauParameter(tau)
+            results = [None] * 4
+
+            def run(j, cases):
+                results[j] = {case: _hex(theta(*case, shared))
+                              for case in cases}
+
+            threads = [threading.Thread(target=run,
+                                        args=(j, rng.sample(work, len(work))))
+                       for j in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert results == [expected] * 4, tau
+    finally:
+        sys.setswitchinterval(switch)
 
 
 @pytest.mark.parametrize("call", [
