@@ -513,6 +513,16 @@ def test_verify_byte_determinism_subprocess():
     assert a.stdout  # not empty
 
 
+def test_verify_seed_42_stdout_is_pinned():
+    # Across commits, not only from run to run; CI checks the same digest.
+    cmd = [sys.executable, "-c",
+           "from holink.cli import main; raise SystemExit(main(['verify', '--seed', '42']))"]
+    run = subprocess.run(cmd, capture_output=True)
+    assert run.returncode == 0
+    assert hashlib.sha256(run.stdout).hexdigest() == (
+        "82651332513d809eb7f0d22423a28722d10638969278170b61bed5cb1a857cb7")
+
+
 # The child runs every scalar path, checking after each that numpy is still
 # unloaded, then a 2x2 scan, which must load it: the check is not vacuous.
 _NUMPY_FREE_SCRIPT = """

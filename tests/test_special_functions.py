@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -195,16 +196,96 @@ def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
             assert str(kernel.value) == str(scalar.value)
 
 
+#: ``_lattice_sums_p`` values as (real, imag) ``float.hex``, captured from
+#: the whole-array expressions that the in-place evaluation replaced: the
+#: weierstrass-oracle suite's 10 points per tau at seed 42 and radius 400,
+#: and three points at two skewed taus at radius 10 (the minimum) and 37.
+_ORACLE_HEX = {
+    1j: [
+        ("-0x1.c027a961e36d3p+3", "-0x1.cf7cd0ce509d0p+0"),
+        ("-0x1.f333d2ee67db0p+3", "0x1.e30e775f38710p+2"),
+        ("0x1.9cf9c68f398a3p+3", "0x1.a32626a788b49p+0"),
+        ("-0x1.16ec60866610ap+4", "0x1.ee6024fc7f9ebp+3"),
+        ("-0x1.e6ebcf4974fe2p+2", "0x1.b258672c45939p+4"),
+        ("-0x1.d951c5dce1c56p+4", "0x1.faaf4738ae0aep+5"),
+        ("-0x1.9e6f1fe19956bp+5", "0x1.9bb3014d03250p+5"),
+        ("-0x1.879bea8bad605p+3", "-0x1.3423bc85ab310p+3"),
+        ("-0x1.6842117ce9f02p+3", "-0x1.ceaf9765d610fp+3"),
+        ("0x1.856dc629b5279p+4", "-0x1.6e632ec64fbdcp+3"),
+    ],
+    1.3j: [
+        ("0x1.a9955be2ab9ffp+3", "0x1.1561d1b154595p+1"),
+        ("-0x1.6776fbae74857p+3", "-0x1.6765e2f731ef2p+3"),
+        ("0x1.3ac7a28fa4948p+1", "-0x1.a35caa3068065p+3"),
+        ("0x1.f07b837b4b758p+2", "-0x1.7bee57abc49e6p+3"),
+        ("-0x1.b7def70d21a31p+1", "-0x1.c0304ea85afedp+3"),
+        ("-0x1.054f119cb8d21p+4", "0x1.5416c713a329bp+4"),
+        ("-0x1.b9b4f04636fccp+4", "0x1.b354c67551c82p+5"),
+        ("-0x1.eb23326e2395ep+3", "0x1.67bb9b8c6b033p+4"),
+        ("0x1.0033462d55defp+6", "0x1.970da15220c0bp+5"),
+        ("-0x1.2b10fdbc92484p+5", "0x1.8ec7994e7833dp+5"),
+    ],
+}
+_SKEWED_ZS = (0.1 + 0.05j, -0.23 + 0.17j, 0.31 - 0.12j)
+_SKEWED_HEX = {
+    (0.37 + 0.61j, 10): [
+        ("0x1.7d845cb7b6c49p+5", "-0x1.001119b663c7ep+6"),
+        ("0x1.0b83ad2442197p+2", "0x1.a8240bdac606cp+3"),
+        ("0x1.a020665738200p+2", "0x1.fce24dad7db27p+2"),
+    ],
+    (0.37 + 0.61j, 37): [
+        ("0x1.7d8455bcbfcfbp+5", "-0x1.0010da6e9ef5fp+6"),
+        ("0x1.0b99722ca8d66p+2", "0x1.a81d001782ea3p+3"),
+        ("0x1.a04367ea571d6p+2", "0x1.fce0e84d71481p+2"),
+    ],
+    (-0.9 + 0.3j, 10): [
+        ("0x1.6437a776a2344p+5", "-0x1.c6548a9a6f467p+5"),
+        ("0x1.9015e77bf2a42p+4", "0x1.4eb476596735dp+4"),
+        ("0x1.aa455148a5f60p+4", "0x1.42f289a99ed6cp+4"),
+    ],
+    (-0.9 + 0.3j, 37): [
+        ("0x1.64386f4132ba7p+5", "-0x1.c656d3629a83fp+5"),
+        ("0x1.8ff7ce51b1e46p+4", "0x1.4ebdaf1c48088p+4"),
+        ("0x1.aa1c0d4e76fefp+4", "0x1.42e8a8d33d62cp+4"),
+    ],
+}
+
+
 def test_lattice_sums_match_scalar_bitwise():
-    # The weierstrass-oracle suite's 20 points at seed 42.
+    # The weierstrass-oracle suite's 20 points at seed 42, batch and scalar.
     i = [name for name, _, _ in verify._SUITES].index("weierstrass-oracle")
     child = np.random.SeedSequence(42).spawn(len(verify._SUITES))[i]
     rng = np.random.default_rng(child)
-    for tau in (TauParameter(1j), TauParameter(1.3j)):
+    for tau, frozen in _ORACLE_HEX.items():
+        t = TauParameter(tau)
         zs = [verify._random_annulus_point(rng) for _ in range(10)]
-        got = special_functions._lattice_sums_p(zs, tau, 400)
-        assert [_hex(p) for p in got] == [_hex(lattice_sum_p(z, tau, 400))
-                                          for z in zs]
+        got = special_functions._lattice_sums_p(zs, t, 400)
+        assert [_hex(p) for p in got] == frozen
+        assert [_hex(lattice_sum_p(z, t, 400)) for z in zs] == frozen
+
+
+def test_lattice_sums_skewed_tau_frozen_bits():
+    for (tau, radius), frozen in _SKEWED_HEX.items():
+        got = special_functions._lattice_sums_p(
+            list(_SKEWED_ZS), TauParameter(tau), radius)
+        assert [_hex(p) for p in got] == frozen, (tau, radius)
+
+
+def test_lattice_sums_memory_peak():
+    # Four half-lattice-sized arrays: w, 2/w^2 and two work buffers, however
+    # many z.  numpy reports its data buffers to tracemalloc.
+    radius = 400
+    lattice_bytes = 16 * (radius + (2 * radius + 1) * radius)
+    t = TauParameter(1j)
+    zs = [0.1 + 0.05j, -0.2 + 0.1j, 0.15 - 0.2j]
+    special_functions._lattice_sums_p(zs[:1], t, 10)  # numpy's first-call setup
+    tracemalloc.start()
+    try:
+        special_functions._lattice_sums_p(zs, t, radius)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * lattice_bytes, peak / lattice_bytes
 
 
 def test_batch_lambdas_blocks_match_scalar_bitwise():
