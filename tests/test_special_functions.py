@@ -200,6 +200,9 @@ def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
 #: the whole-array expressions that the in-place evaluation replaced: the
 #: weierstrass-oracle suite's 10 points per tau at seed 42 and radius 400,
 #: and three points at two skewed taus at radius 10 (the minimum) and 37.
+#: Radii 150 and 401 were captured from the in-place evaluation that the
+#: row blocks replaced; their half-lattices span several blocks and end in
+#: a partial one.
 _ORACLE_HEX = {
     1j: [
         ("-0x1.c027a961e36d3p+3", "-0x1.cf7cd0ce509d0p+0"),
@@ -248,6 +251,26 @@ _SKEWED_HEX = {
         ("0x1.8ff7ce51b1e46p+4", "0x1.4ebdaf1c48088p+4"),
         ("0x1.aa1c0d4e76fefp+4", "0x1.42e8a8d33d62cp+4"),
     ],
+    (0.37 + 0.61j, 150): [
+        ("0x1.7d8455291f1f6p+5", "-0x1.0010d562afad3p+6"),
+        ("0x1.0b9b2f138406bp+2", "0x1.a81c70bcfc456p+3"),
+        ("0x1.a04632624fe92p+2", "0x1.fce0cd158903dp+2"),
+    ],
+    (0.37 + 0.61j, 401): [
+        ("0x1.7d845520b3354p+5", "-0x1.0010d5192f778p+6"),
+        ("0x1.0b9b4863bd7b5p+2", "0x1.a81c6895b1b5ep+3"),
+        ("0x1.a0465b07d9464p+2", "0x1.fce0cb8a92292p+2"),
+    ],
+    (-0.9 + 0.3j, 150): [
+        ("0x1.64387de8b9ecdp+5", "-0x1.c65700771cc41p+5"),
+        ("0x1.8ff580970729dp+4", "0x1.4ebe6f44f87dep+4"),
+        ("0x1.aa18dba038911p+4", "0x1.42e7f2a696e19p+4"),
+    ],
+    (-0.9 + 0.3j, 401): [
+        ("0x1.64387ebcdfa00p+5", "-0x1.c6570306006fdp+5"),
+        ("0x1.8ff55f2433158p+4", "0x1.4ebe7a36c3fb2p+4"),
+        ("0x1.aa18ad3618c86p+4", "0x1.42e7e85d04c94p+4"),
+    ],
 }
 
 
@@ -265,6 +288,9 @@ def test_lattice_sums_match_scalar_bitwise():
 
 
 def test_lattice_sums_skewed_tau_frozen_bits():
+    for radius in (150, 401):  # several row blocks, then a partial one
+        rows = special_functions._LATTICE_BLOCK // (2 * radius + 1)
+        assert 2 * rows < radius and radius % rows, radius
     for (tau, radius), frozen in _SKEWED_HEX.items():
         got = special_functions._lattice_sums_p(
             list(_SKEWED_ZS), TauParameter(tau), radius)
@@ -272,8 +298,9 @@ def test_lattice_sums_skewed_tau_frozen_bits():
 
 
 def test_lattice_sums_memory_peak():
-    # Four half-lattice-sized arrays: w, 2/w^2 and two work buffers, however
-    # many z.  numpy reports its data buffers to tracemalloc.
+    # Two half-lattice-sized arrays, 2/w^2 and the terms of one z, and two
+    # block buffers (0.05 of a half-lattice at radius 400), however many z.
+    # numpy reports its data buffers to tracemalloc.
     radius = 400
     lattice_bytes = 16 * (radius + (2 * radius + 1) * radius)
     t = TauParameter(1j)
@@ -285,7 +312,34 @@ def test_lattice_sums_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.1 * lattice_bytes, peak / lattice_bytes
+    assert peak <= 2.2 * lattice_bytes, peak / lattice_bytes
+
+
+def test_lattice_sums_concurrent_taus_frozen_bits():
+    # Two threads evaluate at two taus at once; each keeps its frozen bits,
+    # so no scratch buffer is shared between calls.
+    cases = [(0.37 + 0.61j, 401), (-0.9 + 0.3j, 150)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            results = [None] * len(cases)
+
+            def run(j, tau, radius):
+                got = special_functions._lattice_sums_p(
+                    list(_SKEWED_ZS), TauParameter(tau), radius)
+                results[j] = [_hex(p) for p in got]
+
+            threads = [threading.Thread(target=run, args=(j, *case))
+                       for j, case in enumerate(cases)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert results == [_SKEWED_HEX[case] for case in cases]
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_batch_lambdas_blocks_match_scalar_bitwise():
@@ -650,6 +704,11 @@ def test_lattice_sum_validation():
         lattice_sum_p(0.3, 1j, 9)
     with pytest.raises(ValueError):
         lattice_sum_p(0.3, 1j, 10.5)
+    with pytest.raises(ValueError, match="must be an int, got True"):
+        lattice_sum_p(0.3, 1j, True)
+    # Any integral radius but a bool, as its int.
+    assert (_hex(lattice_sum_p(0.3, 1j, np.int64(20)))
+            == _hex(lattice_sum_p(0.3, 1j, 20)))
     with pytest.raises(PoleError):
         lattice_sum_p(0.0, 1j, 50)
     with pytest.raises(PoleError):
