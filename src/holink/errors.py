@@ -14,7 +14,7 @@ class PoleError(DomainError):
 
 
 class ConvergenceError(HolinkError, ArithmeticError):
-    """A series term, or its phase, leaves double range."""
+    """A series term leaves double range."""
 
 
 class HomologyError(HolinkError, ValueError):

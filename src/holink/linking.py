@@ -33,6 +33,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -382,10 +384,11 @@ def linking(z: Divisor, w: Divisor) -> LinkingResult:
 class RationalMapSpec:
     """A map from the supported catalog.
 
-    kind = "identity" (either curve), "power" with exponent n in {2, 3}
-    (sphere to sphere, z -> z^n), or "translation" by a fixed offset
-    (elliptic curve to itself).  Anything else raises CapabilityError on
-    construction, as does applying a map to a curve it is not defined on.
+    kind = "identity" (either curve), "power" with an integral exponent n
+    in {2, 3} (sphere to sphere, z -> z^n), or "translation" by a fixed
+    numeric offset, kept as a complex (elliptic curve to itself).  Anything
+    else raises CapabilityError on construction, as does applying a map to
+    a curve it is not defined on.
     """
 
     kind: str
@@ -402,16 +405,23 @@ class RationalMapSpec:
 
     @classmethod
     def translation(cls, offset: complex) -> "RationalMapSpec":
-        return cls("translation", offset=complex(offset))
+        return cls("translation", offset=offset)
 
     def __post_init__(self) -> None:
         if self.kind not in ("identity", "power", "translation"):
             raise CapabilityError(f"map kind {self.kind!r} is outside the catalog")
-        if self.kind == "power" and self.exponent not in (2, 3):
-            raise CapabilityError("power maps are supported for exponents 2 "
-                                  f"and 3 only, got {self.exponent!r}")
-        if self.kind == "translation" and self.offset is None:
-            raise CapabilityError("translation map needs an offset")
+        if self.kind == "power":
+            n = self.exponent
+            if (isinstance(n, bool) or not hasattr(type(n), "__index__")
+                    or operator.index(n) not in (2, 3)):
+                raise CapabilityError("power maps are supported for exponents 2 "
+                                      f"and 3 only, got {n!r}")
+            object.__setattr__(self, "exponent", operator.index(n))
+        if self.kind == "translation":
+            if not isinstance(self.offset, numbers.Complex):
+                raise CapabilityError("translation map needs a numeric offset, "
+                                      f"got {self.offset!r}")
+            object.__setattr__(self, "offset", complex(self.offset))
 
     def _validate_for(self, curve: Curve) -> None:
         if self.kind == "power" and curve.kind != "sphere":

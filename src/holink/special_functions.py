@@ -36,12 +36,11 @@ each term that depend on tau alone (-pi*Im(tau)*a^2, pi*k and tau*a^2) from
 a ``_ThetaTerms``, built once per evaluation tau as far as some sum has
 needed them and kept on the ``TauParameter`` (``_theta_terms``, a cached
 property, so a TauParameter that sums no series builds none); the many
-theta1 series of one linking pairing share it.  The values are formed by
-the expressions the loop formed per term before, so they keep every bit,
-and the loop stops on the same term.  The kernel sums the same ``_paired_term``s in the same order with the same
-per-point stopping rule (|partial sum| is ``np.hypot``, the libm function
-behind ``abs``) and ConvergenceErrors, so its values equal
-``theta`` bit for bit (tests compare them by ``float.hex``).  Where every z
+theta1 series of one linking pairing share it.  The kernel sums the same
+``_paired_term``s in the same order with the same per-point stopping rule
+(|partial sum| is ``np.hypot``, the libm function behind ``abs``), so its
+values equal the scalar series' bit for bit (tests compare them by
+``float.hex``).  Where every z
 is 0 it takes one exponential per term and leaves the |Im z| part out of
 the bound.  ``_batch_lambdas``, ``holink scan``'s path, feeds it THETA_BLOCK
 consecutive taus at a time at z = 0, for kinds 2 and 3; its taus come from
@@ -56,9 +55,9 @@ their functions, so a process that builds no array never loads it.  No
 fundamental-domain reduction of tau is performed; construction of
 ``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05), as the q-series
 lose precision near that floor (|q| -> 0.855).  Every evaluator of a
-lattice quantity runs at ``TauParameter.shifted``, an exact shift into
-|Re tau| <= 1 taken once per tau that keeps the series' phases small; the
-public ``theta`` alone is the series at the caller's tau.
+lattice quantity, and the public ``theta``, runs at
+``TauParameter.shifted``, an exact shift into |Re tau| <= 1 taken once per
+tau, so no phase of a term leaves double range.
 """
 
 from __future__ import annotations
@@ -174,21 +173,6 @@ def as_tau(tau: TauParameter | complex) -> TauParameter:
     return TauParameter(complex(tau))
 
 
-def _phase_overflow(kind: int, tau: complex) -> ConvergenceError:
-    """The error of both theta paths for a term whose phase, about
-    pi * Re(tau) * a^2, leaves double range: far along Re tau."""
-    return ConvergenceError(
-        f"theta{kind} term exceeds double range: its phase overflows at "
-        f"tau = {tau!r}")
-
-
-def _term_overflow(kind: int, n: int, z: complex, tau: complex) -> ConvergenceError:
-    """The error of both theta paths for a term beyond _EXP_CAP at (z, tau)."""
-    return ConvergenceError(
-        f"theta{kind} term at n={n} exceeds double range "
-        f"(z={z!r}, tau={tau!r}); reduce z modulo the lattice first")
-
-
 def _paired_term(kind: int, n: int, e_plus, e_minus):
     """The n-th paired term of theta_kind from its exponentials at +-k, for
     complex numbers or arrays alike: the sign rule of both theta paths."""
@@ -214,23 +198,27 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     term) are paired at frequencies +-k, k = 2a, so oddness of theta1 holds
     exactly in floating point.  Truncation stops once an upper bound for the
     next paired term falls below EPS_SERIES * (1 + |partial sum|), with no
-    term cap; a term too large for double precision raises ConvergenceError,
-    as does one whose phase leaves double range.  Where |Re z| > 1 the
-    series runs at z - m, m = round(Re z), an exact shift, and the result
-    takes theta1's and theta2's sign (-1)^m; so theta(1, 2k, tau) is 0.
+    term cap; a term too large for double precision raises ConvergenceError.
+    The series runs at ``tau.shifted`` = tau - 2k, k = round(Re tau / 2),
+    and, where |Re z| > 1, at z - m, m = round(Re z): both shifts are exact.
+    theta3 and theta4 are unchanged by them; theta1 and theta2 take the
+    factor i^(k + 2m), by swapping and negating parts, so signed zeros keep
+    their bits.  So theta1 is 0 at every even integer z.
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"theta kind must be 1..4, got {kind!r}")
     t = as_tau(tau)
-    terms = t._theta_terms if t.value == t.shifted else _ThetaTerms(t.value)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"theta argument must be finite, got {z!r}")
-    if abs(z.real) > 1.0:
-        m = round(z.real)
-        value = _theta_series(kind, z - m, terms)
-        return -value if kind in (1, 2) and m & 1 else value
-    return _theta_series(kind, z, terms)
+    m = round(z.real) if abs(z.real) > 1.0 else 0
+    value = _theta_series(kind, z - m, t._theta_terms)
+    if kind in (3, 4):
+        return value
+    turns = (round(t.value.real / 2.0) + 2 * m) % 4
+    if turns & 1:
+        value = complex(-value.imag, value.real)
+    return -value if turns & 2 else value
 
 
 class _ThetaTerms:
@@ -279,9 +267,8 @@ class _ThetaTerms:
 
 
 def _theta_series(kind: int, z: complex, terms: _ThetaTerms) -> complex:
-    """``theta``'s series at a valid kind, finite z and the admissible tau
-    of ``terms``, whose data it extends as far as it needs."""
-    t = terms.tau
+    """``theta``'s series at a valid kind, finite z and the shifted tau of
+    ``terms``, whose data it extends as far as it needs."""
     abs_im_z = abs(z.imag)
     half = kind in (1, 2)
     total = 0.0 + 0.0j if half else 1.0 + 0.0j
@@ -294,20 +281,16 @@ def _theta_series(kind: int, z: complex, terms: _ThetaTerms) -> complex:
             # exponential.
             log_mag = log_mag_tau + pi_k * abs_im_z
             if log_mag > _EXP_CAP:
-                raise _term_overflow(kind, n, z, t)
+                raise ConvergenceError(
+                    f"theta{kind} term at n={n} exceeds double range "
+                    f"(z={z!r}, tau={terms.tau!r}); reduce z modulo the "
+                    "lattice first")
             bound = 2.0 * math.exp(log_mag)
-            # "not >=" stops on a NaN sum too: a phase that overflowed in
-            # the product below, before cmath.exp saw it, leaves a NaN term.
             if not bound >= EPS_SERIES * (1.0 + abs(total)):
-                if cmath.isnan(total):
-                    raise _phase_overflow(kind, t)
                 return total
             kz = k * z
-            try:
-                e_plus = cmath.exp(_IPI * (ta + kz))
-                e_minus = cmath.exp(_IPI * (ta - kz))
-            except ValueError:  # an infinite phase with a finite real part
-                raise _phase_overflow(kind, t) from None
+            e_plus = cmath.exp(_IPI * (ta + kz))
+            e_minus = cmath.exp(_IPI * (ta - kz))
             total += _paired_term(kind, n, e_plus, e_minus)
         batch = terms.grow(half, n + 1)
 
@@ -332,26 +315,23 @@ def _theta_constants(s: complex) -> tuple[complex, complex, complex]:
 
 def _theta_array(kind: int, z, tau) -> np.ndarray:
     """theta_kind(z, tau) over z broadcast against tau (complex arrays or
-    scalars), equal to ``theta`` bit for bit.
+    scalars), equal to ``_theta_series`` bit for bit.
 
-    ``theta``'s loop for every point at once: the same ``_paired_term``s in
-    the same order, each point stopping on its own partial sum.  A term
-    beyond _EXP_CAP raises ``theta``'s ``_term_overflow`` error, naming the
-    first point still summing.  Exponentials, the stopping bound's
-    included, go through complex ``np.exp``, which computes
-    exp(x) * (cos y, sin y) with libm as ``cmath.exp`` does (numpy's real
-    float64 ``exp`` has SIMD loops that can differ from ``math.exp`` in the
-    last bit), and |partial sum| is ``np.hypot``, libm's as in ``abs``.
-    Where every z is 0 each term takes one exponential and the bound has no
-    |Im z| part.
+    Its taus must be shifted (|Re tau| <= 1) and no term may pass
+    _EXP_CAP: its two callers give it ``_even_shift``ed taus at z = 0, and
+    in-cell z at tau = i.  ``_theta_series``'s loop for every point at once:
+    the same ``_paired_term``s in the same order, each point stopping on its
+    own partial sum.  Exponentials, the stopping bound's included, go
+    through complex ``np.exp``, which computes exp(x) * (cos y, sin y) with
+    libm as ``cmath.exp`` does (numpy's real float64 ``exp`` has SIMD loops
+    that can differ from ``math.exp`` in the last bit), and |partial sum| is
+    ``np.hypot``, libm's as in ``abs``.  Where every z is 0 each term takes
+    one exponential and the bound has no |Im z| part.
     """
     import numpy as np
-    # Overflow in the kernel is not an error, so numpy's warnings for it are
-    # off: -pi * Im(tau) * a^2 may reach -inf, whose exp is the bound 0 that
-    # stops the scalar loop too; a phase past double range leaves a NaN sum,
-    # which raises as in ``theta``, or a NaN term of a stopped point, which
-    # ``np.where`` drops.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Far up the imaginary axis -pi * Im(tau) * a^2 overflows to -inf, whose
+    # exp is the bound 0 that stops the scalar loop too: not an error.
+    with np.errstate(over="ignore"):
         z, tau = np.broadcast_arrays(np.asarray(z, complex),
                                      np.asarray(tau, complex))
         at_zero = not z.any()
@@ -366,16 +346,11 @@ def _theta_array(kind: int, z, tau) -> np.ndarray:
             log_mag = -_PI * im * a * a
             if not at_zero:
                 log_mag = log_mag + _PI * k * abs_im_z
-                capped = active & (log_mag > _EXP_CAP)
-                if capped.any():
-                    raise _term_overflow(kind, n, complex(z[capped][0]),
-                                         complex(tau[capped][0]))
             bound = 2.0 * np.exp(log_mag + 0j).real
-            # false for a NaN sum, as in the scalar loop
             active &= bound >= EPS_SERIES * (1.0 + np.hypot(total.real,
                                                             total.imag))
             if not active.any():
-                break
+                return total
             ta = tau * a * a
             if at_zero:
                 e_plus = e_minus = np.exp(1j * _PI * ta)
@@ -384,10 +359,6 @@ def _theta_array(kind: int, z, tau) -> np.ndarray:
                 e_minus = np.exp(1j * _PI * (ta - k * z))
             term = _paired_term(kind, n, e_plus, e_minus)
             total = np.where(active, total + term, total)
-        overflowed = np.isnan(total)
-        if overflowed.any():
-            raise _phase_overflow(kind, complex(tau[overflowed][0]))
-        return total
 
 
 @dataclass(frozen=True)

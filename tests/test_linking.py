@@ -606,7 +606,9 @@ def test_map_catalog_validation():
         pushforward(sph, RationalMapSpec("rational"))
     # catalog membership is decided when the spec is built
     for bad in (lambda: RationalMapSpec.power(5),
-                lambda: RationalMapSpec("translation")):
+                lambda: RationalMapSpec.power(2.0),
+                lambda: RationalMapSpec("translation"),
+                lambda: RationalMapSpec("translation", offset="abc")):
         with pytest.raises(CapabilityError):
             bad()
     assert pushforward(sph, RationalMapSpec.identity()) == sph

@@ -107,7 +107,8 @@ def _hex(value):
 def test_theta_constants_array_matches_scalar_bitwise():
     # The scalar loop is the reference; the array kernel must reproduce it
     # to the last bit (signed zeros included) over the verify box, toward
-    # the cusp and far along Re tau.
+    # the cusp and at the shifts of taus along Re tau, as its callers give
+    # them.
     rng = np.random.default_rng(2024)
     (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
     taus = np.concatenate([
@@ -117,6 +118,7 @@ def test_theta_constants_array_matches_scalar_bitwise():
         rng.uniform(-1e3, 1e3, 100) + 1j * rng.uniform(0.05, 3.0, 100),
         np.array([1j, 400j, -1e3 + 0.05j, 0.5 + 0.05j]),
     ])
+    taus = np.array([special_functions._even_shift(t) for t in taus.tolist()])
     for batch in (taus, taus[:1]):
         consts = [_theta_array(kind, 0.0, batch) for kind in (2, 3, 4)]
         for i, tau in enumerate(batch.tolist()):
@@ -146,22 +148,18 @@ def test_theta_array_matches_scalar_bitwise():
             assert _hex(values[i]) == _hex(theta(kind, 0.0, ti)), (kind, ti)
 
 
-def test_theta_array_term_cap_matches_scalar():
+def test_theta_term_cap_is_convergence_error():
     # At tau = 0.3+900i, z = tau/2 the first term of theta1 passes exp's cap.
     tau = 0.3 + 900j
-    z = tau / 2
-    with pytest.raises(ConvergenceError) as scalar:
-        theta(1, z, tau)
-    with pytest.raises(ConvergenceError) as kernel:
-        _theta_array(1, np.array([0.1 + 0.1j, z]), tau)
-    assert str(kernel.value) == str(scalar.value)
+    with pytest.raises(ConvergenceError, match="exceeds double range"):
+        theta(1, tau / 2, tau)
 
 
 def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
     # No term count caps a series: the cap edge is the largest |Im z| at
     # which no term passes exp(_EXP_CAP).  Up to just under it every kind
-    # sums at most 140 paired terms on both paths; just past it both raise
-    # one message.
+    # sums at most 140 paired terms on both paths; just past it the scalar
+    # series raises.
     calls = []
     paired = special_functions._paired_term
 
@@ -188,12 +186,8 @@ def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
             _theta_array(kind, zs, tau)
             assert 0 < len(calls) <= 140, (kind, tau)
             past = complex(0.3, edge * (1.0 + 1e-9))
-            with pytest.raises(ConvergenceError,
-                               match="exceeds double range") as scalar:
+            with pytest.raises(ConvergenceError, match="exceeds double range"):
                 theta(kind, past, tau)
-            with pytest.raises(ConvergenceError) as kernel:
-                _theta_array(kind, np.array([0.3 + 0j, past]), tau)
-            assert str(kernel.value) == str(scalar.value)
 
 
 #: ``_lattice_sums_p`` values as (real, imag) ``float.hex``, captured from
@@ -344,11 +338,14 @@ def test_lattice_sums_concurrent_taus_frozen_bits():
 
 def test_batch_lambdas_blocks_match_scalar_bitwise():
     # THETA_BLOCK + 1 taus: one full block, then a size-1 partial block.
-    # Re tau reaches past +-1, where both paths shift it, and Im tau the floor.
+    # Re tau reaches past +-1, where both paths shift it, to +-1e3 and to
+    # 3e306, where a phase at the caller's tau would leave double range,
+    # and Im tau the floor.
     rng = np.random.default_rng(7)
     _, (_, im_hi) = TAU_BOX
     taus = [complex(rng.uniform(-3.0, 3.0), rng.uniform(0.05, im_hi))
             for _ in range(THETA_BLOCK + 1)]
+    taus[:4] = [1e3 + 0.3j, -1e3 + 0.05j, 1e306 + 5j, 3e306 + 0.5j]
     got = list(_batch_lambdas(np.array(taus)))
     assert [block.size for block, _ in got] == [THETA_BLOCK, 1]
     assert [tau for block, _ in got for tau in block.tolist()] == taus
@@ -380,28 +377,62 @@ def test_cusp_floor_lambda_and_massey_match_reference(tau, value):
         assert abs(got - value) <= 1e-9 * abs(value)
 
 
-def test_phase_overflow_is_convergence_error_on_both_paths():
-    # Far along Re tau the phase pi * Re(tau) * a^2 of a term leaves double
-    # range: cmath.exp raises ValueError (3e306, -5e307), or the product
-    # overflows first and leaves a NaN (1e308).  Both paths stop at that term
-    # with one message, and numpy warns of nothing.  Lambda does not: it
-    # shifts Re tau by an even integer, here to exactly 0.
+def test_theta_far_along_re_tau_is_a_power_of_i_times_the_shifted():
+    # theta sums at the shifted tau s = tau - 2k, k = round(Re tau / 2):
+    # theta3 and theta4 equal their values at s, and theta1 and theta2 are
+    # i^k times theirs, bit for bit, also where a phase pi * Re(tau) * a^2
+    # at tau itself would leave double range (3e306 and past it).  Lambda
+    # shifts as well, here to exactly 0.5i, and numpy warns of nothing.
+    zs = (0.0, 0.1 + 0.05j, -0.3 + 0.2j, 0.45 - 0.1j, 2.7 - 0.1j, 1e17 + 0.3j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tau in (3e306 + 0.5j, -5e307 + 0.5j, 1e308 + 0.5j):
             assert _hex(modular_lambda(tau)) == _hex(modular_lambda(0.5j))
-            with pytest.raises(ConvergenceError,
-                               match="term exceeds double range") as scalar:
-                theta(2, 0.0, tau)
-            for batch in (np.array([tau]), np.array([1j, tau])):
-                with pytest.raises(ConvergenceError) as kernel:
-                    [_theta_array(kind, 0.0, batch) for kind in (2, 3, 4)]
-                assert str(kernel.value) == str(scalar.value)
-        # a point that stops before its phase overflows is not an error
-        batch = np.array([0.3 + 0.05j, 1e306 + 5j])
-        consts = [_theta_array(kind, 0.0, batch) for kind in (2, 3, 4)]
-        for kind, values in zip((2, 3, 4), consts):
-            assert _hex(values[1]) == _hex(theta(kind, 0.0, 1e306 + 5j))
+        for tau in (3e306 + 0.5j, -5e307 + 0.5j, 1e308 + 0.5j, 1e15 + 1j,
+                    1e15 + 2.0 + 1j, 2.6 + 0.7j, 3.0 + 0.5j):
+            s = TauParameter(tau).shifted
+            assert abs(s.real) <= 1.0
+            k = round(tau.real / 2.0)
+            for kind in (1, 2, 3, 4):
+                for z in zs:
+                    x, y = _hex(theta(kind, z, s))
+                    neg_x, neg_y = _hex(-theta(kind, z, s))
+                    turns = k % 4 if kind in (1, 2) else 0
+                    want = ((x, y), (neg_y, x), (neg_x, neg_y), (y, neg_x))[turns]
+                    assert _hex(theta(kind, z, tau)) == want, (kind, z, tau)
+
+
+def test_no_series_runs_at_an_unshifted_tau(monkeypatch):
+    # Every theta series, scalar or array, sees |Re tau| <= 1, so no phase
+    # of a term can leave double range: neither path checks for one.
+    seen = []
+    init = special_functions._ThetaTerms.__init__
+    kernel = special_functions._theta_array
+
+    def recording_terms(self, tau):
+        seen.append(tau)
+        init(self, tau)
+
+    def recording_kernel(kind, z, tau):
+        seen.extend(np.ravel(tau).tolist())
+        return kernel(kind, z, tau)
+
+    monkeypatch.setattr(special_functions._ThetaTerms, "__init__",
+                        recording_terms)
+    monkeypatch.setattr(special_functions, "_theta_array", recording_kernel)
+    special_functions._theta_constants.cache_clear()
+    for tau in (2.6 + 0.7j, 1e15 + 1j, 3e306 + 0.5j):
+        for kind in (1, 2, 3, 4):
+            theta(kind, 0.1 + 0.05j, tau)
+        weierstrass_p(0.1 + 0.05j, tau)
+        arakelov_green(0.1 + 0.05j, tau)
+        modular_lambda(tau)
+        massey_report(tau)
+        z = Divisor.elliptic(tau, [(0.1 + 0.2j, 1), (0.4 + 0.1j, -1)])
+        w = Divisor.elliptic(tau, [(0.7 + 0.3j, 1), (0.3 + 0.4j, -1)])
+        linking_elliptic(z, w)
+        list(_batch_lambdas(np.array([tau])))
+    assert len(seen) > 3 and all(abs(t.real) <= 1.0 for t in seen)
 
 
 def test_tau_validated_once_per_public_call(monkeypatch):
