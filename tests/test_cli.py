@@ -520,7 +520,7 @@ def test_verify_seed_42_stdout_is_pinned():
     run = subprocess.run(cmd, capture_output=True)
     assert run.returncode == 0
     assert hashlib.sha256(run.stdout).hexdigest() == (
-        "82651332513d809eb7f0d22423a28722d10638969278170b61bed5cb1a857cb7")
+        "1c61a5fb0d1d9609850fa79721537df761d1a4b30adaae13064b4205bd210261")
 
 
 # The child runs every scalar path, checking after each that numpy is still

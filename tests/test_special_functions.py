@@ -155,6 +155,20 @@ def test_theta_term_cap_is_convergence_error():
         theta(1, tau / 2, tau)
 
 
+def test_theta_far_up_the_imaginary_axis_decides_without_overflow():
+    # At Im tau = 1e308, -pi*Im(tau)*a^2 and pi*k*|Im z| overflow to -inf
+    # and +inf.  A term beyond exp's cap raises; a negligible one stops the
+    # sum; z = tau/2 and tau/4 are where a term is exp(0), exactly 1.
+    tau = 1e308j
+    for kind, z in ((3, 6e307j), (3, 9e307j), (1, 6e307j), (2, 3e307j)):
+        with pytest.raises(ConvergenceError, match="exceeds double range"):
+            theta(kind, z, tau)
+    assert theta(3, 3e307j, tau) == 1 + 0j
+    assert theta(3, tau / 2, tau) == 2 + 0j
+    assert theta(4, tau / 2, tau) == 0j
+    assert theta(1, tau / 4, tau) == 1j
+
+
 def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
     # No term count caps a series: the cap edge is the largest |Im z| at
     # which no term passes exp(_EXP_CAP).  Up to just under it every kind
@@ -268,14 +282,22 @@ _SKEWED_HEX = {
 }
 
 
-def test_lattice_sums_match_scalar_bitwise():
-    # The weierstrass-oracle suite's 20 points at seed 42, batch and scalar.
+def _oracle_zs():
+    """The 10 points per tau of ``_ORACLE_HEX``: annulus points drawn from
+    the weierstrass-oracle suite's child seed at 42, as the suite drew them
+    while it sampled tau = i and 1.3i alone."""
     i = [name for name, _, _ in verify._SUITES].index("weierstrass-oracle")
     child = np.random.SeedSequence(42).spawn(len(verify._SUITES))[i]
     rng = np.random.default_rng(child)
-    for tau, frozen in _ORACLE_HEX.items():
+    return {tau: [verify._random_annulus_point(rng) for _ in range(10)]
+            for tau in _ORACLE_HEX}
+
+
+def test_lattice_sums_match_scalar_bitwise():
+    # The 20 frozen oracle points, batch and scalar.
+    for tau, zs in _oracle_zs().items():
+        frozen = _ORACLE_HEX[tau]
         t = TauParameter(tau)
-        zs = [verify._random_annulus_point(rng) for _ in range(10)]
         got = special_functions._lattice_sums_p(zs, t, 400)
         assert [_hex(p) for p in got] == frozen
         assert [_hex(lattice_sum_p(z, t, 400)) for z in zs] == frozen
@@ -289,6 +311,23 @@ def test_lattice_sums_skewed_tau_frozen_bits():
         got = special_functions._lattice_sums_p(
             list(_SKEWED_ZS), TauParameter(tau), radius)
         assert [_hex(p) for p in got] == frozen, (tau, radius)
+
+
+def test_extrapolated_sums_are_ten_times_nearer_than_the_frozen_sums():
+    # At all 44 frozen points (radius 400 at i and 1.3i; radii 10 to 401 at
+    # the skewed taus) the extrapolation from radii 25, 50 and 100 is at
+    # least 10x nearer to the theta route than the frozen plain sum.
+    cases = [(tau, zs, _ORACLE_HEX[tau]) for tau, zs in _oracle_zs().items()]
+    cases += [(tau, list(_SKEWED_ZS), frozen)
+              for (tau, _), frozen in _SKEWED_HEX.items()]
+    assert sum(len(frozen) for _, _, frozen in cases) == 44
+    for tau, zs, frozen in cases:
+        t = TauParameter(tau)
+        got = special_functions._extrapolated_lattice_sums_p(zs, t, 100)
+        for z, p, (re, im) in zip(zs, got, frozen):
+            exact = weierstrass_p(z, t)
+            plain = complex(float.fromhex(re), float.fromhex(im))
+            assert 10.0 * abs(p - exact) <= abs(plain - exact), (tau, z)
 
 
 def test_lattice_sums_memory_peak():
