@@ -23,9 +23,10 @@ to finite sums of logarithms:
 or the canonically oriented P - Q reduced into the cell; that decides
 disjointness, and the evaluator sums its terms from it.  Both add them with
 ``math.fsum``, which is correctly rounded and so order independent: hence
-linking(z, w) == linking(w, z) holds bit for bit.  They only sum: the
-comparison with the half-period closed form lives with the other route
-comparisons, in ``massey`` and ``verify``.
+linking(z, w) == linking(w, z) holds bit for bit.  They only sum, with
+the one kernel: the comparison with the half-period closed form and the
+altered-kernel checks live with the other route comparisons, in ``massey``
+and ``verify``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
     BranchError,
@@ -344,32 +345,21 @@ def _green_from_theta1(th1: complex, ur: complex, t: TauParameter) -> float:
     return math.log(mod) / math.pi - ur.imag ** 2 / t.value.imag
 
 
-def linking_elliptic(z: Divisor, w: Divisor, *,
-                     green: Callable[[complex, TauParameter], float] | None = None,
-                     ) -> LinkingResult:
+def linking_elliptic(z: Divisor, w: Divisor) -> LinkingResult:
     """<Z, W> on C/(Z + Z*tau) via the Green-kernel double sum.
 
     value = sum_{(P,a)} sum_{(Q,b)} a * b * g_tau(P - Q).
 
-    ``_check_pair`` reduces each difference once, and the default kernel is
+    ``_check_pair`` reduces each difference once, and the kernel is
     ``arakelov_green``'s formula at that point, DISJOINTNESS_TOL > POLE_TOL
-    off the lattice.  ``green`` substitutes the kernel (used by the
-    flexibility tests): it receives the canonically oriented, unreduced
-    P - Q and the TauParameter, so that swap symmetry holds bit for bit;
-    it must be even on the torus.
+    off the lattice.
     """
     pairs = _check_pair(z, w, "elliptic")
     t = z.curve.tau
-    if green is None:
-        terms = t._theta_terms
-        total = _pairing_sum(
-            ab * _green_from_theta1(_theta_series(1, ur, terms), ur, t)
-            for ab, ur in pairs)
-    else:
-        total = _pairing_sum(
-            a * b * (green(p - q, t) if _point_key(p) <= _point_key(q)
-                     else green(q - p, t))
-            for p, a in z.terms for q, b in w.terms)
+    terms = t._theta_terms
+    total = _pairing_sum(
+        ab * _green_from_theta1(_theta_series(1, ur, terms), ur, t)
+        for ab, ur in pairs)
     return LinkingResult(total, LinkingMethod.ARAKELOV_GREEN)
 
 

@@ -85,11 +85,6 @@ EPS_SERIES = 1e-18
 #: block of arrays at a time.
 THETA_BLOCK = 1024
 
-#: Lattice values per block of ``_lattice_sums_p`` (rounded down to whole
-#: rows): 128 KB a buffer, so a block's four operands stay in a core's L2
-#: cache (2 MB on the x86-64 host it was measured on).
-_LATTICE_BLOCK = 8192
-
 #: Snap radius onto half-integer lattice coordinates in ``reduce_mod_lattice``.
 SNAP_TOL = 1e-12
 
@@ -136,11 +131,6 @@ class TauParameter:
                 "the q-series loses double-precision accuracy near the real axis"
             )
         object.__setattr__(self, "shifted", _even_shift(v))
-
-    @property
-    def nome(self) -> complex:
-        """q = exp(i*pi*tau), with |q| < 1."""
-        return cmath.exp(1j * _PI * self.value)
 
     @cached_property
     def _theta_terms(self) -> _ThetaTerms:
@@ -515,9 +505,9 @@ def lattice_sum_p(z: complex, tau: TauParameter | complex, radius: int) -> compl
     is O(|z|^2 / radius^2) (absolute bound O(1/radius)); radius 400 gives
     roughly 1e-6 * |z|^2 near the square lattice.  Summation order is fixed
     (n = 0 row first, then rows n = 1..radius), so results are reproducible
-    bit for bit.  A call holds two arrays of R + (2R+1)R complex values
-    (10.3 MB at radius 400) and two buffers of about _LATTICE_BLOCK values.
-    The radius is any integral number but a bool.
+    bit for bit.  A call holds at most five arrays of R + (2R+1)R complex
+    values (25.7 MB at radius 400).  The radius is any integral number but
+    a bool.
     """
     t = as_tau(tau)
     z = complex(z)
@@ -533,54 +523,23 @@ def lattice_sum_p(z: complex, tau: TauParameter | complex, radius: int) -> compl
 
 def _lattice_sums_p(zs: list[complex], t: TauParameter,
                     radius: int) -> list[complex]:
-    """``lattice_sum_p`` at each z of ``zs``, bit for bit, off the lattice.
-
-    Two half-lattice-sized arrays: 2/w^2, built once, and the terms of one
-    z, which ``np.sum`` reads whole (its pairwise order depends on the
-    length).  The lattice w itself is rebuilt one block of whole rows at a
-    time, about _LATTICE_BLOCK values, into a scratch buffer, and each
-    block runs the operations of the plain expression in its order, so
-    every term keeps its bits.  The division stays ``np.divide(1.0, .)``,
-    as ``np.reciprocal`` rounds complex values differently."""
+    """``lattice_sum_p`` at each z of ``zs``, bit for bit, off the lattice:
+    the half-lattice w and 2/w^2 are built once for all of them, and each z
+    is one whole-array expression over w (``np.sum``'s pairwise order
+    depends only on the length)."""
     import numpy as np
     # Half-lattice enumeration: (m, 0) for m = 1..R, then (m, n) for n >= 1,
     # as m + n*Re tau and n*Im tau: the parts the complex m + n*tau rounds to.
-    width = 2 * radius + 1
     m = np.arange(-radius, radius + 1, dtype=np.float64)
     n = np.arange(1, radius + 1, dtype=np.float64)[:, None]
-    n_re, n_im = n * t.shifted.real, n * t.shifted.imag
-    rows = max(1, _LATTICE_BLOCK // width)
-    w = np.empty(rows * width, dtype=np.complex128)
-    b = np.empty_like(w)
-
-    def blocks() -> Iterator[tuple[slice, np.ndarray]]:
-        """(half-lattice slice, its w in the scratch buffer) per block."""
-        head = w[:radius]
-        head.real, head.imag = m[radius + 1:], 0.0
-        yield slice(0, radius), head
-        for lo in range(0, radius, rows):
-            k = min(rows, radius - lo)
-            block = w[:k * width]
-            grid = block.reshape(k, width)
-            np.add(n_re[lo:lo + k], m, out=grid.real)
-            grid.imag = n_im[lo:lo + k]
-            start = radius + lo * width
-            yield slice(start, start + block.size), block
-
-    c = np.empty(radius * (width + 1), dtype=np.complex128)
-    a = np.empty_like(c)
-    for s, wb in blocks():
-        np.divide(2.0, np.square(wb, out=c[s]), out=c[s])
-    sums = []
-    for z in zs:
-        for s, wb in blocks():
-            ab, bb = a[s], b[:wb.size]
-            np.divide(1.0, np.square(np.subtract(z, wb, out=ab), out=ab), out=ab)
-            np.divide(1.0, np.square(np.add(z, wb, out=bb), out=bb), out=bb)
-            ab += bb
-            ab -= c[s]
-        sums.append(complex(1.0 / z ** 2 + np.sum(a)))
-    return sums
+    w = np.empty(radius * (2 * radius + 2), dtype=np.complex128)
+    w[:radius] = m[radius + 1:]
+    grid = w[radius:].reshape(radius, 2 * radius + 1)
+    grid.real, grid.imag = n * t.shifted.real + m, n * t.shifted.imag
+    c = 2.0 / np.square(w)
+    return [complex(1.0 / z ** 2 + np.sum(1.0 / np.square(z - w)
+                                          + 1.0 / np.square(z + w) - c))
+            for z in zs]
 
 
 def _extrapolated_lattice_sums_p(zs: list[complex], t: TauParameter,

@@ -38,7 +38,7 @@ from holink import (
     weierstrass_p,
 )
 from holink.special_functions import SNAP_TOL
-from holink.verify import TAU_BOX
+from holink.verify import TAU_BOX, _kernel_pairing
 
 LINK_AT_I = math.log(0.5) / (2.0 * math.pi)  # half-period pairing on tau = i
 
@@ -493,21 +493,18 @@ def test_green_hook_flexibility():
                                (v0 + 0.25, -1), (v0 + 0.75, -1)])
     w = Divisor.elliptic(tau, [(0.61 + 0.37j, 1), (0.13 + 0.81j, -1)])
     base = linking_elliptic(z, w).value
-    shifted = linking_elliptic(
-        z, w, green=lambda u, t: arakelov_green(u, t) + 3.7).value
+    shifted = _kernel_pairing(z, w, lambda u, t: arakelov_green(u, t) + 3.7)
     assert abs(shifted - base) < 1e-12
     eps = 1e-3
-    wobbled = linking_elliptic(
-        z, w, green=lambda u, t: arakelov_green(u, t)
-        + eps * math.cos(2 * math.pi * u.real)).value
-    assert abs(wobbled - base) < 1e-10
+
+    def wobbled(u, t):
+        return arakelov_green(u, t) + eps * math.cos(2 * math.pi * u.real)
+
+    assert abs(_kernel_pairing(z, w, wobbled) - base) < 1e-10
     # sanity: against a generic first divisor the same wobble does move it
     zg = Divisor.elliptic(tau, [(0.1 + 0.2j, 1), (0.35 + 0.55j, -1)])
     gen_base = linking_elliptic(zg, w).value
-    gen_wobbled = linking_elliptic(
-        zg, w, green=lambda u, t: arakelov_green(u, t)
-        + eps * math.cos(2 * math.pi * u.real)).value
-    assert abs(gen_wobbled - gen_base) > 1e-5
+    assert abs(_kernel_pairing(zg, w, wobbled) - gen_base) > 1e-5
 
 
 def test_custom_green_disables_closed_form_route():
@@ -516,11 +513,25 @@ def test_custom_green_disables_closed_form_route():
     tau = 1j
     z = Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)])
     w = Divisor.elliptic(tau, [(tau / 2, 1), ((1 + tau) / 2, -1)])
-    res = linking_elliptic(z, w, green=lambda u, t: arakelov_green(u, t) + 1.0)
-    assert res.method is LinkingMethod.ARAKELOV_GREEN
-    assert abs(res.value - LINK_AT_I) < 1e-12  # constant cancels anyway
-    doubled = linking_elliptic(z, w, green=lambda u, t: 2 * arakelov_green(u, t))
-    assert abs(doubled.value - 2 * LINK_AT_I) < 1e-12
+    shifted = _kernel_pairing(z, w, lambda u, t: arakelov_green(u, t) + 1.0)
+    assert abs(shifted - LINK_AT_I) < 1e-12  # constant cancels anyway
+    doubled = _kernel_pairing(z, w, lambda u, t: 2 * arakelov_green(u, t))
+    assert abs(doubled - 2 * LINK_AT_I) < 1e-12
+
+
+def test_kernel_pairing_with_the_green_kernel_is_linking_bitwise():
+    # verify's altered-kernel sums start from linking_elliptic's value: with
+    # arakelov_green itself, the helper's sum keeps every bit of it.
+    rng = np.random.default_rng(221)
+    (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
+    for im_range in ((im_lo, im_hi), (0.05, 0.3)):
+        for _ in range(10):
+            tau = complex(rng.uniform(re_lo, re_hi), rng.uniform(*im_range))
+            for k in (2, 4):
+                z, w = _pair(rng, tau, k)
+                got = _kernel_pairing(z, w, arakelov_green)
+                assert got.hex() == linking_elliptic(z, w).value.hex(), tau
+                assert _kernel_pairing(w, z, arakelov_green).hex() == got.hex()
 
 
 def _oriented(p, q):
@@ -571,21 +582,6 @@ def test_linking_reduces_each_pair_once(monkeypatch):
         monkeypatch.setattr(mod, "_reduce_point", counting)
     linking_elliptic(z, w)
     assert len(calls) == 4 * 4
-
-
-def test_green_hook_receives_oriented_differences():
-    rng = np.random.default_rng(220)
-    tau = -0.4 + 0.9j
-    z, w = _pair(rng, tau, 4)
-    seen = []
-
-    def recording(u, t):
-        assert t == TauParameter(tau)
-        seen.append(u)
-        return arakelov_green(u, t)
-
-    linking_elliptic(z, w, green=recording)
-    assert seen == [_oriented(p, q) for p in z.support() for q in w.support()]
 
 
 # -------------------------------------------------------------- catalog maps

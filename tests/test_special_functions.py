@@ -63,11 +63,6 @@ def test_tau_parameter_validation():
             TauParameter(bad)
 
 
-def test_tau_nome():
-    t = TauParameter(1j)
-    assert abs(t.nome - math.exp(-math.pi)) < 1e-16
-
-
 # theta(kind, z, tau) as (float.hex(real), float.hex(imag)), frozen from the
 # two-loop series this package shipped before its loops were merged.
 THETA_FROZEN = {
@@ -204,13 +199,11 @@ def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
                 theta(kind, past, tau)
 
 
-#: ``_lattice_sums_p`` values as (real, imag) ``float.hex``, captured from
-#: the whole-array expressions that the in-place evaluation replaced: the
+#: ``_lattice_sums_p`` values as (real, imag) ``float.hex``: the
 #: weierstrass-oracle suite's 10 points per tau at seed 42 and radius 400,
-#: and three points at two skewed taus at radius 10 (the minimum) and 37.
-#: Radii 150 and 401 were captured from the in-place evaluation that the
-#: row blocks replaced; their half-lattices span several blocks and end in
-#: a partial one.
+#: and three points at two skewed taus at radii 10 (the minimum), 37, 150
+#: and 401.  The whole-array expression gave the first radii; in-place and
+#: row-block evaluations, since replaced by it again, gave 150 and 401.
 _ORACLE_HEX = {
     1j: [
         ("-0x1.c027a961e36d3p+3", "-0x1.cf7cd0ce509d0p+0"),
@@ -304,9 +297,6 @@ def test_lattice_sums_match_scalar_bitwise():
 
 
 def test_lattice_sums_skewed_tau_frozen_bits():
-    for radius in (150, 401):  # several row blocks, then a partial one
-        rows = special_functions._LATTICE_BLOCK // (2 * radius + 1)
-        assert 2 * rows < radius and radius % rows, radius
     for (tau, radius), frozen in _SKEWED_HEX.items():
         got = special_functions._lattice_sums_p(
             list(_SKEWED_ZS), TauParameter(tau), radius)
@@ -331,21 +321,25 @@ def test_extrapolated_sums_are_ten_times_nearer_than_the_frozen_sums():
 
 
 def test_lattice_sums_memory_peak():
-    # Two half-lattice-sized arrays, 2/w^2 and the terms of one z, and two
-    # block buffers (0.05 of a half-lattice at radius 400), however many z.
+    # The half-lattice w and 2/w^2, built once, and at most three arrays of
+    # its size while one z's expression runs, however many z there are.
     # numpy reports its data buffers to tracemalloc.
-    radius = 400
-    lattice_bytes = 16 * (radius + (2 * radius + 1) * radius)
-    t = TauParameter(1j)
-    zs = [0.1 + 0.05j, -0.2 + 0.1j, 0.15 - 0.2j]
+    t = TauParameter(0.37 + 0.61j)
+    zs = [0.1 + 0.05j, -0.2 + 0.1j, 0.15 - 0.2j, 0.21 + 0.02j, -0.1 - 0.1j,
+          0.05 + 0.25j, 0.3j, 0.3, -0.17 + 0.13j, 0.11 - 0.07j]
     special_functions._lattice_sums_p(zs[:1], t, 10)  # numpy's first-call setup
-    tracemalloc.start()
-    try:
-        special_functions._lattice_sums_p(zs, t, radius)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.2 * lattice_bytes, peak / lattice_bytes
+    for radius in (100, 400):
+        lattice_bytes = 16 * (radius + (2 * radius + 1) * radius)
+        peaks = []
+        for k in (1, 10):
+            tracemalloc.start()
+            try:
+                special_functions._lattice_sums_p(zs[:k], t, radius)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 5.2 * lattice_bytes, (radius, peaks[0] / lattice_bytes)
+        assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0], (radius, peaks)
 
 
 def test_lattice_sums_concurrent_taus_frozen_bits():
