@@ -280,8 +280,7 @@ def _suite_green_flexibility(rng: np.random.Generator) -> tuple[list, str]:
                    for p in z.support() for q in w.support()):
                 break
         base = linking_elliptic(z, w).value
-        shifted = _kernel_pairing(
-            z, w, lambda u, t: arakelov_green(u, t) + 3.75)
+        shifted = _kernel_pairing(z, w, lambda u, t: arakelov_green(u, t) + 3.75)
         residuals.append(abs(shifted - base))
         eps = 1e-3
         wobbled = _kernel_pairing(
