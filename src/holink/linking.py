@@ -19,14 +19,17 @@ to finite sums of logarithms:
   and any additive constant cancels in degree-zero double sums, so the
   constant is fixed to zero.
 
-``_check_pair`` measures each pair of points once, as |P - Q| on the sphere
-or the canonically oriented P - Q reduced into the cell; that decides
-disjointness, and the evaluator sums its terms from it.  Both add them with
-``math.fsum``, which is correctly rounded and so order independent: hence
-linking(z, w) == linking(w, z) holds bit for bit.  They only sum, with
-the one kernel: the comparison with the half-period closed form and the
-altered-kernel checks live with the other route comparisons, in ``massey``
-and ``verify``.
+``_check_pair`` decides disjointness for every pair before any term is
+formed.  The elliptic evaluator, ``_pair_greens``, builds theta1 at each
+difference from per-point phases and per-tau coefficients, divided by its
+largest term, so that no term leaves double range at any Im tau;
+``arakelov_green``, one theta1 series per point, is the reference it is
+tested against.  Each pair is taken in one canonical order, and both
+evaluators add their terms with ``math.fsum``, which is correctly rounded
+and so order independent: hence linking(z, w) == linking(w, z) holds bit
+for bit.  They only sum, with the one kernel: the comparison with the
+half-period closed form and the altered-kernel checks live with the other
+route comparisons, in ``massey`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     BranchError,
@@ -57,12 +60,15 @@ from .special_functions import (
     _reduce_point,
     _reduced_difference,
     _theta_series,
+    _turn,
     as_tau,
     reduce_mod_lattice,
 )
 
 #: Tolerance below which two support points count as colliding.
 DISJOINTNESS_TOL = 1e-9
+
+_TWO_PI = 2.0 * math.pi
 
 
 class _InfinityType:
@@ -265,9 +271,13 @@ class LinkingResult:
 
 def _check_pair(z: Divisor, w: Divisor, kind: str) -> list:
     """Check curve kind, degrees and disjointness, in that order, and return
-    (a * b, what the curve's measure gave) for each pair (P, a), (Q, b),
-    z-major: ``_reduced_difference`` on an elliptic curve, else
-    ``_sphere_measure``."""
+    (a * b, what the pairing sums from) for each pair (P, a), (Q, b),
+    z-major: the first part of ``_sphere_measure`` on the sphere, and on an
+    elliptic curve (P, Q), smaller (re, im) first, as ``_reduced_difference``
+    orders them.  Reduced points whose imaginary parts differ by more than
+    apart_lo = 2 * DISJOINTNESS_TOL * max(1, Im tau), and by less than
+    Im tau - apart_lo, lie that far apart on the torus; only the other
+    pairs are measured, by ``_reduced_difference``."""
     if z.curve.kind != kind or z.curve != w.curve:
         raise CurveMismatchError(
             f"expected two divisors on one {kind} curve, got "
@@ -277,11 +287,20 @@ def _check_pair(z: Divisor, w: Divisor, kind: str) -> list:
         if d.degree() != 0:
             raise HomologyError(f"{which} divisor has degree {d.degree()}, expected 0")
     t = z.curve.tau
+    elliptic = kind == "elliptic"
+    if elliptic:
+        im_t = t.shifted.imag
+        apart_lo = 2.0 * DISJOINTNESS_TOL * max(1.0, im_t)
+        apart_hi = im_t - apart_lo
     measured = []
     for p, a in z.terms:
         for q, b in w.terms:
-            m, dist = (_reduced_difference(p, q, t) if kind == "elliptic"
-                       else _sphere_measure(p, q))
+            if elliptic:
+                m = (p, q) if (p.real, p.imag) <= (q.real, q.imag) else (q, p)
+                dist = (math.inf if apart_lo < abs(p.imag - q.imag) < apart_hi
+                        else _reduced_difference(p, q, t)[1])
+            else:
+                m, dist = _sphere_measure(p, q)
             if dist < DISJOINTNESS_TOL:
                 raise DisjointnessError(
                     f"supports collide near {p!r} (distance {dist:.3e})"
@@ -350,17 +369,62 @@ def linking_elliptic(z: Divisor, w: Divisor) -> LinkingResult:
 
     value = sum_{(P,a)} sum_{(Q,b)} a * b * g_tau(P - Q).
 
-    ``_check_pair`` reduces each difference once, and the kernel is
-    ``arakelov_green``'s formula at that point, DISJOINTNESS_TOL > POLE_TOL
-    off the lattice.
+    ``_check_pair`` decides disjointness for every pair first, then
+    ``_pair_greens`` forms the terms.
     """
     pairs = _check_pair(z, w, "elliptic")
+    return LinkingResult(_pairing_sum(_pair_greens(z, w, pairs)),
+                         LinkingMethod.ARAKELOV_GREEN)
+
+
+def _pair_greens(z: Divisor, w: Divisor, pairs: list) -> Iterator[float]:
+    """a * b * g_tau(A - B) for each (a * b, (A, B)) of ``_check_pair(z, w)``.
+
+    The pair is taken at u = A + s*tau - B, s in {-1, 0, 1}, so that
+    y = Im u has |y| <= Im tau / 2 (g is periodic).  With X = exp(2*pi*i*u),
+    or exp(-2*pi*i*u) where y < 0, so that |X| = exp(-2*pi*|y|) <= 1,
+    theta1's q-series (DLMF 20.2.1) is +-i q^(1/4) X^(-1/2) F, where
+
+        F = X G(X) - G(1/X),   G(t) = sum_{n >= 0} (-1)^n q^(n(n+1)) t^n,
+
+    and |F| is |theta1(u)| over its largest term exp(-pi*Im(tau)/4 +
+    pi*|y|).  So g_tau(u) = log|F| / pi - (Im tau / 2 - |y|)^2 / Im tau.
+    X is exp(-2*pi*|y|) times the unit phases of A, B and s*tau, taken
+    once per point and once per tau.  G(1/X) is summed as sum d_n x_inv^n
+    with x_inv = exp(-pi*Im(tau)) / X, of modulus at most 1, and d_n from
+    ``TauParameter._green_terms``; every term of either sum is at most 1,
+    so nothing leaves double range.  Both sums run by Horner's rule.
+    """
     t = z.curve.tau
-    terms = t._theta_terms
-    total = _pairing_sum(
-        ab * _green_from_theta1(_theta_series(1, ur, terms), ur, t)
-        for ab, ur in pairs)
-    return LinkingResult(total, LinkingMethod.ARAKELOV_GREEN)
+    coefs, up, down = t._green_terms
+    im_t = t.shifted.imag
+    half = 0.5 * im_t
+    phases = {}
+    for p in z.support() + w.support():
+        e = _turn(p.real)
+        phases[p] = e, e.conjugate()
+    for ab, (p, q) in pairs:
+        y = p.imag - q.imag
+        ep, ep_c = phases[p]
+        eq, eq_c = phases[q]
+        ph, ph_c = ep * eq_c, eq * ep_c
+        if y > half:
+            y -= im_t
+            ph, ph_c = ph * down, ph_c * up
+        elif y < -half:
+            y += im_t
+            ph, ph_c = ph * up, ph_c * down
+        if y < 0.0:
+            y = -y
+            ph, ph_c = ph_c, ph
+        x = ph * math.exp(-_TWO_PI * y)
+        x_inv = ph_c * math.exp(_TWO_PI * (y - half))
+        gx = g_inv = 0.0
+        for c, d in coefs:
+            gx = gx * x + c
+            g_inv = g_inv * x_inv + d
+        gap = half - y
+        yield ab * (math.log(abs(x * gx - g_inv)) / math.pi - gap * (gap / im_t))
 
 
 def linking(z: Divisor, w: Divisor) -> LinkingResult:

@@ -9,10 +9,11 @@ linking number on the base curve:
     value(tau) = 8 * < [0] - [1/2], [tau/2] - [(1+tau)/2] >_{C_tau}
                = (4/pi) * log|1 - lambda(tau)|.
 
-The two routes share only the theta primitives and the evaluation tau,
-``TauParameter.shifted``, the exact even shift of Re tau into [-1, 1], and
-are computed independently here; their agreement is one of the package's
-acceptance checks.  The value vanishes exactly on the locus
+The two routes share only the evaluation tau, ``TauParameter.shifted``,
+the exact even shift of Re tau into [-1, 1]: the closed form sums the theta
+constants' series, the linking route the pairing's own q-series of theta1
+(``linking_elliptic``).  They are computed independently here, and their
+agreement is one of the package's acceptance checks.  The value vanishes exactly on the locus
 |1 - lambda(tau)| = 1 (which contains the whole vertical line
 Re tau = 1/2), and is nonzero for generic tau, so the obstruction it
 measures does not vanish identically in the family.

@@ -35,9 +35,9 @@ broadcast against tau, for many.  The scalar series reads the parts of
 each term that depend on tau alone (-pi*Im(tau)*a^2, pi*k and tau*a^2) from
 a ``_ThetaTerms``, built once per evaluation tau as far as some sum has
 needed them and kept on the ``TauParameter`` (``_theta_terms``, a cached
-property, so a TauParameter that sums no series builds none); the many
-theta1 series of one linking pairing share it.  The kernel sums the same
-``_paired_term``s in the same order with the same per-point stopping rule
+property, so a TauParameter that sums no series builds none).  The
+kernel sums the same ``_paired_term``s in the same order with the same
+per-point stopping rule
 (|partial sum| is ``np.hypot``, the libm function behind ``abs``), so its
 values equal the scalar series' bit for bit (tests compare them by
 ``float.hex``).  Where every z
@@ -57,7 +57,10 @@ fundamental-domain reduction of tau is performed; construction of
 lose precision near that floor (|q| -> 0.855).  Every evaluator of a
 lattice quantity, and the public ``theta``, runs at
 ``TauParameter.shifted``, an exact shift into |Re tau| <= 1 taken once per
-tau, so no phase of a term leaves double range.
+tau, so no phase of a term leaves double range.  The elliptic linking
+pairing sums theta1 in a third form, from per-point phases and the per-tau
+coefficients ``TauParameter._green_terms``, at differences with |Im u| <=
+Im tau / 2 (see ``linking``).
 """
 
 from __future__ import annotations
@@ -139,6 +142,26 @@ class TauParameter:
         return _ThetaTerms(self.shifted)
 
     @cached_property
+    def _green_terms(self) -> tuple[tuple[tuple[complex, complex], ...],
+                                    complex, complex]:
+        """The tau-only data of ``linking_elliptic``'s kernel at ``shifted``:
+        (c_n, d_n) = (-1)^n q^(n(n+1)) * (1, exp(pi*Im(tau)*n)), highest n
+        first, for each n with exp(-pi*Im(tau)*n^2) >= EPS_SERIES / 2, then
+        the unit phases exp(2*pi*i*Re tau) and exp(-2*pi*i*Re tau).
+        |c_n| <= |d_n| = exp(-pi*Im(tau)*n^2), so no datum leaves double
+        range, and from Im tau = 13.5 on only n = 0 remains."""
+        tv = self.shifted
+        coefs = [(1.0 + 0.0j, 1.0 + 0.0j)]
+        n = 1
+        while -_PI * tv.imag * n * n >= _LOG_HALF_EPS:
+            phase = _PI * tv.real * (n * (n + 1))
+            c = cmath.exp(complex(-_PI * tv.imag * (n * (n + 1)), phase))
+            d = cmath.exp(complex(-_PI * tv.imag * (n * n), phase))
+            coefs.append((-c, -d) if n & 1 else (c, d))
+            n += 1
+        return tuple(reversed(coefs)), _turn(tv.real), _turn(-tv.real)
+
+    @cached_property
     def _gauss_basis(self) -> tuple[complex, complex]:
         """A Lagrange-Gauss-reduced basis (w1, w2) of Z + Z*shifted:
         |w1| <= |w2| <= |w2 - m*w1| for every integer m."""
@@ -161,6 +184,11 @@ def as_tau(tau: TauParameter | complex) -> TauParameter:
     if isinstance(tau, TauParameter):
         return tau
     return TauParameter(complex(tau))
+
+
+def _turn(x: float) -> complex:
+    """exp(2*pi*i*x) for a finite x, taken at x - round(x), which is exact."""
+    return cmath.exp(complex(0.0, 2.0 * _PI * (x - round(x))))
 
 
 def _paired_term(kind: int, n: int, e_plus, e_minus):
@@ -474,7 +502,7 @@ def torus_distance(u: complex, v: complex, tau: TauParameter | complex) -> float
     Lagrange-Gauss-reduced basis, which is the nearest lattice point.  The
     difference is taken in one canonical orientation, so that
     torus_distance(u, v) == torus_distance(v, u) bit for bit.  Its body,
-    ``_reduced_difference``, serves ``linking``'s pairs too."""
+    ``_reduced_difference``, serves ``linking``'s disjointness test too."""
     t = as_tau(tau)
     ur, dist = _reduced_difference(complex(u), complex(v), t)
     if dist < min(1.0, t.shifted.imag) / 2.0:

@@ -279,7 +279,7 @@ def _suite_green_flexibility(rng: np.random.Generator) -> tuple[list, str]:
             if all(torus_distance(p, q, tau) > 1e-3
                    for p in z.support() for q in w.support()):
                 break
-        base = linking_elliptic(z, w).value
+        base = _kernel_pairing(z, w, arakelov_green)
         shifted = _kernel_pairing(z, w, lambda u, t: arakelov_green(u, t) + 3.75)
         residuals.append(abs(shifted - base))
         eps = 1e-3
@@ -294,8 +294,9 @@ def _kernel_pairing(z: Divisor, w: Divisor,
                     green: Callable[[complex, TauParameter], float]) -> float:
     """sum a * b * green(u, tau) over (P, a) in z and (Q, b) in w, by
     ``math.fsum``, with u the canonically oriented, unreduced P - Q, so that
-    swapping z and w keeps every bit; ``arakelov_green`` gives
-    ``linking_elliptic``'s value."""
+    swapping z and w keeps every bit.  With ``arakelov_green`` it is the
+    per-pair reference sum, one theta1 series per pair, against which
+    ``linking_elliptic``'s kernel is tested."""
     t = z.curve.tau
     return math.fsum(
         a * b * green(p - q if (p.real, p.imag) <= (q.real, q.imag) else q - p, t)

@@ -375,7 +375,7 @@ def test_scan_validates_grid_once(tmp_path, monkeypatch):
 
 def test_scan_builds_no_theta_term_data(tmp_path, monkeypatch):
     # scan's taus go through the array kernel; their TauParameters sum no
-    # scalar series and so build no per-tau term data.
+    # scalar series and pair no divisors, and so build no per-tau term data.
     built = []
     validate = TauParameter.__post_init__
 
@@ -386,9 +386,10 @@ def test_scan_builds_no_theta_term_data(tmp_path, monkeypatch):
     monkeypatch.setattr(TauParameter, "__post_init__", recording)
     assert _scan(tmp_path / "box.csv", -1, 1, 0.5, 2, 21, 16) == 0
     assert built
-    assert not any("_theta_terms" in vars(t) for t in built)
+    assert not any(name in vars(t) for t in built
+                   for name in ("_theta_terms", "_green_terms"))
     massey_report(built[0])
-    assert "_theta_terms" in vars(built[0])
+    assert "_green_terms" in vars(built[0])
 
 
 def _scalar_rows(grid):
@@ -520,7 +521,7 @@ def test_verify_seed_42_stdout_is_pinned():
     run = subprocess.run(cmd, capture_output=True)
     assert run.returncode == 0
     assert hashlib.sha256(run.stdout).hexdigest() == (
-        "1c61a5fb0d1d9609850fa79721537df761d1a4b30adaae13064b4205bd210261")
+        "3687a109501304091f87330266b8560cea12776cf3f6578ad9f57466758ef916")
 
 
 # The child runs every scalar path, checking after each that numpy is still

@@ -432,6 +432,64 @@ def test_half_period_closed_form_underflow_is_divergence():
     assert abs(massey_value_via_linking(tau) - ref) < 1e-11 * abs(ref)
 
 
+def test_pairing_is_covariant_under_s_and_t():
+    # <Z, W>_tau = <Z/tau, W/tau>_{-1/tau}: u -> u/tau maps Z + Z*tau onto
+    # Z + Z*(-1/tau), and the kernels differ by a constant, which cancels
+    # in degree-zero sums; tau + 1 spans the same lattice.  Over these 150
+    # draws the worst residuals were 4.7e-15 (S) and 1.2e-15 (T).
+    rng = np.random.default_rng(231)
+    (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
+    draws = 0
+    while draws < 150:
+        tau = complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
+        if (-1 / tau).imag < 0.05:
+            continue
+        z, w = _pair(rng, tau, (2, 4, 8)[draws % 3])
+        draws += 1
+        v = linking_elliptic(z, w).value
+        bound = 1e-13 * max(1.0, abs(v))
+        s = linking_elliptic(
+            Divisor.elliptic(-1 / tau, [(p / tau, m) for p, m in z.terms]),
+            Divisor.elliptic(-1 / tau, [(p / tau, m) for p, m in w.terms]))
+        assert abs(s.value - v) <= bound, tau
+        t = linking_elliptic(Divisor.elliptic(tau + 1, z.terms),
+                             Divisor.elliptic(tau + 1, w.terms))
+        assert abs(t.value - v) <= bound, tau
+
+
+#: Lattice coordinates (x, y, multiplicity) of two 8-point divisors, points
+#: x + y*tau; four z-w pairs lie within 5e-4 of one level y, so their
+#: log|F| terms count at the cusp too.
+_CUSP_Z = [(0.1, 0.05, 1), (0.6, 0.93, -1), (0.35, 0.5, 1), (0.8, 0.2, -1),
+           (0.05, 0.71, 1), (0.45, 0.12, -1), (0.7, 0.44, 1), (0.25, 0.86, -1)]
+_CUSP_W = [(0.3, 0.62, 1), (0.85, 0.5002, -1), (0.55, 0.7099, 1),
+           (0.15, 0.33, -1), (0.95, 0.0503, 1), (0.4, 0.27, -1),
+           (0.65, 0.78, 1), (0.2, 0.1195, -1)]
+
+
+@pytest.mark.parametrize("tau, ref", [
+    # mpmath at 60 digits (jtheta at each difference reduced to
+    # |Im u| <= Im tau / 2): -44.1032196989431173827037062193
+    (0.3 + 400j, -44.10321969894312),
+    # -99.1662041270612995485592243074
+    (-0.6 + 900j, -99.1662041270613),
+])
+def test_pairing_at_the_cusp(tau, ref):
+    # arakelov_green's theta1 series leaves double range at some of these
+    # differences (ConvergenceError) and underflows at others
+    # (DivergenceError); the pairing's terms are at most 1.
+    z = Divisor.elliptic(tau, [(x + y * tau, m) for x, y, m in _CUSP_Z])
+    w = Divisor.elliptic(tau, [(x + y * tau, m) for x, y, m in _CUSP_W])
+    assert abs(linking_elliptic(z, w).value - ref) <= 1e-14 * abs(ref)
+
+
+def test_massey_report_far_up_the_cusp():
+    # The value is -1.4e-1227, which underflows: 0.0 on both routes.
+    rep = massey_report(0.3 + 900j)
+    assert rep.value_closed_form == 0.0
+    assert rep.value_via_linking == 0.0
+
+
 def test_multi_point_swap_symmetry_bitwise():
     rng = np.random.default_rng(215)
     mults_z = [3, -1, 2, -2, 1, -4, 2, -1]
@@ -519,9 +577,17 @@ def test_custom_green_disables_closed_form_route():
     assert abs(doubled - 2 * LINK_AT_I) < 1e-12
 
 
+def _per_pair_bound(tau, v):
+    """How far linking_elliptic may lie from the per-pair arakelov_green sum
+    v: 1e-13 * max(1, |v|) from Im tau 0.3 on, 1e-11 * max(1, |v|) below,
+    where arakelov_green's theta1 series runs at |q| up to 0.855."""
+    return (1e-13 if tau.imag >= 0.3 else 1e-11) * max(1.0, abs(v))
+
+
 def test_kernel_pairing_with_the_green_kernel_is_linking_bitwise():
-    # verify's altered-kernel sums start from linking_elliptic's value: with
-    # arakelov_green itself, the helper's sum keeps every bit of it.
+    # verify's altered-kernel sums start from the per-pair arakelov_green
+    # sum, which swapping z and w leaves bit for bit, and which is
+    # linking_elliptic's value to within its bound.
     rng = np.random.default_rng(221)
     (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
     for im_range in ((im_lo, im_hi), (0.05, 0.3)):
@@ -530,7 +596,8 @@ def test_kernel_pairing_with_the_green_kernel_is_linking_bitwise():
             for k in (2, 4):
                 z, w = _pair(rng, tau, k)
                 got = _kernel_pairing(z, w, arakelov_green)
-                assert got.hex() == linking_elliptic(z, w).value.hex(), tau
+                assert (abs(got - linking_elliptic(z, w).value)
+                        <= _per_pair_bound(tau, got)), tau
                 assert _kernel_pairing(w, z, arakelov_green).hex() == got.hex()
 
 
@@ -539,8 +606,10 @@ def _oriented(p, q):
 
 
 def test_linking_equals_sum_of_scalar_kernels_bitwise():
-    # One reduction per pair serves the disjointness test and the kernel:
-    # the sum equals that of arakelov_green at each oriented difference.
+    # The separable kernel against the reference: the fsum of
+    # arakelov_green, one theta1 series per oriented difference.  On these
+    # draws the largest gaps were 2.3e-15 (Im tau >= 0.3) and 2.3e-13
+    # (Im tau in [0.05, 0.3)) relative to max(1, |v|).
     rng = np.random.default_rng(218)
     (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
     for im_range in ((im_lo, im_hi), (0.05, 0.3)):
@@ -550,7 +619,8 @@ def test_linking_equals_sum_of_scalar_kernels_bitwise():
                 z, w = _pair(rng, tau, k)
                 expected = math.fsum(a * b * arakelov_green(_oriented(p, q), tau)
                                      for p, a in z.terms for q, b in w.terms)
-                assert linking_elliptic(z, w).value.hex() == expected.hex()
+                assert (abs(linking_elliptic(z, w).value - expected)
+                        <= _per_pair_bound(tau, expected)), tau
 
 
 def test_disjointness_is_checked_before_any_kernel():
@@ -566,22 +636,36 @@ def test_disjointness_is_checked_before_any_kernel():
 
 
 def test_linking_reduces_each_pair_once(monkeypatch):
-    rng = np.random.default_rng(219)
+    # The screen clears each pair whose imaginary parts differ by more than
+    # the disjointness margin; the one pair here that shares its imaginary
+    # part is reduced once, and the kernel reduces none but gives each of
+    # the 16 pairs one term.
     tau = 0.3 + 1.1j
-    z, w = _pair(rng, tau, 4)
+    z = Divisor.elliptic(tau, [(0.1 + 0.3j, 1), (0.4 + 0.7j, -1),
+                               (0.35 + 0.5j, 1), (0.8 + 0.95j, -1)])
+    w = Divisor.elliptic(tau, [(0.6 + 0.3j, 1), (0.5 + 0.2j, -1),
+                               (0.9 + 0.6j, 1), (0.45 + 0.85j, -1)])
     modules = [importlib.import_module(f"holink.{name}")
                for name in ("linking", "special_functions")]
     reduce = modules[1]._reduce_point
-    calls = []
+    greens = modules[0]._pair_greens
+    calls, terms = [], []
 
     def counting(z, tv):
         calls.append(z)
         return reduce(z, tv)
 
+    def counting_greens(z, w, pairs):
+        for term in greens(z, w, pairs):
+            terms.append(term)
+            yield term
+
     for mod in modules:
         monkeypatch.setattr(mod, "_reduce_point", counting)
+    monkeypatch.setattr(modules[0], "_pair_greens", counting_greens)
     linking_elliptic(z, w)
-    assert len(calls) == 4 * 4
+    assert calls == [-0.5 + 0j]
+    assert len(terms) == 4 * 4
 
 
 # -------------------------------------------------------------- catalog maps

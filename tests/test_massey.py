@@ -21,7 +21,7 @@ from holink.verify import run_all
 # frozen reference values
 VALUE_AT_I = 4.0 * math.log(0.5) / math.pi     # = -0.8825424006106064
 CLOSED_AT_I = -0.8825424006106053
-LINKED_AT_I = -0.8825424006106068
+LINKED_AT_I = -0.8825424006106074             # mpmath: -0.88254240061060637...
 VALUE_AT_1_PLUS_I = 0.882542400610606
 VALUE_AT_2I = -0.03804340783020451
 VALUE_AT_GENERIC = -0.05738355699730882        # tau = 0.3 + 1.7i
@@ -124,18 +124,19 @@ def test_divergent_lambda_value():
 
 
 def test_report_divergence_runs_no_kernel(monkeypatch):
-    # The closed form decides before the linking route runs.  Every Green
-    # kernel path forms its value in ``_green_from_theta1``, so count there.
+    # The closed form decides before the linking route runs.  The elliptic
+    # pairing forms each pair's term in ``_pair_greens``, so count there.
     # ``holink.linking`` names the function, so fetch the module itself.
     linking = importlib.import_module("holink.linking")
     calls = []
-    green = linking._green_from_theta1
+    greens = linking._pair_greens
 
-    def counting(th1, ur, t):
-        calls.append(ur)
-        return green(th1, ur, t)
+    def counting(z, w, pairs):
+        for term in greens(z, w, pairs):
+            calls.append(term)
+            yield term
 
-    monkeypatch.setattr(linking, "_green_from_theta1", counting)
+    monkeypatch.setattr(linking, "_pair_greens", counting)
     with pytest.raises(DivergenceError):
         massey_report(-0.018 + 0.059j)
     assert calls == []

@@ -150,6 +150,8 @@ def test_nan_residual_fails_its_suite(monkeypatch):
     nan_link = LinkingResult(math.nan, LinkingMethod.ARAKELOV_GREEN)
     monkeypatch.setattr(verify, "weierstrass_p", lambda z, tau: math.nan)
     monkeypatch.setattr(verify, "linking_elliptic", lambda *a, **k: nan_link)
+    # green-flexibility sums arakelov_green itself, its base included
+    monkeypatch.setattr(verify, "arakelov_green", lambda u, tau: math.nan)
     monkeypatch.setattr(verify, "massey_value_via_linking", lambda tau: math.nan)
     results = {r.name: r for r in run_all(seed=42)}
     nan_suites = {"weierstrass-oracle", "linking-bilinearity",
