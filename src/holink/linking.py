@@ -350,7 +350,7 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     ur = reduce_mod_lattice(u, t)
     if _corner_distance(ur, t) < POLE_TOL:
         raise PoleError(f"green kernel has a logarithmic pole at {u!r}")
-    return _green_from_theta1(_theta_series(1, ur, t._theta_terms), ur, t)
+    return _green_from_theta1(_theta_series(1, ur, t.shifted), ur, t)
 
 
 def _green_from_theta1(th1: complex, ur: complex, t: TauParameter) -> float:

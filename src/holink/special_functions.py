@@ -31,23 +31,19 @@ about 136 terms at Im tau >= MIN_IM_TAU, as _EXP_CAP bounds the peak term.
 Two paths evaluate theta, selected by input: the scalar series
 ``_theta_series`` (behind ``theta`` and its cache ``_theta_constants``) for
 one point, and one numpy kernel, ``_theta_array(kind, z, tau)`` with z
-broadcast against tau, for many.  The scalar series reads the parts of
-each term that depend on tau alone (-pi*Im(tau)*a^2, pi*k and tau*a^2) from
-a ``_ThetaTerms``, built once per evaluation tau as far as some sum has
-needed them and kept on the ``TauParameter`` (``_theta_terms``, a cached
-property, so a TauParameter that sums no series builds none).  The
-kernel sums the same ``_paired_term``s in the same order with the same
-per-point stopping rule
-(|partial sum| is ``np.hypot``, the libm function behind ``abs``), so its
-values equal the scalar series' bit for bit (tests compare them by
-``float.hex``).  Where every z
-is 0 it takes one exponential per term and leaves the |Im z| part out of
-the bound.  ``_batch_lambdas``, ``holink scan``'s path, feeds it THETA_BLOCK
-consecutive taus at a time at z = 0, for kinds 2 and 3; its taus come from
-a grid that has already applied the tau rule, so it validates nothing
-itself.  ``verify``'s Green-kernel Laplacian runs it for theta1 over many
-z of one tau, all inside the cell, where reduction leaves a point as it
-is.  One point does not go through the kernel: a size-1
+broadcast against tau, for many.  The scalar series keeps no state: it
+forms each term from (kind, z, tau) alone, so its bits do not depend on
+earlier calls.  The kernel sums the same ``_paired_term``s in the same
+order with the same per-point stopping rule (|partial sum| is
+``np.hypot``, the libm function behind ``abs``), so its values equal the
+scalar series' bit for bit (tests compare them by ``float.hex``).  Where
+every z is 0 it takes one exponential per term and leaves the |Im z| part
+out of the bound.  ``_batch_lambdas``, ``holink scan``'s path, feeds it
+THETA_BLOCK consecutive taus at a time at z = 0, for kinds 2 and 3; its
+taus come from a grid that has already applied the tau rule, so it
+validates nothing itself.  ``verify``'s Green-kernel Laplacian runs it
+for theta1 over many z of one tau, all inside the cell, where reduction
+leaves a point as it is.  One point does not go through the kernel: a size-1
 call takes 170-250 us against 5-15 us for the scalar loops (2-vCPU x86-64
 host, numpy 2.4), while over verify's 20,320 Green-kernel points it costs
 about 1 us a point.  numpy is imported by these array paths only, inside
@@ -136,12 +132,6 @@ class TauParameter:
         object.__setattr__(self, "shifted", _even_shift(v))
 
     @cached_property
-    def _theta_terms(self) -> _ThetaTerms:
-        """Theta's term data at ``shifted``, built on first use, so a
-        TauParameter that sums no series (``scan``'s) builds none."""
-        return _ThetaTerms(self.shifted)
-
-    @cached_property
     def _green_terms(self) -> tuple[tuple[tuple[complex, complex], ...],
                                     complex, complex]:
         """The tau-only data of ``linking_elliptic``'s kernel at ``shifted``:
@@ -191,6 +181,13 @@ def _turn(x: float) -> complex:
     return cmath.exp(complex(0.0, 2.0 * _PI * (x - round(x))))
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int: any integral number but a bool, else ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return operator.index(value)
+
+
 def _paired_term(kind: int, n: int, e_plus, e_minus):
     """The n-th paired term of theta_kind from its exponentials at +-k, for
     complex numbers or arrays alike: the sign rule of both theta paths."""
@@ -211,18 +208,20 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
         theta3(z) =      sum_n        q^(n^2)       e^(2*pi*i*n*z)
         theta4(z) =      sum_n (-1)^n q^(n^2)       e^(2*pi*i*n*z)
 
-    with n over Z.  One loop serves all kinds: the terms of exponent
-    a = n + 1/2 (kinds 1, 2) or a = n >= 1 (kinds 3, 4, after the n = 0
-    term) are paired at frequencies +-k, k = 2a, so oddness of theta1 holds
-    exactly in floating point.  Truncation stops once an upper bound for the
-    next paired term falls below EPS_SERIES * (1 + |partial sum|), with no
-    term cap; a term too large for double precision raises ConvergenceError.
+    with n over Z; kind is any integral number but a bool.  One loop serves
+    all kinds: the terms of exponent a = n + 1/2 (kinds 1, 2) or a = n >= 1
+    (kinds 3, 4, after the n = 0 term) are paired at frequencies +-k,
+    k = 2a, so oddness of theta1 holds exactly in floating point.
+    Truncation stops once an upper bound for the next paired term falls
+    below EPS_SERIES * (1 + |partial sum|), with no term cap; a term too
+    large for double precision raises ConvergenceError.
     The series runs at ``tau.shifted`` = tau - 2k, k = round(Re tau / 2),
     and, where |Re z| > 1, at z - m, m = round(Re z): both shifts are exact.
     theta3 and theta4 are unchanged by them; theta1 and theta2 take the
     factor i^(k + 2m), by swapping and negating parts, so signed zeros keep
     their bits.  So theta1 is 0 at every even integer z.
     """
+    kind = _as_int("theta kind", kind)
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"theta kind must be 1..4, got {kind!r}")
     t = as_tau(tau)
@@ -230,7 +229,7 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"theta argument must be finite, got {z!r}")
     m = round(z.real) if abs(z.real) > 1.0 else 0
-    value = _theta_series(kind, z - m, t._theta_terms)
+    value = _theta_series(kind, z - m, t.shifted)
     if kind in (3, 4):
         return value
     turns = (round(t.value.real / 2.0) + 2 * m) % 4
@@ -239,89 +238,35 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     return -value if turns & 2 else value
 
 
-class _ThetaTerms:
-    """The factors of theta's paired terms that depend on tau alone, at one
-    evaluation tau: for the n-th term of exponent a and frequency k = 2a,
-    (n, -pi*Im(tau)*a*a, pi*k, k, tau*a*a), formed by the expressions the
-    series would form per term, so each keeps its bits; -pi*Im(tau)*a*a is
-    NaN where it overflows, far up the imaginary axis.  ``half`` holds
-    a = n + 1/2 (kinds 1, 2) from n = 0, ``whole`` a = n (kinds 3, 4) from
-    n = 1; each grows when a sum needs a term it does not hold yet.  A term
-    depends on (tau, n) alone and ``grow`` stores a longer tuple in one
-    step, so a sum that reads one while another thread grows it reads a
-    correct prefix."""
-
-    __slots__ = ("tau", "half", "whole")
-
-    def __init__(self, tau: complex) -> None:
-        self.tau = tau
-        self.half: tuple[tuple, ...] = ()
-        self.whole: tuple[tuple, ...] = ()
-
-    def grow(self, half: bool, n: int) -> tuple[tuple, ...]:
-        """The terms of ``half`` or ``whole`` from the n-th on, at least
-        one.  Missing ones are built on to the first whose tau-only bound
-        2*exp(-pi*Im(tau)*a*a) is below EPS_SERIES (or NaN), where a series
-        at z = 0 stops, so that one call builds what such a series needs."""
-        data = self.half if half else self.whole
-        index = n if half else n - 1
-        if index >= len(data):
-            t = self.tau
-            new = []
-            m = len(data) if half else len(data) + 1
-            while True:
-                a = m + 0.5 if half else m
-                k = 2 * a
-                log_mag_tau = -_PI * t.imag * a * a
-                if log_mag_tau == -math.inf:
-                    # -pi*Im(tau) can overflow where the product is finite
-                    # (a = 1/2): NaN sends the series to its overflow-free
-                    # bound.
-                    log_mag_tau = math.nan
-                new.append((m, log_mag_tau, _PI * k, k, t * a * a))
-                if m >= n and not log_mag_tau >= _LOG_HALF_EPS:
-                    break
-                m += 1
-            data += tuple(new)
-            if half:
-                self.half = data
-            else:
-                self.whole = data
-        return data[index:]
-
-
-def _theta_series(kind: int, z: complex, terms: _ThetaTerms) -> complex:
-    """``theta``'s series at a valid kind, finite z and the shifted tau of
-    ``terms``, whose data it extends as far as it needs."""
+def _theta_series(kind: int, z: complex, tau: complex) -> complex:
+    """``theta``'s series at a valid kind, finite z and a shifted tau."""
     abs_im_z = abs(z.imag)
     half = kind in (1, 2)
     total = 0.0 + 0.0j if half else 1.0 + 0.0j
-    # the terms built so far, then those from the one after the last, n
-    batch = terms.half if half else terms.whole
-    n = -1 if half else 0
-    while True:
-        for n, log_mag_tau, pi_k, k, ta in batch:
-            # |term| <= exp(-pi*Im(tau)*a^2 + pi*k*|Im z|) for each
-            # exponential.
-            log_mag = log_mag_tau + pi_k * abs_im_z
-            if not log_mag <= _EXP_CAP:
-                # Or NaN: far up the imaginary axis -pi*Im(tau)*a^2 is NaN
-                # (see _ThetaTerms) or pi*k*|Im z| is +inf.  The same bound
-                # as pi*k*(|Im z| - k*Im(tau)/4) has no overflowing part.
-                log_mag = pi_k * (abs_im_z - 0.25 * k * terms.tau.imag)
-                if log_mag > _EXP_CAP:
-                    raise ConvergenceError(
-                        f"theta{kind} term at n={n} exceeds double range "
-                        f"(z={z!r}, tau={terms.tau!r}); reduce z modulo "
-                        "the lattice first")
-            bound = 2.0 * math.exp(log_mag)
-            if not bound >= EPS_SERIES * (1.0 + abs(total)):
-                return total
-            kz = k * z
-            e_plus = cmath.exp(_IPI * (ta + kz))
-            e_minus = cmath.exp(_IPI * (ta - kz))
-            total += _paired_term(kind, n, e_plus, e_minus)
-        batch = terms.grow(half, n + 1)
+    for n in itertools.count(0 if half else 1):
+        a = n + 0.5 if half else n
+        k = 2 * a
+        # |term| <= exp(-pi*Im(tau)*a^2 + pi*k*|Im z|) for each exponential.
+        log_mag = -_PI * tau.imag * a * a + _PI * k * abs_im_z
+        if not -math.inf < log_mag <= _EXP_CAP:
+            # Or -inf or NaN, far up the imaginary axis: -pi*Im(tau) can
+            # overflow to -inf where the product is finite (a = 1/2), and
+            # pi*k*|Im z| to +inf.  The same bound as
+            # pi*k*(|Im z| - k*Im(tau)/4) has no overflowing part.
+            log_mag = _PI * k * (abs_im_z - 0.25 * k * tau.imag)
+            if log_mag > _EXP_CAP:
+                raise ConvergenceError(
+                    f"theta{kind} term at n={n} exceeds double range "
+                    f"(z={z!r}, tau={tau!r}); reduce z modulo "
+                    "the lattice first")
+        bound = 2.0 * math.exp(log_mag)
+        if not bound >= EPS_SERIES * (1.0 + abs(total)):
+            return total
+        ta = tau * a * a
+        kz = k * z
+        e_plus = cmath.exp(_IPI * (ta + kz))
+        e_minus = cmath.exp(_IPI * (ta - kz))
+        total += _paired_term(kind, n, e_plus, e_minus)
 
 
 def _even_shift(tau: complex) -> complex:
@@ -337,9 +282,9 @@ def _even_shift(tau: complex) -> complex:
 @lru_cache(maxsize=512)
 def _theta_constants(s: complex) -> tuple[complex, complex, complex]:
     """(theta2, theta3, theta4) at z = 0 and a ``TauParameter.shifted`` s,
-    where theta2 gains a power of i (only theta2^4 is used).  Cached."""
-    terms = _ThetaTerms(s)
-    return tuple(_theta_series(kind, 0.0, terms) for kind in (2, 3, 4))
+    where theta2 gains a power of i (only theta2^4 is used).  It stays an
+    ``lru_cache`` because ``bench/trace.py`` reads its ``cache_info()``."""
+    return tuple(_theta_series(kind, 0.0, s) for kind in (2, 3, 4))
 
 
 def _theta_array(kind: int, z, tau) -> np.ndarray:
@@ -539,9 +484,7 @@ def lattice_sum_p(z: complex, tau: TauParameter | complex, radius: int) -> compl
     """
     t = as_tau(tau)
     z = complex(z)
-    if isinstance(radius, bool) or not hasattr(type(radius), "__index__"):
-        raise ValueError(f"radius must be an int, got {radius!r}")
-    radius = operator.index(radius)
+    radius = _as_int("radius", radius)
     if radius < 10:
         raise ValueError(f"radius must be >= 10, got {radius}")
     if torus_distance(z, 0.0, t) < POLE_TOL:
@@ -599,8 +542,7 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
         raise PoleError(f"p(z) has a pole at lattice point z = {z!r}")
     c2, c3, c4 = _theta_constants(t.shifted)
     e1, _, _ = _half_periods(c2, c3, c4)
-    quot = (_theta_series(2, zr, t._theta_terms)
-            / _theta_series(1, zr, t._theta_terms))
+    quot = _theta_series(2, zr, t.shifted) / _theta_series(1, zr, t.shifted)
     return e1 + (_PI * c3 * c4 * quot) ** 2
 
 

@@ -373,9 +373,9 @@ def test_scan_validates_grid_once(tmp_path, monkeypatch):
     assert len(built) <= 201 + 151 + 1
 
 
-def test_scan_builds_no_theta_term_data(tmp_path, monkeypatch):
-    # scan's taus go through the array kernel; their TauParameters sum no
-    # scalar series and pair no divisors, and so build no per-tau term data.
+def test_scan_builds_no_green_terms(tmp_path, monkeypatch):
+    # scan's taus go through the array kernel; their TauParameters pair no
+    # divisors, and so build no Green-kernel term data.
     built = []
     validate = TauParameter.__post_init__
 
@@ -386,8 +386,7 @@ def test_scan_builds_no_theta_term_data(tmp_path, monkeypatch):
     monkeypatch.setattr(TauParameter, "__post_init__", recording)
     assert _scan(tmp_path / "box.csv", -1, 1, 0.5, 2, 21, 16) == 0
     assert built
-    assert not any(name in vars(t) for t in built
-                   for name in ("_theta_terms", "_green_terms"))
+    assert not any("_green_terms" in vars(t) for t in built)
     massey_report(built[0])
     assert "_green_terms" in vars(built[0])
 

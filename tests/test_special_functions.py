@@ -439,19 +439,20 @@ def test_no_series_runs_at_an_unshifted_tau(monkeypatch):
     # Every theta series, scalar or array, sees |Re tau| <= 1, so no phase
     # of a term can leave double range: neither path checks for one.
     seen = []
-    init = special_functions._ThetaTerms.__init__
+    series = special_functions._theta_series
     kernel = special_functions._theta_array
 
-    def recording_terms(self, tau):
+    def recording_series(kind, z, tau):
         seen.append(tau)
-        init(self, tau)
+        return series(kind, z, tau)
 
     def recording_kernel(kind, z, tau):
         seen.extend(np.ravel(tau).tolist())
         return kernel(kind, z, tau)
 
-    monkeypatch.setattr(special_functions._ThetaTerms, "__init__",
-                        recording_terms)
+    # linking binds the series' name on import, so it is patched there too.
+    for module in (special_functions, sys.modules["holink.linking"]):
+        monkeypatch.setattr(module, "_theta_series", recording_series)
     monkeypatch.setattr(special_functions, "_theta_array", recording_kernel)
     special_functions._theta_constants.cache_clear()
     for tau in (2.6 + 0.7j, 1e15 + 1j, 3e306 + 0.5j):
@@ -570,8 +571,9 @@ def test_theta_quasi_periodicity():
 
 
 def test_theta_kind_and_convergence_guards():
-    with pytest.raises(ValueError):
-        theta(5, 0.0, 1j)
+    for kind in (5, True, 2.0):
+        with pytest.raises(ValueError, match="theta kind must be"):
+            theta(kind, 0.0, 1j)
     with pytest.raises(DomainError):
         theta(2, 0.0, 1.0 - 1.0j)
 
@@ -702,8 +704,9 @@ def test_torus_distance_is_the_lattice_distance_on_skewed_cells():
 
 
 def test_theta_term_data_keeps_every_bit_in_any_order():
-    # One TauParameter's term data grows with whichever series first needs
-    # a term; a series reads from it the bits a fresh TauParameter gives.
+    # A series' bits do not depend on earlier calls: at one TauParameter,
+    # in any order of kinds and points, each value keeps the bits a fresh
+    # TauParameter gives.
     rng = random.Random(7)
     for _ in range(40):
         tau = complex(rng.uniform(-1, 1), rng.uniform(0.05, 3.0))
@@ -714,39 +717,6 @@ def test_theta_term_data_keeps_every_bit_in_any_order():
             for z in rng.sample(zs, len(zs)):
                 assert (_hex(theta(kind, z, shared))
                         == _hex(theta(kind, z, tau))), (kind, z, tau)
-
-
-def test_theta_term_data_shared_across_threads():
-    # Threads summing at one fresh TauParameter grow its term data at once;
-    # each value keeps the bits of a sum at a TauParameter of its own.
-    rng = random.Random(11)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(30):
-            tau = complex(rng.uniform(-1, 1), rng.uniform(0.05, 3.0))
-            work = [(kind, complex(rng.uniform(-1, 1),
-                                   rng.uniform(-2, 2) * tau.imag))
-                    for kind in (1, 2, 3, 4) for _ in range(4)]
-            expected = {case: _hex(theta(*case, tau)) for case in work}
-            shared = TauParameter(tau)
-            results = [None] * 4
-
-            def run(j, cases):
-                results[j] = {case: _hex(theta(*case, shared))
-                              for case in cases}
-
-            threads = [threading.Thread(target=run,
-                                        args=(j, rng.sample(work, len(work))))
-                       for j in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-            assert results == [expected] * 4, tau
-    finally:
-        sys.setswitchinterval(switch)
 
 
 @pytest.mark.parametrize("call", [
