@@ -38,8 +38,8 @@ class BranchError(HolinkError, ValueError):
 
 
 class DivergenceError(HolinkError, ArithmeticError):
-    """The argument of a logarithm rounds to 0 in double precision, so the
-    value is lost (it is finite, never -inf, on the admissible domain)."""
+    """The argument of a logarithm, or a divisor, rounds to 0 in double
+    precision: the value is lost (it is finite on the admissible domain)."""
 
 
 class ActionValidationError(HolinkError, ValueError):

@@ -20,16 +20,17 @@ to finite sums of logarithms:
   constant is fixed to zero.
 
 ``_check_pair`` decides disjointness for every pair before any term is
-formed.  The elliptic evaluator, ``_pair_greens``, builds theta1 at each
+formed.  One kernel body, ``_pair_greens``, evaluates g_tau, for the
+pairing and for ``arakelov_green`` alike: it builds theta1 at each
 difference from per-point phases and per-tau coefficients, divided by its
-largest term, so that no term leaves double range at any Im tau;
-``arakelov_green``, one theta1 series per point, is the reference it is
-tested against.  Each pair is taken in one canonical order, and both
-evaluators add their terms with ``math.fsum``, which is correctly rounded
-and so order independent: hence linking(z, w) == linking(w, z) holds bit
-for bit.  They only sum, with the one kernel: the comparison with the
-half-period closed form and the altered-kernel checks live with the other
-route comparisons, in ``massey`` and ``verify``.
+largest term, so that no term leaves double range at any Im tau.  Its
+independent references, theta1's own series, live in the tests and in
+``verify``'s Laplacian suite.  Each pair is taken in one canonical order,
+and both evaluators add their terms with ``math.fsum``, which is correctly
+rounded and so order independent: hence linking(z, w) == linking(w, z)
+holds bit for bit.  They only sum, with the one kernel: the comparison
+with the half-period closed form and the altered-kernel checks live with
+the other route comparisons, in ``massey`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .errors import (
     CapabilityError,
     CurveMismatchError,
     DisjointnessError,
-    DivergenceError,
     DomainError,
     HomologyError,
     PoleError,
@@ -59,7 +59,6 @@ from .special_functions import (
     _corner_distance,
     _reduce_point,
     _reduced_difference,
-    _theta_series,
     _turn,
     as_tau,
     reduce_mod_lattice,
@@ -340,28 +339,16 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
 
     g_tau(u) = (1/pi) * (log|theta1(u, tau)| - pi*(Im u)^2 / Im tau), with
     additive constant zero, at tau.shifted.  The argument is reduced into
-    the fundamental cell once, so periodicity is exact; theta1's
-    quasi-periodicity makes the unreduced formula periodic as well, up to
-    roundoff.  Lattice points are poles: PoleError within POLE_TOL of a
-    cell corner.  A theta1 that underflows to 0 off the lattice (large
-    Im tau) raises DivergenceError.
+    the fundamental cell once, so periodicity is exact, and g is the
+    pairing's kernel ``_pair_greens`` at the pair (0, reduced u), whose
+    terms stay in double range at any Im tau.  Lattice points are poles:
+    PoleError within POLE_TOL of a cell corner.
     """
     t = as_tau(tau)
     ur = reduce_mod_lattice(u, t)
     if _corner_distance(ur, t) < POLE_TOL:
         raise PoleError(f"green kernel has a logarithmic pole at {u!r}")
-    return _green_from_theta1(_theta_series(1, ur, t.shifted), ur, t)
-
-
-def _green_from_theta1(th1: complex, ur: complex, t: TauParameter) -> float:
-    """g_tau at ur, a reduced point off the lattice, from theta1(ur, tau):
-    the formula and underflow rule of every Green-kernel evaluation."""
-    mod = abs(th1)
-    if mod == 0.0:
-        raise DivergenceError(
-            f"theta1({ur!r}, {t.value!r}) underflows to 0: log|theta1| is "
-            "out of double range")
-    return math.log(mod) / math.pi - ur.imag ** 2 / t.value.imag
+    return next(_pair_greens(t, (0j, ur), [(1, (0j, ur))]))
 
 
 def linking_elliptic(z: Divisor, w: Divisor) -> LinkingResult:
@@ -373,12 +360,14 @@ def linking_elliptic(z: Divisor, w: Divisor) -> LinkingResult:
     ``_pair_greens`` forms the terms.
     """
     pairs = _check_pair(z, w, "elliptic")
-    return LinkingResult(_pairing_sum(_pair_greens(z, w, pairs)),
-                         LinkingMethod.ARAKELOV_GREEN)
+    greens = _pair_greens(z.curve.tau, z.support() + w.support(), pairs)
+    return LinkingResult(_pairing_sum(greens), LinkingMethod.ARAKELOV_GREEN)
 
 
-def _pair_greens(z: Divisor, w: Divisor, pairs: list) -> Iterator[float]:
-    """a * b * g_tau(A - B) for each (a * b, (A, B)) of ``_check_pair(z, w)``.
+def _pair_greens(t: TauParameter, points: Iterable[complex],
+                 pairs: list) -> Iterator[float]:
+    """a * b * g_tau(A - B) for each (a * b, (A, B)) of ``pairs``, as from
+    ``_check_pair``, with A and B among ``points``, reduced points of ``t``.
 
     The pair is taken at u = A + s*tau - B, s in {-1, 0, 1}, so that
     y = Im u has |y| <= Im tau / 2 (g is periodic).  With X = exp(2*pi*i*u),
@@ -395,12 +384,11 @@ def _pair_greens(z: Divisor, w: Divisor, pairs: list) -> Iterator[float]:
     ``TauParameter._green_terms``; every term of either sum is at most 1,
     so nothing leaves double range.  Both sums run by Horner's rule.
     """
-    t = z.curve.tau
     coefs, up, down = t._green_terms
     im_t = t.shifted.imag
     half = 0.5 * im_t
     phases = {}
-    for p in z.support() + w.support():
+    for p in points:
         e = _turn(p.real)
         phases[p] = e, e.conjugate()
     for ab, (p, q) in pairs:

@@ -27,6 +27,8 @@ Conventions, pinned here and relied on by every consumer in the package:
 All series are truncated adaptively: summation stops once an upper bound
 for the next term drops below EPS_SERIES * (1 + |partial sum|), within
 about 136 terms at Im tau >= MIN_IM_TAU, as _EXP_CAP bounds the peak term.
+The first term of theta1 and theta2 is always summed: from Im tau ~ 54 on
+it alone is below the bound, yet it is the value.
 
 Two paths evaluate theta, selected by input: the scalar series
 ``_theta_series`` (behind ``theta`` and its cache ``_theta_constants``) for
@@ -53,10 +55,10 @@ fundamental-domain reduction of tau is performed; construction of
 lose precision near that floor (|q| -> 0.855).  Every evaluator of a
 lattice quantity, and the public ``theta``, runs at
 ``TauParameter.shifted``, an exact shift into |Re tau| <= 1 taken once per
-tau, so no phase of a term leaves double range.  The elliptic linking
-pairing sums theta1 in a third form, from per-point phases and the per-tau
-coefficients ``TauParameter._green_terms``, at differences with |Im u| <=
-Im tau / 2 (see ``linking``).
+tau, so no phase of a term leaves double range.  The Green kernel, of
+the pairing and ``arakelov_green`` alike, sums theta1 in a third form,
+from per-point phases and ``TauParameter._green_terms``, at |Im u| <=
+Im tau / 2, in double range at any Im tau (see ``linking``).
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -134,7 +136,7 @@ class TauParameter:
     @cached_property
     def _green_terms(self) -> tuple[tuple[tuple[complex, complex], ...],
                                     complex, complex]:
-        """The tau-only data of ``linking_elliptic``'s kernel at ``shifted``:
+        """The tau-only data of the Green kernel at ``shifted``:
         (c_n, d_n) = (-1)^n q^(n(n+1)) * (1, exp(pi*Im(tau)*n)), highest n
         first, for each n with exp(-pi*Im(tau)*n^2) >= EPS_SERIES / 2, then
         the unit phases exp(2*pi*i*Re tau) and exp(-2*pi*i*Re tau).
@@ -213,8 +215,9 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     (kinds 3, 4, after the n = 0 term) are paired at frequencies +-k,
     k = 2a, so oddness of theta1 holds exactly in floating point.
     Truncation stops once an upper bound for the next paired term falls
-    below EPS_SERIES * (1 + |partial sum|), with no term cap; a term too
-    large for double precision raises ConvergenceError.
+    below EPS_SERIES * (1 + |partial sum|), after the first (n = 0) term,
+    with no term cap; a term too large for double precision raises
+    ConvergenceError.
     The series runs at ``tau.shifted`` = tau - 2k, k = round(Re tau / 2),
     and, where |Re z| > 1, at z - m, m = round(Re z): both shifts are exact.
     theta3 and theta4 are unchanged by them; theta1 and theta2 take the
@@ -259,7 +262,7 @@ def _theta_series(kind: int, z: complex, tau: complex) -> complex:
                     f"theta{kind} term at n={n} exceeds double range "
                     f"(z={z!r}, tau={tau!r}); reduce z modulo "
                     "the lattice first")
-        bound = 2.0 * math.exp(log_mag)
+        bound = 2.0 * math.exp(log_mag) if n else math.inf
         if not bound >= EPS_SERIES * (1.0 + abs(total)):
             return total
         ta = tau * a * a
@@ -320,7 +323,7 @@ def _theta_array(kind: int, z, tau) -> np.ndarray:
             log_mag = -_PI * im * a * a
             if not at_zero:
                 log_mag = log_mag + _PI * k * abs_im_z
-            bound = 2.0 * np.exp(log_mag + 0j).real
+            bound = 2.0 * np.exp(log_mag + 0j).real if n else math.inf
             active &= bound >= EPS_SERIES * (1.0 + np.hypot(total.real,
                                                             total.imag))
             if not active.any():
@@ -534,7 +537,8 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
 
     Uses p(z) = e1 + (pi * theta3(0) * theta4(0) * theta2(z) / theta1(z))^2
     at tau.shifted, after reducing z into the fundamental cell, once.
-    Raises PoleError within POLE_TOL of a cell corner, i.e. of the lattice.
+    Raises PoleError within POLE_TOL of a cell corner, i.e. of the lattice,
+    and DivergenceError where theta1(z) underflows to 0 off it.
     """
     t = as_tau(tau)
     zr = reduce_mod_lattice(z, t)
@@ -542,8 +546,10 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
         raise PoleError(f"p(z) has a pole at lattice point z = {z!r}")
     c2, c3, c4 = _theta_constants(t.shifted)
     e1, _, _ = _half_periods(c2, c3, c4)
-    quot = _theta_series(2, zr, t.shifted) / _theta_series(1, zr, t.shifted)
-    return e1 + (_PI * c3 * c4 * quot) ** 2
+    th1 = _theta_series(1, zr, t.shifted)
+    if th1 == 0.0:
+        raise DivergenceError(f"theta1({zr!r}, {t.value!r}) underflows to 0")
+    return e1 + (_PI * c3 * c4 * (_theta_series(2, zr, t.shifted) / th1)) ** 2
 
 
 def modular_lambda(tau: TauParameter | complex) -> complex:

@@ -32,7 +32,6 @@ from .hodge import (
 from .linking import (
     Divisor,
     RationalMapSpec,
-    _green_from_theta1,
     arakelov_green,
     check_adjunction,
     linking_elliptic,
@@ -295,8 +294,8 @@ def _kernel_pairing(z: Divisor, w: Divisor,
     """sum a * b * green(u, tau) over (P, a) in z and (Q, b) in w, by
     ``math.fsum``, with u the canonically oriented, unreduced P - Q, so that
     swapping z and w keeps every bit.  With ``arakelov_green`` it is the
-    per-pair reference sum, one theta1 series per pair, against which
-    ``linking_elliptic``'s kernel is tested."""
+    base of the altered-kernel sums, one kernel call per pair: the
+    pairing's own kernel, so it equals ``linking_elliptic`` to roundoff."""
     t = z.curve.tau
     return math.fsum(
         a * b * green(p - q if (p.real, p.imag) <= (q.real, q.imag) else q - p, t)
@@ -307,7 +306,8 @@ def _laplacian_grid(tau: complex) -> np.ndarray:
     """Five-point finite-difference Laplacian of the Green kernel over the
     n x n grid of fundamental-cell midpoints at least 3/n from the lattice,
     in row-major cell order, from one theta kernel call at the stencil
-    points: they lie inside the cell, which reduction leaves as it is."""
+    points: they lie inside the cell, which reduction leaves as it is.  g
+    is formed from theta1's definition, apart from the pairing's kernel."""
     import numpy as np
     t = as_tau(tau)
     step, n = 2e-5, 64
@@ -316,9 +316,9 @@ def _laplacian_grid(tau: complex) -> np.ndarray:
     u = np.array([p for p in (mid[:, None] + mid * t.shifted).ravel().tolist()
                   if _corner_distance(p, t) >= 3.0 * h])
     s = np.concatenate([u + step, u - step, u + 1j * step, u - 1j * step, u])
-    g = np.array([_green_from_theta1(th, p, t) for th, p in
-                  zip(_theta_array(1, s, t.shifted).tolist(), s.tolist())])
-    g = g.reshape(5, u.size)
+    th1 = _theta_array(1, s, t.shifted).tolist()
+    g = np.array([math.log(abs(th)) / math.pi - p.imag ** 2 / t.value.imag
+                  for th, p in zip(th1, s.tolist())]).reshape(5, u.size)
     return (g[0] + g[1] + g[2] + g[3] - 4.0 * g[4]) / (step * step)
 
 

@@ -520,7 +520,7 @@ def test_verify_seed_42_stdout_is_pinned():
     run = subprocess.run(cmd, capture_output=True)
     assert run.returncode == 0
     assert hashlib.sha256(run.stdout).hexdigest() == (
-        "3687a109501304091f87330266b8560cea12776cf3f6578ad9f57466758ef916")
+        "1caea4ab8e87eb620b3c28a4ff71dc6cf6356475e983cc4aea2a449265666fd9")
 
 
 # The child runs every scalar path, checking after each that numpy is still

@@ -34,6 +34,7 @@ from holink import (
     pullback,
     pushforward,
     reduce_mod_lattice,
+    theta,
     torus_distance,
     weierstrass_p,
 )
@@ -379,10 +380,11 @@ def test_pole_detected_at_every_cell_corner(x, y, tau):
         weierstrass_p(u, tau)
 
 
-def test_green_kernel_underflow_is_divergence():
-    # theta1(1/2, tau) ~ 2|q|^(1/4) underflows to 0 once Im tau > ~950.
-    with pytest.raises(DivergenceError):
-        arakelov_green(0.5, 0.3 + 950j)
+def test_green_kernel_far_up_the_cusp_is_exact():
+    # theta1(1/2, tau) ~ 2|q|^(1/4) underflows to 0 at Im tau = 950; the
+    # kernel's F is X - 1 with X = exp(2*pi*i * 1/2), |F| = 2 exactly, and
+    # (Im tau / 2)^2 / Im tau = 237.5 exactly.
+    assert arakelov_green(0.5, 0.3 + 950j) == math.log(2) / math.pi - 237.5
 
 
 # -------------------------------------------------------- elliptic pairing
@@ -475,12 +477,15 @@ _CUSP_W = [(0.3, 0.62, 1), (0.85, 0.5002, -1), (0.55, 0.7099, 1),
     (-0.6 + 900j, -99.1662041270613),
 ])
 def test_pairing_at_the_cusp(tau, ref):
-    # arakelov_green's theta1 series leaves double range at some of these
-    # differences (ConvergenceError) and underflows at others
-    # (DivergenceError); the pairing's terms are at most 1.
+    # theta1's series leaves double range at some of these differences and
+    # underflows at others; the kernel's terms are at most 1, in the
+    # pairing and in arakelov_green at each oriented difference alike.
     z = Divisor.elliptic(tau, [(x + y * tau, m) for x, y, m in _CUSP_Z])
     w = Divisor.elliptic(tau, [(x + y * tau, m) for x, y, m in _CUSP_W])
     assert abs(linking_elliptic(z, w).value - ref) <= 1e-14 * abs(ref)
+    per_pair = math.fsum(a * b * arakelov_green(_oriented(p, q), tau)
+                         for p, a in z.terms for q, b in w.terms)
+    assert abs(per_pair - ref) <= 1e-14 * abs(ref)
 
 
 def test_massey_report_far_up_the_cusp():
@@ -577,17 +582,27 @@ def test_custom_green_disables_closed_form_route():
     assert abs(doubled - 2 * LINK_AT_I) < 1e-12
 
 
+def _theta_green(u, tau):
+    """g_tau(u) from theta1's definition by the public ``theta``: the
+    independent reference for the pairing's folded kernel."""
+    ur = reduce_mod_lattice(u, tau)
+    im_tau = tau.value.imag if isinstance(tau, TauParameter) else tau.imag
+    return (math.log(abs(theta(1, ur, tau))) / math.pi
+            - ur.imag ** 2 / im_tau)
+
+
 def _per_pair_bound(tau, v):
-    """How far linking_elliptic may lie from the per-pair arakelov_green sum
-    v: 1e-13 * max(1, |v|) from Im tau 0.3 on, 1e-11 * max(1, |v|) below,
-    where arakelov_green's theta1 series runs at |q| up to 0.855."""
+    """How far a sum of the folded kernel may lie from the per-pair
+    ``_theta_green`` sum v: 1e-13 * max(1, |v|) from Im tau 0.3 on,
+    1e-11 * max(1, |v|) below, where theta1's series runs at |q| up to
+    0.855."""
     return (1e-13 if tau.imag >= 0.3 else 1e-11) * max(1.0, abs(v))
 
 
 def test_kernel_pairing_with_the_green_kernel_is_linking_bitwise():
     # verify's altered-kernel sums start from the per-pair arakelov_green
     # sum, which swapping z and w leaves bit for bit, and which is
-    # linking_elliptic's value to within its bound.
+    # linking_elliptic's value, and theta1's, to within the bound.
     rng = np.random.default_rng(221)
     (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
     for im_range in ((im_lo, im_hi), (0.05, 0.3)):
@@ -595,10 +610,12 @@ def test_kernel_pairing_with_the_green_kernel_is_linking_bitwise():
             tau = complex(rng.uniform(re_lo, re_hi), rng.uniform(*im_range))
             for k in (2, 4):
                 z, w = _pair(rng, tau, k)
+                ref = _kernel_pairing(z, w, _theta_green)
                 got = _kernel_pairing(z, w, arakelov_green)
-                assert (abs(got - linking_elliptic(z, w).value)
-                        <= _per_pair_bound(tau, got)), tau
+                for v in (got, linking_elliptic(z, w).value):
+                    assert abs(v - ref) <= _per_pair_bound(tau, ref), tau
                 assert _kernel_pairing(w, z, arakelov_green).hex() == got.hex()
+                assert _kernel_pairing(w, z, _theta_green).hex() == ref.hex()
 
 
 def _oriented(p, q):
@@ -606,10 +623,10 @@ def _oriented(p, q):
 
 
 def test_linking_equals_sum_of_scalar_kernels_bitwise():
-    # The separable kernel against the reference: the fsum of
-    # arakelov_green, one theta1 series per oriented difference.  On these
-    # draws the largest gaps were 2.3e-15 (Im tau >= 0.3) and 2.3e-13
-    # (Im tau in [0.05, 0.3)) relative to max(1, |v|).
+    # The folded kernel against the reference: the fsum of g from theta1's
+    # series, one per oriented difference.  On these draws the largest gaps
+    # were 1.2e-15 (Im tau >= 0.3) and 2.3e-13 (Im tau in [0.05, 0.3))
+    # relative to max(1, |v|).
     rng = np.random.default_rng(218)
     (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
     for im_range in ((im_lo, im_hi), (0.05, 0.3)):
@@ -617,15 +634,16 @@ def test_linking_equals_sum_of_scalar_kernels_bitwise():
             tau = complex(rng.uniform(re_lo, re_hi), rng.uniform(*im_range))
             for k in (2, 4, 8):
                 z, w = _pair(rng, tau, k)
-                expected = math.fsum(a * b * arakelov_green(_oriented(p, q), tau)
+                expected = math.fsum(a * b * _theta_green(_oriented(p, q), tau)
                                      for p, a in z.terms for q, b in w.terms)
                 assert (abs(linking_elliptic(z, w).value - expected)
                         <= _per_pair_bound(tau, expected)), tau
 
 
 def test_disjointness_is_checked_before_any_kernel():
-    # theta1 underflows at the first pair (0.25, 0), which alone would raise
-    # DivergenceError; the second pair collides, and that error wins.
+    # Every pair is measured before the kernel forms a term: the first pair,
+    # (0.25, 0), is clear, the second collides, and DisjointnessError names
+    # it.
     tau = 0.3 + 950j
     z = Divisor.elliptic(tau, [(0.5, 1), (0.25, -1)])
     w = Divisor.elliptic(tau, [(0.0, 1), (0.25 + 1e-10, -1)])
@@ -655,8 +673,8 @@ def test_linking_reduces_each_pair_once(monkeypatch):
         calls.append(z)
         return reduce(z, tv)
 
-    def counting_greens(z, w, pairs):
-        for term in greens(z, w, pairs):
+    def counting_greens(t, points, pairs):
+        for term in greens(t, points, pairs):
             terms.append(term)
             yield term
 

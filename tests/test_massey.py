@@ -131,8 +131,8 @@ def test_report_divergence_runs_no_kernel(monkeypatch):
     calls = []
     greens = linking._pair_greens
 
-    def counting(z, w, pairs):
-        for term in greens(z, w, pairs):
+    def counting(t, points, pairs):
+        for term in greens(t, points, pairs):
             calls.append(term)
             yield term
 

@@ -14,6 +14,7 @@ import pytest
 
 from holink import (
     ConvergenceError,
+    DivergenceError,
     Divisor,
     DomainError,
     PoleError,
@@ -410,6 +411,51 @@ def test_cusp_floor_lambda_and_massey_match_reference(tau, value):
         assert abs(got - value) <= 1e-9 * abs(value)
 
 
+# theta1 and theta2 (kind, z, tau) and lambda(tau) far up the imaginary
+# axis, from mpmath.jtheta at the inputs' exact binary values, mp.dps = 60;
+# the defining series summed directly at mp.dps = 80 agrees.
+# Each is exp(L) with |L| up to 630; an exponent rounded to double carries
+# a relative error of about eps * |L|, which bounds the comparison.
+THETA_HIGH_REFERENCES = [
+    (1, 0.5, 60j, 6.845177088242482e-21 + 0j),
+    (1, 0.3, 54j, 6.164627841699307e-19 + 0j),
+    (2, 0.3, 54j, 4.478864296320446e-19 + 0j),
+    (1, 0.1 + 0.2j, 0.3 + 60j, 1.4573891695697856e-21 + 4.838870713519413e-21j),
+    (2, 0.1 + 0.2j, 0.3 + 60j, 7.952559509009118e-21 + 4.506817783287809e-22j),
+    (1, 0.25 - 3j, -0.7 + 100j, 2.248565177575007e-31 - 9.365947748480818e-31j),
+    (2, 0.25 - 3j, -0.7 + 100j, 9.365947777767984e-31 + 2.2485650555851833e-31j),
+    (1, 0.4 + 10j, 0.9 + 200j, 1.3900516837130446e-55 + 2.2683581852633462e-55j),
+    (2, 0.4 + 10j, 0.9 + 200j, 2.2683581852633462e-55 - 1.3900516837130446e-55j),
+]
+LAMBDA_HIGH_REFERENCES = [
+    (54j, 3.371295921742309e-73 + 0j),
+    (0.3 + 60j, 1.290498301976876e-81 + 1.776218531239721e-81j),
+    # the real part, 128 exp(-200 pi) to leading order, is below 1e-270
+    (-0.5 + 100j, -5.8409649271928806e-136j),
+    (0.9 + 200j, -2.0279420466943863e-272 + 6.5891831378987815e-273j),
+]
+
+
+def _within_exponent_rounding(got, ref):
+    return abs(got - ref) <= 2.0 ** -52 * max(1.0, -math.log(abs(ref))) * abs(ref)
+
+
+def test_theta_and_lambda_far_up_the_cusp_match_reference():
+    # The first paired term of theta1 and theta2 is summed whatever the
+    # stopping bound says: from Im tau ~ 54 on it alone is below
+    # EPS_SERIES, and the sum would stop at 0 before it.  The array kernel
+    # sums it too, bit for bit.
+    for kind, z, tau, ref in THETA_HIGH_REFERENCES:
+        got = theta(kind, z, tau)
+        assert _within_exponent_rounding(got, ref), (kind, z, tau)
+        assert _hex(_theta_array(kind, z, tau)) == _hex(got), (kind, z, tau)
+    taus = [tau for tau, _ in LAMBDA_HIGH_REFERENCES]
+    (_, lams), = _batch_lambdas(np.array(taus))
+    for (tau, ref), lam in zip(LAMBDA_HIGH_REFERENCES, lams.tolist()):
+        assert _within_exponent_rounding(modular_lambda(tau), ref), tau
+        assert _hex(lam) == _hex(modular_lambda(tau)), tau
+
+
 def test_theta_far_along_re_tau_is_a_power_of_i_times_the_shifted():
     # theta sums at the shifted tau s = tau - 2k, k = round(Re tau / 2):
     # theta3 and theta4 equal their values at s, and theta1 and theta2 are
@@ -450,9 +496,7 @@ def test_no_series_runs_at_an_unshifted_tau(monkeypatch):
         seen.extend(np.ravel(tau).tolist())
         return kernel(kind, z, tau)
 
-    # linking binds the series' name on import, so it is patched there too.
-    for module in (special_functions, sys.modules["holink.linking"]):
-        monkeypatch.setattr(module, "_theta_series", recording_series)
+    monkeypatch.setattr(special_functions, "_theta_series", recording_series)
     monkeypatch.setattr(special_functions, "_theta_array", recording_kernel)
     special_functions._theta_constants.cache_clear()
     for tau in (2.6 + 0.7j, 1e15 + 1j, 3e306 + 0.5j):
@@ -803,6 +847,17 @@ def test_weierstrass_p_even_and_pole():
         weierstrass_p(0.0, 1j)
     with pytest.raises(PoleError):
         weierstrass_p(1 + 1j, 1j)
+
+
+def test_weierstrass_p_far_up_the_cusp():
+    # mpmath at 50 digits, by the rows of the lattice, pi^2 / sin^2(pi*u)
+    # summed over u = z + n*tau: -3.289868133696453 + 4.9e-17i
+    z, tau = 0.5692 - 105.551j, 0.3387 + 112.016j
+    assert abs(weierstrass_p(z, tau) + 3.289868133696453) <= 1e-15 * 3.29
+    # p(1/4) is about 5 pi^2 / 3 here, but theta1(1/4) ~ 2|q|^(1/4) sin(pi/4)
+    # underflows to 0, and with it the theta quotient.
+    with pytest.raises(DivergenceError, match="underflows to 0"):
+        weierstrass_p(0.25, 0.3 + 950j)
 
 
 def test_modular_lambda_golden_points():
