@@ -23,14 +23,15 @@ to finite sums of logarithms:
 formed.  One kernel body, ``_pair_greens``, evaluates g_tau, for the
 pairing and for ``arakelov_green`` alike: it builds theta1 at each
 difference from per-point phases and per-tau coefficients, divided by its
-largest term, so that no term leaves double range at any Im tau.  Its
-independent references, theta1's own series, live in the tests and in
-``verify``'s Laplacian suite.  Each pair is taken in one canonical order,
-and both evaluators add their terms with ``math.fsum``, which is correctly
-rounded and so order independent: hence linking(z, w) == linking(w, z)
-holds bit for bit.  They only sum, with the one kernel: the comparison
-with the half-period closed form and the altered-kernel checks live with
-the other route comparisons, in ``massey`` and ``verify``.
+largest term, so that no term leaves double range at any Im tau;
+``weierstrass_p`` folds its point the same way.  Its independent
+references, theta1's own series, live in the tests and in ``verify``'s
+Laplacian suite.  Each pair is taken in one canonical order, and both
+evaluators add their terms with ``math.fsum``, which is correctly rounded
+and so order independent: hence linking(z, w) == linking(w, z) holds bit
+for bit.  They only sum, with the one kernel: the comparison with the
+half-period closed form and the altered-kernel checks live with the other
+route comparisons, in ``massey`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -342,7 +343,8 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     the fundamental cell once, so periodicity is exact, and g is the
     pairing's kernel ``_pair_greens`` at the pair (0, reduced u), whose
     terms stay in double range at any Im tau.  Lattice points are poles:
-    PoleError within POLE_TOL of a cell corner.
+    PoleError within POLE_TOL of a cell corner.  Pass one ``TauParameter``
+    for many points: a bare tau builds ``_green_terms`` anew on each call.
     """
     t = as_tau(tau)
     ur = reduce_mod_lattice(u, t)

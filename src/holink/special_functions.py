@@ -24,11 +24,11 @@ Conventions, pinned here and relied on by every consumer in the package:
   which sum to zero identically and reproduce p(1/2; Z+Zi) = 6.87518...
   (the lemniscatic value) at tau = i.
 
-All series are truncated adaptively: summation stops once an upper bound
-for the next term drops below EPS_SERIES * (1 + |partial sum|), within
-about 136 terms at Im tau >= MIN_IM_TAU, as _EXP_CAP bounds the peak term.
-The first term of theta1 and theta2 is always summed: from Im tau ~ 54 on
-it alone is below the bound, yet it is the value.
+Every series sums the terms that one rule, ``_term_range``, picks from
+Im tau and |Im z| before the first: each term whose modulus bound is at
+least EPS_SERIES / 4, and always theta1's and theta2's first term (from
+Im tau ~ 54 on it alone is below that, yet it is the value): at most 136
+at Im tau >= MIN_IM_TAU, where no term passes exp(_EXP_CAP).
 
 Two paths evaluate theta, selected by input: the scalar series
 ``_theta_series`` (behind ``theta`` and its cache ``_theta_constants``) for
@@ -36,19 +36,18 @@ one point, and one numpy kernel, ``_theta_array(kind, z, tau)`` with z
 broadcast against tau, for many.  The scalar series keeps no state: it
 forms each term from (kind, z, tau) alone, so its bits do not depend on
 earlier calls.  The kernel sums the same ``_paired_term``s in the same
-order with the same per-point stopping rule (|partial sum| is
-``np.hypot``, the libm function behind ``abs``), so its values equal the
+order, each point to the count of the same rule, formed with ``np.sqrt``
+and ``np.floor``, which round as ``math``'s do, so its values equal the
 scalar series' bit for bit (tests compare them by ``float.hex``).  Where
-every z is 0 it takes one exponential per term and leaves the |Im z| part
-out of the bound.  ``_batch_lambdas``, ``holink scan``'s path, feeds it
-THETA_BLOCK consecutive taus at a time at z = 0, for kinds 2 and 3; its
-taus come from a grid that has already applied the tau rule, so it
-validates nothing itself.  ``verify``'s Green-kernel Laplacian runs it
-for theta1 over many z of one tau, all inside the cell, where reduction
-leaves a point as it is.  One point does not go through the kernel: a size-1
-call takes 170-250 us against 5-15 us for the scalar loops (2-vCPU x86-64
-host, numpy 2.4), while over verify's 20,320 Green-kernel points it costs
-about 1 us a point.  numpy is imported by these array paths only, inside
+every z is 0 it takes one exponential per term.  ``_batch_lambdas``,
+``holink scan``'s path, feeds it THETA_BLOCK consecutive taus at a time at
+z = 0, for kinds 2 and 3, from a grid that has already applied the tau
+rule, so it validates nothing itself.  ``verify``'s Green-kernel Laplacian
+runs it for theta1 over many z of one tau, all inside the cell, where
+reduction leaves a point as it is.  One point does not go through the
+kernel: a size-1 call takes 170-250 us against 5-15 us for the scalar
+loops (2-vCPU x86-64 host, numpy 2.4), while over verify's 20,320
+Green-kernel points it costs about 1 us a point.  numpy is imported by these array paths only, inside
 their functions, so a process that builds no array never loads it.  No
 fundamental-domain reduction of tau is performed; construction of
 ``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05), as the q-series
@@ -56,15 +55,14 @@ lose precision near that floor (|q| -> 0.855).  Every evaluator of a
 lattice quantity, and the public ``theta``, runs at
 ``TauParameter.shifted``, an exact shift into |Re tau| <= 1 taken once per
 tau, so no phase of a term leaves double range.  The Green kernel, of
-the pairing and ``arakelov_green`` alike, sums theta1 in a third form,
-from per-point phases and ``TauParameter._green_terms``, at |Im u| <=
-Im tau / 2, in double range at any Im tau (see ``linking``).
+the pairing and ``arakelov_green`` alike, and ``weierstrass_p`` sum theta
+in a third form, from per-point phases and ``TauParameter._green_terms``,
+at |Im u| <= Im tau / 2, in double range at any Im tau (see ``linking``).
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 from collections.abc import Iterator
@@ -72,7 +70,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,11 +93,10 @@ POLE_TOL = 1e-12
 # Largest exponent handed to exp() before we give up; doubles overflow at ~709.
 _EXP_CAP = 700.0
 
-# log(EPS_SERIES / 2): a series at z = 0 stops at the latest on the first term
-# whose log bound is below it.
-_LOG_HALF_EPS = math.log(EPS_SERIES / 2.0)
-
 _PI = math.pi
+#: c = -log(EPS_SERIES / 4) / pi: a term is summed where its log modulus
+#: bound -pi*Im(tau)*a^2 + 2*pi*a*|Im z| is at least -pi*c.
+_TERM_C = -math.log(EPS_SERIES / 4.0) / _PI
 _PI2_3 = math.pi ** 2 / 3.0
 _IPI = 1j * _PI
 #: theta1's factor (-1)^n * (-i), indexed by n & 1.
@@ -136,21 +133,19 @@ class TauParameter:
     @cached_property
     def _green_terms(self) -> tuple[tuple[tuple[complex, complex], ...],
                                     complex, complex]:
-        """The tau-only data of the Green kernel at ``shifted``:
-        (c_n, d_n) = (-1)^n q^(n(n+1)) * (1, exp(pi*Im(tau)*n)), highest n
-        first, for each n with exp(-pi*Im(tau)*n^2) >= EPS_SERIES / 2, then
-        the unit phases exp(2*pi*i*Re tau) and exp(-2*pi*i*Re tau).
-        |c_n| <= |d_n| = exp(-pi*Im(tau)*n^2), so no datum leaves double
-        range, and from Im tau = 13.5 on only n = 0 remains."""
+        """The tau-only data of the Green kernel and ``weierstrass_p`` at
+        ``shifted``: (c_n, d_n) = (-1)^n q^(n(n+1)) * (1, exp(pi*Im(tau)*n)),
+        highest n first, for n = 0 and each n that ``_term_range`` gives
+        theta3 at z = 0 (|d_n| = |q^(n^2)|), then the unit phases
+        exp(+-2*pi*i*Re tau).  |c_n| <= |d_n| <= 1, so no datum leaves double
+        range; from Im tau = 13.64 on only n = 0 remains."""
         tv = self.shifted
         coefs = [(1.0 + 0.0j, 1.0 + 0.0j)]
-        n = 1
-        while -_PI * tv.imag * n * n >= _LOG_HALF_EPS:
+        for n in _term_range(False, tv.imag, 0.0):
             phase = _PI * tv.real * (n * (n + 1))
             c = cmath.exp(complex(-_PI * tv.imag * (n * (n + 1)), phase))
             d = cmath.exp(complex(-_PI * tv.imag * (n * n), phase))
             coefs.append((-c, -d) if n & 1 else (c, d))
-            n += 1
         return tuple(reversed(coefs)), _turn(tv.real), _turn(-tv.real)
 
     @cached_property
@@ -214,10 +209,8 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     all kinds: the terms of exponent a = n + 1/2 (kinds 1, 2) or a = n >= 1
     (kinds 3, 4, after the n = 0 term) are paired at frequencies +-k,
     k = 2a, so oddness of theta1 holds exactly in floating point.
-    Truncation stops once an upper bound for the next paired term falls
-    below EPS_SERIES * (1 + |partial sum|), after the first (n = 0) term,
-    with no term cap; a term too large for double precision raises
-    ConvergenceError.
+    ``_term_range`` picks the terms summed; where the largest passes
+    exp(_EXP_CAP) the call raises ConvergenceError.
     The series runs at ``tau.shifted`` = tau - 2k, k = round(Re tau / 2),
     and, where |Re z| > 1, at z - m, m = round(Re z): both shifts are exact.
     theta3 and theta4 are unchanged by them; theta1 and theta2 take the
@@ -241,35 +234,37 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     return -value if turns & 2 else value
 
 
+def _term_range(half: bool, im_tau: float, abs_im_z: float) -> range:
+    """The n summed at a = n + 1/2 (``half``: theta1, theta2; n = 0 always)
+    or a = n >= 1: each a <= r + sqrt(r^2 + _TERM_C / Im tau), r = |Im z| /
+    Im tau, whose term bound is at least EPS_SERIES / 4."""
+    r = abs_im_z / im_tau
+    last = r + math.sqrt(r * r + _TERM_C / im_tau)
+    if half:
+        return range(max(1, math.floor(last + 0.5)))
+    return range(1, math.floor(last) + 1)
+
+
 def _theta_series(kind: int, z: complex, tau: complex) -> complex:
     """``theta``'s series at a valid kind, finite z and a shifted tau."""
     abs_im_z = abs(z.imag)
     half = kind in (1, 2)
+    # The largest term has the a nearest r = |Im z| / Im tau: floor(r) + 1/2,
+    # or round(r), where a = 0 is the constant 1.  An infinite r gives NaN.
+    s = abs_im_z / tau.imag + (0.0 if half else 0.5)
+    a = s - s % 1.0 + (0.5 if half else 0.0)
+    if not _PI * a * (2.0 * abs_im_z - a * tau.imag) <= _EXP_CAP:
+        raise ConvergenceError(f"theta{kind} term exceeds double range (z={z!r}, "
+                               f"tau={tau!r}); reduce z modulo the lattice first")
     total = 0.0 + 0.0j if half else 1.0 + 0.0j
-    for n in itertools.count(0 if half else 1):
+    for n in _term_range(half, tau.imag, abs_im_z):
         a = n + 0.5 if half else n
-        k = 2 * a
-        # |term| <= exp(-pi*Im(tau)*a^2 + pi*k*|Im z|) for each exponential.
-        log_mag = -_PI * tau.imag * a * a + _PI * k * abs_im_z
-        if not -math.inf < log_mag <= _EXP_CAP:
-            # Or -inf or NaN, far up the imaginary axis: -pi*Im(tau) can
-            # overflow to -inf where the product is finite (a = 1/2), and
-            # pi*k*|Im z| to +inf.  The same bound as
-            # pi*k*(|Im z| - k*Im(tau)/4) has no overflowing part.
-            log_mag = _PI * k * (abs_im_z - 0.25 * k * tau.imag)
-            if log_mag > _EXP_CAP:
-                raise ConvergenceError(
-                    f"theta{kind} term at n={n} exceeds double range "
-                    f"(z={z!r}, tau={tau!r}); reduce z modulo "
-                    "the lattice first")
-        bound = 2.0 * math.exp(log_mag) if n else math.inf
-        if not bound >= EPS_SERIES * (1.0 + abs(total)):
-            return total
         ta = tau * a * a
-        kz = k * z
+        kz = 2 * a * z
         e_plus = cmath.exp(_IPI * (ta + kz))
         e_minus = cmath.exp(_IPI * (ta - kz))
         total += _paired_term(kind, n, e_plus, e_minus)
+    return total
 
 
 def _even_shift(tau: complex) -> complex:
@@ -297,45 +292,36 @@ def _theta_array(kind: int, z, tau) -> np.ndarray:
     Its taus must be shifted (|Re tau| <= 1) and no term may pass
     _EXP_CAP: its two callers give it ``_even_shift``ed taus at z = 0, and
     in-cell z at tau = i.  ``_theta_series``'s loop for every point at once:
-    the same ``_paired_term``s in the same order, each point stopping on its
-    own partial sum.  Exponentials, the stopping bound's included, go
-    through complex ``np.exp``, which computes exp(x) * (cos y, sin y) with
-    libm as ``cmath.exp`` does (numpy's real float64 ``exp`` has SIMD loops
-    that can differ from ``math.exp`` in the last bit), and |partial sum| is
-    ``np.hypot``, libm's as in ``abs``.  Where every z is 0 each term takes
-    one exponential and the bound has no |Im z| part.
+    the same ``_paired_term``s in the same order, each point to the count
+    of ``_term_range``.  Exponentials go through complex ``np.exp``, which
+    computes exp(x) * (cos y, sin y) with libm as ``cmath.exp`` does
+    (numpy's real float64 ``exp`` has SIMD loops that can differ from
+    ``math.exp`` in the last bit).  Where every z is 0 each term takes one
+    exponential.
     """
     import numpy as np
-    # Far up the imaginary axis -pi * Im(tau) * a^2 overflows to -inf, whose
-    # exp is the bound 0 that stops the scalar loop too: not an error.
-    with np.errstate(over="ignore"):
-        z, tau = np.broadcast_arrays(np.asarray(z, complex),
-                                     np.asarray(tau, complex))
-        at_zero = not z.any()
-        im = tau.imag
-        abs_im_z = np.abs(z.imag)
-        half = kind in (1, 2)
-        total = np.zeros(z.shape, complex) if half else np.ones(z.shape, complex)
-        active = np.ones(z.shape, dtype=bool)
-        for n in itertools.count(0 if half else 1):
+    z, tau = np.broadcast_arrays(np.asarray(z, complex),
+                                 np.asarray(tau, complex))
+    at_zero = not z.any()
+    r = np.abs(z.imag) / tau.imag
+    last = r + np.sqrt(r * r + _TERM_C / tau.imag)
+    half = kind in (1, 2)
+    ends = np.maximum(1.0, np.floor(last + 0.5)) if half else np.floor(last) + 1.0
+    total = np.zeros(z.shape, complex) if half else np.ones(z.shape, complex)
+    # A term past a point's end may overflow (Im tau * a^2 at a tau far up
+    # the imaginary axis, in a block with taus near the floor): it is dropped.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(0 if half else 1, int(ends.max(initial=0.0))):
             a = n + 0.5 if half else n
-            k = 2 * a
-            log_mag = -_PI * im * a * a
-            if not at_zero:
-                log_mag = log_mag + _PI * k * abs_im_z
-            bound = 2.0 * np.exp(log_mag + 0j).real if n else math.inf
-            active &= bound >= EPS_SERIES * (1.0 + np.hypot(total.real,
-                                                            total.imag))
-            if not active.any():
-                return total
             ta = tau * a * a
             if at_zero:
                 e_plus = e_minus = np.exp(1j * _PI * ta)
             else:
-                e_plus = np.exp(1j * _PI * (ta + k * z))
-                e_minus = np.exp(1j * _PI * (ta - k * z))
+                e_plus = np.exp(1j * _PI * (ta + 2 * a * z))
+                e_minus = np.exp(1j * _PI * (ta - 2 * a * z))
             term = _paired_term(kind, n, e_plus, e_minus)
-            total = np.where(active, total + term, total)
+            total = np.where(n < ends, total + term, total)
+    return total
 
 
 @dataclass(frozen=True)
@@ -533,23 +519,34 @@ def _extrapolated_lattice_sums_p(zs: list[complex], t: TauParameter,
 
 
 def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
-    """Weierstrass p(z) for the lattice Z + Z*tau, via theta functions.
+    """Weierstrass p(z) for the lattice Z + Z*tau, at tau.shifted.
 
-    Uses p(z) = e1 + (pi * theta3(0) * theta4(0) * theta2(z) / theta1(z))^2
-    at tau.shifted, after reducing z into the fundamental cell, once.
-    Raises PoleError within POLE_TOL of a cell corner, i.e. of the lattice,
-    and DivergenceError where theta1(z) underflows to 0 off it.
-    """
+    z is reduced into the cell once, to zr, and u = zr, or tau - zr where
+    Im zr > Im tau / 2 (p is even and periodic).  On the folded q-series of
+    ``linking._pair_greens``, X = exp(2*pi*i*u), theta2/theta1 = i*F2/F1
+    with F1 = X G(X) - G(1/X) and F2 = X G(-X) + G(-1/X), none of whose
+    terms exceeds 1, so p = e1 - (pi theta3(0) theta4(0) F2/F1)^2 at any
+    Im tau.  PoleError within POLE_TOL of the lattice.  Pass one
+    ``TauParameter`` for many points: a bare tau builds ``_green_terms``
+    anew on each call."""
     t = as_tau(tau)
     zr = reduce_mod_lattice(z, t)
     if _corner_distance(zr, t) < POLE_TOL:
         raise PoleError(f"p(z) has a pole at lattice point z = {z!r}")
-    c2, c3, c4 = _theta_constants(t.shifted)
+    tv = t.shifted
+    u = tv - zr if 2.0 * zr.imag > tv.imag else zr
+    ph = _turn(u.real)
+    x = ph * math.exp(-2.0 * _PI * u.imag)
+    x_inv = ph.conjugate() * math.exp(_PI * (2.0 * u.imag - tv.imag))
+    g = g_neg = g_inv = g_neg_inv = 0.0
+    for c, d in t._green_terms[0]:
+        g = g * x + c
+        g_neg = g_neg * -x + c
+        g_inv = g_inv * x_inv + d
+        g_neg_inv = g_neg_inv * -x_inv + d
+    c2, c3, c4 = _theta_constants(tv)
     e1, _, _ = _half_periods(c2, c3, c4)
-    th1 = _theta_series(1, zr, t.shifted)
-    if th1 == 0.0:
-        raise DivergenceError(f"theta1({zr!r}, {t.value!r}) underflows to 0")
-    return e1 + (_PI * c3 * c4 * (_theta_series(2, zr, t.shifted) / th1)) ** 2
+    return e1 - (_PI * c3 * c4 * ((x * g_neg + g_neg_inv) / (x * g - g_inv))) ** 2
 
 
 def modular_lambda(tau: TauParameter | complex) -> complex:

@@ -420,7 +420,7 @@ _SUITES = (
     ("invariant-dims-dual-route", _suite_invariant_dims_dual_route, 1e-9),
     ("hodge-conjugation-symmetry", _suite_hodge_conjugation_symmetry, 1e-9),
     ("serre-symmetry", _suite_serre_symmetry, 1e-9),
-    ("massey-cross-path", _suite_massey_cross_path, 1e-8),
+    ("massey-cross-path", _suite_massey_cross_path, 1e-10),
     ("massey-reality", _suite_massey_reality, 1e-9),
     ("massey-lambda-periodicity", _suite_massey_lambda_periodicity, 1e-9),
 )

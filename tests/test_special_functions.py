@@ -14,7 +14,6 @@ import pytest
 
 from holink import (
     ConvergenceError,
-    DivergenceError,
     Divisor,
     DomainError,
     PoleError,
@@ -152,9 +151,9 @@ def test_theta_term_cap_is_convergence_error():
 
 
 def test_theta_far_up_the_imaginary_axis_decides_without_overflow():
-    # At Im tau = 1e308, -pi*Im(tau)*a^2 and pi*k*|Im z| overflow to -inf
-    # and +inf.  A term beyond exp's cap raises; a negligible one stops the
-    # sum; z = tau/2 and tau/4 are where a term is exp(0), exactly 1.
+    # At Im tau = 1e308, pi*Im(tau)*a^2 and 2*pi*a*|Im z| are near double
+    # range.  A largest term beyond exp's cap raises; a negligible one is
+    # not summed; z = tau/2 and tau/4 are where a term is exp(0), exactly 1.
     tau = 1e308j
     for kind, z in ((3, 6e307j), (3, 9e307j), (1, 6e307j), (2, 3e307j)):
         with pytest.raises(ConvergenceError, match="exceeds double range"):
@@ -166,10 +165,10 @@ def test_theta_far_up_the_imaginary_axis_decides_without_overflow():
 
 
 def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
-    # No term count caps a series: the cap edge is the largest |Im z| at
-    # which no term passes exp(_EXP_CAP).  Up to just under it every kind
-    # sums at most 140 paired terms on both paths; just past it the scalar
-    # series raises.
+    # The term count grows with |Im z| / Im tau up to the cap edge, the
+    # largest |Im z| at which no term passes exp(_EXP_CAP).  Up to just
+    # under it every kind sums at most 140 paired terms on both paths (136
+    # at most, at the floor); just past it the scalar series raises.
     calls = []
     paired = special_functions._paired_term
 
@@ -198,6 +197,58 @@ def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
             past = complex(0.3, edge * (1.0 + 1e-9))
             with pytest.raises(ConvergenceError, match="exceeds double range"):
                 theta(kind, past, tau)
+
+
+def test_scalar_and_array_paths_sum_one_count(monkeypatch):
+    # One rule, from Im tau and |Im z| alone, fixes each series' count: the
+    # scalar series and the array kernel, one point at a time, sum exactly
+    # ``_term_range``'s paired terms, over seeded Im tau from the floor to
+    # 1e300 and |Im z| up to 0.99 of the cap edge's, z = 0 among them.  On
+    # all points at once the kernel equals the scalar series bit for bit.
+    calls = []
+    paired = special_functions._paired_term
+
+    def counting(*args):
+        calls.append(None)
+        return paired(*args)
+
+    monkeypatch.setattr(special_functions, "_paired_term", counting)
+    series = special_functions._theta_series
+    rng = np.random.default_rng(19)
+    ims = np.exp(rng.uniform(math.log(0.05), math.log(1e300), 200))
+    edge_r = np.sqrt(special_functions._EXP_CAP / (math.pi * ims))
+    rs = rng.uniform(0.0, 0.99, 200) * edge_r
+    rs[:20] = 0.0
+    taus = rng.uniform(-1.0, 1.0, 200) + 1j * ims
+    zs = rng.uniform(-0.5, 0.5, 200) + 1j * rs * ims * rng.choice([-1, 1], 200)
+    for kind in (1, 2, 3, 4):
+        for z, tau in zip(zs.tolist(), taus.tolist()):
+            want = len(special_functions._term_range(kind in (1, 2), tau.imag,
+                                                     abs(z.imag)))
+            calls.clear()
+            series(kind, z, tau)
+            assert len(calls) == want, (kind, z, tau)
+            calls.clear()
+            _theta_array(kind, np.array([z]), np.array([tau]))
+            assert len(calls) == want, (kind, z, tau)
+        values = _theta_array(kind, zs, taus)
+        for z, tau, value in zip(zs.tolist(), taus.tolist(), values.tolist()):
+            assert _hex(value) == _hex(series(kind, z, tau)), (kind, z, tau)
+
+
+def test_green_terms_follow_the_rule_at_z_zero():
+    # The Green kernel's table holds n = 0 and theta3's terms at z = 0:
+    # each kept |d_n| = exp(-pi Im(tau) n^2) is at least EPS_SERIES / 4 and
+    # the first one left out is below it.
+    eps = special_functions.EPS_SERIES
+    rng = np.random.default_rng(20)
+    for im in np.exp(rng.uniform(math.log(0.05), math.log(40.0), 300)).tolist():
+        t = TauParameter(complex(rng.uniform(-1.0, 1.0), im))
+        im = t.shifted.imag
+        n_max = len(t._green_terms[0]) - 1
+        assert n_max == len(special_functions._term_range(False, im, 0.0))
+        assert math.exp(-math.pi * im * n_max ** 2) >= eps / 4.0
+        assert math.exp(-math.pi * im * (n_max + 1) ** 2) < eps / 4.0
 
 
 #: ``_lattice_sums_p`` values as (real, imag) ``float.hex``: the
@@ -441,10 +492,9 @@ def _within_exponent_rounding(got, ref):
 
 
 def test_theta_and_lambda_far_up_the_cusp_match_reference():
-    # The first paired term of theta1 and theta2 is summed whatever the
-    # stopping bound says: from Im tau ~ 54 on it alone is below
-    # EPS_SERIES, and the sum would stop at 0 before it.  The array kernel
-    # sums it too, bit for bit.
+    # The first paired term of theta1 and theta2 is always summed: from
+    # Im tau ~ 54 on it alone is below the rule's EPS_SERIES / 4, yet it is
+    # the value.  The array kernel sums it too, bit for bit.
     for kind, z, tau, ref in THETA_HIGH_REFERENCES:
         got = theta(kind, z, tau)
         assert _within_exponent_rounding(got, ref), (kind, z, tau)
@@ -854,10 +904,48 @@ def test_weierstrass_p_far_up_the_cusp():
     # summed over u = z + n*tau: -3.289868133696453 + 4.9e-17i
     z, tau = 0.5692 - 105.551j, 0.3387 + 112.016j
     assert abs(weierstrass_p(z, tau) + 3.289868133696453) <= 1e-15 * 3.29
-    # p(1/4) is about 5 pi^2 / 3 here, but theta1(1/4) ~ 2|q|^(1/4) sin(pi/4)
-    # underflows to 0, and with it the theta quotient.
-    with pytest.raises(DivergenceError, match="underflows to 0"):
-        weierstrass_p(0.25, 0.3 + 950j)
+    # p(1/4) is 5 pi^2 / 3 to double precision here (mpmath
+    # 16.449340668482265), though theta1(1/4) ~ 2|q|^(1/4) sin(pi/4)
+    # underflows: the folded sums divide by the largest term.
+    ref = 16.449340668482265
+    assert abs(weierstrass_p(0.25, 0.3 + 950j) - ref) <= 1e-15 * ref
+    # Here theta1's first term at the reduced point passes exp(_EXP_CAP);
+    # at |Im u| <= Im tau / 2 none does.  mpmath: -3.289868133696455.
+    z = -0.3725333615175994 + 312.9873162322488j
+    tau = -0.2639245905283232 + 318.911358791131j
+    assert abs(weierstrass_p(z, tau) + 3.289868133696455) <= 1e-15 * 3.29
+
+
+#: (tau, z, p) near the Im tau floor, p from the theta quotient summed
+#: directly in mpmath at 60 digits at the reduced point (jtheta at 80
+#: digits agrees to every printed digit).
+P_FLOOR_REFERENCES = [
+    (0.05j, 0.3 + 0.01j, 1315.9472534785812 - 6.369565493334638e-13j),
+    (0.999 + 0.05j, 0.4 + 0.03j, 1314.3691689429681 - 52.59580507975067j),
+    (-0.5 + 0.055j, 0.1 + 0.04j, 264.8162638046199 - 8.081665748019113j),
+    (0.2 + 0.06j, 0.6 + 0.045j, -83.48284099177405 + 24.950600581286533j),
+    (-0.9 + 0.05j, 0.25 + 0.025j, -158.0692490178964 + 231.49519716506555j),
+]
+
+
+def test_weierstrass_p_near_the_floor_matches_reference():
+    # The worst of these is 3.4e-15 relative.
+    for tau, z, ref in P_FLOOR_REFERENCES:
+        assert abs(weierstrass_p(z, tau) - ref) <= 1e-14 * abs(ref), (tau, z)
+
+
+def test_weierstrass_p_is_finite_over_the_domain():
+    # Im tau log-uniform from the floor to 500 and |Im z| up to 1.5 Im tau:
+    # every call returns a finite value; no HolinkError is raised.
+    rng = np.random.default_rng(26)
+    for _ in range(1000):
+        tau = TauParameter(complex(rng.uniform(-1.0, 1.0),
+                                   math.exp(rng.uniform(math.log(0.05),
+                                                        math.log(500.0)))))
+        z = complex(rng.uniform(-1.0, 1.0),
+                    rng.uniform(-1.5, 1.5) * tau.value.imag)
+        p = weierstrass_p(z, tau)
+        assert cmath.isfinite(p), (z, tau)
 
 
 def test_modular_lambda_golden_points():
