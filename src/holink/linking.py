@@ -57,6 +57,7 @@ from .special_functions import (
     POLE_TOL,
     SNAP_TOL,
     TauParameter,
+    _as_int,
     _corner_distance,
     _reduce_point,
     _reduced_difference,
@@ -175,8 +176,8 @@ class Divisor:
             apart_hi = (1.0 - _SCREEN_MARGIN) * tv.imag
         canon: list[tuple[Point, int]] = []
         for point, mult in terms:
-            if not isinstance(mult, int) or isinstance(mult, bool):
-                raise ValueError(f"multiplicity must be an int, got {mult!r}")
+            if type(mult) is not int:
+                mult = _as_int("multiplicity", mult)
             if isinstance(point, _InfinityType):
                 if curve.kind != "sphere":
                     raise DomainError("infinity marker is only meaningful on the sphere")

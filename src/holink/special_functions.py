@@ -30,34 +30,26 @@ least EPS_SERIES / 4, and always theta1's and theta2's first term (from
 Im tau ~ 54 on it alone is below that, yet it is the value): at most 136
 at Im tau >= MIN_IM_TAU, where no term passes exp(_EXP_CAP).
 
-Two paths evaluate theta, selected by input: the scalar series
-``_theta_series`` (behind ``theta`` and its cache ``_theta_constants``) for
-one point, and one numpy kernel, ``_theta_array(kind, z, tau)`` with z
-broadcast against tau, for many.  The scalar series keeps no state: it
-forms each term from (kind, z, tau) alone, so its bits do not depend on
-earlier calls.  The kernel sums the same ``_paired_term``s in the same
-order, each point to the count of the same rule, formed with ``np.sqrt``
-and ``np.floor``, which round as ``math``'s do, so its values equal the
-scalar series' bit for bit (tests compare them by ``float.hex``).  Where
-every z is 0 it takes one exponential per term.  ``_batch_lambdas``,
-``holink scan``'s path, feeds it THETA_BLOCK consecutive taus at a time at
-z = 0, for kinds 2 and 3, from a grid that has already applied the tau
-rule, so it validates nothing itself.  ``verify``'s Green-kernel Laplacian
-runs it for theta1 over many z of one tau, all inside the cell, where
-reduction leaves a point as it is.  One point does not go through the
-kernel: a size-1 call takes 170-250 us against 5-15 us for the scalar
-loops (2-vCPU x86-64 host, numpy 2.4), while over verify's 20,320
-Green-kernel points it costs about 1 us a point.  numpy is imported by these array paths only, inside
-their functions, so a process that builds no array never loads it.  No
-fundamental-domain reduction of tau is performed; construction of
-``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05), as the q-series
-lose precision near that floor (|q| -> 0.855).  Every evaluator of a
-lattice quantity, and the public ``theta``, runs at
+One body, ``_theta_series(kind, z, tau)``, sums theta at one point and at
+many (complex scalars, or complex arrays that broadcast) by the same
+``_paired_term``s in the same order, so an array's values equal the
+scalars' bit for bit (tests compare them by ``float.hex``).  It keeps no
+state and validates nothing: ``theta`` checks the one input, z, that can
+put a term out of double range.  ``theta`` and ``_theta_constants`` call
+it at one point, ``_batch_lambdas`` (``holink scan``) at THETA_BLOCK taus
+at z = 0, and ``verify``'s Green-kernel Laplacian at many in-cell z of one
+tau.  A size-1 array call takes 170-250 us against 5-15 us for a scalar
+(2-vCPU x86-64 host, numpy 2.4), about 1 us a point over verify's 20,320.
+numpy is imported inside the functions that build arrays, so a process
+that builds none never loads it.  No fundamental-domain reduction of tau is
+performed; construction of ``TauParameter`` requires Im tau >= MIN_IM_TAU
+(= 0.05), as the q-series lose precision near that floor (|q| -> 0.855).
+Every evaluator of a lattice quantity, and the public ``theta``, runs at
 ``TauParameter.shifted``, an exact shift into |Re tau| <= 1 taken once per
-tau, so no phase of a term leaves double range.  The Green kernel, of
-the pairing and ``arakelov_green`` alike, and ``weierstrass_p`` sum theta
-in a third form, from per-point phases and ``TauParameter._green_terms``,
-at |Im u| <= Im tau / 2, in double range at any Im tau (see ``linking``).
+tau, so no phase of a term leaves double range.  The Green kernel, of the
+pairing and ``arakelov_green`` alike, and ``weierstrass_p`` sum theta in a
+third form, from per-point phases and ``TauParameter._green_terms``, at
+|Im u| <= Im tau / 2, in double range at any Im tau (see ``linking``).
 """
 
 from __future__ import annotations
@@ -78,8 +70,8 @@ if TYPE_CHECKING:
 MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
 
-#: Taus per block of ``_batch_lambdas`` (one call of the array kernel per
-#: theta kind, then lambda over the block): enough to spread
+#: Taus per block of ``_batch_lambdas`` (one theta series call per kind
+#: over the block, then lambda over it): enough to spread
 #: numpy's per-call cost thin, few enough that a long sequence holds one
 #: block of arrays at a time.
 THETA_BLOCK = 1024
@@ -187,7 +179,7 @@ def _as_int(name: str, value) -> int:
 
 def _paired_term(kind: int, n: int, e_plus, e_minus):
     """The n-th paired term of theta_kind from its exponentials at +-k, for
-    complex numbers or arrays alike: the sign rule of both theta paths."""
+    complex numbers or arrays alike: the sign rule of the theta series."""
     if kind == 1:
         return _THETA1_SIGNS[n & 1] * (e_plus - e_minus)
     if kind == 4 and n & 1:
@@ -210,7 +202,7 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     (kinds 3, 4, after the n = 0 term) are paired at frequencies +-k,
     k = 2a, so oddness of theta1 holds exactly in floating point.
     ``_term_range`` picks the terms summed; where the largest passes
-    exp(_EXP_CAP) the call raises ConvergenceError.
+    exp(_EXP_CAP) the call raises ConvergenceError, here, not in the series.
     The series runs at ``tau.shifted`` = tau - 2k, k = round(Re tau / 2),
     and, where |Re z| > 1, at z - m, m = round(Re z): both shifts are exact.
     theta3 and theta4 are unchanged by them; theta1 and theta2 take the
@@ -224,6 +216,14 @@ def theta(kind: int, z: complex, tau: TauParameter | complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"theta argument must be finite, got {z!r}")
+    # The largest term has the a nearest r = |Im z| / Im tau: floor(r) + 1/2,
+    # or round(r), where a = 0 is the constant 1.  An infinite r gives NaN.
+    off = 0.5 if kind in (1, 2) else 0.0
+    s = abs(z.imag) / t.value.imag + (0.5 - off)
+    a = s - s % 1.0 + off
+    if not _PI * a * (2.0 * abs(z.imag) - a * t.value.imag) <= _EXP_CAP:
+        raise ConvergenceError(f"theta{kind} term exceeds double range (z={z!r}, "
+                               f"tau={t.value!r}); reduce z modulo the lattice first")
     m = round(z.real) if abs(z.real) > 1.0 else 0
     value = _theta_series(kind, z - m, t.shifted)
     if kind in (3, 4):
@@ -245,25 +245,38 @@ def _term_range(half: bool, im_tau: float, abs_im_z: float) -> range:
     return range(1, math.floor(last) + 1)
 
 
-def _theta_series(kind: int, z: complex, tau: complex) -> complex:
-    """``theta``'s series at a valid kind, finite z and a shifted tau."""
-    abs_im_z = abs(z.imag)
+def _theta_series(kind: int, z, tau) -> complex | np.ndarray:
+    """theta_kind at a valid kind, z and a shifted tau whose terms stay below
+    exp(_EXP_CAP): complex scalars, or complex arrays that broadcast.  Arrays
+    take complex ``np.exp`` (libm's exp(x) * (cos y, sin y), as ``cmath``)
+    and each point's count from ``_term_range``'s rule in ``np.sqrt`` and
+    ``np.floor``, which round as ``math``'s do; ``np.where`` ends it there."""
     half = kind in (1, 2)
-    # The largest term has the a nearest r = |Im z| / Im tau: floor(r) + 1/2,
-    # or round(r), where a = 0 is the constant 1.  An infinite r gives NaN.
-    s = abs_im_z / tau.imag + (0.0 if half else 0.5)
-    a = s - s % 1.0 + (0.5 if half else 0.0)
-    if not _PI * a * (2.0 * abs_im_z - a * tau.imag) <= _EXP_CAP:
-        raise ConvergenceError(f"theta{kind} term exceeds double range (z={z!r}, "
-                               f"tau={tau!r}); reduce z modulo the lattice first")
-    total = 0.0 + 0.0j if half else 1.0 + 0.0j
-    for n in _term_range(half, tau.imag, abs_im_z):
+    total = 0j if half else 1 + 0j
+    if isinstance(z, complex) and isinstance(tau, complex):
+        exp, at_zero, ends = cmath.exp, not z, None
+        terms = _term_range(half, tau.imag, abs(z.imag))
+    else:
+        import numpy as np
+        z, tau = np.broadcast_arrays(np.asarray(z, complex),
+                                     np.asarray(tau, complex))
+        exp, at_zero, total = np.exp, not z.any(), np.full(z.shape, total)
+        r = np.abs(z.imag) / tau.imag
+        last = r + np.sqrt(r * r + _TERM_C / tau.imag)
+        ends = np.maximum(1.0, np.floor(last + 0.5)) if half else np.floor(last) + 1.0
+        terms = range(0 if half else 1, int(ends.max(initial=0.0)))
+    for n in terms:
         a = n + 0.5 if half else n
         ta = tau * a * a
-        kz = 2 * a * z
-        e_plus = cmath.exp(_IPI * (ta + kz))
-        e_minus = cmath.exp(_IPI * (ta - kz))
-        total += _paired_term(kind, n, e_plus, e_minus)
+        if at_zero:
+            e_plus = e_minus = exp(_IPI * ta)
+        else:
+            kz = 2 * a * z
+            e_plus = exp(_IPI * (ta + kz))
+            e_minus = exp(_IPI * (ta - kz))
+        term = _paired_term(kind, n, e_plus, e_minus)
+        total = (total + term if ends is None
+                 else np.where(n < ends, total + term, total))
     return total
 
 
@@ -279,49 +292,10 @@ def _even_shift(tau: complex) -> complex:
 
 @lru_cache(maxsize=512)
 def _theta_constants(s: complex) -> tuple[complex, complex, complex]:
-    """(theta2, theta3, theta4) at z = 0 and a ``TauParameter.shifted`` s,
-    where theta2 gains a power of i (only theta2^4 is used).  It stays an
+    """The theta series' (theta2, theta3, theta4) at z = 0 and a shifted s;
+    theta2 gains a power of i (only theta2^4 is used).  It stays an
     ``lru_cache`` because ``bench/trace.py`` reads its ``cache_info()``."""
-    return tuple(_theta_series(kind, 0.0, s) for kind in (2, 3, 4))
-
-
-def _theta_array(kind: int, z, tau) -> np.ndarray:
-    """theta_kind(z, tau) over z broadcast against tau (complex arrays or
-    scalars), equal to ``_theta_series`` bit for bit.
-
-    Its taus must be shifted (|Re tau| <= 1) and no term may pass
-    _EXP_CAP: its two callers give it ``_even_shift``ed taus at z = 0, and
-    in-cell z at tau = i.  ``_theta_series``'s loop for every point at once:
-    the same ``_paired_term``s in the same order, each point to the count
-    of ``_term_range``.  Exponentials go through complex ``np.exp``, which
-    computes exp(x) * (cos y, sin y) with libm as ``cmath.exp`` does
-    (numpy's real float64 ``exp`` has SIMD loops that can differ from
-    ``math.exp`` in the last bit).  Where every z is 0 each term takes one
-    exponential.
-    """
-    import numpy as np
-    z, tau = np.broadcast_arrays(np.asarray(z, complex),
-                                 np.asarray(tau, complex))
-    at_zero = not z.any()
-    r = np.abs(z.imag) / tau.imag
-    last = r + np.sqrt(r * r + _TERM_C / tau.imag)
-    half = kind in (1, 2)
-    ends = np.maximum(1.0, np.floor(last + 0.5)) if half else np.floor(last) + 1.0
-    total = np.zeros(z.shape, complex) if half else np.ones(z.shape, complex)
-    # A term past a point's end may overflow (Im tau * a^2 at a tau far up
-    # the imaginary axis, in a block with taus near the floor): it is dropped.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(0 if half else 1, int(ends.max(initial=0.0))):
-            a = n + 0.5 if half else n
-            ta = tau * a * a
-            if at_zero:
-                e_plus = e_minus = np.exp(1j * _PI * ta)
-            else:
-                e_plus = np.exp(1j * _PI * (ta + 2 * a * z))
-                e_minus = np.exp(1j * _PI * (ta - 2 * a * z))
-            term = _paired_term(kind, n, e_plus, e_minus)
-            total = np.where(n < ends, total + term, total)
-    return total
+    return tuple(_theta_series(kind, 0j, s) for kind in (2, 3, 4))
 
 
 @dataclass(frozen=True)
@@ -410,7 +384,7 @@ def _reduce_point(z: complex, tv: complex) -> complex:
 def _exact_cell_point(z: complex, tv: complex) -> complex:
     """The point of the cell congruent to z, from z's rational lattice
     coordinates reduced mod 1 and rounded once.  ``fractions`` is imported
-    here, off the import path, as numpy is in the array paths."""
+    here, off the import path, as numpy is where arrays are built."""
     from fractions import Fraction
     tr, ti = Fraction(tv.real), Fraction(tv.imag)
     y = Fraction(z.imag) / ti
@@ -565,15 +539,19 @@ def modular_lambda(tau: TauParameter | complex) -> complex:
 
 def _batch_lambdas(taus: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(taus, lambdas) array pairs, one per THETA_BLOCK block, that run
-    through a 1-d array of taus that already pass the tau rule.  The kernel
-    gives theta2 and theta3 at the shifted taus, and each lambda is formed
-    in Python over ``.tolist()``, as ``modular_lambda`` forms it: the two
-    agree bit for bit by construction."""
+    through a 1-d array of taus that already pass the tau rule.  The theta
+    series gives theta2 and theta3 at the shifted taus, and each lambda is
+    formed in Python over ``.tolist()``, as ``modular_lambda`` forms it:
+    the two agree bit for bit by construction."""
     import numpy as np
     for lo in range(0, taus.size, THETA_BLOCK):
         block = taus[lo:lo + THETA_BLOCK]
-        shifted = [_even_shift(tau) for tau in block.tolist()]
-        c2, c3 = (_theta_array(kind, 0.0, shifted).tolist() for kind in (2, 3))
+        shifted = np.array([_even_shift(tau) for tau in block.tolist()])
+        # A term past a tau's count, which the series drops, may overflow
+        # (Im tau * a^2 far up the imaginary axis, with taus near the floor).
+        with np.errstate(over="ignore", invalid="ignore"):
+            c2, c3 = (_theta_series(kind, 0j, shifted).tolist()
+                      for kind in (2, 3))
         yield block, np.array([a ** 4 / b ** 4 for a, b in zip(c2, c3)],
                               dtype=complex)
 

@@ -374,8 +374,9 @@ def test_scan_validates_grid_once(tmp_path, monkeypatch):
 
 
 def test_scan_builds_no_green_terms(tmp_path, monkeypatch):
-    # scan's taus go through the array kernel; their TauParameters pair no
-    # divisors, and so build no Green-kernel term data.
+    # scan's taus go through the theta series as arrays; their
+    # TauParameters pair no divisors, and so build no Green-kernel term
+    # data.
     built = []
     validate = TauParameter.__post_init__
 
@@ -523,7 +524,7 @@ def test_verify_seed_42_stdout_is_pinned():
     run = subprocess.run(cmd, capture_output=True)
     assert run.returncode == 0
     assert hashlib.sha256(run.stdout).hexdigest() == (
-        "7b236d5f32796f8a746235ab4d80d3e9148a3a464e1208e073bdeefa5b74770f")
+        "775123e5ebb043e9ab144aa6489327583019cf4f4ec6f195e9a95e061a0dcf0d")
 
 
 # The child runs every scalar path, checking after each that numpy is still
@@ -545,6 +546,13 @@ for argv in (["lambda", "0.3+1.7i"], ["massey", "0.3+1.7i"], ["hodge"],
 tau = 0.3 + 1.7j
 holink.massey_report(tau)
 numpy_free("massey_report")
+for kind in (1, 2, 3, 4):
+    holink.theta(kind, 0.1 + 0.2j, tau)
+numpy_free("theta")
+holink.weierstrass_p(0.1 + 0.2j, tau)
+holink.half_period_values(tau)
+holink.arakelov_green(0.1 + 0.2j, tau)
+numpy_free("weierstrass_p, half_period_values, arakelov_green")
 pts = [(k % 4) / 4 + 0.1 + ((k // 4) / 4 + 0.1) * tau for k in range(16)]
 signs = [1, -1] * 4
 z = Divisor.elliptic(tau, list(zip(pts[:8], signs)))

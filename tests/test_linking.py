@@ -161,8 +161,25 @@ def test_divisor_infinity_only_on_sphere():
 def test_divisor_multiplicity_must_be_int():
     with pytest.raises(ValueError):
         Divisor.sphere([(0.0, 1.5)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiplicity must be an int, got True"):
         Divisor.sphere([(0.0, True)])
+    with pytest.raises(ValueError):
+        Divisor.sphere([(0.0, np.float64(1.0))])
+
+
+def test_divisor_takes_numpy_integer_multiplicities():
+    # Any integral number but a bool, as theta's kind and lattice_sum_p's
+    # radius: stored as a Python int, so the divisor equals its plain twin.
+    z = Divisor.sphere([(0.5, np.int64(1)), (1.5, -1)])
+    assert z == Divisor.sphere([(0.5, 1), (1.5, -1)])
+    assert all(type(m) is int for _, m in z.terms)
+    mults = np.array([2, -1, -1])
+    tau = 0.3 + 1.1j
+    w = Divisor.elliptic(tau, list(zip([0.1 + 0.2j, 0.6 + 0.5j, 0.45 + 0.95j],
+                                       mults)))
+    assert all(type(m) is int for _, m in w.terms)
+    assert w == Divisor.elliptic(tau, [(0.1 + 0.2j, 2), (0.6 + 0.5j, -1),
+                                       (0.45 + 0.95j, -1)])
 
 
 def test_divisor_algebra():

@@ -35,7 +35,7 @@ from holink.special_functions import (
     SNAP_TOL,
     THETA_BLOCK,
     _batch_lambdas,
-    _theta_array,
+    _theta_series,
 )
 from holink import verify
 from holink.verify import TAU_BOX
@@ -100,8 +100,8 @@ def _hex(value):
 
 
 def test_theta_constants_array_matches_scalar_bitwise():
-    # The scalar loop is the reference; the array kernel must reproduce it
-    # to the last bit (signed zeros included) over the verify box, toward
+    # The series at one point is the reference; on arrays it must reproduce
+    # it to the last bit (signed zeros included) over the verify box, toward
     # the cusp and at the shifts of taus along Re tau, as its callers give
     # them.
     rng = np.random.default_rng(2024)
@@ -115,7 +115,7 @@ def test_theta_constants_array_matches_scalar_bitwise():
     ])
     taus = np.array([special_functions._even_shift(t) for t in taus.tolist()])
     for batch in (taus, taus[:1]):
-        consts = [_theta_array(kind, 0.0, batch) for kind in (2, 3, 4)]
+        consts = [_theta_series(kind, 0j, batch) for kind in (2, 3, 4)]
         for i, tau in enumerate(batch.tolist()):
             for kind, values in zip((2, 3, 4), consts):
                 assert _hex(values[i]) == _hex(theta(kind, 0.0, tau)), (kind, tau)
@@ -133,12 +133,12 @@ def test_theta_array_matches_scalar_bitwise():
     tau = complex(taus[7])
     for kind in (1, 2, 3, 4):
         for z, t in ((zs, taus), (zs, tau)):
-            values = _theta_array(kind, z, t)
+            values = _theta_series(kind, z, t)
             for i, zi in enumerate(z.tolist()):
                 ti = t if isinstance(t, complex) else complex(t[i])
                 assert _hex(values[i]) == _hex(theta(kind, zi, ti)), (kind, zi, ti)
         # where every z is 0
-        values = _theta_array(kind, 0.0, taus)
+        values = _theta_series(kind, 0j, taus)
         for i, ti in enumerate(taus.tolist()):
             assert _hex(values[i]) == _hex(theta(kind, 0.0, ti)), (kind, ti)
 
@@ -167,8 +167,8 @@ def test_theta_far_up_the_imaginary_axis_decides_without_overflow():
 def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
     # The term count grows with |Im z| / Im tau up to the cap edge, the
     # largest |Im z| at which no term passes exp(_EXP_CAP).  Up to just
-    # under it every kind sums at most 140 paired terms on both paths (136
-    # at most, at the floor); just past it the scalar series raises.
+    # under it every kind sums at most 140 paired terms, at one point or
+    # over an array (136 at most, at the floor); just past it theta raises.
     calls = []
     paired = special_functions._paired_term
 
@@ -192,7 +192,7 @@ def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
                 theta(kind, z, tau)
                 assert 0 < len(calls) <= 140, (kind, z, tau)
             calls.clear()
-            _theta_array(kind, zs, tau)
+            _theta_series(kind, zs, tau)
             assert 0 < len(calls) <= 140, (kind, tau)
             past = complex(0.3, edge * (1.0 + 1e-9))
             with pytest.raises(ConvergenceError, match="exceeds double range"):
@@ -201,10 +201,10 @@ def test_theta_term_count_is_bounded_by_the_exp_cap(monkeypatch):
 
 def test_scalar_and_array_paths_sum_one_count(monkeypatch):
     # One rule, from Im tau and |Im z| alone, fixes each series' count: the
-    # scalar series and the array kernel, one point at a time, sum exactly
+    # series at a scalar point and over a one-point array sum exactly
     # ``_term_range``'s paired terms, over seeded Im tau from the floor to
-    # 1e300 and |Im z| up to 0.99 of the cap edge's, z = 0 among them.  On
-    # all points at once the kernel equals the scalar series bit for bit.
+    # 1e300 and |Im z| up to 0.99 of the cap edge's, z = 0 among them.  Over
+    # all points at once it equals the scalar points bit for bit.
     calls = []
     paired = special_functions._paired_term
 
@@ -213,7 +213,7 @@ def test_scalar_and_array_paths_sum_one_count(monkeypatch):
         return paired(*args)
 
     monkeypatch.setattr(special_functions, "_paired_term", counting)
-    series = special_functions._theta_series
+    series = _theta_series
     rng = np.random.default_rng(19)
     ims = np.exp(rng.uniform(math.log(0.05), math.log(1e300), 200))
     edge_r = np.sqrt(special_functions._EXP_CAP / (math.pi * ims))
@@ -229,9 +229,9 @@ def test_scalar_and_array_paths_sum_one_count(monkeypatch):
             series(kind, z, tau)
             assert len(calls) == want, (kind, z, tau)
             calls.clear()
-            _theta_array(kind, np.array([z]), np.array([tau]))
+            series(kind, np.array([z]), np.array([tau]))
             assert len(calls) == want, (kind, z, tau)
-        values = _theta_array(kind, zs, taus)
+        values = series(kind, zs, taus)
         for z, tau, value in zip(zs.tolist(), taus.tolist(), values.tolist()):
             assert _hex(value) == _hex(series(kind, z, tau)), (kind, z, tau)
 
@@ -494,11 +494,12 @@ def _within_exponent_rounding(got, ref):
 def test_theta_and_lambda_far_up_the_cusp_match_reference():
     # The first paired term of theta1 and theta2 is always summed: from
     # Im tau ~ 54 on it alone is below the rule's EPS_SERIES / 4, yet it is
-    # the value.  The array kernel sums it too, bit for bit.
+    # the value.  Over an array the series sums it too, bit for bit.
     for kind, z, tau, ref in THETA_HIGH_REFERENCES:
         got = theta(kind, z, tau)
         assert _within_exponent_rounding(got, ref), (kind, z, tau)
-        assert _hex(_theta_array(kind, z, tau)) == _hex(got), (kind, z, tau)
+        values = _theta_series(kind, np.array([z]), np.array([tau]))
+        assert _hex(values[0]) == _hex(got), (kind, z, tau)
     taus = [tau for tau, _ in LAMBDA_HIGH_REFERENCES]
     (_, lams), = _batch_lambdas(np.array(taus))
     for (tau, ref), lam in zip(LAMBDA_HIGH_REFERENCES, lams.tolist()):
@@ -532,22 +533,17 @@ def test_theta_far_along_re_tau_is_a_power_of_i_times_the_shifted():
 
 
 def test_no_series_runs_at_an_unshifted_tau(monkeypatch):
-    # Every theta series, scalar or array, sees |Re tau| <= 1, so no phase
-    # of a term can leave double range: neither path checks for one.
+    # Every theta series, at one point or over an array, sees |Re tau| <= 1,
+    # so no phase of a term can leave double range: the series checks for
+    # none.
     seen = []
     series = special_functions._theta_series
-    kernel = special_functions._theta_array
 
     def recording_series(kind, z, tau):
-        seen.append(tau)
+        seen.extend(np.ravel(tau).tolist())
         return series(kind, z, tau)
 
-    def recording_kernel(kind, z, tau):
-        seen.extend(np.ravel(tau).tolist())
-        return kernel(kind, z, tau)
-
     monkeypatch.setattr(special_functions, "_theta_series", recording_series)
-    monkeypatch.setattr(special_functions, "_theta_array", recording_kernel)
     special_functions._theta_constants.cache_clear()
     for tau in (2.6 + 0.7j, 1e15 + 1j, 3e306 + 0.5j):
         for kind in (1, 2, 3, 4):
