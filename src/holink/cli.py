@@ -21,17 +21,13 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .errors import HolinkError
 from .hodge import hodge_diamond_x
 from .linking import Curve, Divisor, INFINITY, SPHERE, linking
 from .massey import DEFAULT_NONVANISHING_TOL, _closed_form_from_lambda, massey_report
-from .special_functions import _batch_lambdas, as_tau, modular_lambda
+from .special_functions import _as_int, _grid_lambdas, as_tau, modular_lambda
 from .verify import format_summary, run_all
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # "a+bi", "a-bi" and "bi": a real part is present only where a sign follows it.
@@ -138,13 +134,14 @@ class ScanGrid:
     im_max: float
     steps_re: int
     steps_im: int
-    #: The points, row-major with re varying fastest; each passes the tau rule.
-    taus: np.ndarray = field(init=False, repr=False, compare=False)
+    #: The axes: the grid is re + i*im, row-major with re varying fastest,
+    #: and each of its points passes the tau rule.
+    re_axis: list[float] = field(init=False, repr=False, compare=False)
+    im_axis: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        import numpy as np
         for steps, name in ((self.steps_re, "steps-re"), (self.steps_im, "steps-im")):
-            if not isinstance(steps, int) or steps < 1:
+            if _as_int(name, steps) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {steps!r}")
         if not all(math.isfinite(v) for v in
                    (self.re_min, self.re_max, self.im_min, self.im_max)):
@@ -159,14 +156,13 @@ class ScanGrid:
             raise ValueError("need im-min < im-max (equality only with steps-im 1)")
         re_axis = self.axis(self.re_min, self.re_max, self.steps_re)
         im_axis = self.axis(self.im_min, self.im_max, self.steps_im)
-        taus = np.empty((self.steps_im, self.steps_re), dtype=complex)
-        taus.real = re_axis  # part by part: re + 1j*im turns -0.0 into +0.0
-        taus.imag = np.array(im_axis)[:, np.newaxis]
         # The tau rule tests Re tau and Im tau apart, so the first row, then
         # the first column, meets the first failing point in row-major order.
-        for tau in taus[0].tolist() + taus[:, 0].tolist():
+        for tau in ([complex(re, im_axis[0]) for re in re_axis]
+                    + [complex(re_axis[0], im) for im in im_axis]):
             as_tau(tau)
-        object.__setattr__(self, "taus", taus.ravel())
+        object.__setattr__(self, "re_axis", re_axis)
+        object.__setattr__(self, "im_axis", im_axis)
 
     def axis(self, lo: float, hi: float, steps: int) -> list[float]:
         if steps == 1:
@@ -224,16 +220,15 @@ def cmd_link(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    import numpy as np
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
+    row_format = _CSV_ROW * len(grid.re_axis)
     chunks = [CSV_HEADER + "\n"]
-    for taus, lams in _batch_lambdas(grid.taus):
-        closed = [_closed_form_from_lambda(lam) for lam in lams.tolist()]
-        cells = np.column_stack([taus.real, taus.imag, lams.real, lams.imag,
-                                 closed])
-        flat = tuple(cells.ravel().tolist())
-        chunks.append((_CSV_ROW * len(closed)) % flat)
+    for im, lams in zip(grid.im_axis, _grid_lambdas(grid.re_axis, grid.im_axis)):
+        cells = []
+        for re, lam in zip(grid.re_axis, lams):
+            cells += (re, im, lam.real, lam.imag, _closed_form_from_lambda(lam))
+        chunks.append(row_format % tuple(cells))
     # A sibling of scan's own: mode "x" never opens an existing file, and a
     # clash of the 48 random bits would fail with exit 4, not overwrite.
     tmp_path = f"{args.out}.{os.urandom(6).hex()}.tmp"

@@ -40,7 +40,6 @@ import cmath
 import enum
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -240,7 +239,9 @@ class Divisor:
     def __rmul__(self, k: int) -> "Divisor":
         """k * self.  Reduction leaves the canonical points where they are,
         so a nonzero k scales the multiplicities of the same terms."""
-        if not isinstance(k, int):
+        try:
+            k = _as_int("scale", k)
+        except ValueError:
             return NotImplemented
         return Divisor(self.curve, [(p, k * m) for p, m in self.terms])
 
@@ -456,12 +457,14 @@ class RationalMapSpec:
         if self.kind not in ("identity", "power", "translation"):
             raise CapabilityError(f"map kind {self.kind!r} is outside the catalog")
         if self.kind == "power":
-            n = self.exponent
-            if (isinstance(n, bool) or not hasattr(type(n), "__index__")
-                    or operator.index(n) not in (2, 3)):
+            try:
+                n = _as_int("exponent", self.exponent)
+            except ValueError:
+                n = None
+            if n not in (2, 3):
                 raise CapabilityError("power maps are supported for exponents 2 "
-                                      f"and 3 only, got {n!r}")
-            object.__setattr__(self, "exponent", operator.index(n))
+                                      f"and 3 only, got {self.exponent!r}")
+            object.__setattr__(self, "exponent", n)
         if self.kind == "translation":
             if not isinstance(self.offset, numbers.Complex):
                 raise CapabilityError("translation map needs a numeric offset, "

@@ -36,10 +36,10 @@ many (complex scalars, or complex arrays that broadcast) by the same
 scalars' bit for bit (tests compare them by ``float.hex``).  It keeps no
 state and validates nothing: ``theta`` checks the one input, z, that can
 put a term out of double range.  ``theta`` and ``_theta_constants`` call
-it at one point, ``_batch_lambdas`` (``holink scan``) at THETA_BLOCK taus
-at z = 0, and ``verify``'s Green-kernel Laplacian at many in-cell z of one
-tau.  A size-1 array call takes 170-250 us against 5-15 us for a scalar
-(2-vCPU x86-64 host, numpy 2.4), about 1 us a point over verify's 20,320.
+it at one point, and ``verify``'s Green-kernel Laplacian at its 20,320
+in-cell z of one tau.  ``holink scan`` sums theta2(0) and theta3(0) over
+its grid in ``_grid_lambdas``, each term from a row's modulus and a
+column's phase, bit for bit as the series sums them, without numpy.
 numpy is imported inside the functions that build arrays, so a process
 that builds none never loads it.  No fundamental-domain reduction of tau is
 performed; construction of ``TauParameter`` requires Im tau >= MIN_IM_TAU
@@ -69,12 +69,6 @@ if TYPE_CHECKING:
 
 MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
-
-#: Taus per block of ``_batch_lambdas`` (one theta series call per kind
-#: over the block, then lambda over it): enough to spread
-#: numpy's per-call cost thin, few enough that a long sequence holds one
-#: block of arrays at a time.
-THETA_BLOCK = 1024
 
 #: Snap radius onto half-integer lattice coordinates in ``reduce_mod_lattice``.
 SNAP_TOL = 1e-12
@@ -247,10 +241,11 @@ def _term_range(half: bool, im_tau: float, abs_im_z: float) -> range:
 
 def _theta_series(kind: int, z, tau) -> complex | np.ndarray:
     """theta_kind at a valid kind, z and a shifted tau whose terms stay below
-    exp(_EXP_CAP): complex scalars, or complex arrays that broadcast.  Arrays
-    take complex ``np.exp`` (libm's exp(x) * (cos y, sin y), as ``cmath``)
-    and each point's count from ``_term_range``'s rule in ``np.sqrt`` and
-    ``np.floor``, which round as ``math``'s do; ``np.where`` ends it there."""
+    exp(_EXP_CAP): complex scalars, or complex arrays that broadcast, which
+    only ``verify``'s Laplacian passes.  Arrays take complex ``np.exp``
+    (libm's exp(x) * (cos y, sin y), as ``cmath``) and each point's count
+    from ``_term_range``'s rule in ``np.sqrt`` and ``np.floor``, which round
+    as ``math``'s do; ``np.where`` ends it there."""
     half = kind in (1, 2)
     total = 0j if half else 1 + 0j
     if isinstance(z, complex) and isinstance(tau, complex):
@@ -537,23 +532,30 @@ def modular_lambda(tau: TauParameter | complex) -> complex:
     return c2 ** 4 / c3 ** 4
 
 
-def _batch_lambdas(taus: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(taus, lambdas) array pairs, one per THETA_BLOCK block, that run
-    through a 1-d array of taus that already pass the tau rule.  The theta
-    series gives theta2 and theta3 at the shifted taus, and each lambda is
-    formed in Python over ``.tolist()``, as ``modular_lambda`` forms it:
-    the two agree bit for bit by construction."""
-    import numpy as np
-    for lo in range(0, taus.size, THETA_BLOCK):
-        block = taus[lo:lo + THETA_BLOCK]
-        shifted = np.array([_even_shift(tau) for tau in block.tolist()])
-        # A term past a tau's count, which the series drops, may overflow
-        # (Im tau * a^2 far up the imaginary axis, with taus near the floor).
-        with np.errstate(over="ignore", invalid="ignore"):
-            c2, c3 = (_theta_series(kind, 0j, shifted).tolist()
-                      for kind in (2, 3))
-        yield block, np.array([a ** 4 / b ** 4 for a, b in zip(c2, c3)],
-                              dtype=complex)
+def _grid_lambdas(re_axis: list[float],
+                  im_axis: list[float]) -> Iterator[list[complex]]:
+    """``modular_lambda`` over the taus re + i*im of a grid that pass the tau
+    rule, bit for bit: one list over ``re_axis`` per im of ``im_axis``.
+    ``cmath.exp`` takes a term of theta2(0) or theta3(0) at a shifted s as
+    exp(x) * (cos y, sin y): x depends on Im s alone, so a row takes exp(x)
+    once per a, and y on Re s alone, so a column's phase is taken once per
+    a.  Rows sum h = total / 2 in the series' order (halving is exact)."""
+    columns = [_even_shift(complex(re, im_axis[0])) for re in re_axis]
+    phases: dict[tuple[bool, int], list[complex]] = {}
+    for im in im_axis:
+        row = _even_shift(complex(re_axis[0], im))
+        halves = []
+        for half, h0 in ((True, 0j), (False, 0.5 + 0j)):
+            h = [h0] * len(columns)
+            for n in _term_range(half, im, 0.0):
+                a = n + 0.5 if half else n
+                if (half, n) not in phases:
+                    phases[half, n] = [complex(math.cos(y), math.sin(y)) for y in
+                                       ((_IPI * (tau * a * a)).imag for tau in columns)]
+                m = math.exp((_IPI * (row * a * a)).real)
+                h = [t + m * p for t, p in zip(h, phases[half, n])]
+            halves.append(h)
+        yield [(c2 + c2) ** 4 / (c3 + c3) ** 4 for c2, c3 in zip(*halves)]
 
 
 def lambda_complement_ratio(tau: TauParameter | complex) -> complex:

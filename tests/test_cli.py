@@ -20,7 +20,7 @@ from holink.cli import (
     parse_complex,
 )
 from holink.massey import massey_report, massey_value_closed_form
-from holink.special_functions import THETA_BLOCK, TauParameter, modular_lambda
+from holink.special_functions import TauParameter, modular_lambda
 
 
 @pytest.fixture(autouse=True)
@@ -92,16 +92,11 @@ def test_divisor_json_schema():
 
 def test_scan_grid_geometry():
     g = ScanGrid(-1.0, 1.0, 0.5, 1.5, 3, 2)
-    pts = g.taus.tolist()
-    assert len(pts) == 6
-    assert pts[0] == -1.0 + 0.5j
-    assert pts[1] == 0.0 + 0.5j          # re varies fastest
-    assert pts[2] == 1.0 + 0.5j
-    assert pts[3] == -1.0 + 1.5j
-    assert pts[-1] == 1.0 + 1.5j         # endpoints inclusive
+    assert g.re_axis == [-1.0, 0.0, 1.0]  # endpoints inclusive
+    assert g.im_axis == [0.5, 1.5]
     single = ScanGrid(0.25, 0.25, 1.0, 1.0, 1, 1)
-    assert single.taus.tolist() == [0.25 + 1.0j]
-    signed_zero = ScanGrid(-0.0, -0.0, 1.0, 1.0, 1, 1).taus[0].real
+    assert (single.re_axis, single.im_axis) == ([0.25], [1.0])
+    signed_zero, = ScanGrid(-0.0, -0.0, 1.0, 1.0, 1, 1).re_axis
     assert math.copysign(1.0, signed_zero) == -1.0
     for bad in (
         dict(re_min=1.0, re_max=-1.0, im_min=0.5, im_max=1.5, steps_re=2, steps_im=2),
@@ -109,6 +104,9 @@ def test_scan_grid_geometry():
         dict(re_min=-1.0, re_max=1.0, im_min=0.0, im_max=1.5, steps_re=2, steps_im=2),
         dict(re_min=-1.0, re_max=1.0, im_min=1.5, im_max=0.5, steps_re=2, steps_im=2),
         dict(re_min=-1.0, re_max=1.0, im_min=0.5, im_max=1.5, steps_re=0, steps_im=2),
+        # a bool is not a step count, as it is no theta kind or radius
+        dict(re_min=0.25, re_max=0.25, im_min=1.0, im_max=1.0, steps_re=True,
+             steps_im=True),
         dict(re_min=-math.inf, re_max=1.0, im_min=0.5, im_max=1.5, steps_re=2, steps_im=2),
         # the axis formula overflows to inf inside these bounds
         dict(re_min=-5e307, re_max=5e307, im_min=0.5, im_max=1.5, steps_re=3, steps_im=2),
@@ -395,7 +393,7 @@ def test_scan_builds_no_green_terms(tmp_path, monkeypatch):
 def _scalar_rows(grid):
     """The CSV rows of ``grid`` from a scalar ``modular_lambda`` loop."""
     rows = []
-    for tau in grid.taus.tolist():
+    for tau in (complex(re, im) for im in grid.im_axis for re in grid.re_axis):
         lam = modular_lambda(tau)
         rows.append(f"{tau.real:.12g},{tau.imag:.12g},{lam.real:.12g},"
                     f"{lam.imag:.12g},{massey_value_closed_form(tau):.12g}")
@@ -403,8 +401,8 @@ def _scalar_rows(grid):
 
 
 def test_scan_one_column_matches_scalar_loop(tmp_path):
-    # One column longer than a block: blocks run across grid rows.
-    steps_im = THETA_BLOCK + 37
+    # A column of 1061 rows, each of one tau.
+    steps_im = 1061
     out_path = tmp_path / "column.csv"
     assert _scan(out_path, 0.25, 0.25, 0.5, 3, 1, steps_im) == 0
     grid = ScanGrid(0.25, 0.25, 0.5, 3.0, 1, steps_im)
@@ -413,9 +411,8 @@ def test_scan_one_column_matches_scalar_loop(tmp_path):
 
 def test_scan_far_up_the_imaginary_axis_is_silent(tmp_path):
     # There the rule sums theta2's first term and no term of theta3, and no
-    # RuntimeWarning is printed.  In a block that also holds taus near the
-    # floor, Im(tau) * a^2 overflows for the terms that the far taus do not
-    # sum; they are dropped, silently too.
+    # RuntimeWarning is printed.  A grid that also holds rows near the floor
+    # shares its columns' phases with them; each row sums its own terms.
     out_path = tmp_path / "far.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -527,8 +524,9 @@ def test_verify_seed_42_stdout_is_pinned():
         "775123e5ebb043e9ab144aa6489327583019cf4f4ec6f195e9a95e061a0dcf0d")
 
 
-# The child runs every scalar path, checking after each that numpy is still
-# unloaded, then a 2x2 scan, which must load it: the check is not vacuous.
+# The child runs every scalar path and a 2x2 scan, checking after each that
+# numpy is still unloaded, then the lattice-sum oracle, which must load it:
+# the check is not vacuous.
 _NUMPY_FREE_SCRIPT = """
 import sys
 import holink, holink.cli
@@ -567,7 +565,9 @@ numpy_free("check_adjunction")
 assert holink.cli.main(["scan", "--re-min", "-0.5", "--re-max", "0.5",
                         "--im-min", "1", "--im-max", "2", "--steps-re", "2",
                         "--steps-im", "2", "--out", out]) == 0
-assert "numpy" in sys.modules, "scan ran without numpy"
+numpy_free("scan")
+holink.lattice_sum_p(0.1 + 0.2j, tau, 10)
+assert "numpy" in sys.modules, "lattice_sum_p ran without numpy"
 """
 
 

@@ -215,6 +215,15 @@ def test_negation_and_scaling_keep_canonical_terms():
                 == (-linking(d, w).value).hex())
 
 
+def test_divisor_scale_is_an_int_as_a_multiplicity_is():
+    # k * d takes what a multiplicity takes: any integral number but a bool.
+    d = Divisor.sphere([(1 + 1j, 1), (2.0, -1)])
+    assert d.__rmul__(np.int64(2)) == 2 * d
+    for k in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            k * d
+
+
 def test_adding_and_subtracting_a_divisor_gives_it_back():
     # d + e reduces the canonical points of d again; a reduced point is its
     # own representative, so (d + e) - e holds d's bits.
@@ -722,10 +731,16 @@ def test_map_catalog_validation():
     # catalog membership is decided when the spec is built
     for bad in (lambda: RationalMapSpec.power(5),
                 lambda: RationalMapSpec.power(2.0),
+                lambda: RationalMapSpec.power(True),
                 lambda: RationalMapSpec("translation"),
                 lambda: RationalMapSpec("translation", offset="abc")):
         with pytest.raises(CapabilityError):
             bad()
+    with pytest.raises(CapabilityError,
+                       match=r"^power maps are supported for exponents 2 and 3 only, got 2\.0$"):
+        RationalMapSpec.power(2.0)
+    assert RationalMapSpec.power(np.int64(3)).exponent == 3
+    assert type(RationalMapSpec.power(np.int64(3)).exponent) is int
     assert pushforward(sph, RationalMapSpec.identity()) == sph
     assert pullback(ell, RationalMapSpec.identity()) == ell
 

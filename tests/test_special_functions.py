@@ -33,8 +33,7 @@ from holink import (
 from holink import special_functions
 from holink.special_functions import (
     SNAP_TOL,
-    THETA_BLOCK,
-    _batch_lambdas,
+    _grid_lambdas,
     _theta_series,
 )
 from holink import verify
@@ -421,22 +420,24 @@ def test_lattice_sums_concurrent_taus_frozen_bits():
         sys.setswitchinterval(switch)
 
 
-def test_batch_lambdas_blocks_match_scalar_bitwise():
-    # THETA_BLOCK + 1 taus: one full block, then a size-1 partial block.
-    # Re tau reaches past +-1, where both paths shift it, to +-1e3 and to
+def test_grid_lambdas_match_scalar_bitwise():
+    # Rows from the Im tau floor through TAU_BOX to the cusp, past the
+    # underflow of theta2's first term (Im tau 838 to 948) and to 1e308;
+    # columns past +-1, where both paths shift Re tau, to +-1e3 and to
     # 3e306, where a phase at the caller's tau would leave double range,
-    # and Im tau the floor.
-    rng = np.random.default_rng(7)
-    _, (_, im_hi) = TAU_BOX
-    taus = [complex(rng.uniform(-3.0, 3.0), rng.uniform(0.05, im_hi))
-            for _ in range(THETA_BLOCK + 1)]
-    taus[:4] = [1e3 + 0.3j, -1e3 + 0.05j, 1e306 + 5j, 3e306 + 0.5j]
-    got = list(_batch_lambdas(np.array(taus)))
-    assert [block.size for block, _ in got] == [THETA_BLOCK, 1]
-    assert [tau for block, _ in got for tau in block.tolist()] == taus
-    assert ([_hex(lam) for _, lams in got for lam in lams.tolist()]
-            == [_hex(modular_lambda(t)) for t in taus])
-    assert list(_batch_lambdas(np.array([], dtype=complex))) == []
+    # signed and subnormal near 0 too.
+    rng = random.Random(7)
+    (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
+    re_axis = [1e3, -1e3, 1e306, 3e306, -0.0, 0.5, 1.0, -1.0, 1e-300,
+               -5e-324, 2.6, -2.6] + [rng.uniform(-3.0, 3.0) for _ in range(20)]
+    im_axis = ([0.05, im_lo, im_hi, 13.6, 54.0, 400.0, 900.0, 940.0, 1e300,
+                1e308] + [rng.uniform(0.05, im_hi) for _ in range(20)]
+               + [rng.uniform(838.0, 948.0) for _ in range(5)])
+    rows = list(_grid_lambdas(re_axis, im_axis))
+    assert [len(row) for row in rows] == [len(re_axis)] * len(im_axis)
+    assert ([[_hex(lam) for lam in row] for row in rows]
+            == [[_hex(modular_lambda(complex(re, im))) for re in re_axis]
+                for im in im_axis])
 
 
 # Floor-band taus near the cusps Re tau = +-1, where |lambda| is 6e10 to
@@ -455,8 +456,8 @@ CUSP_REFERENCES = [
                               "abs-lambda-1e26"])
 def test_cusp_floor_lambda_and_massey_match_reference(tau, value):
     lam = modular_lambda(tau)
-    (_, lams), = _batch_lambdas(np.array([tau]))
-    assert _hex(lams[0]) == _hex(lam)
+    (grid_lam,), = _grid_lambdas([tau.real], [tau.imag])
+    assert _hex(grid_lam) == _hex(lam)
     rep = massey_report(tau)
     for got in (rep.value_closed_form, rep.value_via_linking):
         assert abs(got - value) <= 1e-9 * abs(value)
@@ -494,16 +495,16 @@ def _within_exponent_rounding(got, ref):
 def test_theta_and_lambda_far_up_the_cusp_match_reference():
     # The first paired term of theta1 and theta2 is always summed: from
     # Im tau ~ 54 on it alone is below the rule's EPS_SERIES / 4, yet it is
-    # the value.  Over an array the series sums it too, bit for bit.
+    # the value.  Over an array the series sums it too, bit for bit, and so
+    # does the grid kernel.
     for kind, z, tau, ref in THETA_HIGH_REFERENCES:
         got = theta(kind, z, tau)
         assert _within_exponent_rounding(got, ref), (kind, z, tau)
         values = _theta_series(kind, np.array([z]), np.array([tau]))
         assert _hex(values[0]) == _hex(got), (kind, z, tau)
-    taus = [tau for tau, _ in LAMBDA_HIGH_REFERENCES]
-    (_, lams), = _batch_lambdas(np.array(taus))
-    for (tau, ref), lam in zip(LAMBDA_HIGH_REFERENCES, lams.tolist()):
+    for tau, ref in LAMBDA_HIGH_REFERENCES:
         assert _within_exponent_rounding(modular_lambda(tau), ref), tau
+        (lam,), = _grid_lambdas([tau.real], [tau.imag])
         assert _hex(lam) == _hex(modular_lambda(tau)), tau
 
 
@@ -535,7 +536,8 @@ def test_theta_far_along_re_tau_is_a_power_of_i_times_the_shifted():
 def test_no_series_runs_at_an_unshifted_tau(monkeypatch):
     # Every theta series, at one point or over an array, sees |Re tau| <= 1,
     # so no phase of a term can leave double range: the series checks for
-    # none.
+    # none.  The grid kernel's phases are those of the shifted tau: its
+    # lambda there is its lambda at tau, bit for bit.
     seen = []
     series = special_functions._theta_series
 
@@ -555,7 +557,9 @@ def test_no_series_runs_at_an_unshifted_tau(monkeypatch):
         z = Divisor.elliptic(tau, [(0.1 + 0.2j, 1), (0.4 + 0.1j, -1)])
         w = Divisor.elliptic(tau, [(0.7 + 0.3j, 1), (0.3 + 0.4j, -1)])
         linking_elliptic(z, w)
-        list(_batch_lambdas(np.array([tau])))
+        s = TauParameter(tau).shifted
+        assert (_hex(next(_grid_lambdas([tau.real], [tau.imag]))[0])
+                == _hex(next(_grid_lambdas([s.real], [s.imag]))[0]))
     assert len(seen) > 3 and all(abs(t.real) <= 1.0 for t in seen)
 
 
