@@ -223,19 +223,20 @@ def cmd_scan(args) -> int:
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
     row_format = _CSV_ROW * len(grid.re_axis)
-    chunks = [CSV_HEADER + "\n"]
-    for im, lams in zip(grid.im_axis, _grid_lambdas(grid.re_axis, grid.im_axis)):
-        cells = []
-        for re, lam in zip(grid.re_axis, lams):
-            cells += (re, im, lam.real, lam.imag, _closed_form_from_lambda(lam))
-        chunks.append(row_format % tuple(cells))
+    rows = zip(grid.im_axis, _grid_lambdas(grid.re_axis, grid.im_axis))
     # A sibling of scan's own: mode "x" never opens an existing file, and a
     # clash of the 48 random bits would fail with exit 4, not overwrite.
     tmp_path = f"{args.out}.{os.urandom(6).hex()}.tmp"
     fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
-            fh.write("".join(chunks))
+            fh.write(CSV_HEADER + "\n")
+            for im, lams in rows:  # each row is written as it is formatted
+                cells = []
+                for re, lam in zip(grid.re_axis, lams):
+                    cells += (re, im, lam.real, lam.imag,
+                              _closed_form_from_lambda(lam))
+                fh.write(row_format % tuple(cells))
         os.replace(tmp_path, args.out)
     except BaseException:
         try:

@@ -19,19 +19,18 @@ to finite sums of logarithms:
   and any additive constant cancels in degree-zero double sums, so the
   constant is fixed to zero.
 
-``_check_pair`` decides disjointness for every pair before any term is
-formed.  One kernel body, ``_pair_greens``, evaluates g_tau, for the
-pairing and for ``arakelov_green`` alike: it builds theta1 at each
-difference from per-point phases and per-tau coefficients, divided by its
-largest term, so that no term leaves double range at any Im tau;
-``weierstrass_p`` folds its point the same way.  Its independent
-references, theta1's own series, live in the tests and in ``verify``'s
-Laplacian suite.  Each pair is taken in one canonical order, and both
-evaluators add their terms with ``math.fsum``, which is correctly rounded
-and so order independent: hence linking(z, w) == linking(w, z) holds bit
-for bit.  They only sum, with the one kernel: the comparison with the
-half-period closed form and the altered-kernel checks live with the other
-route comparisons, in ``massey`` and ``verify``.
+One kernel body, ``_pair_greens``, evaluates g_tau, for the pairing and
+for ``arakelov_green`` alike, and clears each pair of the pairing just
+before its term: it builds theta1 at each difference from per-point phases
+and per-tau coefficients, divided by its largest term, so that no term
+leaves double range at any Im tau; ``weierstrass_p`` folds its point the
+same way.  Its independent references, theta1's own series, live in the
+tests and in ``verify``'s Laplacian suite.  Each pair is taken in one
+canonical order, and both evaluators add their terms with ``math.fsum``,
+which is correctly rounded and so order independent: hence linking(z, w)
+== linking(w, z) holds bit for bit.  They only sum: the comparison with
+the half-period closed form and the altered-kernel checks live with the
+other route comparisons, in ``massey`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -130,15 +129,12 @@ def _point_key(p: Point) -> tuple:
     return (0, p.real, p.imag)
 
 
-def _sphere_measure(p: Point, q: Point) -> tuple[float | None, float]:
-    """(what the pairing sums from, distance) of two points of the sphere:
-    |p - q| twice, or None where INFINITY takes part, at distance 0 from
-    itself and inf from every finite point.  On an elliptic curve the
-    measure is ``_reduced_difference``."""
+def _sphere_distance(p: Point, q: Point) -> float:
+    """|p - q|; INFINITY is at distance 0 from itself and inf from every
+    finite point.  On an elliptic curve ``_reduced_difference`` measures."""
     if isinstance(p, _InfinityType) or isinstance(q, _InfinityType):
-        return None, 0.0 if p is q else math.inf
-    r = abs(p - q)
-    return r, r
+        return 0.0 if p is q else math.inf
+    return abs(p - q)
 
 
 #: Margin of the merge screen in ``Divisor``, in units of Im tau: far above
@@ -193,7 +189,7 @@ class Divisor:
                         continue
                     dist = _reduced_difference(p0, point, t)[1]
                 else:
-                    dist = _sphere_measure(p0, point)[1]
+                    dist = _sphere_distance(p0, point)
                 if dist < SNAP_TOL:
                     canon[i] = (p0, m0 + mult)
                     break
@@ -271,15 +267,8 @@ class LinkingResult:
     method: LinkingMethod
 
 
-def _check_pair(z: Divisor, w: Divisor, kind: str) -> list:
-    """Check curve kind, degrees and disjointness, in that order, and return
-    (a * b, what the pairing sums from) for each pair (P, a), (Q, b),
-    z-major: the first part of ``_sphere_measure`` on the sphere, and on an
-    elliptic curve (P, Q), smaller (re, im) first, as ``_reduced_difference``
-    orders them.  Reduced points whose imaginary parts differ by more than
-    apart_lo = 2 * DISJOINTNESS_TOL * max(1, Im tau), and by less than
-    Im tau - apart_lo, lie that far apart on the torus; only the other
-    pairs are measured, by ``_reduced_difference``."""
+def _check_pair(z: Divisor, w: Divisor, kind: str) -> None:
+    """Check curve kind, then degrees: the evaluators clear the pairs."""
     if z.curve.kind != kind or z.curve != w.curve:
         raise CurveMismatchError(
             f"expected two divisors on one {kind} curve, got "
@@ -288,27 +277,10 @@ def _check_pair(z: Divisor, w: Divisor, kind: str) -> list:
     for which, d in (("first", z), ("second", w)):
         if d.degree() != 0:
             raise HomologyError(f"{which} divisor has degree {d.degree()}, expected 0")
-    t = z.curve.tau
-    elliptic = kind == "elliptic"
-    if elliptic:
-        im_t = t.shifted.imag
-        apart_lo = 2.0 * DISJOINTNESS_TOL * max(1.0, im_t)
-        apart_hi = im_t - apart_lo
-    measured = []
-    for p, a in z.terms:
-        for q, b in w.terms:
-            if elliptic:
-                m = (p, q) if (p.real, p.imag) <= (q.real, q.imag) else (q, p)
-                dist = (math.inf if apart_lo < abs(p.imag - q.imag) < apart_hi
-                        else _reduced_difference(p, q, t)[1])
-            else:
-                m, dist = _sphere_measure(p, q)
-            if dist < DISJOINTNESS_TOL:
-                raise DisjointnessError(
-                    f"supports collide near {p!r} (distance {dist:.3e})"
-                )
-            measured.append((a * b, m))
-    return measured
+
+
+def _collision(p: Point, dist: float) -> DisjointnessError:
+    return DisjointnessError(f"supports collide near {p!r} (distance {dist:.3e})")
 
 
 def _pairing_sum(terms: Iterable[float]) -> float:
@@ -327,13 +299,21 @@ def _pairing_sum(terms: Iterable[float]) -> float:
 def linking_sphere(z: Divisor, w: Divisor) -> LinkingResult:
     """<Z, W> on the sphere: (1/pi) sum a*b*log|P - Q|.
 
-    Any pair containing the infinity marker contributes nothing (the factor
-    containing infinity drops out of the cross-ratio limit).  The swap
-    symmetry is exact: abs(p - q) == abs(q - p), and ``fsum`` is order
-    independent.
+    Every pair is cleared before any term is formed.  Any pair containing
+    the infinity marker contributes nothing (the factor containing infinity
+    drops out of the cross-ratio limit).  The swap symmetry is exact:
+    abs(p - q) == abs(q - p), and ``fsum`` is order independent.
     """
-    total = _pairing_sum(ab * math.log(r) for ab, r in _check_pair(z, w, "sphere")
-                         if r is not None)
+    _check_pair(z, w, "sphere")
+    measured = []
+    for p, a in z.terms:
+        for q, b in w.terms:
+            dist = _sphere_distance(p, q)
+            if dist < DISJOINTNESS_TOL:
+                raise _collision(p, dist)
+            if INFINITY not in (p, q):
+                measured.append((a * b, dist))
+    total = _pairing_sum(ab * math.log(r) for ab, r in measured)
     return LinkingResult(total / math.pi, LinkingMethod.CROSS_RATIO)
 
 
@@ -345,14 +325,13 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     the fundamental cell once, so periodicity is exact, and g is the
     pairing's kernel ``_pair_greens`` at the pair (0, reduced u), whose
     terms stay in double range at any Im tau.  Lattice points are poles:
-    PoleError within POLE_TOL of a cell corner.  Pass one ``TauParameter``
-    for many points: a bare tau builds ``_green_terms`` anew on each call.
+    PoleError within POLE_TOL of a cell corner, the only check made.
     """
     t = as_tau(tau)
     ur = reduce_mod_lattice(u, t)
     if _corner_distance(ur, t) < POLE_TOL:
         raise PoleError(f"green kernel has a logarithmic pole at {u!r}")
-    return next(_pair_greens(t, (0j, ur), [(1, (0j, ur))]))
+    return next(_pair_greens(t, ((0j, 1),), ((ur, 1),), clear=False))
 
 
 def linking_elliptic(z: Divisor, w: Divisor) -> LinkingResult:
@@ -360,18 +339,23 @@ def linking_elliptic(z: Divisor, w: Divisor) -> LinkingResult:
 
     value = sum_{(P,a)} sum_{(Q,b)} a * b * g_tau(P - Q).
 
-    ``_check_pair`` decides disjointness for every pair first, then
-    ``_pair_greens`` forms the terms.
+    One pass of ``_pair_greens``, z-major, clears each pair and then forms
+    its term; the first colliding pair raises DisjointnessError.
     """
-    pairs = _check_pair(z, w, "elliptic")
-    greens = _pair_greens(z.curve.tau, z.support() + w.support(), pairs)
+    _check_pair(z, w, "elliptic")
+    greens = _pair_greens(z.curve.tau, z.terms, w.terms)
     return LinkingResult(_pairing_sum(greens), LinkingMethod.ARAKELOV_GREEN)
 
 
-def _pair_greens(t: TauParameter, points: Iterable[complex],
-                 pairs: list) -> Iterator[float]:
-    """a * b * g_tau(A - B) for each (a * b, (A, B)) of ``pairs``, as from
-    ``_check_pair``, with A and B among ``points``, reduced points of ``t``.
+def _pair_greens(t: TauParameter, z_terms: Iterable, w_terms: Iterable,
+                 clear: bool = True) -> Iterator[float]:
+    """a * b * g_tau(A - B) for each (P, a) of ``z_terms`` and (Q, b) of
+    ``w_terms``, z-major, reduced points of ``t``: (A, B) is (P, Q) with the
+    smaller (re, im) first, as ``_reduced_difference`` orders them.  With
+    ``clear``, a pair nearer than DISJOINTNESS_TOL raises DisjointnessError
+    before its term; only a pair whose Im parts differ by at most apart_lo
+    = 2 * DISJOINTNESS_TOL * max(1, Im tau), or by at least Im tau -
+    apart_lo, can be, and ``_reduced_difference`` measures those.
 
     The pair is taken at u = A + s*tau - B, s in {-1, 0, 1}, so that
     y = Im u has |y| <= Im tau / 2 (g is periodic).  With X = exp(2*pi*i*u),
@@ -391,32 +375,44 @@ def _pair_greens(t: TauParameter, points: Iterable[complex],
     coefs, up, down = t._green_terms
     im_t = t.shifted.imag
     half = 0.5 * im_t
-    phases = {}
-    for p in points:
-        e = _turn(p.real)
-        phases[p] = e, e.conjugate()
-    for ab, (p, q) in pairs:
-        y = p.imag - q.imag
-        ep, ep_c = phases[p]
-        eq, eq_c = phases[q]
-        ph, ph_c = ep * eq_c, eq * ep_c
-        if y > half:
-            y -= im_t
-            ph, ph_c = ph * down, ph_c * up
-        elif y < -half:
-            y += im_t
-            ph, ph_c = ph * up, ph_c * down
-        if y < 0.0:
-            y = -y
-            ph, ph_c = ph_c, ph
-        x = ph * math.exp(-_TWO_PI * y)
-        x_inv = ph_c * math.exp(_TWO_PI * (y - half))
-        gx = g_inv = 0.0
-        for c, d in coefs:
-            gx = gx * x + c
-            g_inv = g_inv * x_inv + d
-        gap = half - y
-        yield ab * (math.log(abs(x * gx - g_inv)) / math.pi - gap * (gap / im_t))
+    apart_lo = 2.0 * DISJOINTNESS_TOL * max(1.0, im_t)
+    apart_hi = im_t - apart_lo
+    w_phased = []
+    for q, b in w_terms:
+        e = _turn(q.real)
+        w_phased.append((q, b, e, e.conjugate()))
+    for p, a in z_terms:
+        ep = _turn(p.real)
+        ep_c = ep.conjugate()
+        for q, b, eq, eq_c in w_phased:
+            y = p.imag - q.imag
+            if clear and not apart_lo < abs(y) < apart_hi:
+                dist = _reduced_difference(p, q, t)[1]
+                if dist < DISJOINTNESS_TOL:
+                    raise _collision(p, dist)
+            if p.real < q.real or p.real == q.real and p.imag <= q.imag:
+                ph, ph_c = ep * eq_c, eq * ep_c
+            else:
+                y = -y
+                ph, ph_c = eq * ep_c, ep * eq_c
+            if y > half:
+                y -= im_t
+                ph, ph_c = ph * down, ph_c * up
+            elif y < -half:
+                y += im_t
+                ph, ph_c = ph * up, ph_c * down
+            if y < 0.0:
+                y = -y
+                ph, ph_c = ph_c, ph
+            x = ph * math.exp(-_TWO_PI * y)
+            x_inv = ph_c * math.exp(_TWO_PI * (y - half))
+            gx = g_inv = 0.0
+            for c, d in coefs:
+                gx = gx * x + c
+                g_inv = g_inv * x_inv + d
+            gap = half - y
+            yield a * b * (math.log(abs(x * gx - g_inv)) / math.pi
+                           - gap * (gap / im_t))
 
 
 def linking(z: Divisor, w: Divisor) -> LinkingResult:
@@ -485,13 +481,8 @@ def pushforward(d: Divisor, spec: RationalMapSpec) -> Divisor:
         return d
     if spec.kind == "power":
         n = spec.exponent
-        terms = []
-        for p, m in d.terms:
-            if isinstance(p, _InfinityType):
-                terms.append((INFINITY, m))
-            else:
-                terms.append((p ** n, m))
-        return Divisor(d.curve, terms)
+        return Divisor(d.curve, [(p if p is INFINITY else p ** n, m)
+                                 for p, m in d.terms])
     # translation
     return Divisor(d.curve, [(p + spec.offset, m) for p, m in d.terms])
 

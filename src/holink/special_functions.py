@@ -156,7 +156,16 @@ def as_tau(tau: TauParameter | complex) -> TauParameter:
     """
     if isinstance(tau, TauParameter):
         return tau
-    return TauParameter(complex(tau))
+    v = complex(tau)
+    return _shared_tau(v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
+
+
+@lru_cache(maxsize=64)
+def _shared_tau(v: complex, *zero_signs: float) -> TauParameter:
+    """The TauParameter of a bare tau, one per bits of both parts (the signs
+    keep 0.0 and -0.0 apart), so that its tables are built once; the 64
+    latest are kept, and no failure is."""
+    return TauParameter(v)
 
 
 def _turn(x: float) -> complex:
@@ -495,9 +504,7 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
     ``linking._pair_greens``, X = exp(2*pi*i*u), theta2/theta1 = i*F2/F1
     with F1 = X G(X) - G(1/X) and F2 = X G(-X) + G(-1/X), none of whose
     terms exceeds 1, so p = e1 - (pi theta3(0) theta4(0) F2/F1)^2 at any
-    Im tau.  PoleError within POLE_TOL of the lattice.  Pass one
-    ``TauParameter`` for many points: a bare tau builds ``_green_terms``
-    anew on each call."""
+    Im tau.  PoleError within POLE_TOL of the lattice."""
     t = as_tau(tau)
     zr = reduce_mod_lattice(z, t)
     if _corner_distance(zr, t) < POLE_TOL:

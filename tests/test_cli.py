@@ -19,6 +19,7 @@ from holink.cli import (
     main,
     parse_complex,
 )
+from holink.errors import DivergenceError
 from holink.massey import massey_report, massey_value_closed_form
 from holink.special_functions import TauParameter, modular_lambda
 
@@ -457,9 +458,38 @@ def test_scan_near_the_cusp_matches_lambda(tmp_path, capsys):
     assert cells[2:4] == [f"{lam.real:.12g}", f"{lam.imag:.12g}"]
 
 
+def test_scan_failing_partway_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # Rows are written as they are formatted, so a failure partway leaves a
+    # partial temporary file, which scan removes.  Near the floor |1 - lambda|
+    # rounds to 0 at -0.018+0.059i, after the header is written.
+    out_path = tmp_path / "grid.csv"
+    assert _scan(out_path, -0.018, -0.018, 0.059, 0.059, 1, 1) == 3
+    assert "rounds to 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # The third row of the README box fails after two rows are on disk.
+    cli = sys.modules["holink.cli"]
+    closed_form = cli._closed_form_from_lambda
+    seen = []
+
+    def failing_in_row_3(lam):
+        seen.append(lam)
+        if len(seen) > 2 * 201:
+            [tmp] = tmp_path.iterdir()
+            assert tmp.name.startswith("grid.csv.") and tmp.suffix == ".tmp"
+            lines = tmp.read_text().splitlines()
+            assert lines[0] == CSV_HEADER and len(lines) > 201
+            raise DivergenceError("injected in row 3")
+        return closed_form(lam)
+
+    monkeypatch.setattr(cli, "_closed_form_from_lambda", failing_in_row_3)
+    assert _scan(out_path, -1, 1, 0.5, 2, 201, 5) == 3
+    assert "injected in row 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("im_tau, replace_fails, code", [
     (1.0, False, 0),
-    (0.059, False, 3),   # |1 - lambda| rounds to 0 before any file is made
+    (0.059, False, 3),   # |1 - lambda| rounds to 0: scan's own file is removed
     (1.0, True, 4),      # the rename fails: only scan's own file is removed
 ])
 def test_scan_leaves_other_tmp_files_alone(tmp_path, capsys, monkeypatch,

@@ -1,5 +1,6 @@
 """Divisor arithmetic and the linking pairings on both curves."""
 
+import hashlib
 import importlib
 import math
 import random
@@ -54,6 +55,19 @@ def _pair(rng, tau, k=2):
     while True:
         pts = [complex(rng.uniform(0.05, 0.95), 0) + rng.uniform(0.05, 0.95) * tau
                for _ in range(2 * k)]
+        if all(torus_distance(p, q, tau) > 1e-3
+               for i, p in enumerate(pts) for q in pts[i + 1:]):
+            return (Divisor.elliptic(tau, list(zip(pts[:k], mults))),
+                    Divisor.elliptic(tau, list(zip(pts[k:], mults))))
+
+
+def _pair_on_shared_lines(rng, tau, k):
+    """As ``_pair``, with the i-th points of the two divisors at one Im: at
+    such a pair y = 0, where the pair's orientation decides the bits."""
+    mults = [1, -1] * (k // 2)
+    while True:
+        ys = [rng.uniform(0.05, 0.95) for _ in range(k)]
+        pts = [complex(rng.uniform(0.05, 0.95), 0) + y * tau for y in ys + ys]
         if all(torus_distance(p, q, tau) > 1e-3
                for i, p in enumerate(pts) for q in pts[i + 1:]):
             return (Divisor.elliptic(tau, list(zip(pts[:k], mults))),
@@ -667,9 +681,8 @@ def test_linking_equals_sum_of_scalar_kernels_bitwise():
 
 
 def test_disjointness_is_checked_before_any_kernel():
-    # Every pair is measured before the kernel forms a term: the first pair,
-    # (0.25, 0), is clear, the second collides, and DisjointnessError names
-    # it.
+    # Each pair is measured before its own term: the first pair, (0.25, 0),
+    # is clear, the second collides, and DisjointnessError names it.
     tau = 0.3 + 950j
     z = Divisor.elliptic(tau, [(0.5, 1), (0.25, -1)])
     w = Divisor.elliptic(tau, [(0.0, 1), (0.25 + 1e-10, -1)])
@@ -679,11 +692,23 @@ def test_disjointness_is_checked_before_any_kernel():
         linking_elliptic(z, w)
 
 
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.3 + 950j])
+def test_shared_point_after_cleared_pairs_is_disjointness(tau):
+    # Three pairs are cleared and form their terms; the last shares its
+    # point exactly, and raises before log(0) could.
+    z = Divisor.elliptic(tau, [(0.25, -1), (0.5, 1)])
+    w = Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)])
+    with pytest.raises(DisjointnessError,
+                       match=re.escape("supports collide near (0.5+0j) "
+                                       "(distance 0.000e+00)")):
+        linking_elliptic(z, w)
+
+
 def test_linking_reduces_each_pair_once(monkeypatch):
     # The screen clears each pair whose imaginary parts differ by more than
     # the disjointness margin; the one pair here that shares its imaginary
-    # part is reduced once, and the kernel reduces none but gives each of
-    # the 16 pairs one term.
+    # part is reduced once, to be cleared, and the kernel's one pass gives
+    # each of the 16 pairs one term.
     tau = 0.3 + 1.1j
     z = Divisor.elliptic(tau, [(0.1 + 0.3j, 1), (0.4 + 0.7j, -1),
                                (0.35 + 0.5j, 1), (0.8 + 0.95j, -1)])
@@ -699,8 +724,8 @@ def test_linking_reduces_each_pair_once(monkeypatch):
         calls.append(z)
         return reduce(z, tv)
 
-    def counting_greens(t, points, pairs):
-        for term in greens(t, points, pairs):
+    def counting_greens(t, z_terms, w_terms, clear=True):
+        for term in greens(t, z_terms, w_terms, clear):
             terms.append(term)
             yield term
 
@@ -710,6 +735,32 @@ def test_linking_reduces_each_pair_once(monkeypatch):
     linking_elliptic(z, w)
     assert calls == [-0.5 + 0j]
     assert len(terms) == 4 * 4
+
+
+def test_linking_bits_are_pinned():
+    # The float.hex of seeded pairings, in both orders, hashed: k = 2, 4, 8
+    # points at taus of TAU_BOX, of the floor band and at Im tau = 400, four
+    # points on shared lines, and the half-period configuration of
+    # massey_value_via_linking.  A change to the kernel's arithmetic or to
+    # the pair's orientation moves it.
+    rng = np.random.default_rng(2929)
+    (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
+    hexes = []
+    for im_range in ((im_lo, im_hi), (0.05, 0.3), (400.0, 400.0)):
+        for _ in range(4):
+            tau = complex(rng.uniform(re_lo, re_hi), rng.uniform(*im_range))
+            pairs = [_pair(rng, tau, k) for k in (2, 4, 8)]
+            pairs.append(_pair_on_shared_lines(rng, tau, 4))
+            tv = TauParameter(tau).shifted
+            pairs.append((Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)]),
+                          Divisor.elliptic(tau, [(tv / 2.0, 1),
+                                                 ((1.0 + tv) / 2.0, -1)])))
+            for z, w in pairs:
+                hexes += [linking_elliptic(z, w).value.hex(),
+                          linking_elliptic(w, z).value.hex()]
+    digest = hashlib.sha256("\n".join(hexes).encode()).hexdigest()
+    assert digest == ("4fbf85375ca5b8b41bb1d84b9d664989"
+                      "cbb6e8a93b1ee162018caf6ea778164c")
 
 
 # -------------------------------------------------------------- catalog maps

@@ -131,8 +131,8 @@ def test_report_divergence_runs_no_kernel(monkeypatch):
     calls = []
     greens = linking._pair_greens
 
-    def counting(t, points, pairs):
-        for term in greens(t, points, pairs):
+    def counting(t, z_terms, w_terms, clear=True):
+        for term in greens(t, z_terms, w_terms, clear):
             calls.append(term)
             yield term
 

@@ -1,6 +1,7 @@
 """Theta series, half periods, the lattice-sum oracle, and modular lambda."""
 
 import cmath
+import functools
 import math
 import random
 import sys
@@ -60,6 +61,69 @@ def test_tau_parameter_validation():
     for bad in (1.0 + 0j, 2.0 - 1j, 0.5 + 0.04j, complex("inf"), complex("nan")):
         with pytest.raises(DomainError):
             TauParameter(bad)
+
+
+def test_as_tau_shares_one_tau_parameter_per_bits():
+    as_tau = special_functions.as_tau
+    tau = 0.3 + 1.1j
+    assert as_tau(tau) is as_tau(complex("0.3+1.1j"))
+    t = as_tau(tau)
+    assert as_tau(t) is t
+    # 0.0 and -0.0 compare equal, but their bits differ: two TauParameters,
+    # each keeping its own sign of zero
+    neg, pos = as_tau(complex(-0.0, 1.0)), as_tau(complex(0.0, 1.0))
+    assert neg is not pos
+    assert math.copysign(1.0, neg.value.real) == -1.0
+    assert math.copysign(1.0, pos.value.real) == 1.0
+    assert as_tau(complex(-0.0, 1.0)) is neg
+
+
+def test_as_tau_keeps_no_failure(monkeypatch):
+    built = []
+    validate = TauParameter.__post_init__
+
+    def counting(self):
+        built.append(self.value)
+        validate(self)
+
+    monkeypatch.setattr(TauParameter, "__post_init__", counting)
+    for _ in range(3):
+        with pytest.raises(DomainError, match="below the supported floor"):
+            special_functions.as_tau(0.3 + 0.01j)
+    assert built == [0.3 + 0.01j] * 3
+
+
+def test_as_tau_store_is_bounded():
+    # After the bound plus one distinct taus the least recent one is gone,
+    # and the next call builds it again.
+    as_tau = special_functions.as_tau
+    bound = special_functions._shared_tau.cache_info().maxsize
+    first = as_tau(0.1 + 2.5j)
+    for k in range(bound):
+        as_tau(complex(0.1, 3.0 + k / 1024))
+    assert special_functions._shared_tau.cache_info().currsize == bound
+    again = as_tau(0.1 + 2.5j)
+    assert again is not first and again == first
+
+
+def test_bare_tau_builds_green_terms_once(monkeypatch):
+    # arakelov_green and weierstrass_p at one bare tau share its table.
+    built = []
+    build = TauParameter.__dict__["_green_terms"].func
+
+    def counting(self):
+        built.append(self.value)
+        return build(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(TauParameter, "_green_terms")
+    monkeypatch.setattr(TauParameter, "_green_terms", prop)
+    special_functions._shared_tau.cache_clear()
+    tau = 0.3 + 1.1j
+    for _ in range(100):
+        arakelov_green(0.2 + 0.3j, tau)
+        weierstrass_p(0.2 + 0.3j, tau)
+    assert built == [tau]
 
 
 # theta(kind, z, tau) as (float.hex(real), float.hex(imag)), frozen from the
