@@ -73,7 +73,6 @@ from .hodge import (
 )
 from .massey import (
     MasseyReport,
-    find_vanishing_crossing,
     massey_report,
     massey_value_closed_form,
     massey_value_via_linking,
@@ -97,7 +96,7 @@ __all__ = [
     "BigradedDims", "BlowupCenter", "GroupAction", "blowup_assemble",
     "hodge_diamond_x", "invariant_dims", "invariant_dims_by_enumeration",
     "quotient_fixed_curves", "standard_quotient_action", "torus_hodge",
-    "MasseyReport", "find_vanishing_crossing", "massey_report",
+    "MasseyReport", "massey_report",
     "massey_value_closed_form", "massey_value_via_linking",
     "SuiteResult", "format_summary", "run_all",
     "__version__",

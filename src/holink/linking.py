@@ -23,14 +23,14 @@ One kernel body, ``_pair_greens``, evaluates g_tau, for the pairing and
 for ``arakelov_green`` alike, and clears each pair of the pairing just
 before its term: it builds theta1 at each difference from per-point phases
 and per-tau coefficients, divided by its largest term, so that no term
-leaves double range at any Im tau; ``weierstrass_p`` folds its point the
-same way.  Its independent references, theta1's own series, live in the
-tests and in ``verify``'s Laplacian suite.  Each pair is taken in one
-canonical order, and both evaluators add their terms with ``math.fsum``,
-which is correctly rounded and so order independent: hence linking(z, w)
-== linking(w, z) holds bit for bit.  They only sum: the comparison with
-the half-period closed form and the altered-kernel checks live with the
-other route comparisons, in ``massey`` and ``verify``.
+leaves double range at any Im tau; ``weierstrass_p`` sums the same folded
+theta1, ``_folded_theta1``.  Its independent references, theta1's own
+series, live in the tests and in ``verify``'s Laplacian suite.  Each pair
+is taken in one canonical order, and both evaluators add their terms with
+``math.fsum``, which is correctly rounded and so order independent: hence
+linking(z, w) == linking(w, z) holds bit for bit.  They only sum: the
+comparison with the half-period closed form and the altered-kernel checks
+live with the other route comparisons, in ``massey`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .special_functions import (
     TauParameter,
     _as_int,
     _corner_distance,
+    _folded_theta1,
     _reduce_point,
     _reduced_difference,
     _turn,
@@ -367,10 +368,10 @@ def _pair_greens(t: TauParameter, z_terms: Iterable, w_terms: Iterable,
     and |F| is |theta1(u)| over its largest term exp(-pi*Im(tau)/4 +
     pi*|y|).  So g_tau(u) = log|F| / pi - (Im tau / 2 - |y|)^2 / Im tau.
     X is exp(-2*pi*|y|) times the unit phases of A, B and s*tau, taken
-    once per point and once per tau.  G(1/X) is summed as sum d_n x_inv^n
-    with x_inv = exp(-pi*Im(tau)) / X, of modulus at most 1, and d_n from
-    ``TauParameter._green_terms``; every term of either sum is at most 1,
-    so nothing leaves double range.  Both sums run by Horner's rule.
+    once per point and once per tau.  F is ``_folded_theta1``, as in
+    ``weierstrass_p``; no term of it exceeds 1.  A product a * b beyond
+    double range makes the term inf, which ``_pairing_sum`` reports after
+    the pass, so a later colliding pair raises DisjointnessError first.
     """
     coefs, up, down = t._green_terms
     im_t = t.shifted.imag
@@ -406,13 +407,14 @@ def _pair_greens(t: TauParameter, z_terms: Iterable, w_terms: Iterable,
                 ph, ph_c = ph_c, ph
             x = ph * math.exp(-_TWO_PI * y)
             x_inv = ph_c * math.exp(_TWO_PI * (y - half))
-            gx = g_inv = 0.0
-            for c, d in coefs:
-                gx = gx * x + c
-                g_inv = g_inv * x_inv + d
             gap = half - y
-            yield a * b * (math.log(abs(x * gx - g_inv)) / math.pi
-                           - gap * (gap / im_t))
+            g = (math.log(abs(_folded_theta1(coefs, x, x_inv))) / math.pi
+                 - gap * (gap / im_t))
+            try:
+                g *= a * b
+            except OverflowError:  # a * b beyond double range
+                g = math.inf
+            yield g
 
 
 def linking(z: Divisor, w: Divisor) -> LinkingResult:

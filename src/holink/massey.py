@@ -13,10 +13,12 @@ The two routes share only the evaluation tau, ``TauParameter.shifted``,
 the exact even shift of Re tau into [-1, 1]: the closed form sums the theta
 constants' series, the linking route the pairing's own q-series of theta1
 (``linking_elliptic``).  They are computed independently here, and their
-agreement is one of the package's acceptance checks.  The value vanishes exactly on the locus
-|1 - lambda(tau)| = 1 (which contains the whole vertical line
-Re tau = 1/2), and is nonzero for generic tau, so the obstruction it
-measures does not vanish identically in the family.
+agreement is one of the package's acceptance checks.  The value vanishes
+exactly on the locus |1 - lambda(tau)| = 1, and is nonzero for generic tau,
+so the obstruction it measures does not vanish identically in the family.
+The locus contains the line Re tau = 1/2, where lambda(tau - 1) equals both
+conj(lambda(tau)) and lambda / (lambda - 1): so |lambda|^2 = 2 Re lambda,
+and |1 - lambda| = 1.
 """
 
 from __future__ import annotations
@@ -104,32 +106,3 @@ def massey_report(tau: TauParameter | complex,
         residual=abs(closed - via_linking),
         nonvanishing=abs(closed) > tolerance, lambda_at_tau=lam,
     )
-
-
-def find_vanishing_crossing() -> complex:
-    """Locate a zero of |1 - lambda(tau)| - 1 by bisection in Re tau.
-
-    The vanishing locus of the product value contains the whole line
-    Re tau = 1/2: there lambda(tau - 1) equals both conj(lambda(tau)) and
-    lambda/(lambda - 1), which forces |lambda|^2 = 2 Re lambda and hence
-    |1 - lambda| = 1.  A horizontal path therefore crosses the locus
-    transversally (the two sides carry reciprocal values of |1 - lambda|),
-    whereas a path *along* the line sees the function vanish identically
-    and admits no sign change.  Bisection runs at Im tau = 1 across the
-    line, over Re tau in [1/4, 3/4] (the function is -0.386 at the left end
-    and +0.629 at the right), and stops once the bracket is narrower than
-    1e-12, after 39 halvings, at Re tau = 1/2.
-    """
-    def f(re: float) -> float:
-        return abs(1.0 - modular_lambda(complex(re, 1.0))) - 1.0
-
-    lo, hi = 0.25, 0.75
-    while True:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0 or hi - lo < 1e-12:
-            return complex(mid, 1.0)
-        if f_mid > 0.0:
-            hi = mid
-        else:
-            lo = mid

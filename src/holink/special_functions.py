@@ -47,9 +47,9 @@ performed; construction of ``TauParameter`` requires Im tau >= MIN_IM_TAU
 Every evaluator of a lattice quantity, and the public ``theta``, runs at
 ``TauParameter.shifted``, an exact shift into |Re tau| <= 1 taken once per
 tau, so no phase of a term leaves double range.  The Green kernel, of the
-pairing and ``arakelov_green`` alike, and ``weierstrass_p`` sum theta in a
-third form, from per-point phases and ``TauParameter._green_terms``, at
-|Im u| <= Im tau / 2, in double range at any Im tau (see ``linking``).
+pairing and ``arakelov_green`` alike, and ``weierstrass_p`` sum theta1 in a
+third form, one body, ``_folded_theta1``, from ``TauParameter._green_terms``
+at |Im u| <= Im tau / 2, in double range at any Im tau (see ``linking``).
 """
 
 from __future__ import annotations
@@ -171,6 +171,19 @@ def _shared_tau(v: complex, *zero_signs: float) -> TauParameter:
 def _turn(x: float) -> complex:
     """exp(2*pi*i*x) for a finite x, taken at x - round(x), which is exact."""
     return cmath.exp(complex(0.0, 2.0 * _PI * (x - round(x))))
+
+
+def _folded_theta1(coefs: tuple[tuple[complex, complex], ...], x: complex,
+                   x_inv: complex) -> complex:
+    """F = x G(x) - G(1/x), G(t) = sum_n c_n t^n, by Horner's rule over
+    ``TauParameter._green_terms[0]``, G(1/x) as sum_n d_n x_inv^n with
+    x_inv = exp(-pi*Im(tau)) / x: theta1 over its largest term, up to a
+    unit factor, at x = exp(2*pi*i*u), |x| <= 1 (``linking._pair_greens``)."""
+    g = g_inv = 0.0
+    for c, d in coefs:
+        g = g * x + c
+        g_inv = g_inv * x_inv + d
+    return x * g - g_inv
 
 
 def _as_int(name: str, value) -> int:
@@ -500,11 +513,11 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
     """Weierstrass p(z) for the lattice Z + Z*tau, at tau.shifted.
 
     z is reduced into the cell once, to zr, and u = zr, or tau - zr where
-    Im zr > Im tau / 2 (p is even and periodic).  On the folded q-series of
-    ``linking._pair_greens``, X = exp(2*pi*i*u), theta2/theta1 = i*F2/F1
-    with F1 = X G(X) - G(1/X) and F2 = X G(-X) + G(-1/X), none of whose
-    terms exceeds 1, so p = e1 - (pi theta3(0) theta4(0) F2/F1)^2 at any
-    Im tau.  PoleError within POLE_TOL of the lattice."""
+    Im zr > Im tau / 2 (p is even and periodic).  At X = exp(2*pi*i*u),
+    theta2/theta1 = i*F2/F1 with F1 = F(X) of ``_folded_theta1`` and F2 =
+    -F(-X), as theta2(u) = theta1(u + 1/2); so p = e1 - (pi theta3(0)
+    theta4(0) F(-X)/F(X))^2 at any Im tau.  PoleError within POLE_TOL of
+    the lattice."""
     t = as_tau(tau)
     zr = reduce_mod_lattice(z, t)
     if _corner_distance(zr, t) < POLE_TOL:
@@ -514,15 +527,11 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
     ph = _turn(u.real)
     x = ph * math.exp(-2.0 * _PI * u.imag)
     x_inv = ph.conjugate() * math.exp(_PI * (2.0 * u.imag - tv.imag))
-    g = g_neg = g_inv = g_neg_inv = 0.0
-    for c, d in t._green_terms[0]:
-        g = g * x + c
-        g_neg = g_neg * -x + c
-        g_inv = g_inv * x_inv + d
-        g_neg_inv = g_neg_inv * -x_inv + d
+    coefs = t._green_terms[0]
+    ratio = _folded_theta1(coefs, -x, -x_inv) / _folded_theta1(coefs, x, x_inv)
     c2, c3, c4 = _theta_constants(tv)
     e1, _, _ = _half_periods(c2, c3, c4)
-    return e1 - (_PI * c3 * c4 * ((x * g_neg + g_neg_inv) / (x * g - g_inv))) ** 2
+    return e1 - (_PI * c3 * c4 * ratio) ** 2
 
 
 def modular_lambda(tau: TauParameter | complex) -> complex:

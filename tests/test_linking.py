@@ -704,6 +704,21 @@ def test_shared_point_after_cleared_pairs_is_disjointness(tau):
         linking_elliptic(z, w)
 
 
+@pytest.mark.parametrize("curve", [Curve.sphere(), Curve.elliptic(0.3 + 1.1j)])
+def test_collision_outranks_an_earlier_product_overflow(curve):
+    # The first pair's multiplicity product, 10^400, leaves double range;
+    # the last pair shares its point exactly.  Both curves report the
+    # collision: the elliptic pass makes the overflowed term inf and goes
+    # on, as the sphere clears every pair before any term.
+    m = 10 ** 200
+    z = Divisor(curve, [(0.1 + 0.2j, m), (0.6 + 0.5j, -m)])
+    w = Divisor(curve, [(0.35 + 0.9j, m), (0.6 + 0.5j, -m)])
+    with pytest.raises(DisjointnessError, match="supports collide"):
+        linking(z, w)
+    with pytest.raises(DomainError, match="double range"):
+        linking(z, Divisor(curve, [(0.35 + 0.9j, m), (0.65 + 0.55j, -m)]))
+
+
 def test_linking_reduces_each_pair_once(monkeypatch):
     # The screen clears each pair whose imaginary parts differ by more than
     # the disjointness margin; the one pair here that shares its imaginary
