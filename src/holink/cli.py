@@ -7,9 +7,9 @@ files), ``scan`` (CSV grid over tau), and ``verify`` (the seeded invariant
 suites).
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 mathematical domain error, 4 I/O error.  The environment variable
-HOLINK_TOL supplies a default tolerance; an explicit --tol flag wins over
-it.
+3 mathematical domain error, 4 I/O error (without a message where the
+reader of stdout has closed the pipe).  The environment variable HOLINK_TOL
+supplies a default tolerance; an explicit --tol flag wins over it.
 """
 
 from __future__ import annotations
@@ -307,7 +307,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits with 0 (--help) or 2
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader has gone, so there is no one to tell: exit 4 quietly,
+        # and point stdout at devnull so the flush at shutdown raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
     except HolinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

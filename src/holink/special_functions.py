@@ -30,20 +30,17 @@ least EPS_SERIES / 4, and always theta1's and theta2's first term (from
 Im tau ~ 54 on it alone is below that, yet it is the value): at most 136
 at Im tau >= MIN_IM_TAU, where no term passes exp(_EXP_CAP).
 
-One body, ``_theta_series(kind, z, tau)``, sums theta at one point and at
-many (complex scalars, or complex arrays that broadcast) by the same
-``_paired_term``s in the same order, so an array's values equal the
-scalars' bit for bit (tests compare them by ``float.hex``).  It keeps no
-state and validates nothing: ``theta`` checks the one input, z, that can
-put a term out of double range.  ``theta`` and ``_theta_constants`` call
-it at one point, and ``verify``'s Green-kernel Laplacian at its 20,320
-in-cell z of one tau.  ``holink scan`` sums theta2(0) and theta3(0) over
-its grid in ``_grid_lambdas``, each term from a row's modulus and a
-column's phase, bit for bit as the series sums them, without numpy.
-numpy is imported inside the functions that build arrays, so a process
-that builds none never loads it.  No fundamental-domain reduction of tau is
-performed; construction of ``TauParameter`` requires Im tau >= MIN_IM_TAU
-(= 0.05), as the q-series lose precision near that floor (|q| -> 0.855).
+One body, ``_theta_series(kind, z, tau)``, sums theta at one complex
+point.  It keeps no state and validates nothing: ``theta`` checks the one
+input, z, that can put a term out of double range.  ``theta`` and
+``_theta_constants`` are its only callers.  ``holink scan`` sums theta2(0)
+and theta3(0) over its grid in ``_grid_lambdas``, each term from a row's
+modulus and a column's phase, bit for bit as the series sums them.  numpy
+is imported inside ``_lattice_sums_p``, the one function that builds
+arrays, so a process that does not call ``lattice_sum_p`` never loads it.
+No fundamental-domain reduction of tau is performed; construction of
+``TauParameter`` requires Im tau >= MIN_IM_TAU (= 0.05), as the q-series
+lose precision near that floor (|q| -> 0.855).
 Every evaluator of a lattice quantity, and the public ``theta``, runs at
 ``TauParameter.shifted``, an exact shift into |Re tau| <= 1 taken once per
 tau, so no phase of a term leaves double range.  The Green kernel, of the
@@ -60,12 +57,8 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, PoleError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
@@ -193,9 +186,10 @@ def _as_int(name: str, value) -> int:
     return operator.index(value)
 
 
-def _paired_term(kind: int, n: int, e_plus, e_minus):
-    """The n-th paired term of theta_kind from its exponentials at +-k, for
-    complex numbers or arrays alike: the sign rule of the theta series."""
+def _paired_term(kind: int, n: int, e_plus: complex,
+                 e_minus: complex) -> complex:
+    """The n-th paired term of theta_kind from its exponentials at +-k: the
+    sign rule of the theta series."""
     if kind == 1:
         return _THETA1_SIGNS[n & 1] * (e_plus - e_minus)
     if kind == 4 and n & 1:
@@ -261,39 +255,22 @@ def _term_range(half: bool, im_tau: float, abs_im_z: float) -> range:
     return range(1, math.floor(last) + 1)
 
 
-def _theta_series(kind: int, z, tau) -> complex | np.ndarray:
-    """theta_kind at a valid kind, z and a shifted tau whose terms stay below
-    exp(_EXP_CAP): complex scalars, or complex arrays that broadcast, which
-    only ``verify``'s Laplacian passes.  Arrays take complex ``np.exp``
-    (libm's exp(x) * (cos y, sin y), as ``cmath``) and each point's count
-    from ``_term_range``'s rule in ``np.sqrt`` and ``np.floor``, which round
-    as ``math``'s do; ``np.where`` ends it there."""
+def _theta_series(kind: int, z: complex, tau: complex) -> complex:
+    """theta_kind at a valid kind, a complex z and a shifted complex tau
+    whose terms stay below exp(_EXP_CAP): ``_term_range``'s paired terms,
+    summed in order."""
     half = kind in (1, 2)
     total = 0j if half else 1 + 0j
-    if isinstance(z, complex) and isinstance(tau, complex):
-        exp, at_zero, ends = cmath.exp, not z, None
-        terms = _term_range(half, tau.imag, abs(z.imag))
-    else:
-        import numpy as np
-        z, tau = np.broadcast_arrays(np.asarray(z, complex),
-                                     np.asarray(tau, complex))
-        exp, at_zero, total = np.exp, not z.any(), np.full(z.shape, total)
-        r = np.abs(z.imag) / tau.imag
-        last = r + np.sqrt(r * r + _TERM_C / tau.imag)
-        ends = np.maximum(1.0, np.floor(last + 0.5)) if half else np.floor(last) + 1.0
-        terms = range(0 if half else 1, int(ends.max(initial=0.0)))
-    for n in terms:
+    for n in _term_range(half, tau.imag, abs(z.imag)):
         a = n + 0.5 if half else n
         ta = tau * a * a
-        if at_zero:
-            e_plus = e_minus = exp(_IPI * ta)
+        if not z:
+            e_plus = e_minus = cmath.exp(_IPI * ta)
         else:
             kz = 2 * a * z
-            e_plus = exp(_IPI * (ta + kz))
-            e_minus = exp(_IPI * (ta - kz))
-        term = _paired_term(kind, n, e_plus, e_minus)
-        total = (total + term if ends is None
-                 else np.where(n < ends, total + term, total))
+            e_plus = cmath.exp(_IPI * (ta + kz))
+            e_minus = cmath.exp(_IPI * (ta - kz))
+        total += _paired_term(kind, n, e_plus, e_minus)
     return total
 
 
@@ -401,7 +378,7 @@ def _reduce_point(z: complex, tv: complex) -> complex:
 def _exact_cell_point(z: complex, tv: complex) -> complex:
     """The point of the cell congruent to z, from z's rational lattice
     coordinates reduced mod 1 and rounded once.  ``fractions`` is imported
-    here, off the import path, as numpy is where arrays are built."""
+    here, off the import path, as numpy is in ``_lattice_sums_p``."""
     from fractions import Fraction
     tr, ti = Fraction(tv.real), Fraction(tv.imag)
     y = Fraction(z.imag) / ti
@@ -491,22 +468,6 @@ def _lattice_sums_p(zs: list[complex], t: TauParameter,
     return [complex(1.0 / z ** 2 + np.sum(1.0 / np.square(z - w)
                                           + 1.0 / np.square(z + w) - c))
             for z in zs]
-
-
-def _extrapolated_lattice_sums_p(zs: list[complex], t: TauParameter,
-                                 radius: int) -> list[complex]:
-    """p at each z of ``zs`` off the lattice, by two Richardson steps
-    (Richardson & Gaunt, Phil. Trans. A 226, 1927) over the square sums
-    s1, s2, s4 of ``_lattice_sums_p`` at radius/4, radius/2 and radius (a
-    multiple of 4): r1 = (4*s2 - s1)/3 and r2 = (4*s4 - s2)/3 cancel the
-    R^-2 tail, and (8*r2 - r1)/7 = (32*s4 - 12*s2 + s1)/21 the R^-3 one,
-    leaving O(R^-4).  At radius 100 (26,600 lattice values per point
-    against 320,400 at radius 400), over the verify suites' tau box and
-    annulus 0.1 <= |z| <= 0.3, its error relative to the theta route was
-    at most 3.2e-8 (near the corners Re tau = +-0.9, Im tau = 0.3) and at
-    least 29x below the plain sum's at radius 400 at every point checked."""
-    s1, s2, s4 = (_lattice_sums_p(zs, t, radius * j // 4) for j in (1, 2, 4))
-    return [(32.0 * c - 12.0 * b + a) / 21.0 for a, b, c in zip(s1, s2, s4)]
 
 
 def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:

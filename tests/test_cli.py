@@ -344,6 +344,29 @@ def test_scan_single_point_and_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [["-u"], []])
+@pytest.mark.parametrize("argv", [["massey", "0.3+1i"],
+                                  ["verify", "--seed", "42"]])
+def test_closed_stdout_pipe_exits_4_without_a_word(argv, flags):
+    # As in `holink massey 0.3+1i | true`: the reader's end is closed before
+    # the child starts, so its first write to stdout fails.  Unbuffered (-u)
+    # that write comes inside the subcommand; block-buffered, at the flush
+    # that would otherwise come at shutdown.  Either way the exit code is
+    # the I/O error's, and stderr stays empty: no message and no
+    # "Exception ignored".
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, *flags, "-m", "holink.cli",
+                               *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == b""
+
+
 def _scan(out_path, re_min, re_max, im_min, im_max, steps_re, steps_im):
     return main(["scan", "--re-min", str(re_min), "--re-max", str(re_max),
                  "--im-min", str(im_min), "--im-max", str(im_max),
@@ -551,12 +574,12 @@ def test_verify_seed_42_stdout_is_pinned():
     run = subprocess.run(cmd, capture_output=True)
     assert run.returncode == 0
     assert hashlib.sha256(run.stdout).hexdigest() == (
-        "775123e5ebb043e9ab144aa6489327583019cf4f4ec6f195e9a95e061a0dcf0d")
+        "a8cc39b6eb7f08557966c15cc5d0d9deb32b302d53e74fef5061f585daf5dbaf")
 
 
-# The child runs every scalar path and a 2x2 scan, checking after each that
-# numpy is still unloaded, then the lattice-sum oracle, which must load it:
-# the check is not vacuous.
+# The child runs every scalar path, a 2x2 scan and the verify suites,
+# checking after each that numpy is still unloaded, then the lattice sum,
+# which must load it: the check is not vacuous.
 _NUMPY_FREE_SCRIPT = """
 import sys
 import holink, holink.cli
@@ -596,6 +619,8 @@ assert holink.cli.main(["scan", "--re-min", "-0.5", "--re-max", "0.5",
                         "--im-min", "1", "--im-max", "2", "--steps-re", "2",
                         "--steps-im", "2", "--out", out]) == 0
 numpy_free("scan")
+assert holink.cli.main(["verify", "--seed", "42"]) == 0
+numpy_free("verify")
 holink.lattice_sum_p(0.1 + 0.2j, tau, 10)
 assert "numpy" in sys.modules, "lattice_sum_p ran without numpy"
 """

@@ -2,14 +2,13 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from holink import (DomainError, LinkingMethod, LinkingResult, TauParameter,
-                    format_summary, reduce_mod_lattice, run_all, torus_distance)
+                    format_summary, run_all, torus_distance)
 from holink import verify
 from holink.special_functions import _theta_series
-from holink.verify import _SUITES, _worst_residual
+from holink.verify import _SUITES, _suite_rng, _worst_residual
 
 EXPECTED_SUITES = [
     "half-period-sum",
@@ -88,7 +87,7 @@ def test_tolerance_must_be_positive():
 
 
 def test_run_all_validates_each_tau_once(monkeypatch):
-    # seed 42 draws 867 distinct tau values; each suite validates a tau once
+    # seed 42 draws 872 distinct tau values; each suite validates a tau once
     # and hands the TauParameter on.
     built = []
     validate = TauParameter.__post_init__
@@ -109,30 +108,28 @@ def test_run_all_validates_each_tau_once(monkeypatch):
     "massey-lambda-periodicity"])
 def test_suites_pass_at_every_seed(name):
     # Each default was set from the suite's worst residual over seeds 0-199.
-    # The lambda suites' 1e-11 is about 10x over theirs, 1.07e-12
-    # (periodicity) and 9.8e-13 (complement), relative to max(1,
+    # The lambda suites' 1e-11 is 6.6x and 14x over theirs, 1.51e-12
+    # (periodicity) and 7.2e-13 (complement), relative to max(1,
     # |expected|): absolute residuals failed 1e-9 at six of these seeds,
     # where the compared values reach |.| ~ 2000.  The others' is the
     # smallest 1e-k or 5e-k at least 50x over theirs.  Each runner gets the
-    # child seed run_all would give it.
-    i = [n for n, _, _ in _SUITES].index(name)
-    _, runner, tol = _SUITES[i]
+    # stream run_all would give it.
+    _, runner, tol = next(suite for suite in _SUITES if suite[0] == name)
     for seed in range(200):
-        child = np.random.SeedSequence(seed).spawn(len(_SUITES))[i]
-        residuals, _ = runner(np.random.default_rng(child))
+        residuals, _ = runner(_suite_rng(seed, name))
         worst = _worst_residual(residuals)
         assert worst < tol, (name, seed, worst)
 
 
 def test_weierstrass_oracle_passes_at_every_seed():
-    # The extrapolated sums at radii 25, 50 and 100 against the theta route
-    # over TAU_BOX: the worst residual over seeds 0-199 is 1.02e-8 (seed
-    # 149), under the 1e-7 default.
-    i = [name for name, _, _ in _SUITES].index("weierstrass-oracle")
-    _, runner, tol = _SUITES[i]
+    # Eisenstein's row sums against the theta route over TAU_BOX: the worst
+    # residual over seeds 0-199 is 8.5e-15 (seed 65), and the 5e-13 default
+    # is the smallest 1e-k or 5e-k at least 50x over it.
+    name = "weierstrass-oracle"
+    _, runner, tol = next(suite for suite in _SUITES if suite[0] == name)
+    assert tol == 5e-13
     for seed in range(200):
-        child = np.random.SeedSequence(seed).spawn(len(_SUITES))[i]
-        residuals, _ = runner(np.random.default_rng(child))
+        residuals, _ = runner(_suite_rng(seed, name))
         worst = _worst_residual(residuals)
         assert worst < tol, (seed, worst)
 
@@ -183,36 +180,32 @@ def test_nan_lambda_fails_no_underflow(monkeypatch):
     assert result.worst == math.inf
 
 
-def _laplacian_grid_scalar(tau):
-    """The cell-by-cell loop of scalar theta1 series that ``_laplacian_grid``
-    replaces: the reference it must equal bit for bit.  g is formed from
-    theta1's definition at the reduced point, by the scalar series at the
-    point as it is; the public ``theta`` takes z - round(Re z) where
-    |Re z| > 1, which moves last bits at 0.3+0.8i."""
-    t = TauParameter(tau)
-    step, n = 2e-5, 64
+def test_laplacian_stencil_greens_are_near_the_scalar_series():
+    # Each stencil point's theta1 is a dot product of a row factor and a
+    # column factor, not the scalar series' sum of whole exponentials, so
+    # its last bits differ: every g lies within 2e-15 of the scalar
+    # series' g at tau = i and within 5e-15 at 0.3+0.8i (measured: 1.0e-15
+    # and 2.4e-15).  The points are u = (x + dx) + (y*tau + i*dy), in the
+    # kernel's cell order.
+    step, n = verify._STEP, verify._GRID
     h = 1.0 / n
+    mid = [(k + 0.5) * h for k in range(n)]
+    for tau, bound in ((1j, 2e-15), (0.3 + 0.8j, 5e-15)):
+        t = TauParameter(tau)
+        tv = t.shifted
 
-    def green(u):
-        ur = reduce_mod_lattice(u, t)
-        return (math.log(abs(_theta_series(1, ur, t.shifted))) / math.pi
-                - ur.imag ** 2 / t.value.imag)
+        def green(x, y, dx, dy):
+            w = complex(y * tv.real, y * tv.imag + dy)
+            th = _theta_series(1, (x + dx) + w, tv)
+            return math.log(abs(th)) / math.pi - w.imag ** 2 / tv.imag
 
-    out = []
-    for a in range(n):
-        for b in range(n):
-            u = (a + 0.5) * h + (b + 0.5) * h * t.value
-            if torus_distance(u, 0.0, t) < 3.0 * h:
-                continue
-            lap = (green(u + step) + green(u - step) + green(u + 1j * step)
-                   + green(u - 1j * step) - 4.0 * green(u)) / (step * step)
-            out.append(lap)
-    return np.array(out)
-
-
-def test_laplacian_grid_matches_scalar_loop_bitwise():
-    for tau in (1j, 0.3 + 0.8j):
-        got = verify._laplacian_grid(tau)
-        expected = _laplacian_grid_scalar(tau)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        cells = [(x, y) for x in mid for y in mid
+                 if torus_distance(x + y * tv, 0.0, t) >= 3.0 * h]
+        got = verify._stencil_greens(tau)
+        assert len(got) == len(cells) > 4000
+        for (x, y), greens in zip(cells, got):
+            want = (green(x, y, step, 0.0), green(x, y, -step, 0.0),
+                    green(x, y, 0.0, step), green(x, y, 0.0, -step),
+                    green(x, y, 0.0, 0.0))
+            assert all(abs(a - b) <= bound for a, b in zip(greens, want)), (
+                tau, x, y)
