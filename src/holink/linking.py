@@ -327,6 +327,13 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     pairing's kernel ``_pair_greens`` at the pair (0, reduced u), whose
     terms stay in double range at any Im tau.  Lattice points are poles:
     PoleError within POLE_TOL of a cell corner, the only check made.
+
+    Near the lattice the kernel's sums cancel: at distance d from it the
+    absolute error is about c * eps / d, with c below 1 over [-1, 1] x
+    [0.3, 3] and up to 37 near the cusp 0 at the Im tau floor (against
+    40-digit mpmath, 100 seeded points each).  Within the snap window of
+    ``reduce_mod_lattice``, where u moves by delta, add up to -log(1 -
+    delta/d) / pi: 4.8e-4 at tau = i, u = -5.5e-13 - 9.98e-12i.
     """
     t = as_tau(tau)
     ur = reduce_mod_lattice(u, t)

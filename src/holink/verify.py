@@ -6,9 +6,10 @@ returns its residuals; ``run_all`` alone reduces them to a worst residual
 and decides whether that passes its tolerance.  A NaN residual makes the
 worst NaN, which fails.  The formatted summary is a pure function of
 (seed, tolerance override), so two runs with the same arguments produce
-byte-identical text.  No suite uses numpy: the weierstrass-oracle sums p by
-Eisenstein's rows of sines, and the green-laplacian takes theta1 at each
-stencil point from a row factor and a column factor of its series.
+byte-identical text.  No suite uses numpy: the weierstrass-oracle compares
+the theta route for p with ``lattice_sum_p``, Eisenstein's rows of sines,
+and the green-laplacian takes theta1 at each stencil point from a row
+factor and a column factor of its series.
 
 A tolerance override, when given, replaces the per-suite defaults across
 the board.  Suites whose residuals are exactly zero (the integer-valued
@@ -52,6 +53,7 @@ from .special_functions import (
     as_tau,
     half_period_values,
     lambda_complement_ratio,
+    lattice_sum_p,
     modular_lambda,
     torus_distance,
     weierstrass_p,
@@ -125,40 +127,9 @@ def _suite_weierstrass_oracle(rng: random.Random) -> tuple[list, str]:
         tau = _random_tau(rng)
         for _ in range(10):
             z = _random_annulus_point(rng)
-            residuals.append(_scaled_error(_row_sum_p(z, tau),
+            residuals.append(_scaled_error(lattice_sum_p(z, tau),
                                            weierstrass_p(z, tau)))
     return residuals, "theta path vs Eisenstein row sums, 2 tau x 10 points"
-
-
-_PI2 = math.pi ** 2
-
-#: A row is summed while exp(-2*pi*(n*Im tau - |Im z|)), its size relative
-#: to the first, is at least 1e-18: n <= (_ROW_C + |Im z|) / Im tau.
-_ROW_C = math.log(1e18) / (2.0 * math.pi)
-
-
-def _row_sum_p(z: complex, t: TauParameter) -> complex:
-    """Weierstrass p(z) at ``t.shifted`` off the lattice, by Eisenstein's
-    row summation (A. Weil, Elliptic Functions according to Eisenstein and
-    Kronecker, 1976; DLMF 23.8): each row of the lattice sums in closed
-    form, sum_m (z + m + n*tau)^-2 = pi^2 csc^2(pi (z + n tau)), so
-
-        p(z) = pi^2 csc^2(pi z) - pi^2/3 + sum_{n >= 1} pi^2 [csc^2(pi (z +
-               n tau)) + csc^2(pi (z - n tau)) - 2 csc^2(pi n tau)],
-
-    whose rows fall off as exp(-2 pi n Im tau).  The row count is fixed
-    before the first row from Im tau and |Im z| (``_ROW_C``).  It shares
-    ``cmath.sin`` with holink, and no formula: no theta series, no
-    half-period value, no reduction of z."""
-    tv = t.shifted
-
-    def csc2(w: complex) -> complex:
-        return _PI2 / cmath.sin(math.pi * w) ** 2
-
-    total = csc2(z) - _PI2 / 3.0
-    for n in range(1, math.floor((_ROW_C + abs(z.imag)) / tv.imag) + 1):
-        total += csc2(z + n * tv) + csc2(z - n * tv) - 2.0 * csc2(n * tv)
-    return total
 
 
 def _scaled_error(got: complex, expected: complex) -> float:

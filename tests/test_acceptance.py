@@ -156,13 +156,13 @@ def test_criterion_08_weierstrass_oracle_and_lambda():
             radius = rng.uniform(0.1, 0.3)
             angle = rng.uniform(0.0, 2.0 * math.pi)
             z = radius * complex(math.cos(angle), math.sin(angle))
-            diff = abs(weierstrass_p(z, tau) - lattice_sum_p(z, tau, radius=400))
+            diff = abs(weierstrass_p(z, tau) - lattice_sum_p(z, tau))
             worst = max(worst, diff)
-    assert worst < 1e-6, worst
+    assert worst < 5e-12, worst
     lam_err = abs(modular_lambda(1j) - 0.5)
     assert lam_err < 1e-12, lam_err
-    print(f"criterion 8 PASS: theta route vs radius-400 lattice sum worst "
-          f"{worst:.3e} < 1e-6 at 20 points; |lambda(i) - 1/2| = {lam_err:.1e}")
+    print(f"criterion 8 PASS: theta route vs lattice row sum worst "
+          f"{worst:.3e} < 5e-12 at 20 points; |lambda(i) - 1/2| = {lam_err:.1e}")
 
 
 def test_criterion_09_green_laplacian_and_shift_invariance():

@@ -182,8 +182,8 @@ def test_divisor_multiplicity_must_be_int():
 
 
 def test_divisor_takes_numpy_integer_multiplicities():
-    # Any integral number but a bool, as theta's kind and lattice_sum_p's
-    # radius: stored as a Python int, so the divisor equals its plain twin.
+    # Any integral number but a bool, as theta's kind: stored as a Python
+    # int, so the divisor equals its plain twin.
     z = Divisor.sphere([(0.5, np.int64(1)), (1.5, -1)])
     assert z == Divisor.sphere([(0.5, 1), (1.5, -1)])
     assert all(type(m) is int for _, m in z.terms)

@@ -6,8 +6,6 @@ import hashlib
 import math
 import random
 import sys
-import threading
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -48,9 +46,6 @@ from holink.verify import TAU_BOX
 THETA3_AT_I = 1.086434811213308
 E1_AT_I = 6.8751858180203758
 LAMBDA_2I = (math.sqrt(2.0) - 1.0) ** 4
-# Agreed cross-path value of the radius-400 truncated lattice sum at z=1/2,
-# tau=i (the truncation tail |z|^2/400^2 ~ 1.56e-6 is visible here).
-LATTICE_HALF_I_400 = 6.875184259419312
 
 
 def _random_tau(rng):
@@ -266,78 +261,47 @@ def test_green_terms_follow_the_rule_at_z_zero():
         assert math.exp(-math.pi * im * (n_max + 1) ** 2) < eps / 4.0
 
 
-#: ``_lattice_sums_p`` values as (real, imag) ``float.hex``: the
-#: weierstrass-oracle suite's 10 points per tau at seed 42 and radius 400,
-#: and three points at two skewed taus at radii 10 (the minimum), 37, 150
-#: and 401.  The whole-array expression gave the first radii; in-place and
-#: row-block evaluations, since replaced by it again, gave 150 and 401.
+#: ``lattice_sum_p`` values as (real, imag) ``float.hex``: the
+#: weierstrass-oracle suite's former 10 points per tau at seed 42, and three
+#: points at two skewed taus.  The row sum gives them; the square sums of
+#: radius 400 and 401 pinned before it differed by 5e-10 to 2.2e-7.
 _ORACLE_HEX = {
     1j: [
-        ("-0x1.c027a961e36d3p+3", "-0x1.cf7cd0ce509d0p+0"),
-        ("-0x1.f333d2ee67db0p+3", "0x1.e30e775f38710p+2"),
-        ("0x1.9cf9c68f398a3p+3", "0x1.a32626a788b49p+0"),
-        ("-0x1.16ec60866610ap+4", "0x1.ee6024fc7f9ebp+3"),
-        ("-0x1.e6ebcf4974fe2p+2", "0x1.b258672c45939p+4"),
-        ("-0x1.d951c5dce1c56p+4", "0x1.faaf4738ae0aep+5"),
-        ("-0x1.9e6f1fe19956bp+5", "0x1.9bb3014d03250p+5"),
-        ("-0x1.879bea8bad605p+3", "-0x1.3423bc85ab310p+3"),
-        ("-0x1.6842117ce9f02p+3", "-0x1.ceaf9765d610fp+3"),
-        ("0x1.856dc629b5279p+4", "-0x1.6e632ec64fbdcp+3"),
+        ("-0x1.c027aa587b88dp+3", "-0x1.cf7ccfb20d536p+0"),
+        ("-0x1.f333d39d4187fp+3", "0x1.e30e76aa6f422p+2"),
+        ("0x1.9cf9c79d9084fp+3", "0x1.a326256e9d2d3p+0"),
+        ("-0x1.16ec60bb69accp+4", "0x1.ee60249b2ffbdp+3"),
+        ("-0x1.e6ebcf878b484p+2", "0x1.b25866f39744ep+4"),
+        ("-0x1.d951c5e6f7fefp+4", "0x1.faaf472dd71cap+5"),
+        ("-0x1.9e6f1fe9b6e39p+5", "0x1.9bb30144ebf93p+5"),
+        ("-0x1.879beb305e456p+3", "-0x1.3423bbf95f154p+3"),
+        ("-0x1.684211e863e8bp+3", "-0x1.ceaf96d3fad1dp+3"),
+        ("0x1.856dc66231c47p+4", "-0x1.6e632e8fba51fp+3"),
     ],
     1.3j: [
-        ("0x1.a9955be2ab9ffp+3", "0x1.1561d1b154595p+1"),
-        ("-0x1.6776fbae74857p+3", "-0x1.6765e2f731ef2p+3"),
-        ("0x1.3ac7a28fa4948p+1", "-0x1.a35caa3068065p+3"),
-        ("0x1.f07b837b4b758p+2", "-0x1.7bee57abc49e6p+3"),
-        ("-0x1.b7def70d21a31p+1", "-0x1.c0304ea85afedp+3"),
-        ("-0x1.054f119cb8d21p+4", "0x1.5416c713a329bp+4"),
-        ("-0x1.b9b4f04636fccp+4", "0x1.b354c67551c82p+5"),
-        ("-0x1.eb23326e2395ep+3", "0x1.67bb9b8c6b033p+4"),
-        ("0x1.0033462d55defp+6", "0x1.970da15220c0bp+5"),
-        ("-0x1.2b10fdbc92484p+5", "0x1.8ec7994e7833dp+5"),
+        ("0x1.a9955c6fa1dd5p+3", "0x1.1561d14c07ab5p+1"),
+        ("-0x1.6776fbfead97fp+3", "-0x1.6765e2a2b27a3p+3"),
+        ("0x1.3ac7a2ed43f81p+1", "-0x1.a35ca9ac9cb7dp+3"),
+        ("0x1.f07b8400f594ep+2", "-0x1.7bee573e71da1p+3"),
+        ("-0x1.b7def77c69cb9p+1", "-0x1.c0304e2e987cep+3"),
+        ("-0x1.054f11b174297p+4", "0x1.5416c6f8244dep+4"),
+        ("-0x1.b9b4f04d0be58p+4", "0x1.b354c66e8fac6p+5"),
+        ("-0x1.eb233293dc6dfp+3", "0x1.67bb9b7046b5ep+4"),
+        ("0x1.0033462f8c443p+6", "0x1.970da14e9af69p+5"),
+        ("-0x1.2b10fdc10362cp+5", "0x1.8ec7994886970p+5"),
     ],
 }
 _SKEWED_ZS = (0.1 + 0.05j, -0.23 + 0.17j, 0.31 - 0.12j)
 _SKEWED_HEX = {
-    (0.37 + 0.61j, 10): [
-        ("0x1.7d845cb7b6c49p+5", "-0x1.001119b663c7ep+6"),
-        ("0x1.0b83ad2442197p+2", "0x1.a8240bdac606cp+3"),
-        ("0x1.a020665738200p+2", "0x1.fce24dad7db27p+2"),
+    0.37 + 0.61j: [
+        ("0x1.7d84551f52b46p+5", "-0x1.0010d50d2b6eap+6"),
+        ("0x1.0b9b4c871e837p+2", "0x1.a81c6740794eep+3"),
+        ("0x1.a04661acec064p+2", "0x1.fce0cb4a04938p+2"),
     ],
-    (0.37 + 0.61j, 37): [
-        ("0x1.7d8455bcbfcfbp+5", "-0x1.0010da6e9ef5fp+6"),
-        ("0x1.0b99722ca8d66p+2", "0x1.a81d001782ea3p+3"),
-        ("0x1.a04367ea571d6p+2", "0x1.fce0e84d71481p+2"),
-    ],
-    (-0.9 + 0.3j, 10): [
-        ("0x1.6437a776a2344p+5", "-0x1.c6548a9a6f467p+5"),
-        ("0x1.9015e77bf2a42p+4", "0x1.4eb476596735dp+4"),
-        ("0x1.aa455148a5f60p+4", "0x1.42f289a99ed6cp+4"),
-    ],
-    (-0.9 + 0.3j, 37): [
-        ("0x1.64386f4132ba7p+5", "-0x1.c656d3629a83fp+5"),
-        ("0x1.8ff7ce51b1e46p+4", "0x1.4ebdaf1c48088p+4"),
-        ("0x1.aa1c0d4e76fefp+4", "0x1.42e8a8d33d62cp+4"),
-    ],
-    (0.37 + 0.61j, 150): [
-        ("0x1.7d8455291f1f6p+5", "-0x1.0010d562afad3p+6"),
-        ("0x1.0b9b2f138406bp+2", "0x1.a81c70bcfc456p+3"),
-        ("0x1.a04632624fe92p+2", "0x1.fce0cd158903dp+2"),
-    ],
-    (0.37 + 0.61j, 401): [
-        ("0x1.7d845520b3354p+5", "-0x1.0010d5192f778p+6"),
-        ("0x1.0b9b4863bd7b5p+2", "0x1.a81c6895b1b5ep+3"),
-        ("0x1.a0465b07d9464p+2", "0x1.fce0cb8a92292p+2"),
-    ],
-    (-0.9 + 0.3j, 150): [
-        ("0x1.64387de8b9ecdp+5", "-0x1.c65700771cc41p+5"),
-        ("0x1.8ff580970729dp+4", "0x1.4ebe6f44f87dep+4"),
-        ("0x1.aa18dba038911p+4", "0x1.42e7f2a696e19p+4"),
-    ],
-    (-0.9 + 0.3j, 401): [
-        ("0x1.64387ebcdfa00p+5", "-0x1.c6570306006fdp+5"),
-        ("0x1.8ff55f2433158p+4", "0x1.4ebe7a36c3fb2p+4"),
-        ("0x1.aa18ad3618c86p+4", "0x1.42e7e85d04c94p+4"),
+    -0.9 + 0.3j: [
+        ("0x1.64387edf8ab99p+5", "-0x1.c65703710b6bbp+5"),
+        ("0x1.8ff559aca1fd0p+4", "0x1.4ebe7c00d4104p+4"),
+        ("0x1.aa18a59fe7d8fp+4", "0x1.42e7e6aeb013fp+4"),
     ],
 }
 
@@ -359,69 +323,16 @@ def _oracle_zs():
 
 
 def test_lattice_sums_match_scalar_bitwise():
-    # The 20 frozen oracle points, batch and scalar.
+    # The 20 frozen oracle points, at a TauParameter and at a bare tau.
     for tau, zs in _oracle_zs().items():
         frozen = _ORACLE_HEX[tau]
-        t = TauParameter(tau)
-        got = special_functions._lattice_sums_p(zs, t, 400)
-        assert [_hex(p) for p in got] == frozen
-        assert [_hex(lattice_sum_p(z, t, 400)) for z in zs] == frozen
+        assert [_hex(lattice_sum_p(z, TauParameter(tau))) for z in zs] == frozen
+        assert [_hex(lattice_sum_p(z, tau)) for z in zs] == frozen
 
 
 def test_lattice_sums_skewed_tau_frozen_bits():
-    for (tau, radius), frozen in _SKEWED_HEX.items():
-        got = special_functions._lattice_sums_p(
-            list(_SKEWED_ZS), TauParameter(tau), radius)
-        assert [_hex(p) for p in got] == frozen, (tau, radius)
-
-
-def test_lattice_sums_memory_peak():
-    # The half-lattice w and 2/w^2, built once, and at most three arrays of
-    # its size while one z's expression runs, however many z there are.
-    # numpy reports its data buffers to tracemalloc.
-    t = TauParameter(0.37 + 0.61j)
-    zs = [0.1 + 0.05j, -0.2 + 0.1j, 0.15 - 0.2j, 0.21 + 0.02j, -0.1 - 0.1j,
-          0.05 + 0.25j, 0.3j, 0.3, -0.17 + 0.13j, 0.11 - 0.07j]
-    special_functions._lattice_sums_p(zs[:1], t, 10)  # numpy's first-call setup
-    for radius in (100, 400):
-        lattice_bytes = 16 * (radius + (2 * radius + 1) * radius)
-        peaks = []
-        for k in (1, 10):
-            tracemalloc.start()
-            try:
-                special_functions._lattice_sums_p(zs[:k], t, radius)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= 5.2 * lattice_bytes, (radius, peaks[0] / lattice_bytes)
-        assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0], (radius, peaks)
-
-
-def test_lattice_sums_concurrent_taus_frozen_bits():
-    # Two threads evaluate at two taus at once; each keeps its frozen bits,
-    # so no scratch buffer is shared between calls.
-    cases = [(0.37 + 0.61j, 401), (-0.9 + 0.3j, 150)]
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            results = [None] * len(cases)
-
-            def run(j, tau, radius):
-                got = special_functions._lattice_sums_p(
-                    list(_SKEWED_ZS), TauParameter(tau), radius)
-                results[j] = [_hex(p) for p in got]
-
-            threads = [threading.Thread(target=run, args=(j, *case))
-                       for j, case in enumerate(cases)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-            assert results == [_SKEWED_HEX[case] for case in cases]
-    finally:
-        sys.setswitchinterval(switch)
+    for tau, frozen in _SKEWED_HEX.items():
+        assert [_hex(lattice_sum_p(z, tau)) for z in _SKEWED_ZS] == frozen, tau
 
 
 def test_grid_lambdas_match_scalar_bitwise():
@@ -604,7 +515,7 @@ def test_evaluators_keep_their_bits_under_an_even_shift_of_tau(k):
             _hex(arakelov_green(u, tau)),
             _hex(torus_distance(u, v + 3.0, tau)),
             _hex(reduce_mod_lattice(v + 3.0 - 2.0j, tau)),
-            _hex(lattice_sum_p(u, tau, 20)),
+            _hex(lattice_sum_p(u, tau)),
             _hex(linking_elliptic(z, w).value),
             [(_hex(p), m) for p, m in z.terms],
         ])
@@ -829,19 +740,20 @@ def test_coordinates_beyond_double_range_are_domain_errors(call):
 
 
 def test_lattice_sum_validation():
-    with pytest.raises(ValueError):
-        lattice_sum_p(0.3, 1j, 9)
-    with pytest.raises(ValueError):
-        lattice_sum_p(0.3, 1j, 10.5)
-    with pytest.raises(ValueError, match="must be an int, got True"):
-        lattice_sum_p(0.3, 1j, True)
-    # Any integral radius but a bool, as its int.
-    assert (_hex(lattice_sum_p(0.3, 1j, np.int64(20)))
-            == _hex(lattice_sum_p(0.3, 1j, 20)))
     with pytest.raises(PoleError):
-        lattice_sum_p(0.0, 1j, 50)
+        lattice_sum_p(0.0, 1j)
     with pytest.raises(PoleError):
-        lattice_sum_p(2 + 3j, 1j, 50)  # a lattice point of Z + Zi
+        lattice_sum_p(2 + 3j, 1j)  # a lattice point of Z + Zi
+    # Far from the cell z first moves by whole rows, then by whole columns:
+    # unmoved, the rows' sines at 0.3+100i sum to NaN, and at 0.3+120i
+    # cmath.sin overflows.  At these z and tau the moves round little.
+    for tau in (1j, 0.5 + 1.25j):
+        for z in (0.3 + 100j, 0.3 + 120j, 0.25 + 1e3j, 0.25 - 1e6j,
+                  1e12 + 0.25 + 0.125j):
+            got = lattice_sum_p(z, tau)
+            assert cmath.isfinite(got), (z, tau)
+            want = weierstrass_p(z, tau)
+            assert abs(got - want) <= 1e-10 * abs(want), (z, tau)
 
 
 def test_lattice_sum_even_bitwise():
@@ -849,31 +761,26 @@ def test_lattice_sum_even_bitwise():
     for _ in range(20):
         tau = _random_tau(rng)
         z = complex(rng.uniform(0.05, 0.95), 0) + rng.uniform(0.05, 0.95) * tau
-        assert lattice_sum_p(-z, tau, 30) == lattice_sum_p(z, tau, 30)
+        assert lattice_sum_p(-z, tau) == lattice_sum_p(z, tau)
+    # and where z moves by rows and columns first
+    for _ in range(20):
+        tau = _random_tau(rng)
+        z = complex(*rng.uniform(-50.0, 50.0, size=2))
+        assert lattice_sum_p(-z, tau) == lattice_sum_p(z, tau)
 
 
 def test_lattice_sum_golden_half_period():
-    val = lattice_sum_p(0.5, 1j, 400)
-    assert abs(val - LATTICE_HALF_I_400) < 1e-12
-    # cross-path agreement; the square truncation leaves a |z|^2/R^2 tail,
-    # about 1.56e-6 at this point, so the bound is 2e-6 rather than 1e-6
-    assert abs(val - half_period_values(1j).e1) < 2e-6
+    val = lattice_sum_p(0.5, 1j)
+    assert abs(val - E1_AT_I) < 5e-13
+    assert abs(val - half_period_values(1j).e1) < 5e-13
 
 
 def test_lattice_sum_periodicity_up_to_tail():
-    # p(z+1) equals p(z), but each truncated sum carries its own tail
-    # ~|argument|^2/r^2; the difference is dominated by the shifted copy.
+    # p(z+1) equals p(z): z + 1 moves back by one column, which rounds.
     rng = np.random.default_rng(105)
     for _ in range(5):
         z = complex(rng.uniform(0.1, 0.45), rng.uniform(0.1, 0.45))
-        for r in (200, 400):
-            diff = abs(lattice_sum_p(z + 1, 1j, r) - lattice_sum_p(z, 1j, r))
-            bound = 2.0 * (abs(z + 1) ** 2 + abs(z) ** 2) / r ** 2
-            assert diff < bound
-        # after a two-point Richardson step the tails cancel to O(r^-3)
-        extr = lambda zz: (4.0 * lattice_sum_p(zz, 1j, 400)
-                           - lattice_sum_p(zz, 1j, 200)) / 3.0
-        assert abs(extr(z + 1) - extr(z)) < 1e-7
+        assert abs(lattice_sum_p(z + 1, 1j) - lattice_sum_p(z, 1j)) < 5e-13
 
 
 def test_weierstrass_p_vs_lattice_oracle():
@@ -884,7 +791,67 @@ def test_weierstrass_p_vs_lattice_oracle():
                 z = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
                 if 0.1 <= abs(z) <= 0.3:
                     break
-            assert abs(weierstrass_p(z, tau) - lattice_sum_p(z, tau, 400)) < 1e-6
+            assert abs(weierstrass_p(z, tau) - lattice_sum_p(z, tau)) < 5e-12
+
+
+#: The loss constant c of ``weierstrass_p``'s relative error c * eps / d at
+#: distance d from the lattice, outside the snap window: below 10 over
+#: TAU_BOX and 5e4 in the floor band Im tau < 0.3, over the 3.3 and 2.4e4
+#: that its docstring states as measured.
+_NEAR_LATTICE_C = {"box": 10.0, "floor": 5e4}
+
+
+def _near_lattice_bound(z, tau, c):
+    """The bound stated in ``weierstrass_p``'s docstring at a point z near
+    the lattice point 0: delta (2d + delta) / (d - delta)^2 + c * eps / d,
+    where the reduction snaps z by delta (0 outside the snap window) and
+    d = |z|: the first term bounds |z^2 / z'^2 - 1| for |z - z'| = delta."""
+    tv = TauParameter(tau).shifted
+    y = z.imag / tv.imag
+    x = z.real - y * tv.real
+    delta = ((abs(x) if abs(x) < SNAP_TOL else 0.0)
+             + (abs(y) * abs(tv) if abs(y) < SNAP_TOL else 0.0))
+    d = abs(z)
+    return delta, (delta * (2.0 * d + delta) / (d - delta) ** 2
+                   + c * sys.float_info.epsilon / d)
+
+
+def test_weierstrass_p_near_the_lattice_is_within_its_stated_bound():
+    # lattice_sum_p is the reference: it snaps nothing and sums no theta,
+    # and at these points it is within 6e-16 of 50-digit mpmath.
+    def rel_err(z, tau):
+        want = lattice_sum_p(z, tau)
+        return abs(weierstrass_p(z, tau) - want) / abs(want)
+
+    # (z, tau, in the snap window): measured errors 0.110, 0.104 (bounds
+    # 0.127, 0.119), 1.5e-8 and 3.3e-5
+    for z, tau, window in ((-5.5e-13 - 9.98e-12j, 1j, True),
+                           (5.2e-13 - 9.99e-12j, 1j, True),
+                           (1e-9 + 2e-9j, 1j, False),
+                           (1e-9 + 1e-9j, 0.0154 + 0.0576j, False)):
+        c = _NEAR_LATTICE_C["box" if tau.imag >= 0.3 else "floor"]
+        delta, bound = _near_lattice_bound(z, tau, c)
+        assert (delta > 0.0) == window, z
+        assert rel_err(z, tau) <= bound, (z, tau)
+    rng = random.Random(2323)
+    in_window = 0
+    for band, (im_lo, im_hi) in (("box", TAU_BOX[1]), ("floor", (0.05, 0.3))):
+        for _ in range(40):
+            tau = complex(rng.uniform(-1.0, 1.0), rng.uniform(im_lo, im_hi))
+            zs = [10.0 ** rng.uniform(-11.0, -3.0)
+                  * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                  for _ in range(6)]
+            # two points in the window: one lattice coordinate below SNAP_TOL
+            for _ in range(2):
+                small = rng.uniform(-SNAP_TOL, SNAP_TOL)
+                far = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.5, -9.0)
+                x, y = (small, far) if rng.random() < 0.5 else (far, small)
+                zs.append(x + y * tau)
+            for z in zs:
+                delta, bound = _near_lattice_bound(z, tau, _NEAR_LATTICE_C[band])
+                in_window += delta > 0.0
+                assert rel_err(z, tau) <= bound, (z, tau)
+    assert in_window >= 160
 
 
 def test_weierstrass_p_even_and_pole():
