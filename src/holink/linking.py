@@ -19,13 +19,13 @@ to finite sums of logarithms:
   and any additive constant cancels in degree-zero double sums, so the
   constant is fixed to zero.
 
-One kernel body, ``_pair_greens``, evaluates g_tau, for the pairing and
-for ``arakelov_green`` alike, and clears each pair of the pairing just
-before its term: it builds theta1 at each difference from per-point phases
-and per-tau coefficients, divided by its largest term, so that no term
-leaves double range at any Im tau; ``weierstrass_p`` sums the same folded
-theta1, ``_folded_theta1``.  Its independent references, theta1's own
-series, live in the tests and in ``verify``'s Laplacian suite.  Each pair
+One kernel body, ``_pair_greens``, evaluates g_tau, for the pairing,
+``arakelov_green`` and ``verify``'s Laplacian suite alike, and clears each
+pair of the pairing just before its term: it builds theta1 at each
+difference from per-point phases and per-tau coefficients, divided by its
+largest term, so that no term leaves double range at any Im tau;
+``weierstrass_p`` sums the same folded theta1, ``_folded_theta1``.  Its
+independent reference, theta1's own series, lives in the tests.  Each pair
 is taken in one canonical order, and both evaluators add their terms with
 ``math.fsum``, which is correctly rounded and so order independent: hence
 linking(z, w) == linking(w, z) holds bit for bit.  They only sum: the
@@ -385,20 +385,22 @@ def _pair_greens(t: TauParameter, z_terms: Iterable, w_terms: Iterable,
     half = 0.5 * im_t
     apart_lo = 2.0 * DISJOINTNESS_TOL * max(1.0, im_t)
     apart_hi = im_t - apart_lo
+    exp, log = math.exp, math.log
     w_phased = []
     for q, b in w_terms:
         e = _turn(q.real)
-        w_phased.append((q, b, e, e.conjugate()))
+        w_phased.append((q, q.real, q.imag, b, e, e.conjugate()))
     for p, a in z_terms:
-        ep = _turn(p.real)
+        p_re, p_im = p.real, p.imag
+        ep = _turn(p_re)
         ep_c = ep.conjugate()
-        for q, b, eq, eq_c in w_phased:
-            y = p.imag - q.imag
+        for q, q_re, q_im, b, eq, eq_c in w_phased:
+            y = p_im - q_im
             if clear and not apart_lo < abs(y) < apart_hi:
                 dist = _reduced_difference(p, q, t)[1]
                 if dist < DISJOINTNESS_TOL:
                     raise _collision(p, dist)
-            if p.real < q.real or p.real == q.real and p.imag <= q.imag:
+            if p_re < q_re or p_re == q_re and p_im <= q_im:
                 ph, ph_c = ep * eq_c, eq * ep_c
             else:
                 y = -y
@@ -412,10 +414,10 @@ def _pair_greens(t: TauParameter, z_terms: Iterable, w_terms: Iterable,
             if y < 0.0:
                 y = -y
                 ph, ph_c = ph_c, ph
-            x = ph * math.exp(-_TWO_PI * y)
-            x_inv = ph_c * math.exp(_TWO_PI * (y - half))
+            x = ph * exp(-_TWO_PI * y)
+            x_inv = ph_c * exp(_TWO_PI * (y - half))
             gap = half - y
-            g = (math.log(abs(_folded_theta1(coefs, x, x_inv))) / math.pi
+            g = (log(abs(_folded_theta1(coefs, x, x_inv))) / math.pi
                  - gap * (gap / im_t))
             try:
                 g *= a * b

@@ -369,7 +369,9 @@ def _reduce_point(z: complex, tv: complex) -> complex:
             raise DomainError(
                 f"z = {z!r} has no lattice coordinates in double range at "
                 f"tau = {tv!r}")
-        return _reduce_point(_exact_cell_point(z, tv), tv)
+        x, y, tr, ti = _exact_coordinates(z, tv)
+        x, y = x - math.floor(x), y - math.floor(y)
+        return _reduce_point(complex(x + y * tr, y * ti), tv)
     # each coordinate mod 1, snapped onto a half-integer within SNAP_TOL
     xs = x - math.floor(x)
     half = round(2.0 * xs) / 2.0
@@ -384,16 +386,15 @@ def _reduce_point(z: complex, tv: complex) -> complex:
     return complex(xs + ys * tv.real, ys * tv.imag)
 
 
-def _exact_cell_point(z: complex, tv: complex) -> complex:
-    """The point of the cell congruent to z, from z's rational lattice
-    coordinates reduced mod 1 and rounded once.  ``fractions`` is imported
-    here, off the import path: few points reach it."""
+def _exact_coordinates(z: complex, tv: complex) -> tuple:
+    """z's lattice coordinates (x, y), z = x + y*tv, and tv's parts, as
+    exact fractions: callers reduce x and y and round the congruent point
+    once.  ``fractions`` is imported here, off the import path: few points
+    reach it."""
     from fractions import Fraction
     tr, ti = Fraction(tv.real), Fraction(tv.imag)
     y = Fraction(z.imag) / ti
-    x = Fraction(z.real) - y * tr
-    x, y = x - math.floor(x), y - math.floor(y)
-    return complex(x + y * tr, y * ti)
+    return Fraction(z.real) - y * tr, y, tr, ti
 
 
 def _corner_distance(zr: complex, t: TauParameter) -> float:
@@ -450,31 +451,33 @@ def lattice_sum_p(z: complex, tau: TauParameter | complex) -> complex:
 
     whose rows fall off as exp(-2 pi n Im tau).  The theta-free reference
     for ``weierstrass_p``, with which it shares no formula: no theta
-    series, no half-period value, no snap of z.  Where |Im z| > Im tau, z
-    first moves by k = round(Im z / Im tau) rows, then, where |Re z| > 1,
-    by round(Re z) columns; a point with |Im z| <= Im tau and |Re z| <= 1
-    is summed as it is.  The moves round, so far out z carries an error of
-    about eps * |z|.  It keeps its digits next to the lattice points 0 and
-    +-tau; next to +-1, sin(pi z) loses them as eps / d.  The row count is fixed before the first row from Im
-    tau and |Im z| (``_ROW_C``).  p(-z) equals p(z) bit for bit.  PoleError
-    within POLE_TOL of the lattice.
+    series, no half-period value, no snap of z.  z is summed at the
+    representative whose lattice coordinates are nearest 0: z's (x, y) in
+    the basis (1, tau), taken exactly, become x - round(x) and y - round(y),
+    and the point is rounded once, so a z already there comes back as it
+    is, up to the sign of a zero part.  So the sum keeps its digits next to
+    every lattice point, and far out z loses none.  The row count is fixed
+    before the first row from Im tau and |Im z| (``_ROW_C``).  p(-z) equals
+    p(z) bit for bit.  PoleError within POLE_TOL of the lattice;
+    DomainError at a z that is not finite.
     """
     t = as_tau(tau)
-    z = complex(z)
-    if torus_distance(z, 0.0, t) < POLE_TOL:
-        raise PoleError(f"z = {z!r} lies on the lattice of tau = {t.value!r}")
     tv = t.shifted
-    if abs(z.imag) > tv.imag:
-        z -= round(z.imag / tv.imag) * tv
-    if abs(z.real) > 1.0:
-        z -= round(z.real)
+    u = complex(z)
+    if not (math.isfinite(u.real) and math.isfinite(u.imag)):
+        raise DomainError(f"lattice_sum_p argument must be finite, got {u!r}")
+    x, y, tr, ti = _exact_coordinates(u, tv)
+    x, y = x - round(x), y - round(y)
+    u = complex(x + y * tr, y * ti)
+    if abs(u) < POLE_TOL:
+        raise PoleError(f"z = {z!r} lies on the lattice of tau = {t.value!r}")
 
     def csc2(w: complex) -> complex:
         return _PI2 / cmath.sin(_PI * w) ** 2
 
-    total = csc2(z) - _PI2_3
-    for n in range(1, math.floor((_ROW_C + abs(z.imag)) / tv.imag) + 1):
-        total += csc2(z + n * tv) + csc2(z - n * tv) - 2.0 * csc2(n * tv)
+    total = csc2(u) - _PI2_3
+    for n in range(1, math.floor((_ROW_C + abs(u.imag)) / tv.imag) + 1):
+        total += csc2(u + n * tv) + csc2(u - n * tv) - 2.0 * csc2(n * tv)
     return total
 
 

@@ -8,8 +8,8 @@ worst NaN, which fails.  The formatted summary is a pure function of
 (seed, tolerance override), so two runs with the same arguments produce
 byte-identical text.  No suite uses numpy: the weierstrass-oracle compares
 the theta route for p with ``lattice_sum_p``, Eisenstein's rows of sines,
-and the green-laplacian takes theta1 at each stencil point from a row
-factor and a column factor of its series.
+and the green-laplacian takes the Green kernel at each stencil point from
+the pairing's own kernel, ``linking._pair_greens``.
 
 A tolerance override, when given, replaces the per-suite defaults across
 the board.  Suites whose residuals are exactly zero (the integer-valued
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -38,6 +37,7 @@ from .hodge import (
 from .linking import (
     Divisor,
     RationalMapSpec,
+    _pair_greens,
     arakelov_green,
     check_adjunction,
     linking_elliptic,
@@ -47,9 +47,7 @@ from .massey import (_check_tolerance, massey_value_closed_form,
                      massey_value_via_linking)
 from .special_functions import (
     TauParameter,
-    _THETA1_SIGNS,
     _corner_distance,
-    _term_range,
     as_tau,
     half_period_values,
     lambda_complement_ratio,
@@ -324,58 +322,27 @@ def _stencil_greens(tau: complex) -> list[tuple[float, ...]]:
     """The Green kernel g at the stencil u + step, u - step, u + i*step,
     u - i*step and u of each midpoint u = x + y*tau' of the n x n grid of
     fundamental cells at least 3/n from the lattice, in row-major cell
-    order (x, then y).  g is formed from theta1's definition, apart from
-    the pairing's kernel, at u = (x + dx) + (y*tau' + i*dy), inside the
-    cell.  The series' terms split into a row factor, of (y, dy), and a
-    column factor, of x + dx: each is taken once, and a point's theta1 is
-    their dot product."""
+    order (x, then y).  g is the pairing's own kernel, ``_pair_greens``, at
+    the pairs (x + dx, -(y*tau' + i*dy)), whose difference is the stencil
+    point: it takes each point's phase once, so the grid's n columns and
+    3n rows, then its 2n side columns and n rows, cost two passes."""
     t = as_tau(tau)
     tv = t.shifted
-    h = 1.0 / _GRID
-    mid = [(k + 0.5) * h for k in range(_GRID)]
-    offsets = (0.0, _STEP, -_STEP)
-    rows = [[_theta1_row(complex(y * tv.real, y * tv.imag + dy), tv)
-             for dy in offsets] for y in mid]
-    width = max(len(row) for three in rows for row in three) // 2
-    columns = [[_theta1_column(x + dx, width) for dx in offsets] for x in mid]
-    im = tv.imag
-
-    def g(row: list[complex], column: list[complex], im_u: float) -> float:
-        th = sum(map(operator.mul, row, column))
-        return math.log(abs(th)) / math.pi - im_u * im_u / im
-
-    return [(g(r0, c_plus, y * im), g(r0, c_minus, y * im),
-             g(r_plus, c0, y * im + _STEP), g(r_minus, c0, y * im - _STEP),
-             g(r0, c0, y * im))
-            for x, (c0, c_plus, c_minus) in zip(mid, columns)
-            for y, (r0, r_plus, r_minus) in zip(mid, rows)
+    n = _GRID
+    h = 1.0 / n
+    mid = [(k + 0.5) * h for k in range(n)]
+    rows = [(complex(-y * tv.real, -(y * tv.imag + dy)), 1)
+            for y in mid for dy in (0.0, _STEP, -_STEP)]
+    g_mid = list(_pair_greens(t, [(complex(x), 1) for x in mid], rows,
+                              clear=False))
+    g_side = list(_pair_greens(t, [(complex(x + dx), 1) for x in mid
+                                   for dx in (_STEP, -_STEP)],
+                               rows[::3], clear=False))
+    return [(g_side[2 * i * n + j], g_side[(2 * i + 1) * n + j],
+             g_mid[3 * (i * n + j) + 1], g_mid[3 * (i * n + j) + 2],
+             g_mid[3 * (i * n + j)])
+            for i, x in enumerate(mid) for j, y in enumerate(mid)
             if _corner_distance(x + y * tv, t) >= 3.0 * h]
-
-
-def _theta1_row(w: complex, tv: complex) -> list[complex]:
-    """The row factor of theta1(x + w) at a shifted tau tv: for each n of
-    ``_term_range(True, Im tv, |Im w|)``, a = n + 1/2 and sign s_n, the
-    pair s_n exp(i pi (tv a^2 + 2 a w)), -s_n exp(i pi (tv a^2 - 2 a w)),
-    each one ``cmath.exp`` of the whole exponent."""
-    row = []
-    for n in _term_range(True, tv.imag, abs(w.imag)):
-        a = n + 0.5
-        s = _THETA1_SIGNS[n & 1]
-        row += (s * cmath.exp(1j * math.pi * (tv * a * a + 2.0 * a * w)),
-                -s * cmath.exp(1j * math.pi * (tv * a * a - 2.0 * a * w)))
-    return row
-
-
-def _theta1_column(x: float, width: int) -> list[complex]:
-    """The column factor of theta1(x + w) for real x, matching
-    ``_theta1_row`` term for term over ``width`` pairs: the unit phases
-    exp(+-i pi (2n + 1) x)."""
-    column = []
-    for n in range(width):
-        y = math.pi * (2 * n + 1) * x
-        c, s = math.cos(y), math.sin(y)
-        column += (complex(c, s), complex(c, -s))
-    return column
 
 
 def _suite_green_laplacian(rng: random.Random) -> tuple[list, str]:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -374,12 +375,16 @@ def _scan(out_path, re_min, re_max, im_min, im_max, steps_re, steps_im):
                  "--out", str(out_path)])
 
 
+#: The pinned sha256 digests, each written once: CI compares against the
+#: same file.
+PINS = json.loads((pathlib.Path(__file__).parent / "pins.json").read_text())
+
+
 def test_scan_readme_box_csv_is_pinned(tmp_path):
     out_path = tmp_path / "box.csv"
     assert _scan(out_path, -1, 1, 0.5, 2, 201, 151) == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-    assert digest == ("672888beb7ab19b42c00211ca43241c8"
-                      "d06b9e8dccba761aa32e98a20d107a03")
+    assert digest == PINS["scan_readme_box_csv"]
 
 
 def test_scan_validates_grid_once(tmp_path, monkeypatch):
@@ -568,13 +573,12 @@ def test_verify_byte_determinism_subprocess():
 
 
 def test_verify_seed_42_stdout_is_pinned():
-    # Across commits, not only from run to run; CI checks the same digest.
+    # Across commits, not only from run to run; CI checks the same pin.
     cmd = [sys.executable, "-c",
            "from holink.cli import main; raise SystemExit(main(['verify', '--seed', '42']))"]
     run = subprocess.run(cmd, capture_output=True)
     assert run.returncode == 0
-    assert hashlib.sha256(run.stdout).hexdigest() == (
-        "a8cc39b6eb7f08557966c15cc5d0d9deb32b302d53e74fef5061f585daf5dbaf")
+    assert hashlib.sha256(run.stdout).hexdigest() == PINS["verify_seed_42_stdout"]
 
 
 # The child runs every public path, a 2x2 scan, the verify suites and the

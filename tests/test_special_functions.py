@@ -36,7 +36,6 @@ from holink.special_functions import (
     _grid_lambdas,
     _theta_series,
 )
-from holink import verify
 from holink.verify import TAU_BOX
 
 # Golden values, frozen from independent derivations:
@@ -215,9 +214,7 @@ def test_scalar_and_array_paths_sum_one_count(monkeypatch):
     # One rule, from Im tau and |Im z| alone, fixes each series' count: the
     # series at a scalar point sums exactly ``_term_range``'s paired terms,
     # over seeded Im tau from the floor to 1e300 and |Im z| up to 0.99 of
-    # the cap edge's, z = 0 among them.  So does the verify Laplacian's row
-    # factor of theta1, which serves a whole row of grid points: a pair of
-    # terms for each n.
+    # the cap edge's, z = 0 among them.
     calls = []
     paired = special_functions._paired_term
 
@@ -241,9 +238,6 @@ def test_scalar_and_array_paths_sum_one_count(monkeypatch):
             calls.clear()
             series(kind, z, tau)
             assert len(calls) == want, (kind, z, tau)
-            calls.clear()
-            if kind == 1:
-                assert len(verify._theta1_row(z, tau)) == 2 * want, (z, tau)
 
 
 def test_green_terms_follow_the_rule_at_z_zero():
@@ -263,8 +257,9 @@ def test_green_terms_follow_the_rule_at_z_zero():
 
 #: ``lattice_sum_p`` values as (real, imag) ``float.hex``: the
 #: weierstrass-oracle suite's former 10 points per tau at seed 42, and three
-#: points at two skewed taus.  The row sum gives them; the square sums of
-#: radius 400 and 401 pinned before it differed by 5e-10 to 2.2e-7.
+#: points at two skewed taus.  The row sum gives them, at each z's
+#: representative nearest 0; the square sums of radius 400 and 401 pinned
+#: before it differed by 5e-10 to 2.2e-7.
 _ORACLE_HEX = {
     1j: [
         ("-0x1.c027aa587b88dp+3", "-0x1.cf7ccfb20d536p+0"),
@@ -300,7 +295,7 @@ _SKEWED_HEX = {
     ],
     -0.9 + 0.3j: [
         ("0x1.64387edf8ab99p+5", "-0x1.c65703710b6bbp+5"),
-        ("0x1.8ff559aca1fd0p+4", "0x1.4ebe7c00d4104p+4"),
+        ("0x1.8ff559aca1fcdp+4", "0x1.4ebe7c00d4106p+4"),
         ("0x1.aa18a59fe7d8fp+4", "0x1.42e7e6aeb013fp+4"),
     ],
 }
@@ -744,9 +739,14 @@ def test_lattice_sum_validation():
         lattice_sum_p(0.0, 1j)
     with pytest.raises(PoleError):
         lattice_sum_p(2 + 3j, 1j)  # a lattice point of Z + Zi
-    # Far from the cell z first moves by whole rows, then by whole columns:
+    for z in (complex(math.inf, 0.0), complex(0.1, math.nan)):
+        with pytest.raises(DomainError):
+            lattice_sum_p(z, 1j)
+    # Far from the cell z moves to its representative nearest 0, exactly:
     # unmoved, the rows' sines at 0.3+100i sum to NaN, and at 0.3+120i
-    # cmath.sin overflows.  At these z and tau the moves round little.
+    # cmath.sin overflows.  The largest difference, 1.7e-14 at 0.3+100i and
+    # tau = 0.5+1.25i, is weierstrass_p's own error: there the row sum is
+    # within 4.7e-16 of 60-digit mpmath at the exactly reduced point.
     for tau in (1j, 0.5 + 1.25j):
         for z in (0.3 + 100j, 0.3 + 120j, 0.25 + 1e3j, 0.25 - 1e6j,
                   1e12 + 0.25 + 0.125j):
@@ -754,6 +754,39 @@ def test_lattice_sum_validation():
             assert cmath.isfinite(got), (z, tau)
             want = weierstrass_p(z, tau)
             assert abs(got - want) <= 1e-10 * abs(want), (z, tau)
+    # Far along both axes z moves by its exact lattice coordinates, rounded
+    # once: whole rows, then whole columns, would lose every digit below
+    # ulp(Re z) at the first point (1.2e-8), and a rounded k * tau would
+    # cost 1.8e-9 at the second.  weierstrass_p reduces exactly here; the
+    # two agree to 3.7e-16 and 9.2e-16.
+    for z, tau in ((-1e12 + 0.1 - 0.2j, 0.0154 + 0.0576j),
+                   (0.3 + 1e6j, -0.9 + 0.3j)):
+        want = weierstrass_p(z, tau)
+        assert abs(lattice_sum_p(z, tau) - want) <= 5e-14 * abs(want), (z, tau)
+
+
+#: (z, tau, p(z)) next to the lattice points 1, 1 + tau and tau - 1: p by
+#: 60-digit mpmath, as e1 + (pi theta3(0) theta4(0) theta2(z)/theta1(z))^2,
+#: rounded to doubles.
+_NEAR_CORNER_P = (
+    (0.999999999 + 5e-10j, 1j,
+     4.8000000724017395e+17 + 6.40000039820961e+17j),
+    (0.99999999999 + 1e-11j, 1j,
+     413701803953202.4 + 4.999999586298146e+21j),
+    (complex(1 - 1e-9, 1 + 3e-10), 1j,
+     7.659287922912997e+17 + 5.050080620747004e+17j),
+    (-0.05 + 0.2999999999j, 0.95 + 0.3j,
+     -9.999998345187585e+19 + 83266706178301.69j),
+)
+
+
+def test_lattice_sum_keeps_its_digits_next_to_every_lattice_point():
+    # z is summed at its representative nearest 0, where sin(pi z) keeps
+    # its digits, next to any lattice point: within 1.4e-16 to 2.1e-16 of
+    # mpmath here.  Summed next to 1, 1 + tau or tau - 1 itself, the sines
+    # lose them as eps / d: 5.3e-8 to 2.2e-6 at these points.
+    for z, tau, want in _NEAR_CORNER_P:
+        assert abs(lattice_sum_p(z, tau) - want) <= 5e-15 * abs(want), (z, tau)
 
 
 def test_lattice_sum_even_bitwise():
@@ -762,7 +795,7 @@ def test_lattice_sum_even_bitwise():
         tau = _random_tau(rng)
         z = complex(rng.uniform(0.05, 0.95), 0) + rng.uniform(0.05, 0.95) * tau
         assert lattice_sum_p(-z, tau) == lattice_sum_p(z, tau)
-    # and where z moves by rows and columns first
+    # and where z moves to its representative nearest 0 first
     for _ in range(20):
         tau = _random_tau(rng)
         z = complex(*rng.uniform(-50.0, 50.0, size=2))
@@ -776,7 +809,7 @@ def test_lattice_sum_golden_half_period():
 
 
 def test_lattice_sum_periodicity_up_to_tail():
-    # p(z+1) equals p(z): z + 1 moves back by one column, which rounds.
+    # p(z+1) equals p(z): z + 1 moves back by one column; z + 1 rounds.
     rng = np.random.default_rng(105)
     for _ in range(5):
         z = complex(rng.uniform(0.1, 0.45), rng.uniform(0.1, 0.45))

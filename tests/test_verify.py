@@ -1,5 +1,6 @@
 """Determinism and coverage of the bundled invariant suites."""
 
+import importlib
 import math
 
 import pytest
@@ -9,6 +10,9 @@ from holink import (DomainError, LinkingMethod, LinkingResult, TauParameter,
 from holink import verify
 from holink.special_functions import _theta_series
 from holink.verify import _SUITES, _suite_rng, _worst_residual
+
+#: The module, which ``holink.linking``, the function, shadows.
+linking_module = importlib.import_module("holink.linking")
 
 EXPECTED_SUITES = [
     "half-period-sum",
@@ -181,11 +185,13 @@ def test_nan_lambda_fails_no_underflow(monkeypatch):
 
 
 def test_laplacian_stencil_greens_are_near_the_scalar_series():
-    # Each stencil point's theta1 is a dot product of a row factor and a
-    # column factor, not the scalar series' sum of whole exponentials, so
-    # its last bits differ: every g lies within 2e-15 of the scalar
-    # series' g at tau = i and within 5e-15 at 0.3+0.8i (measured: 1.0e-15
-    # and 2.4e-15).  The points are u = (x + dx) + (y*tau + i*dy), in the
+    # Each stencil point's g is the pairing's kernel, ``_pair_greens``, at
+    # a pair whose difference is the point: the folded theta1 at X, built
+    # from the two points' phases, with the upper rows folded to tau - u.
+    # The scalar series sums theta1's whole exponentials at u itself.  The
+    # two agree to the last bits: every g lies within 2e-15 of the scalar
+    # series' g at tau = i and within 5e-15 at 0.3+0.8i (measured: 8.9e-16
+    # and 1.3e-15).  The points are u = (x + dx) + (y*tau + i*dy), in the
     # kernel's cell order.
     step, n = verify._STEP, verify._GRID
     h = 1.0 / n
@@ -209,3 +215,35 @@ def test_laplacian_stencil_greens_are_near_the_scalar_series():
                     green(x, y, 0.0, 0.0))
             assert all(abs(a - b) <= bound for a, b in zip(greens, want)), (
                 tau, x, y)
+
+
+def test_laplacian_takes_every_g_from_the_kernel_body(monkeypatch):
+    # green-laplacian evaluates the Green kernel that the pairing ships:
+    # ``linking._pair_greens`` calls ``_folded_theta1`` five times for each
+    # of the 64 x 64 cells, 20,480 at tau = i, and 4,064 cells stay clear
+    # of the lattice.
+    calls = []
+    folded = linking_module._folded_theta1
+
+    def counting(*args):
+        calls.append(None)
+        return folded(*args)
+
+    monkeypatch.setattr(linking_module, "_folded_theta1", counting)
+    assert len(verify._laplacian_grid(1j)) == 4064
+    assert len(calls) == 5 * 64 * 64
+
+
+def test_non_holomorphic_kernel_body_fails_green_laplacian(monkeypatch):
+    # log|F| is harmonic only where F is holomorphic in X: a factor
+    # 1 + 1e-3 |X|^2 bends the Laplacian, and green-laplacian must see it.
+    tol = {name: limit for name, _, limit in _SUITES}["green-laplacian"]
+    run = verify._suite_green_laplacian
+    assert run(_suite_rng(42, "green-laplacian"))[0][0] < tol
+    folded = linking_module._folded_theta1
+
+    def bent(coefs, x, x_inv):
+        return folded(coefs, x, x_inv) * (1.0 + 1e-3 * abs(x) ** 2)
+
+    monkeypatch.setattr(linking_module, "_folded_theta1", bent)
+    assert run(_suite_rng(42, "green-laplacian"))[0][0] > tol
