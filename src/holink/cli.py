@@ -15,13 +15,12 @@ supplies a default tolerance; an explicit --tol flag wins over it.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
+from ._frozen import Frozen
 from .errors import HolinkError
 from .hodge import hodge_diamond_x
 from .linking import Curve, Divisor, INFINITY, SPHERE, linking
@@ -107,6 +106,8 @@ def divisor_from_json(obj) -> Divisor:
 
 
 def _load_divisor_file(path: str) -> Divisor:
+    import json  # off the import path: only ``link`` and ``hodge`` use it
+
     with open(path, "r", encoding="utf-8") as fh:
         return divisor_from_json(json.load(fh))
 
@@ -124,43 +125,43 @@ def _tolerance(args, default: float | None):
         raise ValueError(f"HOLINK_TOL is not a number: {env!r}")
 
 
-@dataclass(frozen=True)
-class ScanGrid:
-    """Inclusive rectangular tau grid; steps of 1 pin the axis to its minimum."""
+class ScanGrid(Frozen):
+    """Inclusive rectangular tau grid; steps of 1 pin the axis to its minimum.
 
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-    steps_re: int
-    steps_im: int
-    #: The axes: the grid is re + i*im, row-major with re varying fastest,
-    #: and each of its points passes the tau rule.
-    re_axis: list[float] = field(init=False, repr=False, compare=False)
-    im_axis: list[float] = field(init=False, repr=False, compare=False)
+    The axes ``re_axis`` and ``im_axis`` follow from the fields, so
+    equality, hash and repr leave them out: the grid is re + i*im,
+    row-major with re varying fastest, and each of its points passes the
+    tau rule.
+    """
 
-    def __post_init__(self) -> None:
-        for steps, name in ((self.steps_re, "steps-re"), (self.steps_im, "steps-im")):
+    _fields = ("re_min", "re_max", "im_min", "im_max", "steps_re", "steps_im")
+
+    def __init__(self, re_min: float, re_max: float, im_min: float, im_max: float,
+                 steps_re: int, steps_im: int) -> None:
+        for steps, name in ((steps_re, "steps-re"), (steps_im, "steps-im")):
             if _as_int(name, steps) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {steps!r}")
-        if not all(math.isfinite(v) for v in
-                   (self.re_min, self.re_max, self.im_min, self.im_max)):
+        if not all(math.isfinite(v) for v in (re_min, re_max, im_min, im_max)):
             raise ValueError("grid bounds must be finite")
-        if self.re_min > self.re_max or (self.re_min == self.re_max
-                                         and self.steps_re != 1):
+        if re_min > re_max or (re_min == re_max and steps_re != 1):
             raise ValueError("need re-min < re-max (equality only with steps-re 1)")
         # The lowest row holds the smallest Im tau of every grid point.
-        as_tau(complex(self.re_min, self.im_min))
-        if self.im_min > self.im_max or (self.im_min == self.im_max
-                                         and self.steps_im != 1):
+        as_tau(complex(re_min, im_min))
+        if im_min > im_max or (im_min == im_max and steps_im != 1):
             raise ValueError("need im-min < im-max (equality only with steps-im 1)")
-        re_axis = self.axis(self.re_min, self.re_max, self.steps_re)
-        im_axis = self.axis(self.im_min, self.im_max, self.steps_im)
+        re_axis = self.axis(re_min, re_max, steps_re)
+        im_axis = self.axis(im_min, im_max, steps_im)
         # The tau rule tests Re tau and Im tau apart, so the first row, then
         # the first column, meets the first failing point in row-major order.
         for tau in ([complex(re, im_axis[0]) for re in re_axis]
                     + [complex(re_axis[0], im) for im in im_axis]):
             as_tau(tau)
+        object.__setattr__(self, "re_min", re_min)
+        object.__setattr__(self, "re_max", re_max)
+        object.__setattr__(self, "im_min", im_min)
+        object.__setattr__(self, "im_max", im_max)
+        object.__setattr__(self, "steps_re", steps_re)
+        object.__setattr__(self, "steps_im", steps_im)
         object.__setattr__(self, "re_axis", re_axis)
         object.__setattr__(self, "im_axis", im_axis)
 
@@ -196,6 +197,8 @@ def cmd_massey(args) -> int:
 
 
 def cmd_hodge(args) -> int:
+    import json  # off the import path: only ``link`` and ``hodge`` use it
+
     dims = hodge_diamond_x()
     print(dims.diamond())
     betti = [dims.betti(k) for k in range(7)]
@@ -227,23 +230,30 @@ def cmd_scan(args) -> int:
     # A sibling of scan's own: mode "x" never opens an existing file, and a
     # clash of the 48 random bits would fail with exit 4, not overwrite.
     tmp_path = f"{args.out}.{os.urandom(6).hex()}.tmp"
-    fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
     try:
-        with fh:
-            fh.write(CSV_HEADER + "\n")
-            for im, lams in rows:  # each row is written as it is formatted
-                cells = []
-                for re, lam in zip(grid.re_axis, lams):
-                    cells += (re, im, lam.real, lam.imag,
-                              _closed_form_from_lambda(lam))
-                fh.write(row_format % tuple(cells))
-        os.replace(tmp_path, args.out)
-    except BaseException:
+        fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            with fh:
+                fh.write(CSV_HEADER + "\n")
+                for im, lams in rows:  # each row is written as it is formatted
+                    cells = []
+                    for re, lam in zip(grid.re_axis, lams):
+                        cells += (re, im, lam.real, lam.imag,
+                                  _closed_form_from_lambda(lam))
+                    fh.write(row_format % tuple(cells))
+            os.replace(tmp_path, args.out)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # A name clash says "File exists", which is not true of --out.
+        if exc.filename != tmp_path or isinstance(exc, FileExistsError):
+            raise
+        # The message names the path given, not scan's temporary file.
+        raise OSError(exc.errno, exc.strerror, args.out) from None
     return 0
 
 

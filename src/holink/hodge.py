@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
+from ._frozen import Frozen
 from .errors import ActionValidationError
 
 _GENERATORS = ("dt", "dz1", "dz2", "dt~", "dz1~", "dz2~")
@@ -48,8 +48,7 @@ def _compose(a: Signs, b: Signs) -> Signs:
     return tuple(x * y for x, y in zip(a, b))  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(Frozen):
     """A finite group of diagonal +-1 actions on the six-generator frame.
 
     Elements act on (dt, dz1, dz2) and their conjugates by signs.  The
@@ -57,15 +56,17 @@ class GroupAction:
     under composition (every diagonal sign element is its own inverse, so
     this makes it a group).  Actions coming from holomorphic automorphisms
     satisfy the conjugation pairing sign[k] == sign[k+3]; that check can be
-    relaxed for synthetic sign-pattern families used in tests.
+    relaxed for synthetic sign-pattern families used in tests, and is left
+    out of equality and hash.
     """
 
-    elements: tuple[Signs, ...]
-    require_conjugation: bool = field(default=True, compare=False)
+    _fields = ("elements", "require_conjugation")
 
-    def __post_init__(self) -> None:
-        els = tuple(_validate_element(e) for e in self.elements)
+    def __init__(self, elements: tuple[Signs, ...],
+                 require_conjugation: bool = True) -> None:
+        els = tuple(_validate_element(e) for e in elements)
         object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "require_conjugation", require_conjugation)
         if len(set(els)) != len(els):
             raise ActionValidationError("duplicate group elements")
         identity = (1, 1, 1, 1, 1, 1)
@@ -78,7 +79,7 @@ class GroupAction:
                     raise ActionValidationError(
                         f"set is not closed under composition: {a!r} * {b!r} missing"
                     )
-        if self.require_conjugation:
+        if require_conjugation:
             for e in els:
                 for k in range(3):
                     if e[k] != e[k + 3]:
@@ -103,6 +104,9 @@ class GroupAction:
     def order(self) -> int:
         return len(self.elements)
 
+    def _key(self) -> tuple:
+        return (self.elements,)
+
 
 def standard_quotient_action() -> GroupAction:
     """The Z/2 x Z/2 action of the quotient construction.
@@ -120,19 +124,19 @@ def standard_quotient_action() -> GroupAction:
     return GroupAction.closed([g1, g2])
 
 
-@dataclass(frozen=True)
-class BigradedDims:
+class BigradedDims(Frozen):
     """A 4x4 table of integers dims[p][q], p, q in 0..3."""
 
-    table: tuple[tuple[int, ...], ...]
+    _fields = ("table",)
 
-    def __post_init__(self) -> None:
-        if len(self.table) != 4 or any(len(row) != 4 for row in self.table):
+    def __init__(self, table: tuple[tuple[int, ...], ...]) -> None:
+        if len(table) != 4 or any(len(row) != 4 for row in table):
             raise ValueError("BigradedDims wants a 4x4 table")
-        for row in self.table:
+        for row in table:
             for v in row:
                 if not isinstance(v, int) or v < 0:
                     raise ValueError(f"dimensions must be non-negative ints, got {v!r}")
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_function(cls, fn) -> "BigradedDims":
@@ -210,22 +214,23 @@ def invariant_dims_by_enumeration(action: GroupAction) -> BigradedDims:
     return BigradedDims.from_function(dim)
 
 
-@dataclass(frozen=True)
-class BlowupCenter:
+class BlowupCenter(Frozen):
     """A smooth center of blow-up with its own (small) Hodge table.
 
     For a curve center only h^{p,q} with p, q in {0, 1} can be nonzero; an
     elliptic curve has all four equal to one.
     """
 
-    label: str
-    dims: tuple[tuple[int, int], tuple[int, int]]
+    _fields = ("label", "dims")
 
-    def __post_init__(self) -> None:
-        if (len(self.dims) != 2 or any(len(row) != 2 for row in self.dims)
+    def __init__(self, label: str,
+                 dims: tuple[tuple[int, int], tuple[int, int]]) -> None:
+        if (len(dims) != 2 or any(len(row) != 2 for row in dims)
                 or any(not isinstance(v, int) or v < 0
-                       for row in self.dims for v in row)):
-            raise ValueError(f"center {self.label!r} has invalid dims {self.dims!r}")
+                       for row in dims for v in row)):
+            raise ValueError(f"center {label!r} has invalid dims {dims!r}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "dims", dims)
 
     @classmethod
     def elliptic_curve(cls, label: str) -> "BlowupCenter":

@@ -39,9 +39,9 @@ import cmath
 import enum
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._frozen import Frozen
 from .errors import (
     BranchError,
     CapabilityError,
@@ -90,12 +90,22 @@ INFINITY = _InfinityType()
 Point = complex | _InfinityType
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Frozen):
     """Either the Riemann sphere or the elliptic curve C/(Z + Z*tau)."""
 
-    kind: str
-    tau: TauParameter | None = None
+    _fields = ("kind", "tau")
+
+    def __init__(self, kind: str, tau: TauParameter | complex | None = None) -> None:
+        if kind not in ("sphere", "elliptic"):
+            raise ValueError(f"unknown curve kind {kind!r}")
+        if kind == "elliptic":
+            if tau is None:
+                raise ValueError("elliptic curve needs a tau parameter")
+            tau = as_tau(tau)
+        elif tau is not None:
+            raise ValueError("the sphere carries no tau parameter")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def sphere(cls) -> "Curve":
@@ -104,16 +114,6 @@ class Curve:
     @classmethod
     def elliptic(cls, tau: TauParameter | complex) -> "Curve":
         return cls("elliptic", tau)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("sphere", "elliptic"):
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.kind == "elliptic" and self.tau is None:
-            raise ValueError("elliptic curve needs a tau parameter")
-        if self.kind == "sphere" and self.tau is not None:
-            raise ValueError("the sphere carries no tau parameter")
-        if self.kind == "elliptic":
-            object.__setattr__(self, "tau", as_tau(self.tau))
 
     def __repr__(self) -> str:
         if self.kind == "sphere":
@@ -258,14 +258,16 @@ class LinkingMethod(enum.Enum):
     ARAKELOV_GREEN = "arakelov-green"
 
 
-@dataclass(frozen=True)
-class LinkingResult:
+class LinkingResult(Frozen):
     """Linking value plus provenance: ``method`` names the evaluator that
     produced ``value``, the cross-ratio log sum on the sphere or the
     Green-kernel double sum on an elliptic curve."""
 
-    value: float
-    method: LinkingMethod
+    _fields = ("value", "method")
+
+    def __init__(self, value: float, method: LinkingMethod) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
 
 
 def _check_pair(z: Divisor, w: Divisor, kind: str) -> None:
@@ -433,8 +435,7 @@ def linking(z: Divisor, w: Divisor) -> LinkingResult:
     return linking_elliptic(z, w)
 
 
-@dataclass(frozen=True)
-class RationalMapSpec:
+class RationalMapSpec(Frozen):
     """A map from the supported catalog.
 
     kind = "identity" (either curve), "power" with an integral exponent n
@@ -444,9 +445,29 @@ class RationalMapSpec:
     a curve it is not defined on.
     """
 
-    kind: str
-    exponent: int | None = None
-    offset: complex | None = None
+    _fields = ("kind", "exponent", "offset")
+
+    def __init__(self, kind: str, exponent: int | None = None,
+                 offset: complex | None = None) -> None:
+        if kind not in ("identity", "power", "translation"):
+            raise CapabilityError(f"map kind {kind!r} is outside the catalog")
+        if kind == "power":
+            try:
+                n = _as_int("exponent", exponent)
+            except ValueError:
+                n = None
+            if n not in (2, 3):
+                raise CapabilityError("power maps are supported for exponents 2 "
+                                      f"and 3 only, got {exponent!r}")
+            exponent = n
+        if kind == "translation":
+            if not isinstance(offset, numbers.Complex):
+                raise CapabilityError("translation map needs a numeric offset, "
+                                      f"got {offset!r}")
+            offset = complex(offset)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "offset", offset)
 
     @classmethod
     def identity(cls) -> "RationalMapSpec":
@@ -459,24 +480,6 @@ class RationalMapSpec:
     @classmethod
     def translation(cls, offset: complex) -> "RationalMapSpec":
         return cls("translation", offset=offset)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("identity", "power", "translation"):
-            raise CapabilityError(f"map kind {self.kind!r} is outside the catalog")
-        if self.kind == "power":
-            try:
-                n = _as_int("exponent", self.exponent)
-            except ValueError:
-                n = None
-            if n not in (2, 3):
-                raise CapabilityError("power maps are supported for exponents 2 "
-                                      f"and 3 only, got {self.exponent!r}")
-            object.__setattr__(self, "exponent", n)
-        if self.kind == "translation":
-            if not isinstance(self.offset, numbers.Complex):
-                raise CapabilityError("translation map needs a numeric offset, "
-                                      f"got {self.offset!r}")
-            object.__setattr__(self, "offset", complex(self.offset))
 
     def _validate_for(self, curve: Curve) -> None:
         if self.kind == "power" and curve.kind != "sphere":
@@ -526,13 +529,15 @@ def pullback(d: Divisor, spec: RationalMapSpec) -> Divisor:
     return Divisor(d.curve, [(q - spec.offset, b) for q, b in d.terms])
 
 
-@dataclass(frozen=True)
-class AdjunctionCheck:
+class AdjunctionCheck(Frozen):
     """Both sides of <Z, f^* W> = <f_* Z, W> and their disagreement."""
 
-    lhs: float
-    rhs: float
-    residual: float
+    _fields = ("lhs", "rhs", "residual")
+
+    def __init__(self, lhs: float, rhs: float, residual: float) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "residual", residual)
 
 
 def check_adjunction(spec: RationalMapSpec, z: Divisor, w: Divisor) -> AdjunctionCheck:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import DivergenceError, DomainError
 from .linking import Divisor, linking_elliptic
 from .special_functions import TauParameter, as_tau, modular_lambda
@@ -76,20 +76,25 @@ def massey_value_via_linking(tau: TauParameter | complex) -> float:
     return 8.0 * linking_elliptic(z, w).value
 
 
-@dataclass(frozen=True)
-class MasseyReport:
+class MasseyReport(Frozen):
     """Both evaluation routes at one tau, with the nonvanishing verdict.
 
     ``nonvanishing`` is |value_closed_form| > tolerance.  Where |1 - lambda|
     rounds to 0 no report is made: ``massey_report`` raises DivergenceError.
     """
 
-    tau: complex
-    value_closed_form: float
-    value_via_linking: float
-    residual: float
-    nonvanishing: bool
-    lambda_at_tau: complex
+    _fields = ("tau", "value_closed_form", "value_via_linking", "residual",
+               "nonvanishing", "lambda_at_tau")
+
+    def __init__(self, tau: complex, value_closed_form: float,
+                 value_via_linking: float, residual: float, nonvanishing: bool,
+                 lambda_at_tau: complex) -> None:
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "value_closed_form", value_closed_form)
+        object.__setattr__(self, "value_via_linking", value_via_linking)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "nonvanishing", nonvanishing)
+        object.__setattr__(self, "lambda_at_tau", lambda_at_tau)
 
 
 def massey_report(tau: TauParameter | complex,

@@ -55,9 +55,9 @@ import cmath
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
+from ._frozen import Frozen
 from .errors import ConvergenceError, DomainError, PoleError
 
 MIN_IM_TAU = 0.05
@@ -83,20 +83,25 @@ _IPI = 1j * _PI
 _THETA1_SIGNS = ((-1) ** 0 * (-1j), (-1) ** 1 * (-1j))
 
 
-@dataclass(frozen=True)
-class TauParameter:
+class TauParameter(Frozen):
     """Modulus of the curve C / (Z + Z*tau).
 
     Requires Im tau >= MIN_IM_TAU, which also bounds the nome, |q| < 0.855.
     There is deliberately no reduction to a fundamental domain: ``value``
     keeps the caller's tau, so lambda(tau + 1) stays testable.  Every
-    evaluator runs at ``shifted = _even_shift(value)``, the same lattice.
+    evaluator runs at ``shifted = _even_shift(value)``, the same lattice,
+    which equality, hash and repr leave out.
     """
 
-    value: complex
-    shifted: complex = field(init=False, repr=False, compare=False)
+    _fields = ("value",)
+
+    def __init__(self, value: complex) -> None:
+        object.__setattr__(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate ``value`` and set ``shifted``.  A method of its own, as
+        ``bench/trace.py`` and the tests count constructions by wrapping it."""
         v = complex(self.value)
         object.__setattr__(self, "value", v)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
@@ -293,16 +298,18 @@ def _theta_constants(s: complex) -> tuple[complex, complex, complex]:
     return tuple(_theta_series(kind, 0j, s) for kind in (2, 3, 4))
 
 
-@dataclass(frozen=True)
-class HalfPeriodValues:
+class HalfPeriodValues(Frozen):
     """Weierstrass p at the three half-periods of Z + Z*tau.
 
     e1 = p(1/2), e2 = p(tau/2), e3 = p((1+tau)/2); e1 + e2 + e3 = 0.
     """
 
-    e1: complex
-    e2: complex
-    e3: complex
+    _fields = ("e1", "e2", "e3")
+
+    def __init__(self, e1: complex, e2: complex, e3: complex) -> None:
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "e3", e3)
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (self.e1, self.e2, self.e3)

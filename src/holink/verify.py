@@ -23,9 +23,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._frozen import Frozen
 from .errors import DisjointnessError
 from .hodge import (
     GroupAction,
@@ -64,13 +64,16 @@ if TYPE_CHECKING:
 TAU_BOX = ((-1.0, 1.0), (0.3, 3.0))
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    worst: float
-    tolerance: float
-    detail: str
+class SuiteResult(Frozen):
+    _fields = ("name", "passed", "worst", "tolerance", "detail")
+
+    def __init__(self, name: str, passed: bool, worst: float, tolerance: float,
+                 detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "worst", worst)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "detail", detail)
 
 
 def _random_tau(rng: random.Random) -> TauParameter:

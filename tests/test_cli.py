@@ -541,6 +541,35 @@ def test_scan_leaves_other_tmp_files_alone(tmp_path, capsys, monkeypatch,
     capsys.readouterr()
 
 
+def test_scan_io_error_names_the_out_path(tmp_path, capsys):
+    # The temporary file is scan's own business: neither a missing
+    # directory nor a failed rename onto a directory names it.
+    missing = tmp_path / "missing" / "x.csv"
+    assert _scan(missing, 0, 1, 1, 2, 2, 2) == 4
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    directory = tmp_path / "adir"
+    directory.mkdir()
+    assert _scan(directory, 0, 1, 1, 2, 2, 2) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": {str(directory)!r}\n")
+    assert ".tmp" not in err
+    assert set(tmp_path.iterdir()) == {directory} and not any(directory.iterdir())
+
+
+def test_scan_name_clash_names_the_temporary_file(tmp_path, capsys, monkeypatch):
+    # "File exists" is true of the temporary name, not of --out, which scan
+    # replaces; the file that was there is left alone.
+    monkeypatch.setattr(os, "urandom", lambda n: b"\x00" * n)
+    out = tmp_path / "x.csv"
+    clash = tmp_path / "x.csv.000000000000.tmp"
+    clash.write_text("not scan's")
+    assert _scan(out, 0, 1, 1, 2, 2, 2) == 4
+    assert capsys.readouterr().err == (
+        f"error: [Errno 17] File exists: {str(clash)!r}\n")
+    assert set(tmp_path.iterdir()) == {clash} and clash.read_text() == "not scan's"
+
+
 def test_verify_command(capsys):
     assert main(["verify", "--seed", "42"]) == 0
     out = capsys.readouterr().out
@@ -593,6 +622,9 @@ def numpy_free(step):
     assert "numpy" not in sys.modules, step
 
 numpy_free("import holink, holink.cli")
+# nor the modules the CLI's start-up has no use for
+unused = {"dataclasses", "inspect", "json"} & set(sys.modules)
+assert not unused, unused
 sz, sw, ez, ew, out = sys.argv[1:]
 for argv in (["lambda", "0.3+1.7i"], ["massey", "0.3+1.7i"], ["hodge"],
              ["link", sz, sw], ["link", ez, ew]):

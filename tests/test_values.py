@@ -1,0 +1,115 @@
+"""The value classes' contract: immutable fields, equality and hash over the
+compared fields, keyword construction, pickle and copy, and a stable repr."""
+
+import copy
+import pickle
+
+import pytest
+
+from holink import (
+    AdjunctionCheck,
+    BigradedDims,
+    BlowupCenter,
+    Curve,
+    GroupAction,
+    HalfPeriodValues,
+    LinkingMethod,
+    LinkingResult,
+    MasseyReport,
+    RationalMapSpec,
+    SuiteResult,
+    TauParameter,
+    torus_hodge,
+)
+from holink.cli import ScanGrid
+
+_SIGNS = [(1, -1, -1, 1, -1, -1), (-1, 1, -1, -1, 1, -1)]
+
+
+def _warm_tau():
+    # the cached tables live beside the fields and are not compared
+    t = TauParameter(0.3 + 1.1j)
+    t._green_terms
+    return t
+
+
+# name: (build, twin, field, repr).  ``build()`` is called twice with equal
+# arguments; ``twin()`` must equal it too although it differs in what the
+# class does not compare; ``field`` is assigned; the repr strings are those
+# of the frozen dataclasses the classes replaced.
+CASES = {
+    "TauParameter": (
+        lambda: TauParameter(0.3 + 1.1j), _warm_tau, "value",
+        "TauParameter(value=(0.3+1.1j))"),
+    "HalfPeriodValues": (
+        lambda: HalfPeriodValues(1.5 + 0j, -0.75 + 0.25j, -0.75 - 0.25j), None,
+        "e2", "HalfPeriodValues(e1=(1.5+0j), e2=(-0.75+0.25j), e3=(-0.75-0.25j))"),
+    "Curve": (
+        lambda: Curve("sphere"), None, "kind", "Curve.sphere()"),
+    "Curve-elliptic": (
+        lambda: Curve.elliptic(0.3 + 1.1j), None, "tau",
+        "Curve.elliptic((0.3+1.1j))"),
+    "LinkingResult": (
+        lambda: LinkingResult(-0.25, LinkingMethod.ARAKELOV_GREEN), None, "value",
+        "LinkingResult(value=-0.25, "
+        "method=<LinkingMethod.ARAKELOV_GREEN: 'arakelov-green'>)"),
+    "RationalMapSpec": (
+        lambda: RationalMapSpec("power", exponent=2), None, "exponent",
+        "RationalMapSpec(kind='power', exponent=2, offset=None)"),
+    "AdjunctionCheck": (
+        lambda: AdjunctionCheck(0.5, 0.5, 0.0), None, "residual",
+        "AdjunctionCheck(lhs=0.5, rhs=0.5, residual=0.0)"),
+    "MasseyReport": (
+        lambda: MasseyReport(tau=1j, value_closed_form=-0.9, value_via_linking=-0.9,
+                             residual=0.0, nonvanishing=True, lambda_at_tau=0.5 + 0j),
+        None, "nonvanishing",
+        "MasseyReport(tau=1j, value_closed_form=-0.9, value_via_linking=-0.9, "
+        "residual=0.0, nonvanishing=True, lambda_at_tau=(0.5+0j))"),
+    "GroupAction": (
+        lambda: GroupAction.closed(_SIGNS, require_conjugation=False),
+        lambda: GroupAction.closed(_SIGNS), "elements",
+        "GroupAction(elements=((1, 1, 1, 1, 1, 1), (1, -1, -1, 1, -1, -1), "
+        "(-1, 1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1)), "
+        "require_conjugation=False)"),
+    "BigradedDims": (
+        torus_hodge, None, "table",
+        "BigradedDims(table=((1, 3, 3, 1), (3, 9, 9, 3), (3, 9, 9, 3), "
+        "(1, 3, 3, 1)))"),
+    "BlowupCenter": (
+        lambda: BlowupCenter.elliptic_curve("fixed-curve-0-1"), None, "label",
+        "BlowupCenter(label='fixed-curve-0-1', dims=((1, 1), (1, 1)))"),
+    "SuiteResult": (
+        lambda: SuiteResult("theta-quasi", True, 2.5e-15, 1e-12, "40 draws"), None,
+        "passed",
+        "SuiteResult(name='theta-quasi', passed=True, worst=2.5e-15, "
+        "tolerance=1e-12, detail='40 draws')"),
+    "ScanGrid": (
+        lambda: ScanGrid(re_min=-1.0, re_max=1.0, im_min=0.5, im_max=1.5,
+                         steps_re=3, steps_im=2), None, "re_axis",
+        "ScanGrid(re_min=-1.0, re_max=1.0, im_min=0.5, im_max=1.5, steps_re=3, "
+        "steps_im=2)"),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_value_class_contract(name):
+    build, twin, field, text = CASES[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name.split("-")[0]
+    assert a is not b
+    for other in (b, (twin or build)()):
+        assert a == other and not a != other and hash(a) == hash(other)
+    assert a != object() and a != name
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(a, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert repr(a) == text
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(a, protocol))
+        assert type(clone) is type(a)
+        assert clone == a and hash(clone) == hash(a) and repr(clone) == text
+        assert getattr(clone, field) == getattr(a, field)
+    duplicate = copy.copy(a)
+    assert type(duplicate) is type(a) and duplicate == a and repr(duplicate) == text
+    assert getattr(duplicate, field) == getattr(a, field)
