@@ -17,6 +17,8 @@ The package computes, in double precision with pinned conventions:
 ``holink.cli`` exposes the same functionality as a command line tool.
 """
 
+# Every module is imported eagerly: bench/trace.py looks each one up in
+# sys.modules.
 from .errors import (
     ActionValidationError,
     BranchError,

@@ -172,8 +172,11 @@ class ScanGrid(Frozen):
 
 
 CSV_HEADER = "re_tau,im_tau,lambda_re,lambda_im,massey_value"
-# %-formatting renders a float as the f-string spec ".12g" does.
-_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g\n"
+# One line per grid point.  Each axis value is formatted once per axis, as
+# "%.12g,", so a point formats only its lambda and Massey value; a row of
+# the grid is still formatted in one call.  %-formatting renders a float as
+# the f-string spec ".12g" does, so the output is unchanged.
+_CSV_ROW = "%s%s%.12g,%.12g,%.12g\n"
 
 
 def cmd_lambda(args) -> int:
@@ -226,6 +229,7 @@ def cmd_scan(args) -> int:
     grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.steps_re, args.steps_im)
     row_format = _CSV_ROW * len(grid.re_axis)
+    re_cells = ["%.12g," % re for re in grid.re_axis]
     rows = zip(grid.im_axis, _grid_lambdas(grid.re_axis, grid.im_axis))
     # A sibling of scan's own: mode "x" never opens an existing file, and a
     # clash of the 48 random bits would fail with exit 4, not overwrite.
@@ -236,9 +240,10 @@ def cmd_scan(args) -> int:
             with fh:
                 fh.write(CSV_HEADER + "\n")
                 for im, lams in rows:  # each row is written as it is formatted
+                    im_cell = "%.12g," % im
                     cells = []
-                    for re, lam in zip(grid.re_axis, lams):
-                        cells += (re, im, lam.real, lam.imag,
+                    for re_cell, lam in zip(re_cells, lams):
+                        cells += (re_cell, im_cell, lam.real, lam.imag,
                                   _closed_form_from_lambda(lam))
                     fh.write(row_format % tuple(cells))
             os.replace(tmp_path, args.out)

@@ -84,6 +84,11 @@ class _InfinityType:
     def __repr__(self) -> str:
         return "INFINITY"
 
+    def __reduce__(self) -> str:
+        # pickled by name, so every protocol, 0 and 1 too, loads the one
+        # marker
+        return "INFINITY"
+
 
 INFINITY = _InfinityType()
 
@@ -203,6 +208,12 @@ class Divisor:
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Divisor is immutable")
+
+    def __reduce__(self):
+        return _restore_divisor, (self.curve, self.terms)
+
     @classmethod
     def sphere(cls, terms: Iterable[tuple[Point, int]]) -> "Divisor":
         return cls(SPHERE, terms)
@@ -251,6 +262,16 @@ class Divisor:
 
     def __repr__(self) -> str:
         return f"Divisor({self.curve!r}, {list(self.terms)!r})"
+
+
+def _restore_divisor(curve: Curve, terms: tuple) -> Divisor:
+    """The divisor with these canonical terms, as pickle and copy rebuild
+    it: construction would reduce and merge the points again, which need
+    not keep their bits."""
+    divisor = object.__new__(Divisor)
+    object.__setattr__(divisor, "curve", curve)
+    object.__setattr__(divisor, "terms", terms)
+    return divisor
 
 
 class LinkingMethod(enum.Enum):

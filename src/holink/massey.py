@@ -34,6 +34,8 @@ from .special_functions import TauParameter, as_tau, modular_lambda
 #: Default threshold deciding the ``nonvanishing`` flag of a report.
 DEFAULT_NONVANISHING_TOL = 1e-6
 
+_FOUR_OVER_PI = 4.0 / math.pi
+
 
 def _check_tolerance(tol: float) -> None:
     """The one tolerance rule: a real number, not a bool, positive and
@@ -51,7 +53,7 @@ def _closed_form_from_lambda(lam: complex) -> float:
         raise DivergenceError(
             "|1 - lambda(tau)| rounds to 0: the closed form diverges"
         )
-    return (4.0 / math.pi) * math.log(modulus)
+    return _FOUR_OVER_PI * math.log(modulus)
 
 
 def massey_value_closed_form(tau: TauParameter | complex) -> float:

@@ -309,12 +309,8 @@ def test_scan_command(tmp_path, capsys):
     assert lines[2].split(",")[0] == "0"            # re varies fastest
     assert lines[3].split(",")[0] == "0.5"
     assert lines[4].split(",")[1] == "1.2"
-    assert not (tmp_path / "grid.csv.tmp").exists()
-    # center column sanity: lambda(i) = 1/2 on the row through tau = i
-    mid = lines[2].split(",")
-    # tau = 0+0.8i there; just check the file parses as floats
-    for cell in mid:
-        float(cell)
+    assert list(tmp_path.glob("grid.csv.*.tmp")) == []
+    assert lines == _scalar_rows(ScanGrid(-0.5, 0.5, 0.8, 1.2, 3, 2))
     capsys.readouterr()
 
 
@@ -436,6 +432,18 @@ def test_scan_one_column_matches_scalar_loop(tmp_path):
     assert _scan(out_path, 0.25, 0.25, 0.5, 3, 1, steps_im) == 0
     grid = ScanGrid(0.25, 0.25, 0.5, 3.0, 1, steps_im)
     assert out_path.read_text().splitlines() == _scalar_rows(grid)
+
+
+@pytest.mark.parametrize("bounds", [
+    # across the even shift of Re tau at -1 and 1
+    (-1.5, 1.5, 0.5, 2.0, 31, 9),
+    # Re tau about 1e15, where ".12g" rounds the axis values alike
+    (1e15, 1e15 + 1, 0.7, 1.3, 5, 3),
+])
+def test_scan_wide_grid_matches_scalar_loop(tmp_path, bounds):
+    out_path = tmp_path / "wide.csv"
+    assert _scan(out_path, *bounds) == 0
+    assert out_path.read_text().splitlines() == _scalar_rows(ScanGrid(*bounds))
 
 
 def test_scan_far_up_the_imaginary_axis_is_silent(tmp_path):

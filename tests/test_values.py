@@ -11,8 +11,10 @@ from holink import (
     BigradedDims,
     BlowupCenter,
     Curve,
+    Divisor,
     GroupAction,
     HalfPeriodValues,
+    INFINITY,
     LinkingMethod,
     LinkingResult,
     MasseyReport,
@@ -36,7 +38,7 @@ def _warm_tau():
 # name: (build, twin, field, repr).  ``build()`` is called twice with equal
 # arguments; ``twin()`` must equal it too although it differs in what the
 # class does not compare; ``field`` is assigned; the repr strings are those
-# of the frozen dataclasses the classes replaced.
+# of the frozen dataclasses the classes replaced, and ``Divisor``'s own.
 CASES = {
     "TauParameter": (
         lambda: TauParameter(0.3 + 1.1j), _warm_tau, "value",
@@ -83,6 +85,17 @@ CASES = {
         "passed",
         "SuiteResult(name='theta-quasi', passed=True, worst=2.5e-15, "
         "tolerance=1e-12, detail='40 draws')"),
+    # terms are canonicalised, so their input order is not compared
+    "Divisor": (
+        lambda: Divisor.sphere([(1, 1), (2, -1)]),
+        lambda: Divisor.sphere([(2, -1), (1, 1)]), "terms",
+        "Divisor(Curve.sphere(), [((1+0j), 1), ((2+0j), -1)])"),
+    "Divisor-elliptic": (
+        lambda: Divisor.elliptic(0.3 + 1.1j, [(0.5, 1), (0.25 + 0.55j, -1)]),
+        lambda: Divisor.elliptic(0.3 + 1.1j, [(0.25 + 0.55j, -1), (1.5, 1)]),
+        "curve",
+        "Divisor(Curve.elliptic((0.3+1.1j)), [((0.25+0.55j), -1), "
+        "((0.5+0j), 1)])"),
     "ScanGrid": (
         lambda: ScanGrid(re_min=-1.0, re_max=1.0, im_min=0.5, im_max=1.5,
                          steps_re=3, steps_im=2), None, "re_axis",
@@ -113,3 +126,28 @@ def test_value_class_contract(name):
     duplicate = copy.copy(a)
     assert type(duplicate) is type(a) and duplicate == a and repr(duplicate) == text
     assert getattr(duplicate, field) == getattr(a, field)
+
+
+def _term_bits(divisor):
+    return [(p if p is INFINITY else (p.real.hex(), p.imag.hex()), m)
+            for p, m in divisor.terms]
+
+
+@pytest.mark.parametrize("divisor", [
+    Divisor.sphere([(INFINITY, 2), (0.1 + 0.2j, -1), (1 / 3, -1)]),
+    # reduced into the cell of the shifted tau -0.7+1.1i: the stored points
+    # are not the ones given, and a copy keeps the stored bits
+    Divisor.elliptic(1.3 + 1.1j, [(0.1 + 0.7j, 3), (-2.35 - 4.4j, -1),
+                                  ((1.3 + 1.1j) / 2, -2)]),
+    # next to the lattice point tau, in the snap window: reducing the stored
+    # point once more moves its last bit, so a copy must not construct anew
+    Divisor.elliptic(-0.3822885722568401 + 3.692576783921756j,
+                     [(-2.7645771445129848 + 7.385153567836793j, 1), (0.5, -1)]),
+])
+def test_divisor_pickle_and_copy_keep_the_point_bits(divisor):
+    clones = [pickle.loads(pickle.dumps(divisor, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones + [copy.copy(divisor), copy.deepcopy(divisor)]:
+        assert type(clone) is Divisor and clone == divisor
+        assert hash(clone) == hash(divisor) and repr(clone) == repr(divisor)
+        assert _term_bits(clone) == _term_bits(divisor)
