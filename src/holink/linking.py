@@ -53,7 +53,6 @@ from .errors import (
 )
 from .special_functions import (
     POLE_TOL,
-    SNAP_TOL,
     TauParameter,
     _as_int,
     _corner_distance,
@@ -67,6 +66,9 @@ from .special_functions import (
 
 #: Tolerance below which two support points count as colliding.
 DISJOINTNESS_TOL = 1e-9
+
+#: Distance below which ``Divisor`` merges two points into one term.
+MERGE_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 
@@ -144,7 +146,8 @@ def _sphere_distance(p: Point, q: Point) -> float:
 
 
 #: Margin of the merge screen in ``Divisor``, in units of Im tau: far above
-#: SNAP_TOL and SNAP_TOL / MIN_IM_TAU (2e-11).
+#: MERGE_TOL / MIN_IM_TAU (2e-11), so the pairs it skips lie farther apart
+#: than MERGE_TOL.
 _SCREEN_MARGIN = 1e-9
 
 
@@ -152,11 +155,11 @@ class Divisor:
     """Formal integer combination of points on a fixed curve.
 
     Terms are canonicalized on construction: elliptic points are reduced
-    into the fundamental cell (with half-period snapping), duplicate points
-    are merged, zero multiplicities are dropped, and the term list is
-    sorted.  Instances are immutable.
+    into the fundamental cell, duplicate points are merged, zero
+    multiplicities are dropped, and the term list is sorted.  Instances
+    are immutable.
 
-    A point merges into the first earlier one within SNAP_TOL of it.  On an
+    A point merges into the first earlier one within MERGE_TOL of it.  On an
     elliptic curve a screen skips the measurement of most pairs: two
     reduced points whose imaginary parts differ by a fraction of Im tau in
     (_SCREEN_MARGIN, 1 - _SCREEN_MARGIN) have a difference whose lattice
@@ -196,7 +199,7 @@ class Divisor:
                     dist = _reduced_difference(p0, point, t)[1]
                 else:
                     dist = _sphere_distance(p0, point)
-                if dist < SNAP_TOL:
+                if dist < MERGE_TOL:
                     canon[i] = (p0, m0 + mult)
                     break
             else:
@@ -245,13 +248,14 @@ class Divisor:
         return self + (-other)
 
     def __rmul__(self, k: int) -> "Divisor":
-        """k * self.  Reduction leaves the canonical points where they are,
-        so a nonzero k scales the multiplicities of the same terms."""
+        """k * self: the same canonical points, their multiplicities scaled
+        by k, and no terms for k = 0."""
         try:
             k = _as_int("scale", k)
         except ValueError:
             return NotImplemented
-        return Divisor(self.curve, [(p, k * m) for p, m in self.terms])
+        return _restore_divisor(
+            self.curve, tuple((p, k * m) for p, m in self.terms) if k else ())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Divisor) and self.curve == other.curve
@@ -265,9 +269,9 @@ class Divisor:
 
 
 def _restore_divisor(curve: Curve, terms: tuple) -> Divisor:
-    """The divisor with these canonical terms, as pickle and copy rebuild
-    it: construction would reduce and merge the points again, which need
-    not keep their bits."""
+    """The divisor with these canonical terms, as pickle, copy and k * d
+    rebuild it: construction would reduce the points again, and a point on
+    the cell edge x = 0 can move its last bit."""
     divisor = object.__new__(Divisor)
     object.__setattr__(divisor, "curve", curve)
     object.__setattr__(divisor, "terms", terms)
@@ -354,9 +358,7 @@ def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
     Near the lattice the kernel's sums cancel: at distance d from it the
     absolute error is about c * eps / d, with c below 1 over [-1, 1] x
     [0.3, 3] and up to 37 near the cusp 0 at the Im tau floor (against
-    40-digit mpmath, 100 seeded points each).  Within the snap window of
-    ``reduce_mod_lattice``, where u moves by delta, add up to -log(1 -
-    delta/d) / pi: 4.8e-4 at tau = i, u = -5.5e-13 - 9.98e-12i.
+    40-digit mpmath, 100 seeded points each).
     """
     t = as_tau(tau)
     ur = reduce_mod_lattice(u, t)

@@ -63,9 +63,6 @@ from .errors import ConvergenceError, DomainError, PoleError
 MIN_IM_TAU = 0.05
 EPS_SERIES = 1e-18
 
-#: Snap radius onto half-integer lattice coordinates in ``reduce_mod_lattice``.
-SNAP_TOL = 1e-12
-
 #: Distance from the lattice within which p and the Green kernel raise PoleError.
 POLE_TOL = 1e-12
 
@@ -338,22 +335,16 @@ def half_period_values(tau: TauParameter | complex) -> HalfPeriodValues:
 def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
     """Representative of z in the cell [0,1) x [0,1) of (1, tau.shifted).
 
-    Coordinates within SNAP_TOL of a half-integer are snapped onto it, so
-    points meant to be half-periods are recognized exactly downstream.  A
-    point whose lattice coordinates lie strictly inside the cell, off the
-    snap lines, is its own representative, bit for bit; so reducing a
-    reduced point again leaves it where it is.  Far out, where float
-    coordinates would have lost digits, the reduction is exact.  A finite
-    z whose coordinates leave double range raises DomainError.  Its body,
-    ``_reduce_point``, serves ``Divisor`` and ``torus_distance`` too.
-
-    The snap window costs accuracy next to the lattice: a point at distance
-    d from it, with a coordinate within SNAP_TOL of a cell edge, moves by
-    delta < SNAP_TOL * (1 + |tau|).  What is evaluated at the representative
-    feels that move: ``weierstrass_p`` by up to delta (2d + delta) / (d -
-    delta)^2 relative (0.110 at tau = i, z = -5.5e-13 - 9.98e-12i), the
-    Green kernel by up to -log(1 - delta/d) / pi.  Off the window the
-    coordinates still round, by about eps, which costs order eps/d.
+    Each lattice coordinate is taken mod 1.  A point whose lattice
+    coordinates lie strictly inside the cell is its own representative,
+    bit for bit, so reducing a reduced point again leaves it where it is;
+    on a cell edge, where a coordinate is 0, it can move its last bit.
+    Far out, where float coordinates would lose digits, the reduction is
+    exact.  Every finite z has a representative; only a z that is not
+    finite raises DomainError.  The coordinates round by about eps, so a
+    value taken at the representative loses about eps/d at distance d from
+    the lattice.  Its body, ``_reduce_point``, serves ``Divisor`` and
+    ``torus_distance`` too.
     """
     return _reduce_point(complex(z), as_tau(tau).shifted)
 
@@ -361,8 +352,9 @@ def reduce_mod_lattice(z: complex, tau: TauParameter | complex) -> complex:
 #: Largest |x| + 2|y| of the lattice coordinates (x, y) that
 #: ``_reduce_point`` reduces in floats.  Their error is about
 #: eps * (|x| + (1 + |Re tau|) * |y|) <= eps * (|x| + 2|y|) at a shifted
-#: tau, so within the limit it stays below 2**-42 (2.3e-13), under
-#: SNAP_TOL; beyond it the reduction is exact.
+#: tau, so within the limit it stays below 2**-42 (2.3e-13), under the
+#: 1e-12 merge distance of ``linking.Divisor``; beyond it the reduction is
+#: exact.
 _FLOAT_REDUCTION_LIMIT = 2.0 ** 10
 
 
@@ -372,22 +364,15 @@ def _reduce_point(z: complex, tv: complex) -> complex:
     y = z.imag / tv.imag
     x = z.real - y * tv.real
     if not abs(x) + 2.0 * abs(y) <= _FLOAT_REDUCTION_LIMIT:  # an inf or NaN too
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DomainError(
-                f"z = {z!r} has no lattice coordinates in double range at "
-                f"tau = {tv!r}")
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise DomainError(f"z = {z!r} is not finite: it has no lattice "
+                              "coordinates")
         x, y, tr, ti = _exact_coordinates(z, tv)
         x, y = x - math.floor(x), y - math.floor(y)
         return _reduce_point(complex(x + y * tr, y * ti), tv)
-    # each coordinate mod 1, snapped onto a half-integer within SNAP_TOL
-    xs = x - math.floor(x)
-    half = round(2.0 * xs) / 2.0
-    if abs(xs - half) < SNAP_TOL:
-        xs = half % 1.0
-    ys = y - math.floor(y)
-    half = round(2.0 * ys) / 2.0
-    if abs(ys - half) < SNAP_TOL:
-        ys = half % 1.0
+    # each coordinate mod 1: one that rounds up to 1.0 wraps to 0
+    xs = (x - math.floor(x)) % 1.0
+    ys = (y - math.floor(y)) % 1.0
     if 0.0 < xs == x and 0.0 < ys == y:
         return z
     return complex(xs + ys * tv.real, ys * tv.imag)
@@ -458,7 +443,7 @@ def lattice_sum_p(z: complex, tau: TauParameter | complex) -> complex:
 
     whose rows fall off as exp(-2 pi n Im tau).  The theta-free reference
     for ``weierstrass_p``, with which it shares no formula: no theta
-    series, no half-period value, no snap of z.  z is summed at the
+    series, no half-period value.  z is summed at the
     representative whose lattice coordinates are nearest 0: z's (x, y) in
     the basis (1, tau), taken exactly, become x - round(x) and y - round(y),
     and the point is rounded once, so a z already there comes back as it
@@ -502,9 +487,7 @@ def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:
     is about c * eps / d.  Against ``lattice_sum_p`` over seeded points, c
     stays below 10 over [-1, 1] x [0.3, 3] (3.3 measured); in the band Im
     tau < 0.3 it reaches 2.4e4 near the cusp 0 and 2.7e3 near +-1 (3.3e-5 at
-    tau = 0.0154+0.0576i, z = 1e-9 (1 + i)).  Within the snap window of
-    ``reduce_mod_lattice``, where z moves by delta, add delta (2d + delta)
-    / (d - delta)^2: 0.110 at tau = i, z = -5.5e-13 - 9.98e-12i."""
+    tau = 0.0154+0.0576i, z = 1e-9 (1 + i))."""
     t = as_tau(tau)
     zr = reduce_mod_lattice(z, t)
     if _corner_distance(zr, t) < POLE_TOL:

@@ -242,22 +242,26 @@ def test_link_huge_multiplicity_is_domain_exit(tmp_path, capsys, curve, a, b):
     assert len(captured.err.splitlines()) == 1
 
 
-def test_link_point_beyond_double_range_is_domain_exit(tmp_path, capsys):
-    # finite, but its lattice coordinates overflow: exit 3 with one error
-    # line, not an OverflowError traceback and exit 1
-    z = tmp_path / "z.json"
-    w = tmp_path / "w.json"
+def test_link_point_beyond_double_range_pairs_its_representative(tmp_path,
+                                                                 capsys):
+    # finite, though its float lattice coordinates overflow: reduced
+    # exactly.  1e308+1e308i is a lattice point of 0.3+0.5i, so the pairing
+    # prints what it prints with the point at 0.
     curve = {"elliptic": "0.3+0.5i"}
-    z.write_text(json.dumps({"curve": curve,
-                             "terms": [[1e308, 1e308, 1], [0.1, 0.2, -1]]}))
+    w = tmp_path / "w.json"
     w.write_text(json.dumps({"curve": curve,
                              "terms": [[0.35, 0.9, 1], [0.8, 0.15, -1]]}))
-    assert main(["link", str(z), str(w)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "double range" in captured.err
-    assert len(captured.err.splitlines()) == 1
+    outs = []
+    for name, point in (("far", [1e308, 1e308, 1]), ("zero", [0, 0, 1])):
+        z = tmp_path / f"{name}.json"
+        z.write_text(json.dumps({"curve": curve,
+                                 "terms": [point, [0.1, 0.2, -1]]}))
+        assert main(["link", str(z), str(w)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("value    = 0.0732227546297992\n")
 
 
 def test_link_elliptic_half_periods(tmp_path, capsys):

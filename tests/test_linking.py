@@ -39,7 +39,7 @@ from holink import (
     torus_distance,
     weierstrass_p,
 )
-from holink.special_functions import SNAP_TOL
+from holink.linking import MERGE_TOL
 from holink.verify import TAU_BOX, _kernel_pairing
 
 LINK_AT_I = math.log(0.5) / (2.0 * math.pi)  # half-period pairing on tau = i
@@ -96,7 +96,7 @@ def _merged_measuring_every_pair(tau, terms):
     for p, m in terms:
         p = reduce_mod_lattice(p, tau)
         for i, (p0, m0) in enumerate(canon):
-            if torus_distance(p0, p, tau) < SNAP_TOL:
+            if torus_distance(p0, p, tau) < MERGE_TOL:
                 canon[i] = (p0, m0 + m)
                 break
         else:
@@ -112,7 +112,7 @@ def _hex_terms(terms):
 
 def test_merge_screen_keeps_every_canonical_term():
     # Seeded divisors with lattice translates of their points, nudged by
-    # less and by more than SNAP_TOL, and pairs of points near the lower and
+    # less and by more than MERGE_TOL, and pairs of points near the lower and
     # upper cell edges: the screened merge gives the reference's terms.
     rng = random.Random(1709)
     merges = 0
@@ -140,13 +140,13 @@ def test_merge_screen_keeps_every_canonical_term():
 
 
 _TV = 0.3 + 1.1j
-_P = 3e-12 + 3e-12 * _TV  # lattice coordinates (3e-12, 3e-12), not snapped
+_P = 3e-12 + 3e-12 * _TV  # lattice coordinates (3e-12, 3e-12)
 _Q = 0.3 + 5e-12 * (0.7 + 0.05j)
 
 
 @pytest.mark.parametrize("tau, points, n_terms", [
     # lattice y 1e-11 and 1 - 1e-11 at Im tau = 0.05: 1.0000056e-12 apart,
-    # just over SNAP_TOL, so two terms; at 5e-12 from the edges, one
+    # just over MERGE_TOL, so two terms; at 5e-12 from the edges, one
     (0.05j, [0.3 + 1e-11 * 0.05j, 0.3 + (1 - 1e-11) * 0.05j], 2),
     (0.05j, [0.3 + 5e-12 * 0.05j, 0.3 + (1 - 5e-12) * 0.05j], 1),
     (0.7 + 0.05j, [_Q, _Q + (0.7 + 0.05j) - 5e-13j], 1),
@@ -209,8 +209,7 @@ def test_divisor_algebra():
 
 
 def test_negation_and_scaling_keep_canonical_terms():
-    # -d and k*d rebuild the divisor from its canonical terms; reduction
-    # leaves those points where they are, so only the multiplicities change.
+    # -d and k*d keep the canonical points and scale the multiplicities.
     rng = random.Random(0)
     for _ in range(2000):
         tau = complex(rng.uniform(-1, 1), rng.uniform(0.05, 3.0))
@@ -227,6 +226,19 @@ def test_negation_and_scaling_keep_canonical_terms():
         assert (0 * d).terms == ()
         assert (linking(-d, w).value.hex()
                 == (-linking(d, w).value).hex())
+
+
+def test_scaling_keeps_the_point_bits_on_the_cell_edge():
+    # The first point lies next to the lattice point tau, on the cell edge
+    # x = 0: reduced once more it moves its last bit, so k * d takes the
+    # canonical points as they are.
+    d = Divisor.elliptic(-0.30322773586661467 + 2.113429950059692j,
+                         [(2.7870890565343673 + 8.453719800233012j, 1),
+                          (0.5, -1)])
+    assert 1 * d == d
+    assert -(-d) == d
+    assert (_hex_terms((2 * d).terms)
+            == [(re, im, 2 * m) for re, im, m in _hex_terms(d.terms)])
 
 
 def test_divisor_scale_is_an_int_as_a_multiplicity_is():
@@ -410,8 +422,8 @@ def test_green_kernel_and_p_reduce_once(monkeypatch):
     (5e-12, 1 - 5e-12, 1 + 0.1j),             # near tau
 ])
 def test_pole_detected_at_every_cell_corner(x, y, tau):
-    # The lattice coordinates sit 5e-12 off the corner, outside the snap
-    # radius, yet the point lies about 5e-13 from the lattice.
+    # The lattice coordinates sit 5e-12 off the corner, yet the point lies
+    # about 5e-13 from the lattice.
     u = x + y * tau
     assert torus_distance(u, 0.0, tau) < 1e-12
     with pytest.raises(PoleError):

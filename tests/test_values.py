@@ -139,10 +139,11 @@ def _term_bits(divisor):
     # are not the ones given, and a copy keeps the stored bits
     Divisor.elliptic(1.3 + 1.1j, [(0.1 + 0.7j, 3), (-2.35 - 4.4j, -1),
                                   ((1.3 + 1.1j) / 2, -2)]),
-    # next to the lattice point tau, in the snap window: reducing the stored
-    # point once more moves its last bit, so a copy must not construct anew
-    Divisor.elliptic(-0.3822885722568401 + 3.692576783921756j,
-                     [(-2.7645771445129848 + 7.385153567836793j, 1), (0.5, -1)]),
+    # next to the lattice point tau, on the cell edge x = 0: reducing the
+    # stored point once more moves its last bit, so a copy must not
+    # construct anew
+    Divisor.elliptic(-0.30322773586661467 + 2.113429950059692j,
+                     [(2.7870890565343673 + 8.453719800233012j, 1), (0.5, -1)]),
 ])
 def test_divisor_pickle_and_copy_keep_the_point_bits(divisor):
     clones = [pickle.loads(pickle.dumps(divisor, protocol))
