@@ -19,18 +19,20 @@ to finite sums of logarithms:
   and any additive constant cancels in degree-zero double sums, so the
   constant is fixed to zero.
 
-One kernel body, ``_pair_greens``, evaluates g_tau, for the pairing,
-``arakelov_green`` and ``verify``'s Laplacian suite alike, and clears each
-pair of the pairing just before its term: it builds theta1 at each
-difference from per-point phases and per-tau coefficients, divided by its
-largest term, so that no term leaves double range at any Im tau;
-``weierstrass_p`` sums the same folded theta1, ``_folded_theta1``.  Its
-independent reference, theta1's own series, lives in the tests.  Each pair
-is taken in one canonical order, and both evaluators add their terms with
-``math.fsum``, which is correctly rounded and so order independent: hence
-linking(z, w) == linking(w, z) holds bit for bit.  They only sum: the
-comparison with the half-period closed form and the altered-kernel checks
-live with the other route comparisons, in ``massey`` and ``verify``.
+One kernel body, ``_pair_greens``, evaluates g_tau, for the pairing and
+``arakelov_green`` alike, and clears each pair of the pairing just before
+its term: it builds theta1 at each difference from per-point phases and
+per-tau coefficients, divided by its largest term, so that no term leaves
+double range at any Im tau; ``weierstrass_p`` sums the same folded theta1,
+``_folded_theta1``.  Its independent references are theta1's own series,
+in the tests, and Abel's theorem, in ``verify``'s principal-divisor suite:
+the pairing with the divisor of p - p(a) is a sum of log|p(Q) - p(a)|,
+summed by Eisenstein's rows without theta.  Each pair is taken in one
+canonical order, and both evaluators add their terms with ``math.fsum``,
+which is correctly rounded and so order independent: hence linking(z, w)
+== linking(w, z) holds bit for bit.  They only sum: the comparison with
+the half-period closed form and the altered-kernel checks live with the
+other route comparisons, in ``massey`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -174,11 +176,8 @@ class Divisor:
         object.__setattr__(self, "curve", curve)
         elliptic = curve.kind == "elliptic"
         if elliptic:
-            t = curve.tau
-            tv = t.shifted
-            apart_lo = _SCREEN_MARGIN * tv.imag
-            apart_hi = (1.0 - _SCREEN_MARGIN) * tv.imag
-        canon: list[tuple[Point, int]] = []
+            tv = curve.tau.shifted
+        checked = []
         for point, mult in terms:
             if type(mult) is not int:
                 mult = _as_int("multiplicity", mult)
@@ -191,22 +190,8 @@ class Divisor:
                     raise DomainError(f"divisor point must be finite, got {point!r}")
                 if elliptic:
                     point = _reduce_point(point, tv)
-            # merge with an existing representative, if any
-            for i, (p0, m0) in enumerate(canon):
-                if elliptic:
-                    if apart_lo < abs(p0.imag - point.imag) < apart_hi:
-                        continue
-                    dist = _reduced_difference(p0, point, t)[1]
-                else:
-                    dist = _sphere_distance(p0, point)
-                if dist < MERGE_TOL:
-                    canon[i] = (p0, m0 + mult)
-                    break
-            else:
-                canon.append((point, mult))
-        canon = [(p, m) for (p, m) in canon if m != 0]
-        canon.sort(key=lambda t: _point_key(t[0]))
-        object.__setattr__(self, "terms", tuple(canon))
+            checked.append((point, mult))
+        object.__setattr__(self, "terms", _merged(curve, (), checked))
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
@@ -242,7 +227,8 @@ class Divisor:
             raise CurveMismatchError(
                 f"cannot add divisors on {self.curve!r} and {other.curve!r}"
             )
-        return Divisor(self.curve, list(self.terms) + list(other.terms))
+        return _restore_divisor(self.curve,
+                                _merged(self.curve, self.terms, other.terms))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         return self + (-other)
@@ -268,10 +254,39 @@ class Divisor:
         return f"Divisor({self.curve!r}, {list(self.terms)!r})"
 
 
+def _merged(curve: Curve, terms: tuple, new: Iterable) -> tuple:
+    """``terms``, a divisor's canonical terms on ``curve``, with each (point,
+    mult) of ``new``, its point reduced already, merged into the first
+    earlier point within MERGE_TOL of it, or appended; then sorted, without
+    zero multiplicities.  No point is reduced here, so none moves a bit."""
+    canon = list(terms)
+    elliptic = curve.kind == "elliptic"
+    if elliptic:
+        t = curve.tau
+        im_t = t.shifted.imag
+        apart_lo, apart_hi = _SCREEN_MARGIN * im_t, (1.0 - _SCREEN_MARGIN) * im_t
+    for point, mult in new:
+        for i, (p0, m0) in enumerate(canon):
+            if elliptic:
+                if apart_lo < abs(p0.imag - point.imag) < apart_hi:
+                    continue
+                dist = _reduced_difference(p0, point, t)[1]
+            else:
+                dist = _sphere_distance(p0, point)
+            if dist < MERGE_TOL:
+                canon[i] = (p0, m0 + mult)
+                break
+        else:
+            canon.append((point, mult))
+    canon = [(p, m) for (p, m) in canon if m != 0]
+    canon.sort(key=lambda t: _point_key(t[0]))
+    return tuple(canon)
+
+
 def _restore_divisor(curve: Curve, terms: tuple) -> Divisor:
-    """The divisor with these canonical terms, as pickle, copy and k * d
-    rebuild it: construction would reduce the points again, and a point on
-    the cell edge x = 0 can move its last bit."""
+    """The divisor with these canonical terms, as pickle, copy, k * d and
+    d + e build it: construction would reduce the points again, and a point
+    on the cell edge x = 0 can move its last bit."""
     divisor = object.__new__(Divisor)
     object.__setattr__(divisor, "curve", curve)
     object.__setattr__(divisor, "terms", terms)

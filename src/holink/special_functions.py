@@ -421,9 +421,14 @@ def torus_distance(u: complex, v: complex, tau: TauParameter | complex) -> float
 
 def _reduced_difference(u: complex, v: complex,
                         t: TauParameter) -> tuple[complex, float]:
-    """(reduced oriented difference, its corner distance) of complex u, v."""
+    """(reduced oriented difference, its corner distance) of complex u, v;
+    where u - v leaves double range, that of their representatives."""
     d = u - v if (u.real, u.imag) <= (v.real, v.imag) else v - u
-    ur = _reduce_point(d, t.shifted)
+    try:
+        ur = _reduce_point(d, t.shifted)
+    except DomainError:  # d is not finite: u or v is not, or u - v overflows
+        return _reduced_difference(_reduce_point(u, t.shifted),
+                                   _reduce_point(v, t.shifted), t)
     return ur, _corner_distance(ur, t)
 
 
@@ -471,6 +476,37 @@ def lattice_sum_p(z: complex, tau: TauParameter | complex) -> complex:
     for n in range(1, math.floor((_ROW_C + abs(u.imag)) / tv.imag) + 1):
         total += csc2(u + n * tv) + csc2(u - n * tv) - 2.0 * csc2(n * tv)
     return total
+
+
+def _p_difference(z: complex, a: complex, t: TauParameter) -> complex:
+    """p(z) - p(a) at ``t.shifted`` by ``lattice_sum_p``'s rows, row n of z
+    less row n of a as one product, csc^2 x - csc^2 y = sin(y - x) sin(y +
+    x) / (sin^2 x sin^2 y), so
+
+        p(z) - p(a) = pi^2 sin(pi (a - z)) sum_{|n| <= N} sin(pi (z + a +
+                      2 n tau)) / (sin^2(pi (z + n tau)) sin^2(pi (a + n tau))):
+
+    the rows' -2 csc^2(pi n tau) cancel exactly, and no row subtracts two
+    large numbers.  z and a are summed at their representatives in the
+    cell centred on 0, taken in floats from ``_reduce_point``; N is fixed
+    before the first row from Im tau and the larger |Im| (``_ROW_C``)."""
+    tv = t.shifted
+
+    def centred(p: complex) -> complex:
+        p = _reduce_point(complex(p), tv)
+        if 2.0 * p.imag > tv.imag:
+            p -= tv
+        return p - 1.0 if 2.0 * (p.real - p.imag / tv.imag * tv.real) > 1.0 else p
+
+    u, v = centred(z), centred(a)
+    rows = math.floor((_ROW_C + max(abs(u.imag), abs(v.imag))) / tv.imag)
+    sin = cmath.sin
+    total = 0j
+    for n in range(-rows, rows + 1):
+        w = n * tv
+        total += (sin(_PI * (u + v + 2.0 * w))
+                  / (sin(_PI * (u + w)) * sin(_PI * (v + w))) ** 2)
+    return _PI2 * sin(_PI * (v - u)) * total
 
 
 def weierstrass_p(z: complex, tau: TauParameter | complex) -> complex:

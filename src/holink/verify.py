@@ -6,10 +6,11 @@ returns its residuals; ``run_all`` alone reduces them to a worst residual
 and decides whether that passes its tolerance.  A NaN residual makes the
 worst NaN, which fails.  The formatted summary is a pure function of
 (seed, tolerance override), so two runs with the same arguments produce
-byte-identical text.  No suite uses numpy: the weierstrass-oracle compares
-the theta route for p with ``lattice_sum_p``, Eisenstein's rows of sines,
-and the green-laplacian takes the Green kernel at each stencil point from
-the pairing's own kernel, ``linking._pair_greens``.
+byte-identical text.  No suite uses numpy.  Two suites check against
+Eisenstein's rows of sines, which share no code with the theta series: the
+weierstrass-oracle compares the theta route for p with ``lattice_sum_p``,
+and the principal-divisor compares the pairing of the divisor of p - p(a)
+with Abel's value, from ``_p_difference``.
 
 A tolerance override, when given, replaces the per-suite defaults across
 the board.  Suites whose residuals are exactly zero (the integer-valued
@@ -37,7 +38,6 @@ from .hodge import (
 from .linking import (
     Divisor,
     RationalMapSpec,
-    _pair_greens,
     arakelov_green,
     check_adjunction,
     linking_elliptic,
@@ -47,7 +47,7 @@ from .massey import (_check_tolerance, massey_value_closed_form,
                      massey_value_via_linking)
 from .special_functions import (
     TauParameter,
-    _corner_distance,
+    _p_difference,
     as_tau,
     half_period_values,
     lambda_complement_ratio,
@@ -310,50 +310,31 @@ def _kernel_pairing(z: Divisor, w: Divisor,
         for p, a in z.terms for q, b in w.terms)
 
 
-#: The five-point stencil's step, and the grid's cells per side.
-_STEP, _GRID = 2e-5, 64
-
-
-def _laplacian_grid(tau: complex) -> list[float]:
-    """Five-point finite-difference Laplacian of the Green kernel at each
-    cell of ``_stencil_greens``."""
-    return [(g_xp + g_xm + g_yp + g_ym - 4.0 * g) / (_STEP * _STEP)
-            for g_xp, g_xm, g_yp, g_ym, g in _stencil_greens(tau)]
-
-
-def _stencil_greens(tau: complex) -> list[tuple[float, ...]]:
-    """The Green kernel g at the stencil u + step, u - step, u + i*step,
-    u - i*step and u of each midpoint u = x + y*tau' of the n x n grid of
-    fundamental cells at least 3/n from the lattice, in row-major cell
-    order (x, then y).  g is the pairing's own kernel, ``_pair_greens``, at
-    the pairs (x + dx, -(y*tau' + i*dy)), whose difference is the stencil
-    point: it takes each point's phase once, so the grid's n columns and
-    3n rows, then its 2n side columns and n rows, cost two passes."""
-    t = as_tau(tau)
-    tv = t.shifted
-    n = _GRID
-    h = 1.0 / n
-    mid = [(k + 0.5) * h for k in range(n)]
-    rows = [(complex(-y * tv.real, -(y * tv.imag + dy)), 1)
-            for y in mid for dy in (0.0, _STEP, -_STEP)]
-    g_mid = list(_pair_greens(t, [(complex(x), 1) for x in mid], rows,
-                              clear=False))
-    g_side = list(_pair_greens(t, [(complex(x + dx), 1) for x in mid
-                                   for dx in (_STEP, -_STEP)],
-                               rows[::3], clear=False))
-    return [(g_side[2 * i * n + j], g_side[(2 * i + 1) * n + j],
-             g_mid[3 * (i * n + j) + 1], g_mid[3 * (i * n + j) + 2],
-             g_mid[3 * (i * n + j)])
-            for i, x in enumerate(mid) for j, y in enumerate(mid)
-            if _corner_distance(x + y * tv, t) >= 3.0 * h]
-
-
-def _suite_green_laplacian(rng: random.Random) -> tuple[list, str]:
-    vals = _laplacian_grid(1j)
-    mean = math.fsum(vals) / len(vals)
-    spread = (max(vals) - min(vals)) / abs(mean)
-    return [spread], (f"64x64 grid at tau=i: mean {mean:+.8f} "
-                      f"(flat value -2/Im tau), {len(vals)} cells")
+def _suite_principal_divisor(rng: random.Random) -> tuple[list, str]:
+    # Abel's theorem: f = p - p(a) has the divisor D_a = [a] + [-a] - 2[0],
+    # so <D_a, W> = (1/pi) sum_{(Q, b) in W} b log|p(Q) - p(a)| for a
+    # degree-zero W disjoint from it.  The kernel's constant cancels against
+    # deg W = 0, its quadratic term against a + (-a) - 2*0 = 0; p(Q) - p(a)
+    # comes from Eisenstein's rows, which share no code with the kernel.
+    residuals = []
+    for _ in range(30):
+        tau = _random_tau(rng)
+        while True:
+            a, *qs = [p.real + p.imag * tau.value
+                      for p in _random_points(rng, 5, 0.0, 1.0)]
+            pts = [0j, a, -a, *qs]
+            if all(torus_distance(p, q, tau) >= 1e-3
+                   for i, p in enumerate(pts) for q in pts[i + 1:]):
+                break
+        m, k = rng.choice((1, 2)), rng.choice((1, 2))
+        w = Divisor.elliptic(tau, zip(qs, (m, -m, k, -k)))
+        value = linking_elliptic(
+            Divisor.elliptic(tau, [(a, 1), (-a, 1), (0j, -2)]), w).value
+        abel = math.fsum(b * math.log(abs(_p_difference(q, a, tau)))
+                         for q, b in w.terms) / math.pi
+        residuals.append(abs(value - abel) / max(1.0, abs(value)))
+    return residuals, ("<D_a, W> vs (1/pi) sum b log|p(Q) - p(a)| (Abel), "
+                       "30 draws")
 
 
 def _random_sign_family(rng: random.Random, conjugate: bool,
@@ -441,7 +422,7 @@ _SUITES = (
     ("half-period-dual-route", _suite_half_period_dual_route, 5e-12),
     ("adjunction-square", _suite_adjunction_square, 5e-13),
     ("green-flexibility", _suite_green_flexibility, 1e-13),
-    ("green-laplacian", _suite_green_laplacian, 1e-4),
+    ("principal-divisor", _suite_principal_divisor, 5e-13),
     ("invariant-dims-dual-route", _suite_invariant_dims_dual_route, 1e-9),
     ("hodge-conjugation-symmetry", _suite_hodge_conjugation_symmetry, 1e-9),
     ("serre-symmetry", _suite_serre_symmetry, 1e-9),

@@ -241,6 +241,21 @@ def test_scaling_keeps_the_point_bits_on_the_cell_edge():
             == [(re, im, 2 * m) for re, im, m in _hex_terms(d.terms)])
 
 
+def test_adding_keeps_the_point_bits_on_the_cell_edge():
+    # d + e merges e's canonical terms into d's as they are: reduced once
+    # more, the first point of d would move its last bit.
+    d = Divisor.elliptic(-0.30322773586661467 + 2.113429950059692j,
+                         [(2.7870890565343673 + 8.453719800233012j, 1),
+                          (0.5, -1)])
+    empty = Divisor(d.curve, [])
+    e = Divisor(d.curve, [(0.3 + 0.4j, 1), (0.7 + 1.1j, -1)])
+    for got in (d + empty, empty + d, d - empty, (d + e) - e, (d - e) + e):
+        assert got == d
+        assert _hex_terms(got.terms) == _hex_terms(d.terms)
+    assert _hex_terms((d + e).terms) == _hex_terms(
+        sorted(d.terms + e.terms, key=lambda t: (t[0].real, t[0].imag)))
+
+
 def test_divisor_scale_is_an_int_as_a_multiplicity_is():
     # k * d takes what a multiplicity takes: any integral number but a bool.
     d = Divisor.sphere([(1 + 1j, 1), (2.0, -1)])
@@ -251,8 +266,8 @@ def test_divisor_scale_is_an_int_as_a_multiplicity_is():
 
 
 def test_adding_and_subtracting_a_divisor_gives_it_back():
-    # d + e reduces the canonical points of d again; a reduced point is its
-    # own representative, so (d + e) - e holds d's bits.
+    # d + e merges e's canonical terms into d's without reducing a point
+    # again, so (d + e) - e holds d's bits.
     rng = random.Random(0)
     for _ in range(2000):
         tau = complex(rng.uniform(-1, 1), rng.uniform(0.05, 3.0))

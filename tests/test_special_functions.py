@@ -736,8 +736,9 @@ def test_coordinates_beyond_double_range_are_domain_errors(call):
         call()
 
 
-@pytest.mark.parametrize("case", ["reduce-huge", "torus-distance", "green",
-                                  "divisor", "weierstrass-huge"])
+@pytest.mark.parametrize("case", ["reduce-huge", "torus-distance",
+                                  "distance-overflow", "green", "divisor",
+                                  "weierstrass-huge"])
 def test_finite_coordinates_beyond_double_range_reduce_exactly(case):
     # z is finite, but its lattice coordinate y = 2e309 leaves double range
     # at 0.3+0.05i: z is reduced exactly, as every finite z is.
@@ -754,6 +755,15 @@ def test_finite_coordinates_beyond_double_range_reduce_exactly(case):
     elif case == "torus-distance":
         assert abs(torus_distance(z, 0.0, tau)
                    - torus_distance(r, 0.0, tau)) <= 1e-15
+    elif case == "distance-overflow":
+        # u - v leaves double range though u and v are finite: the distance
+        # is that of their representatives, in either order
+        for u, v in ((1e308, -1e308), (z, -z), (1e308 + 0.3j, -1e308 + 0.1j)):
+            want = torus_distance(reduce_mod_lattice(u, tau),
+                                  reduce_mod_lattice(v, tau), tau)
+            assert torus_distance(u, v, tau) == torus_distance(v, u, tau) == want
+        # two lattice points of 0.3+i
+        assert torus_distance(1e308, -1e308, 0.3 + 1j) == 0.0
     elif case == "green":
         assert arakelov_green(z, tau).hex() == arakelov_green(r, tau).hex()
         with pytest.raises(PoleError):
