@@ -1,6 +1,8 @@
-"""The base of holink's immutable value types: a plain class, so importing
-holink loads no ``dataclasses`` (nor its ``inspect``, ``ast``, ``dis`` and
-``tokenize``) and runs no ``exec``."""
+"""The base of holink's value types that validate their input: the curve
+and map types, ``Divisor``, ``TauParameter``, the Hodge types and
+``ScanGrid``; the records, which validate nothing, are namedtuples.  A plain
+class, so importing holink loads no ``dataclasses`` (nor its ``inspect``,
+``ast``, ``dis`` and ``tokenize``) and runs no ``exec``."""
 
 
 class Frozen:

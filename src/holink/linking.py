@@ -41,6 +41,7 @@ import cmath
 import enum
 import math
 import numbers
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 from ._frozen import Frozen
@@ -153,13 +154,13 @@ def _sphere_distance(p: Point, q: Point) -> float:
 _SCREEN_MARGIN = 1e-9
 
 
-class Divisor:
+class Divisor(Frozen):
     """Formal integer combination of points on a fixed curve.
 
     Terms are canonicalized on construction: elliptic points are reduced
     into the fundamental cell, duplicate points are merged, zero
     multiplicities are dropped, and the term list is sorted.  Instances
-    are immutable.
+    are ``Frozen`` values; pickle and ``copy`` keep the stored point bits.
 
     A point merges into the first earlier one within MERGE_TOL of it.  On an
     elliptic curve a screen skips the measurement of most pairs: two
@@ -170,7 +171,7 @@ class Divisor:
     measured by ``_reduced_difference``, so the screen changes no term.
     """
 
-    __slots__ = ("curve", "terms")
+    _fields = ("curve", "terms")
 
     def __init__(self, curve: Curve, terms: Iterable[tuple[Point, int]]):
         object.__setattr__(self, "curve", curve)
@@ -192,15 +193,6 @@ class Divisor:
                     point = _reduce_point(point, tv)
             checked.append((point, mult))
         object.__setattr__(self, "terms", _merged(curve, (), checked))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Divisor is immutable")
-
-    def __reduce__(self):
-        return _restore_divisor, (self.curve, self.terms)
 
     @classmethod
     def sphere(cls, terms: Iterable[tuple[Point, int]]) -> "Divisor":
@@ -243,13 +235,6 @@ class Divisor:
         return _restore_divisor(
             self.curve, tuple((p, k * m) for p, m in self.terms) if k else ())
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Divisor) and self.curve == other.curve
-                and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.curve, tuple((_point_key(p), m) for p, m in self.terms)))
-
     def __repr__(self) -> str:
         return f"Divisor({self.curve!r}, {list(self.terms)!r})"
 
@@ -284,9 +269,9 @@ def _merged(curve: Curve, terms: tuple, new: Iterable) -> tuple:
 
 
 def _restore_divisor(curve: Curve, terms: tuple) -> Divisor:
-    """The divisor with these canonical terms, as pickle, copy, k * d and
-    d + e build it: construction would reduce the points again, and a point
-    on the cell edge x = 0 can move its last bit."""
+    """The divisor with these canonical terms, as k * d and d + e build it:
+    construction would reduce the points again, and a point on the cell
+    edge x = 0 can move its last bit."""
     divisor = object.__new__(Divisor)
     object.__setattr__(divisor, "curve", curve)
     object.__setattr__(divisor, "terms", terms)
@@ -298,16 +283,10 @@ class LinkingMethod(enum.Enum):
     ARAKELOV_GREEN = "arakelov-green"
 
 
-class LinkingResult(Frozen):
-    """Linking value plus provenance: ``method`` names the evaluator that
-    produced ``value``, the cross-ratio log sum on the sphere or the
-    Green-kernel double sum on an elliptic curve."""
-
-    _fields = ("value", "method")
-
-    def __init__(self, value: float, method: LinkingMethod) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "method", method)
+LinkingResult = namedtuple("LinkingResult", "value method")
+LinkingResult.__doc__ = """Linking value plus provenance: ``method`` names the
+evaluator that produced ``value``, the cross-ratio log sum on the sphere or
+the Green-kernel double sum on an elliptic curve."""
 
 
 def _check_pair(z: Divisor, w: Divisor, kind: str) -> None:
@@ -533,10 +512,22 @@ def pushforward(d: Divisor, spec: RationalMapSpec) -> Divisor:
         return d
     if spec.kind == "power":
         n = spec.exponent
-        return Divisor(d.curve, [(p if p is INFINITY else p ** n, m)
+        return Divisor(d.curve, [(p if p is INFINITY else _power(p, n), m)
                                  for p, m in d.terms])
     # translation
     return Divisor(d.curve, [(p + spec.offset, m) for p, m in d.terms])
+
+
+def _power(p: complex, n: int) -> complex:
+    """p^n, or DomainError naming p where p^n leaves double range (Python
+    raises OverflowError for some such p and returns NaN for others)."""
+    try:
+        image = p ** n
+        if cmath.isfinite(image):
+            return image
+    except OverflowError:
+        pass
+    raise DomainError(f"z^{n} leaves double range at the divisor point {p!r}")
 
 
 def pullback(d: Divisor, spec: RationalMapSpec) -> Divisor:
@@ -567,15 +558,9 @@ def pullback(d: Divisor, spec: RationalMapSpec) -> Divisor:
     return Divisor(d.curve, [(q - spec.offset, b) for q, b in d.terms])
 
 
-class AdjunctionCheck(Frozen):
-    """Both sides of <Z, f^* W> = <f_* Z, W> and their disagreement."""
-
-    _fields = ("lhs", "rhs", "residual")
-
-    def __init__(self, lhs: float, rhs: float, residual: float) -> None:
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "residual", residual)
+AdjunctionCheck = namedtuple("AdjunctionCheck", "lhs rhs residual")
+AdjunctionCheck.__doc__ = """Both sides of <Z, f^* W> = <f_* Z, W> and their
+disagreement."""
 
 
 def check_adjunction(spec: RationalMapSpec, z: Divisor, w: Divisor) -> AdjunctionCheck:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 
-from ._frozen import Frozen
 from .errors import DivergenceError, DomainError
 from .linking import Divisor, linking_elliptic
 from .special_functions import TauParameter, as_tau, modular_lambda
@@ -78,25 +78,11 @@ def massey_value_via_linking(tau: TauParameter | complex) -> float:
     return 8.0 * linking_elliptic(z, w).value
 
 
-class MasseyReport(Frozen):
-    """Both evaluation routes at one tau, with the nonvanishing verdict.
-
-    ``nonvanishing`` is |value_closed_form| > tolerance.  Where |1 - lambda|
-    rounds to 0 no report is made: ``massey_report`` raises DivergenceError.
-    """
-
-    _fields = ("tau", "value_closed_form", "value_via_linking", "residual",
-               "nonvanishing", "lambda_at_tau")
-
-    def __init__(self, tau: complex, value_closed_form: float,
-                 value_via_linking: float, residual: float, nonvanishing: bool,
-                 lambda_at_tau: complex) -> None:
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "value_closed_form", value_closed_form)
-        object.__setattr__(self, "value_via_linking", value_via_linking)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "nonvanishing", nonvanishing)
-        object.__setattr__(self, "lambda_at_tau", lambda_at_tau)
+MasseyReport = namedtuple("MasseyReport", "tau value_closed_form value_via_linking "
+                                          "residual nonvanishing lambda_at_tau")
+MasseyReport.__doc__ = """Both evaluation routes at one tau, with the verdict
+``nonvanishing``, |value_closed_form| > tolerance.  Where |1 - lambda| rounds
+to 0 no report is made: ``massey_report`` raises DivergenceError."""
 
 
 def massey_report(tau: TauParameter | complex,

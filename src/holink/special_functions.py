@@ -54,6 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
 
@@ -295,21 +296,9 @@ def _theta_constants(s: complex) -> tuple[complex, complex, complex]:
     return tuple(_theta_series(kind, 0j, s) for kind in (2, 3, 4))
 
 
-class HalfPeriodValues(Frozen):
-    """Weierstrass p at the three half-periods of Z + Z*tau.
-
-    e1 = p(1/2), e2 = p(tau/2), e3 = p((1+tau)/2); e1 + e2 + e3 = 0.
-    """
-
-    _fields = ("e1", "e2", "e3")
-
-    def __init__(self, e1: complex, e2: complex, e3: complex) -> None:
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "e2", e2)
-        object.__setattr__(self, "e3", e3)
-
-    def as_tuple(self) -> tuple[complex, complex, complex]:
-        return (self.e1, self.e2, self.e3)
+HalfPeriodValues = namedtuple("HalfPeriodValues", "e1 e2 e3")
+HalfPeriodValues.__doc__ = """Weierstrass p at the three half-periods of
+Z + Z*tau: e1 = p(1/2), e2 = p(tau/2), e3 = p((1+tau)/2); e1 + e2 + e3 = 0."""
 
 
 def _half_periods(c2: complex, c3: complex,

@@ -69,7 +69,7 @@ def test_criterion_02_orbifold_invariant_table():
 def test_criterion_03_half_period_ratio_identity():
     worst = 0.0
     for tau in _tau_sample():
-        e1, e2, e3 = half_period_values(tau).as_tuple()
+        e1, e2, e3 = half_period_values(tau)
         lam = modular_lambda(tau)
         worst = max(worst, abs((e3 - e1) / (e2 - e1) - (1.0 - lam)))
     assert worst < 1e-9, worst

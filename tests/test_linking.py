@@ -872,6 +872,24 @@ def test_cube_map_roots():
     assert sum(m for _, m in again.terms if m > 0) == 9
 
 
+@pytest.mark.parametrize("point", [1e200, 1e160 + 1e160j])
+@pytest.mark.parametrize("n", [2, 3])
+def test_power_beyond_double_range_names_the_point(point, n):
+    # p^n overflows at 1e200 and is NaN at 1e160 + 1e160i: either way a
+    # DomainError names the point given, from pushforward and the adjunction
+    spec = RationalMapSpec.power(n)
+    z = Divisor.sphere([(point, 1), (1, -1)])
+    w = Divisor.sphere([(2, 1), (3, -1)])
+    text = re.escape(repr(complex(point)))
+    with pytest.raises(DomainError, match=text):
+        pushforward(z, spec)
+    with pytest.raises(DomainError, match=text):
+        check_adjunction(spec, z, w)
+    # the largest images in range are kept
+    assert pushforward(Divisor.sphere([(1e100, 1), (1, -1)]), spec).terms[-1] == (
+        complex(1e100) ** n, 1)
+
+
 def test_translation_on_elliptic():
     tau = 0.4 + 0.9j
     tr = RationalMapSpec.translation(0.25 + 0.1j)

@@ -1,5 +1,8 @@
 """The value classes' contract: immutable fields, equality and hash over the
-compared fields, keyword construction, pickle and copy, and a stable repr."""
+compared fields, keyword construction, pickle and copy, and a stable repr.
+The five records, which validate nothing, are namedtuples: each also equals
+the plain tuple of its values, indexes, unpacks and has a len.  Every other
+value class stands on ``Frozen``."""
 
 import copy
 import pickle
@@ -23,6 +26,7 @@ from holink import (
     TauParameter,
     torus_hodge,
 )
+from holink._frozen import Frozen
 from holink.cli import ScanGrid
 
 _SIGNS = [(1, -1, -1, 1, -1, -1), (-1, 1, -1, -1, 1, -1)]
@@ -103,6 +107,10 @@ CASES = {
         "steps_im=2)"),
 }
 
+#: The records: namedtuples, not ``Frozen`` values.
+RECORDS = ("HalfPeriodValues", "LinkingResult", "AdjunctionCheck",
+           "MasseyReport", "SuiteResult")
+
 
 @pytest.mark.parametrize("name", CASES)
 def test_value_class_contract(name):
@@ -126,6 +134,26 @@ def test_value_class_contract(name):
     duplicate = copy.copy(a)
     assert type(duplicate) is type(a) and duplicate == a and repr(duplicate) == text
     assert getattr(duplicate, field) == getattr(a, field)
+    assert isinstance(a, tuple if name in RECORDS else Frozen)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_the_tuple_of_its_values(name):
+    record = CASES[name][0]()
+    values = tuple(getattr(record, field) for field in record._fields)
+    assert record == values and tuple(record) == values
+    assert hash(record) == hash(values) and len(record) == len(values)
+    assert [record[i] for i in range(len(values))] == list(values)
+    first, *rest = record
+    assert (first, *rest) == values
+    assert type(record)(*values) == record == type(record)._make(values)
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = None
 
 
 def _term_bits(divisor):
