@@ -387,6 +387,13 @@ def test_scan_readme_box_csv_is_pinned(tmp_path):
     assert digest == PINS["scan_readme_box_csv"]
 
 
+def test_hodge_stdout_is_pinned(capsys):
+    # the diamond, the Betti line and the JSON line, byte for byte
+    assert main(["hodge"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINS["hodge_stdout"]
+
+
 def test_scan_validates_grid_once(tmp_path, monkeypatch):
     built = []
     validate = TauParameter.__post_init__
