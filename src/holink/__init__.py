@@ -63,13 +63,10 @@ from .linking import (
 )
 from .hodge import (
     BigradedDims,
-    BlowupCenter,
     GroupAction,
-    blowup_assemble,
     hodge_diamond_x,
     invariant_dims,
     invariant_dims_by_enumeration,
-    quotient_fixed_curves,
     standard_quotient_action,
     torus_hodge,
 )
@@ -95,9 +92,8 @@ __all__ = [
     "LinkingResult", "RationalMapSpec", "arakelov_green",
     "check_adjunction", "linking", "linking_elliptic", "linking_sphere",
     "pullback", "pushforward",
-    "BigradedDims", "BlowupCenter", "GroupAction", "blowup_assemble",
-    "hodge_diamond_x", "invariant_dims", "invariant_dims_by_enumeration",
-    "quotient_fixed_curves", "standard_quotient_action", "torus_hodge",
+    "BigradedDims", "GroupAction", "hodge_diamond_x", "invariant_dims",
+    "invariant_dims_by_enumeration", "standard_quotient_action", "torus_hodge",
     "MasseyReport", "massey_report",
     "massey_value_closed_form", "massey_value_via_linking",
     "SuiteResult", "format_summary", "run_all",

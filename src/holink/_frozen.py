@@ -11,9 +11,9 @@ class Frozen:
 
     Each subclass lists ``_fields`` and writes its own ``__init__``, which
     stores them with ``object.__setattr__``.  ``_key()`` is the fields'
-    values unless a subclass leaves one out of comparison.  Instances keep
-    a ``__dict__``: pickle and ``copy`` restore it without ``__setattr__``,
-    and a ``functools.cached_property`` can store its value there.
+    values.  Instances keep a ``__dict__``: pickle and ``copy`` restore it
+    without ``__setattr__``, and a ``functools.cached_property`` can store
+    its value there.
     """
 
     __slots__ = ()

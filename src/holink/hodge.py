@@ -14,9 +14,9 @@ The computation runs in three steps:
    characters over the group; ``invariant_dims_by_enumeration`` counts
    invariant wedge monomials directly and must agree (both routes are kept
    on purpose, as a cross-check).
-3. ``blowup_assemble``: a blow-up along a smooth center adds the center's
-   (p-1, q-1) numbers; the sixteen fixed elliptic curves of the quotient
-   each contribute an elliptic-curve Hodge square of ones.
+3. ``hodge_diamond_x``: the invariant table plus 16 on each cell with
+   1 <= p, q <= 2, one elliptic-curve blow-up for each of the sixteen fixed
+   curves of the quotient.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import math
 
 from ._frozen import Frozen
 from .errors import ActionValidationError
-
-_GENERATORS = ("dt", "dz1", "dz2", "dt~", "dz1~", "dz2~")
+from .special_functions import _as_int
 
 Signs = tuple[int, int, int, int, int, int]
 
@@ -38,10 +37,14 @@ def _validate_element(el) -> Signs:
         raise ActionValidationError(
             f"group element must carry 6 signs (one per generator), got {el!r}"
         )
-    for s in el:
+    try:
+        signs = tuple(_as_int("sign", s) for s in el)
+    except ValueError as exc:
+        raise ActionValidationError(str(exc)) from None
+    for s in signs:
         if s not in (1, -1):
             raise ActionValidationError(f"signs must be +1 or -1, got {s!r}")
-    return el  # type: ignore[return-value]
+    return signs  # type: ignore[return-value]
 
 
 def _compose(a: Signs, b: Signs) -> Signs:
@@ -51,22 +54,19 @@ def _compose(a: Signs, b: Signs) -> Signs:
 class GroupAction(Frozen):
     """A finite group of diagonal +-1 actions on the six-generator frame.
 
-    Elements act on (dt, dz1, dz2) and their conjugates by signs.  The
-    constructor checks that the identity is present and the set is closed
-    under composition (every diagonal sign element is its own inverse, so
-    this makes it a group).  Actions coming from holomorphic automorphisms
-    satisfy the conjugation pairing sign[k] == sign[k+3]; that check can be
-    relaxed for synthetic sign-pattern families used in tests, and is left
-    out of equality and hash.
+    Elements act on (dt, dz1, dz2) and their conjugates by signs, each the
+    int +1 or -1.  The constructor checks that the identity is present, that
+    the set is closed under composition (every diagonal sign element is its
+    own inverse, so this makes it a group) and that every element satisfies
+    the conjugation pairing sign[k] == sign[k+3] of an action coming from a
+    holomorphic automorphism.
     """
 
-    _fields = ("elements", "require_conjugation")
+    _fields = ("elements",)
 
-    def __init__(self, elements: tuple[Signs, ...],
-                 require_conjugation: bool = True) -> None:
+    def __init__(self, elements: tuple[Signs, ...]) -> None:
         els = tuple(_validate_element(e) for e in elements)
         object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "require_conjugation", require_conjugation)
         if len(set(els)) != len(els):
             raise ActionValidationError("duplicate group elements")
         identity = (1, 1, 1, 1, 1, 1)
@@ -79,18 +79,14 @@ class GroupAction(Frozen):
                     raise ActionValidationError(
                         f"set is not closed under composition: {a!r} * {b!r} missing"
                     )
-        if require_conjugation:
-            for e in els:
-                for k in range(3):
-                    if e[k] != e[k + 3]:
-                        raise ActionValidationError(
-                            f"element {e!r} breaks the conjugation pairing "
-                            f"(sign on {_GENERATORS[k]} must equal sign on "
-                            f"{_GENERATORS[k + 3]})"
-                        )
+        for e in els:
+            if e[:3] != e[3:]:
+                raise ActionValidationError(
+                    f"element {e!r} breaks the conjugation pairing (the signs "
+                    "on dt, dz1, dz2 must equal those on their conjugates)")
 
     @classmethod
-    def closed(cls, generators, *, require_conjugation: bool = True) -> "GroupAction":
+    def closed(cls, generators) -> "GroupAction":
         """Close a list of sign vectors under composition and build the action:
         diagonal sign elements commute and square to the identity, so they
         generate the products of their subsets."""
@@ -98,14 +94,10 @@ class GroupAction(Frozen):
         for g in generators:
             g = _validate_element(g)
             els |= {_compose(e, g) for e in els}
-        return cls(tuple(sorted(els, reverse=True)),
-                   require_conjugation=require_conjugation)
+        return cls(tuple(sorted(els, reverse=True)))
 
     def order(self) -> int:
         return len(self.elements)
-
-    def _key(self) -> tuple:
-        return (self.elements,)
 
 
 def standard_quotient_action() -> GroupAction:
@@ -134,7 +126,7 @@ class BigradedDims(Frozen):
             raise ValueError("BigradedDims wants a 4x4 table")
         for row in table:
             for v in row:
-                if not isinstance(v, int) or v < 0:
+                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                     raise ValueError(f"dimensions must be non-negative ints, got {v!r}")
         object.__setattr__(self, "table", table)
 
@@ -214,73 +206,20 @@ def invariant_dims_by_enumeration(action: GroupAction) -> BigradedDims:
     return BigradedDims.from_function(dim)
 
 
-class BlowupCenter(Frozen):
-    """A smooth center of blow-up with its own (small) Hodge table.
-
-    For a curve center only h^{p,q} with p, q in {0, 1} can be nonzero; an
-    elliptic curve has all four equal to one.
-    """
-
-    _fields = ("label", "dims")
-
-    def __init__(self, label: str,
-                 dims: tuple[tuple[int, int], tuple[int, int]]) -> None:
-        if (len(dims) != 2 or any(len(row) != 2 for row in dims)
-                or any(not isinstance(v, int) or v < 0
-                       for row in dims for v in row)):
-            raise ValueError(f"center {label!r} has invalid dims {dims!r}")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "dims", dims)
-
-    @classmethod
-    def elliptic_curve(cls, label: str) -> "BlowupCenter":
-        return cls(label, ((1, 1), (1, 1)))
-
-    def dim(self, p: int, q: int) -> int:
-        if 0 <= p <= 1 and 0 <= q <= 1:
-            return self.dims[p][q]
-        return 0
-
-
-def blowup_assemble(base: BigradedDims, centers: list[BlowupCenter]) -> BigradedDims:
-    """Hodge numbers after blowing up each center once:
-
-    dims(p, q) = base(p, q) + sum_centers center(p-1, q-1).
-
-    Out-of-range shifts contribute nothing, so the corners of the table are
-    untouched, as they must be for a birational modification of a smooth
-    projective threefold.
-    """
-    for c in centers:
-        if not isinstance(c, BlowupCenter):
-            raise ValueError(f"centers must be BlowupCenter instances, got {c!r}")
-
-    def dim(p: int, q: int) -> int:
-        extra = sum(c.dim(p - 1, q - 1) for c in centers)
-        return base[p, q] + extra
-
-    return BigradedDims.from_function(dim)
-
-
-def quotient_fixed_curves() -> list[BlowupCenter]:
-    """The sixteen elliptic curves fixed by the non-free involutions.
-
-    The reflection involution and its composite with the free involution
-    each fix eight disjoint elliptic curves in the quotient (indexed by the
-    two-torsion translates in the non-fibral directions); all sixteen are
-    crepant blow-up centers of the resolution.
-    """
-    return [BlowupCenter.elliptic_curve(f"fixed-curve-{k}-{l}")
-            for k in range(4) for l in range(4)]
-
-
 def hodge_diamond_x() -> BigradedDims:
     """Hodge numbers of the resolved quotient threefold.
 
-    Pipeline: invariant forms of the standard action on the torus, then one
-    elliptic-curve blow-up contribution for each of the sixteen fixed
-    curves.  The result is h^{0,0} = h^{3,0} = h^{0,3} = h^{3,3} = 1,
+    The invariant forms of the standard action on the torus, plus the
+    crepant blow-up of the sixteen elliptic curves fixed by the non-free
+    involutions: the reflection and its composite with the free involution
+    each fix eight disjoint elliptic curves in the quotient (indexed by the
+    two-torsion translates in the non-fibral directions).  Blowing up a
+    smooth curve adds its Hodge numbers at (p - 1, q - 1), and an elliptic
+    curve's are a 2x2 square of ones, so each adds one on every cell with
+    1 <= p, q <= 2 and the boundary of the table is untouched.  The result
+    is h^{0,0} = h^{3,0} = h^{0,3} = h^{3,3} = 1,
     h^{1,1} = h^{2,2} = h^{1,2} = h^{2,1} = 19, all else zero.
     """
     invariant = invariant_dims(standard_quotient_action())
-    return blowup_assemble(invariant, quotient_fixed_curves())
+    return BigradedDims.from_function(
+        lambda p, q: invariant[p, q] + (16 if 1 <= p <= 2 and 1 <= q <= 2 else 0))

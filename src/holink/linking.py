@@ -458,8 +458,9 @@ class RationalMapSpec(Frozen):
     kind = "identity" (either curve), "power" with an integral exponent n
     in {2, 3} (sphere to sphere, z -> z^n), or "translation" by a fixed
     numeric offset, kept as a complex (elliptic curve to itself).  Anything
-    else raises CapabilityError on construction, as does applying a map to
-    a curve it is not defined on.
+    else, a bool offset included, raises CapabilityError on construction, as
+    does applying a map to a curve it is not defined on; a non-finite offset
+    raises DomainError on construction.
     """
 
     _fields = ("kind", "exponent", "offset")
@@ -478,10 +479,12 @@ class RationalMapSpec(Frozen):
                                       f"and 3 only, got {exponent!r}")
             exponent = n
         if kind == "translation":
-            if not isinstance(offset, numbers.Complex):
+            if isinstance(offset, bool) or not isinstance(offset, numbers.Complex):
                 raise CapabilityError("translation map needs a numeric offset, "
                                       f"got {offset!r}")
             offset = complex(offset)
+            if not cmath.isfinite(offset):
+                raise DomainError(f"translation offset must be finite, got {offset!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "offset", offset)

@@ -335,22 +335,17 @@ def _suite_principal_divisor(rng: random.Random) -> tuple[list, str]:
                        "30 draws")
 
 
-def _random_sign_family(rng: random.Random, conjugate: bool,
-                        ) -> GroupAction:
-    def draw() -> tuple[int, ...]:
-        if conjugate:
-            half = tuple(rng.choice((-1, 1)) for _ in range(3))
-            return half + half
-        return tuple(rng.choice((-1, 1)) for _ in range(6))
-
-    gens = [draw() for _ in range(rng.randint(1, 3))]
-    return GroupAction.closed(gens, require_conjugation=conjugate)
+def _random_sign_family(rng: random.Random) -> GroupAction:
+    """The group of one to three random generators, each three signs
+    repeated on the conjugate frame."""
+    halves = [tuple(rng.choice((-1, 1)) for _ in range(3))
+              for _ in range(rng.randint(1, 3))]
+    return GroupAction.closed([h + h for h in halves])
 
 
 def _suite_invariant_dims_dual_route(rng: random.Random) -> tuple[list, str]:
-    actions = [standard_quotient_action()]
-    for k in range(8):
-        actions.append(_random_sign_family(rng, conjugate=(k % 2 == 0)))
+    actions = [standard_quotient_action(),
+               *(_random_sign_family(rng) for _ in range(8))]
     residuals = []
     for action in actions:
         chars = invariant_dims(action)
@@ -362,9 +357,8 @@ def _suite_invariant_dims_dual_route(rng: random.Random) -> tuple[list, str]:
 
 
 def _suite_hodge_conjugation_symmetry(rng: random.Random) -> tuple[list, str]:
-    actions = [standard_quotient_action()]
-    for _ in range(6):
-        actions.append(_random_sign_family(rng, conjugate=True))
+    actions = [standard_quotient_action(),
+               *(_random_sign_family(rng) for _ in range(6))]
     residuals = []
     for action in actions:
         dims = invariant_dims(action)

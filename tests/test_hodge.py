@@ -1,4 +1,4 @@
-"""Invariant-form dimensions, blow-up bookkeeping, and the final diamond."""
+"""Invariant-form dimensions, the blow-up shift, and the final diamond."""
 
 import math
 
@@ -8,13 +8,10 @@ import pytest
 from holink import (
     ActionValidationError,
     BigradedDims,
-    BlowupCenter,
     GroupAction,
-    blowup_assemble,
     hodge_diamond_x,
     invariant_dims,
     invariant_dims_by_enumeration,
-    quotient_fixed_curves,
     standard_quotient_action,
     torus_hodge,
 )
@@ -68,12 +65,12 @@ def test_invariant_dims_two_routes_agree_standard():
 
 
 def test_invariant_dims_two_routes_agree_synthetic():
-    # random sign-pattern groups, conjugation pairing deliberately broken
+    # random sign-pattern groups, each sign repeated on the conjugate frame
     rng = np.random.default_rng(301)
     for _ in range(30):
-        gens = [tuple(int(s) for s in rng.choice([1, -1], size=6))
-                for _ in range(rng.integers(1, 4))]
-        act = GroupAction.closed(gens, require_conjugation=False)
+        halves = [tuple(rng.choice([1, -1], size=3))
+                  for _ in range(rng.integers(1, 4))]
+        act = GroupAction.closed([h + h for h in halves])
         a = invariant_dims(act)
         b = invariant_dims_by_enumeration(act)
         assert a.table == b.table
@@ -103,14 +100,28 @@ def test_action_validation():
     with pytest.raises(ActionValidationError):
         # not closed: missing the product of the two non-identity elements
         GroupAction((idn, (1, -1, -1, 1, -1, -1), (-1, 1, -1, -1, 1, -1)))
-    with pytest.raises(ActionValidationError):
+    with pytest.raises(ActionValidationError, match="conjugation pairing"):
         # closed but breaks the conjugation pairing
         GroupAction((idn, (1, -1, -1, 1, -1, 1)))
-    # the same set is fine with the pairing check off
-    act = GroupAction((idn, (1, -1, -1, 1, -1, 1)), require_conjugation=False)
-    assert act.order() == 2
-    with pytest.raises(ActionValidationError):
+    with pytest.raises(ActionValidationError, match="conjugation pairing"):
         GroupAction.closed([(1, -1, -1, 1, -1, 1)])
+
+
+@pytest.mark.parametrize("sign", [True, 1.0, -1.0, np.float64(1.0), np.bool_(True)])
+def test_action_signs_are_ints(sign):
+    # a bool or a float is not a sign, though it compares equal to one
+    for build in (GroupAction, GroupAction.closed):
+        with pytest.raises(ActionValidationError, match="sign must be an int"):
+            build(((sign,) * 6,))
+
+
+def test_action_stores_numpy_signs_as_ints():
+    act = GroupAction.closed([tuple(np.array([1, -1, -1] * 2))])
+    assert act == GroupAction.closed([(1, -1, -1, 1, -1, -1)])
+    assert {type(s) for el in act.elements for s in el} == {int}
+    act = GroupAction(((np.int64(1),) * 6,))
+    assert type(act.elements[0][0]) is int
+    assert repr(act) == "GroupAction(elements=((1, 1, 1, 1, 1, 1),))"
 
 
 def test_bigraded_dims_validation():
@@ -118,6 +129,10 @@ def test_bigraded_dims_validation():
         BigradedDims(((1, 0, 0), (0, 0, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
         BigradedDims.from_function(lambda p, q: -1)
+    # entries are non-bool ints
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            BigradedDims(((bad, 0, 0, 0),) + ((0, 0, 0, 0),) * 3)
 
 
 def test_hodge_symmetries_of_invariant_table():
@@ -128,31 +143,15 @@ def test_hodge_symmetries_of_invariant_table():
             assert inv[p, q] == inv[3 - p, 3 - q]   # Serre duality
 
 
-def test_blowup_centers():
-    c = BlowupCenter.elliptic_curve("c")
-    assert [c.dim(p, q) for p in range(2) for q in range(2)] == [1, 1, 1, 1]
-    assert c.dim(2, 0) == 0 and c.dim(0, 2) == 0 and c.dim(-1, 0) == 0
-    assert len(quotient_fixed_curves()) == 16
-    with pytest.raises(ValueError):
-        blowup_assemble(torus_hodge(), ["not-a-center"])
-    with pytest.raises(ValueError):
-        blowup_assemble(torus_hodge(), [BlowupCenter("bad", ((1, -1), (1, 1)))])
-    # a center's table is checked when the center is built
-    for bad in (((1, 1),), ((1, 1), (1, 1.0))):
-        with pytest.raises(ValueError):
-            BlowupCenter("bad", bad)
-
-
 def test_blowup_shifts_middle_only():
+    # the sixteen elliptic-curve blow-ups add 16 on each cell with
+    # 1 <= p, q <= 2; the boundary of the table is the invariant table's
     base = invariant_dims(standard_quotient_action())
-    out = blowup_assemble(base, [BlowupCenter.elliptic_curve("one")])
+    out = hodge_diamond_x()
     for p in range(4):
         for q in range(4):
-            want = base[p, q] + (1 if 1 <= p <= 2 and 1 <= q <= 2 else 0)
-            assert out[p, q] == want
-    # corners and the whole boundary of the table are untouched
-    assert out[0, 0] == base[0, 0] and out[3, 3] == base[3, 3]
-    assert out[3, 0] == base[3, 0] and out[0, 3] == base[0, 3]
+            want = 16 if 1 <= p <= 2 and 1 <= q <= 2 else 0
+            assert out[p, q] - base[p, q] == want, (p, q)
 
 
 def test_final_diamond_exact():

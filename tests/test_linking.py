@@ -900,6 +900,23 @@ def test_translation_on_elliptic():
         assert torus_distance(p, q, tau) < 1e-12
 
 
+@pytest.mark.parametrize("offset", [True, False])
+def test_translation_rejects_a_bool_offset(offset):
+    # a bool converts to a complex, but it is not a numeric offset
+    with pytest.raises(CapabilityError,
+                       match=rf"^translation map needs a numeric offset, got {offset}$"):
+        RationalMapSpec.translation(offset)
+
+
+@pytest.mark.parametrize("offset", [math.inf, complex(0.25, -math.inf),
+                                    complex(math.nan, 0.1)])
+def test_translation_rejects_a_non_finite_offset(offset):
+    # when the map is built, naming the offset, not later at a translated point
+    with pytest.raises(DomainError,
+                       match=r"^translation offset must be finite, got \(.*(inf|nan).*\)$"):
+        RationalMapSpec.translation(offset)
+
+
 def test_adjunction_square_map():
     rng = np.random.default_rng(208)
     spec = RationalMapSpec.power(2)

@@ -12,7 +12,6 @@ import pytest
 from holink import (
     AdjunctionCheck,
     BigradedDims,
-    BlowupCenter,
     Curve,
     Divisor,
     GroupAction,
@@ -71,19 +70,16 @@ CASES = {
         None, "nonvanishing",
         "MasseyReport(tau=1j, value_closed_form=-0.9, value_via_linking=-0.9, "
         "residual=0.0, nonvanishing=True, lambda_at_tau=(0.5+0j))"),
+    # the generators' order is not compared: the elements are sorted
     "GroupAction": (
-        lambda: GroupAction.closed(_SIGNS, require_conjugation=False),
-        lambda: GroupAction.closed(_SIGNS), "elements",
+        lambda: GroupAction.closed(_SIGNS),
+        lambda: GroupAction.closed(_SIGNS[::-1]), "elements",
         "GroupAction(elements=((1, 1, 1, 1, 1, 1), (1, -1, -1, 1, -1, -1), "
-        "(-1, 1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1)), "
-        "require_conjugation=False)"),
+        "(-1, 1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1)))"),
     "BigradedDims": (
         torus_hodge, None, "table",
         "BigradedDims(table=((1, 3, 3, 1), (3, 9, 9, 3), (3, 9, 9, 3), "
         "(1, 3, 3, 1)))"),
-    "BlowupCenter": (
-        lambda: BlowupCenter.elliptic_curve("fixed-curve-0-1"), None, "label",
-        "BlowupCenter(label='fixed-curve-0-1', dims=((1, 1), (1, 1)))"),
     "SuiteResult": (
         lambda: SuiteResult("theta-quasi", True, 2.5e-15, 1e-12, "40 draws"), None,
         "passed",
