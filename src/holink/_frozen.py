@@ -29,6 +29,8 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._key() == other._key()
         return NotImplemented

@@ -55,17 +55,18 @@ class GroupAction(Frozen):
     """A finite group of diagonal +-1 actions on the six-generator frame.
 
     Elements act on (dt, dz1, dz2) and their conjugates by signs, each the
-    int +1 or -1.  The constructor checks that the identity is present, that
-    the set is closed under composition (every diagonal sign element is its
-    own inverse, so this makes it a group) and that every element satisfies
-    the conjugation pairing sign[k] == sign[k+3] of an action coming from a
-    holomorphic automorphism.
+    int +1 or -1; they are kept in descending order, so one group given in
+    any order compares and hashes equal.  The constructor checks that the
+    identity is present, that the set is closed under composition (every
+    diagonal sign element is its own inverse, so this makes it a group) and
+    that every element satisfies the conjugation pairing sign[k] == sign[k+3]
+    of an action coming from a holomorphic automorphism.
     """
 
     _fields = ("elements",)
 
     def __init__(self, elements: tuple[Signs, ...]) -> None:
-        els = tuple(_validate_element(e) for e in elements)
+        els = tuple(sorted(map(_validate_element, elements), reverse=True))
         object.__setattr__(self, "elements", els)
         if len(set(els)) != len(els):
             raise ActionValidationError("duplicate group elements")
@@ -94,7 +95,7 @@ class GroupAction(Frozen):
         for g in generators:
             g = _validate_element(g)
             els |= {_compose(e, g) for e in els}
-        return cls(tuple(sorted(els, reverse=True)))
+        return cls(els)
 
     def order(self) -> int:
         return len(self.elements)

@@ -17,7 +17,8 @@ to finite sums of logarithms:
   is the translation-invariant Green kernel of C/(Z + Z*tau).  The kernel
   normalization makes (i/pi)*d d-bar g = (delta_0 - area form / Im tau),
   and any additive constant cancels in degree-zero double sums, so the
-  constant is fixed to zero.
+  constant is fixed to zero.  Elliptic divisors on one tau share one
+  ``Curve``, so the pairing compares their curves by identity.
 
 One kernel body, ``_pair_greens``, evaluates g_tau, for the pairing and
 ``arakelov_green`` alike, and clears each pair of the pairing just before
@@ -42,7 +43,7 @@ import enum
 import math
 import numbers
 from collections import namedtuple
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from ._frozen import Frozen
 from .errors import (
@@ -123,7 +124,12 @@ class Curve(Frozen):
 
     @classmethod
     def elliptic(cls, tau: TauParameter | complex) -> "Curve":
-        return cls("elliptic", tau)
+        """The one curve of ``as_tau(tau)``, cached in that TauParameter's
+        ``__dict__``: divisors on one shared tau share their curve."""
+        t = as_tau(tau)
+        if "_curve" not in t.__dict__:
+            t.__dict__["_curve"] = cls("elliptic", t)
+        return t.__dict__["_curve"]
 
     def __repr__(self) -> str:
         if self.kind == "sphere":
@@ -134,10 +140,9 @@ class Curve(Frozen):
 SPHERE = Curve.sphere()
 
 
-def _point_key(p: Point) -> tuple:
-    if isinstance(p, _InfinityType):
-        return (1, 0.0, 0.0)
-    return (0, p.real, p.imag)
+def _term_key(term: tuple[Point, int]) -> tuple:
+    p = term[0]
+    return (1, 0.0, 0.0) if p is INFINITY else (0, p.real, p.imag)
 
 
 def _sphere_distance(p: Point, q: Point) -> float:
@@ -161,6 +166,7 @@ class Divisor(Frozen):
     into the fundamental cell, duplicate points are merged, zero
     multiplicities are dropped, and the term list is sorted.  Instances
     are ``Frozen`` values; pickle and ``copy`` keep the stored point bits.
+    Divisors that ``Divisor.elliptic`` builds on one tau share one curve.
 
     A point merges into the first earlier one within MERGE_TOL of it.  On an
     elliptic curve a screen skips the measurement of most pairs: two
@@ -186,7 +192,8 @@ class Divisor(Frozen):
                 if curve.kind != "sphere":
                     raise DomainError("infinity marker is only meaningful on the sphere")
             else:
-                point = complex(point)
+                if type(point) is not complex:
+                    point = complex(point)
                 if not (math.isfinite(point.real) and math.isfinite(point.imag)):
                     raise DomainError(f"divisor point must be finite, got {point!r}")
                 if elliptic:
@@ -264,7 +271,7 @@ def _merged(curve: Curve, terms: tuple, new: Iterable) -> tuple:
         else:
             canon.append((point, mult))
     canon = [(p, m) for (p, m) in canon if m != 0]
-    canon.sort(key=lambda t: _point_key(t[0]))
+    canon.sort(key=_term_key)
     return tuple(canon)
 
 
@@ -404,7 +411,7 @@ def _pair_greens(t: TauParameter, z_terms: Iterable, w_terms: Iterable,
     half = 0.5 * im_t
     apart_lo = 2.0 * DISJOINTNESS_TOL * max(1.0, im_t)
     apart_hi = im_t - apart_lo
-    exp, log = math.exp, math.log
+    exp, log, fold, two_pi = math.exp, math.log, _folded_theta1, _TWO_PI
     w_phased = []
     for q, b in w_terms:
         e = _turn(q.real)
@@ -433,10 +440,10 @@ def _pair_greens(t: TauParameter, z_terms: Iterable, w_terms: Iterable,
             if y < 0.0:
                 y = -y
                 ph, ph_c = ph_c, ph
-            x = ph * exp(-_TWO_PI * y)
-            x_inv = ph_c * exp(_TWO_PI * (y - half))
+            x = ph * exp(-two_pi * y)
+            x_inv = ph_c * exp(two_pi * (y - half))
             gap = half - y
-            g = (log(abs(_folded_theta1(coefs, x, x_inv))) / math.pi
+            g = (log(abs(fold(coefs, x, x_inv))) / math.pi
                  - gap * (gap / im_t))
             try:
                 g *= a * b
@@ -459,8 +466,8 @@ class RationalMapSpec(Frozen):
     in {2, 3} (sphere to sphere, z -> z^n), or "translation" by a fixed
     numeric offset, kept as a complex (elliptic curve to itself).  Anything
     else, a bool offset included, raises CapabilityError on construction, as
-    does applying a map to a curve it is not defined on; a non-finite offset
-    raises DomainError on construction.
+    does applying a map to a curve it is not defined on; an offset that is
+    not finite in double precision raises DomainError on construction.
     """
 
     _fields = ("kind", "exponent", "offset")
@@ -482,7 +489,10 @@ class RationalMapSpec(Frozen):
             if isinstance(offset, bool) or not isinstance(offset, numbers.Complex):
                 raise CapabilityError("translation map needs a numeric offset, "
                                       f"got {offset!r}")
-            offset = complex(offset)
+            try:
+                offset = complex(offset)
+            except OverflowError:  # a number beyond double range
+                offset = complex(math.inf)
             if not cmath.isfinite(offset):
                 raise DomainError(f"translation offset must be finite, got {offset!r}")
         object.__setattr__(self, "kind", kind)

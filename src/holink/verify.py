@@ -25,7 +25,7 @@ import cmath
 import math
 import random
 from collections import namedtuple
-from typing import TYPE_CHECKING
+from collections.abc import Callable
 
 from .errors import DisjointnessError
 from .hodge import (
@@ -57,9 +57,6 @@ from .special_functions import (
     torus_distance,
     weierstrass_p,
 )
-
-if TYPE_CHECKING:
-    from collections.abc import Callable
 
 #: The tau sampling box used throughout: Re in [-1, 1], Im in [0.3, 3].
 TAU_BOX = ((-1.0, 1.0), (0.3, 3.0))

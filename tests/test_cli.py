@@ -683,6 +683,19 @@ assert "numpy" in sys.modules, "the check cannot see numpy"
 """
 
 
+def test_cli_import_loads_no_typing_or_fractions():
+    # an isolated interpreter without site, whose own start-up loads
+    # neither: importing the CLI must not either
+    import holink
+    root = str(pathlib.Path(holink.__file__).resolve().parent.parent)
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import holink.cli; "
+              "print(sorted({'typing', 'fractions'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script, root],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_scalar_paths_never_import_numpy(tmp_path):
     paths = []
     for name, curve, terms in (

@@ -105,6 +105,18 @@ def test_action_validation():
         GroupAction((idn, (1, -1, -1, 1, -1, 1)))
     with pytest.raises(ActionValidationError, match="conjugation pairing"):
         GroupAction.closed([(1, -1, -1, 1, -1, 1)])
+    with pytest.raises(ActionValidationError, match="^duplicate group elements$"):
+        GroupAction((idn, (1, -1, -1, 1, -1, -1), idn))
+
+
+def test_action_equality_ignores_the_order_of_its_elements():
+    idn, a, b = (1, 1, 1, 1, 1, 1), (1, -1, -1, 1, -1, -1), (-1, 1, -1, -1, 1, -1)
+    ab = (-1, -1, 1, -1, -1, 1)
+    closed = GroupAction.closed([a, b])
+    for order in ((idn, a, b, ab), (idn, b, a, ab), (ab, b, idn, a)):
+        act = GroupAction(order)
+        assert act == closed and hash(act) == hash(closed)
+        assert act.elements == closed.elements and repr(act) == repr(closed)
 
 
 @pytest.mark.parametrize("sign", [True, 1.0, -1.0, np.float64(1.0), np.bool_(True)])

@@ -1,5 +1,6 @@
 """Divisor arithmetic and the linking pairings on both curves."""
 
+import fractions
 import hashlib
 import importlib
 import math
@@ -170,6 +171,42 @@ def test_divisor_infinity_only_on_sphere():
     Divisor.sphere([(INFINITY, 1), (0.0, -1)])
     with pytest.raises(DomainError):
         Divisor.elliptic(1j, [(INFINITY, 1), (0.0, -1)])
+
+
+@pytest.mark.parametrize("curve", [Curve.sphere(), Curve.elliptic(0.3 + 1.1j)],
+                         ids=["sphere", "elliptic"])
+@pytest.mark.parametrize("point", [math.inf, math.nan, complex(0.1, math.inf),
+                                   complex(math.nan, 0.2)])
+def test_divisor_rejects_a_non_finite_point(curve, point):
+    # a complex point is stored as given, not coerced again, and is still
+    # checked before the elliptic reduction, which would name it otherwise
+    with pytest.raises(DomainError, match=r"^divisor point must be finite, got "):
+        Divisor(curve, [(point, 1), (0.5, -1)])
+
+
+def test_divisor_add_leaves_other_types_to_them():
+    z = Divisor.sphere([(0.0, 1), (1.0, -1)])
+    assert z.__add__(1) is NotImplemented
+    assert z.__add__((0.0, 1)) is NotImplemented
+    with pytest.raises(TypeError):
+        z + 1
+
+
+def test_elliptic_divisors_on_one_tau_share_one_curve():
+    tau = 0.3 + 1.1j
+    z = Divisor.elliptic(tau, [(0.1, 1), (0.6 + 0.5j, -1)])
+    w = Divisor.elliptic(tau, [(0.35 + 0.9j, 1), (0.8 + 0.15j, -1)])
+    assert z.curve is w.curve is Curve.elliptic(tau) is Curve.elliptic(z.curve.tau)
+    assert (z + w).curve is z.curve and pushforward(
+        z, RationalMapSpec.translation(0.25)).curve is z.curve
+    t = TauParameter(tau)
+    assert Divisor.elliptic(t, [(0.1, 1), (0.5, -1)]).curve is Curve.elliptic(t)
+    # a distinct but equal TauParameter has a curve of its own, equal to
+    # the shared one: equality does not rest on identity
+    twin = Curve.elliptic(TauParameter(tau))
+    assert twin is not z.curve and twin.tau is not z.curve.tau
+    assert twin == z.curve and not twin != z.curve and hash(twin) == hash(z.curve)
+    assert linking(z, Divisor(twin, w.terms)) == linking(z, w)
 
 
 def test_divisor_multiplicity_must_be_int():
@@ -908,8 +945,11 @@ def test_translation_rejects_a_bool_offset(offset):
         RationalMapSpec.translation(offset)
 
 
-@pytest.mark.parametrize("offset", [math.inf, complex(0.25, -math.inf),
-                                    complex(math.nan, 0.1)])
+@pytest.mark.parametrize("offset", [
+    math.inf, complex(0.25, -math.inf), complex(math.nan, 0.1),
+    # complex(offset) overflows: DomainError, not a bare OverflowError
+    pytest.param(10 ** 400, id="10**400"), pytest.param(-10 ** 400, id="-10**400"),
+    pytest.param(fractions.Fraction(10 ** 400, 3), id="10**400/3")])
 def test_translation_rejects_a_non_finite_offset(offset):
     # when the map is built, naming the offset, not later at a translated point
     with pytest.raises(DomainError,
@@ -948,6 +988,10 @@ def test_curve_constructors():
     assert Curve.elliptic(1j).tau.value == 1j
     with pytest.raises(ValueError):
         Curve("mystery")
+    with pytest.raises(ValueError, match="^elliptic curve needs a tau parameter$"):
+        Curve("elliptic")
+    with pytest.raises(ValueError, match="^the sphere carries no tau parameter$"):
+        Curve("sphere", 1j)
     with pytest.raises(DomainError):
         Curve.elliptic(1.0 - 2j)
     with pytest.raises(DomainError):

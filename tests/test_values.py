@@ -51,8 +51,11 @@ CASES = {
         "e2", "HalfPeriodValues(e1=(1.5+0j), e2=(-0.75+0.25j), e3=(-0.75-0.25j))"),
     "Curve": (
         lambda: Curve("sphere"), None, "kind", "Curve.sphere()"),
+    # the constructor builds a new curve; Curve.elliptic returns the one
+    # curve of its shared tau
     "Curve-elliptic": (
-        lambda: Curve.elliptic(0.3 + 1.1j), None, "tau",
+        lambda: Curve("elliptic", 0.3 + 1.1j),
+        lambda: Curve.elliptic(0.3 + 1.1j), "tau",
         "Curve.elliptic((0.3+1.1j))"),
     "LinkingResult": (
         lambda: LinkingResult(-0.25, LinkingMethod.ARAKELOV_GREEN), None, "value",
