@@ -1,8 +1,8 @@
 """The base of holink's value types that validate their input: the curve
-and map types, ``Divisor``, ``TauParameter``, the Hodge types and
-``ScanGrid``; the records, which validate nothing, are namedtuples.  A plain
-class, so importing holink loads no ``dataclasses`` (nor its ``inspect``,
-``ast``, ``dis`` and ``tokenize``) and runs no ``exec``."""
+and map types, ``Divisor``, ``TauParameter`` and the Hodge types; the
+records, which validate nothing, are namedtuples.  A plain class, so
+importing holink loads no ``dataclasses`` (nor its ``inspect``, ``ast``,
+``dis`` and ``tokenize``) and runs no ``exec``."""
 
 
 class Frozen:

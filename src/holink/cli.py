@@ -20,7 +20,6 @@ import os
 import re
 import sys
 
-from ._frozen import Frozen
 from .errors import HolinkError
 from .hodge import hodge_diamond_x
 from .linking import Curve, Divisor, INFINITY, SPHERE, linking
@@ -125,50 +124,40 @@ def _tolerance(args, default: float | None):
         raise ValueError(f"HOLINK_TOL is not a number: {env!r}")
 
 
-class ScanGrid(Frozen):
-    """Inclusive rectangular tau grid; steps of 1 pin the axis to its minimum.
+def _axis(lo: float, hi: float, steps: int) -> list[float]:
+    if steps == 1:
+        return [lo]
+    return [lo + k * (hi - lo) / (steps - 1) for k in range(steps)]
 
-    The axes ``re_axis`` and ``im_axis`` follow from the fields, so
-    equality, hash and repr leave them out: the grid is re + i*im,
-    row-major with re varying fastest, and each of its points passes the
-    tau rule.
+
+def scan_axes(re_min: float, re_max: float, im_min: float, im_max: float,
+              steps_re: int, steps_im: int) -> tuple[list[float], list[float]]:
+    """(re_axis, im_axis) of an inclusive rectangular tau grid; steps of 1
+    pin the axis to its minimum.
+
+    The grid is re + i*im, row-major with re varying fastest.  Raises
+    ValueError, or the tau rule's DomainError for the first failing point
+    in that order, unless each of its points passes the tau rule.
     """
-
-    _fields = ("re_min", "re_max", "im_min", "im_max", "steps_re", "steps_im")
-
-    def __init__(self, re_min: float, re_max: float, im_min: float, im_max: float,
-                 steps_re: int, steps_im: int) -> None:
-        for steps, name in ((steps_re, "steps-re"), (steps_im, "steps-im")):
-            if _as_int(name, steps) < 1:
-                raise ValueError(f"{name} must be a positive integer, got {steps!r}")
-        if not all(math.isfinite(v) for v in (re_min, re_max, im_min, im_max)):
-            raise ValueError("grid bounds must be finite")
-        if re_min > re_max or (re_min == re_max and steps_re != 1):
-            raise ValueError("need re-min < re-max (equality only with steps-re 1)")
-        # The lowest row holds the smallest Im tau of every grid point.
-        as_tau(complex(re_min, im_min))
-        if im_min > im_max or (im_min == im_max and steps_im != 1):
-            raise ValueError("need im-min < im-max (equality only with steps-im 1)")
-        re_axis = self.axis(re_min, re_max, steps_re)
-        im_axis = self.axis(im_min, im_max, steps_im)
-        # The tau rule tests Re tau and Im tau apart, so the first row, then
-        # the first column, meets the first failing point in row-major order.
-        for tau in ([complex(re, im_axis[0]) for re in re_axis]
-                    + [complex(re_axis[0], im) for im in im_axis]):
-            as_tau(tau)
-        object.__setattr__(self, "re_min", re_min)
-        object.__setattr__(self, "re_max", re_max)
-        object.__setattr__(self, "im_min", im_min)
-        object.__setattr__(self, "im_max", im_max)
-        object.__setattr__(self, "steps_re", steps_re)
-        object.__setattr__(self, "steps_im", steps_im)
-        object.__setattr__(self, "re_axis", re_axis)
-        object.__setattr__(self, "im_axis", im_axis)
-
-    def axis(self, lo: float, hi: float, steps: int) -> list[float]:
-        if steps == 1:
-            return [lo]
-        return [lo + k * (hi - lo) / (steps - 1) for k in range(steps)]
+    for steps, name in ((steps_re, "steps-re"), (steps_im, "steps-im")):
+        if _as_int(name, steps) < 1:
+            raise ValueError(f"{name} must be a positive integer, got {steps!r}")
+    if not all(math.isfinite(v) for v in (re_min, re_max, im_min, im_max)):
+        raise ValueError("grid bounds must be finite")
+    if re_min > re_max or (re_min == re_max and steps_re != 1):
+        raise ValueError("need re-min < re-max (equality only with steps-re 1)")
+    # The lowest row holds the smallest Im tau of every grid point.
+    as_tau(complex(re_min, im_min))
+    if im_min > im_max or (im_min == im_max and steps_im != 1):
+        raise ValueError("need im-min < im-max (equality only with steps-im 1)")
+    re_axis = _axis(re_min, re_max, steps_re)
+    im_axis = _axis(im_min, im_max, steps_im)
+    # The tau rule tests Re tau and Im tau apart, so the first row, then
+    # the first column, meets the first failing point in row-major order.
+    for tau in ([complex(re, im_axis[0]) for re in re_axis]
+                + [complex(re_axis[0], im) for im in im_axis]):
+        as_tau(tau)
+    return re_axis, im_axis
 
 
 CSV_HEADER = "re_tau,im_tau,lambda_re,lambda_im,massey_value"
@@ -226,11 +215,11 @@ def cmd_link(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    grid = ScanGrid(args.re_min, args.re_max, args.im_min, args.im_max,
-                    args.steps_re, args.steps_im)
-    row_format = _CSV_ROW * len(grid.re_axis)
-    re_cells = ["%.12g," % re for re in grid.re_axis]
-    rows = zip(grid.im_axis, _grid_lambdas(grid.re_axis, grid.im_axis))
+    re_axis, im_axis = scan_axes(args.re_min, args.re_max, args.im_min,
+                                 args.im_max, args.steps_re, args.steps_im)
+    row_format = _CSV_ROW * len(re_axis)
+    re_cells = ["%.12g," % re for re in re_axis]
+    rows = zip(im_axis, _grid_lambdas(re_axis, im_axis))
     # A sibling of scan's own: mode "x" never opens an existing file, and a
     # clash of the 48 random bits would fail with exit 4, not overwrite.
     tmp_path = f"{args.out}.{os.urandom(6).hex()}.tmp"

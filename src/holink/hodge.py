@@ -2,8 +2,8 @@
 
 The threefold of interest is the crepant resolution of T/G, where T is a
 product of three elliptic curves and G = Z/2 x Z/2 acts diagonally on the
-holomorphic cotangent frame (dt, dz1, dz2) by sign patterns (and by the
-same signs on the conjugate frame).  Everything here is exact integer
+holomorphic cotangent frame (dt, dz1, dz2) by sign patterns, which act on
+the conjugate frame the same way.  Everything here is exact integer
 arithmetic; no floats enter at any point.
 
 The computation runs in three steps:
@@ -28,15 +28,14 @@ from ._frozen import Frozen
 from .errors import ActionValidationError
 from .special_functions import _as_int
 
-Signs = tuple[int, int, int, int, int, int]
+Signs = tuple[int, int, int]
 
 
 def _validate_element(el) -> Signs:
     el = tuple(el)
-    if len(el) != 6:
+    if len(el) != 3:
         raise ActionValidationError(
-            f"group element must carry 6 signs (one per generator), got {el!r}"
-        )
+            f"group element must carry 3 signs (on dt, dz1, dz2), got {el!r}")
     try:
         signs = tuple(_as_int("sign", s) for s in el)
     except ValueError as exc:
@@ -52,15 +51,14 @@ def _compose(a: Signs, b: Signs) -> Signs:
 
 
 class GroupAction(Frozen):
-    """A finite group of diagonal +-1 actions on the six-generator frame.
+    """A finite group of diagonal +-1 actions on the frame (dt, dz1, dz2).
 
-    Elements act on (dt, dz1, dz2) and their conjugates by signs, each the
-    int +1 or -1; they are kept in descending order, so one group given in
-    any order compares and hashes equal.  The constructor checks that the
-    identity is present, that the set is closed under composition (every
-    diagonal sign element is its own inverse, so this makes it a group) and
-    that every element satisfies the conjugation pairing sign[k] == sign[k+3]
-    of an action coming from a holomorphic automorphism.
+    An element is three signs, each the int +1 or -1, one per frame
+    vector; a real sign acts on the conjugate frame the same way.  The
+    elements are kept in descending order, so one group given in any order
+    compares and hashes equal.  The constructor checks that the identity is
+    present and that the set is closed under composition (every diagonal
+    sign element is its own inverse, so this makes it a group).
     """
 
     _fields = ("elements",)
@@ -70,8 +68,7 @@ class GroupAction(Frozen):
         object.__setattr__(self, "elements", els)
         if len(set(els)) != len(els):
             raise ActionValidationError("duplicate group elements")
-        identity = (1, 1, 1, 1, 1, 1)
-        if identity not in els:
+        if (1, 1, 1) not in els:
             raise ActionValidationError("group action must contain the identity")
         el_set = set(els)
         for a in els:
@@ -80,18 +77,13 @@ class GroupAction(Frozen):
                     raise ActionValidationError(
                         f"set is not closed under composition: {a!r} * {b!r} missing"
                     )
-        for e in els:
-            if e[:3] != e[3:]:
-                raise ActionValidationError(
-                    f"element {e!r} breaks the conjugation pairing (the signs "
-                    "on dt, dz1, dz2 must equal those on their conjugates)")
 
     @classmethod
     def closed(cls, generators) -> "GroupAction":
         """Close a list of sign vectors under composition and build the action:
         diagonal sign elements commute and square to the identity, so they
         generate the products of their subsets."""
-        els = {(1, 1, 1, 1, 1, 1)}
+        els = {(1, 1, 1)}
         for g in generators:
             g = _validate_element(g)
             els |= {_compose(e, g) for e in els}
@@ -112,9 +104,7 @@ def standard_quotient_action() -> GroupAction:
     * a reflection: negation of the first and third factors, identity on
       the second -> (-1, +1, -1).
     """
-    g1 = (1, -1, -1, 1, -1, -1)
-    g2 = (-1, 1, -1, -1, 1, -1)
-    return GroupAction.closed([g1, g2])
+    return GroupAction.closed([(1, -1, -1), (-1, 1, -1)])
 
 
 class BigradedDims(Frozen):
@@ -175,17 +165,17 @@ def torus_hodge() -> BigradedDims:
 def invariant_dims(action: GroupAction) -> BigradedDims:
     """Dimensions of the invariant (p,q)-forms, by character averaging.
 
-    For a diagonal element with signs s on the frame, the trace on
-    Lambda^p(frame) tensor Lambda^q(conjugate frame) is
-    e_p(s_0, s_1, s_2) * e_q(s_3, s_4, s_5) with e_k the elementary
-    symmetric polynomial; the invariant dimension is the group average,
-    an exact integer because ``GroupAction`` admits only groups.
+    For a diagonal element with signs s on the frame, and so on the
+    conjugate frame, the trace on Lambda^p(frame) tensor Lambda^q(conjugate
+    frame) is e_p(s) * e_q(s) with e_k the elementary symmetric polynomial;
+    the invariant dimension is the group average, an exact integer because
+    ``GroupAction`` admits only groups.
     """
     def elementary(signs: tuple[int, int, int], k: int) -> int:
         return sum(map(math.prod, itertools.combinations(signs, k)))
 
     def dim(p: int, q: int) -> int:
-        return sum(elementary(el[:3], p) * elementary(el[3:], q)
+        return sum(elementary(el, p) * elementary(el, q)
                    for el in action.elements) // action.order()
 
     return BigradedDims.from_function(dim)
@@ -194,15 +184,16 @@ def invariant_dims(action: GroupAction) -> BigradedDims:
 def invariant_dims_by_enumeration(action: GroupAction) -> BigradedDims:
     """Same dimensions by listing wedge monomials fixed by every element.
 
-    Each monomial (a subset S of the frame, T of the conjugate frame) is an
-    eigenvector of every diagonal element, so the invariant subspace is
-    spanned by monomials whose total sign is +1 for all group elements.
+    Each monomial (a subset S of the frame, T of the conjugate frame, both
+    indexing the three signs) is an eigenvector of every diagonal element,
+    so the invariant subspace is spanned by monomials whose total sign is
+    +1 for all group elements.
     """
     def dim(p: int, q: int) -> int:
         return sum(all(math.prod(el[i] for i in s_idx + t_idx) == 1
                        for el in action.elements)
                    for s_idx in itertools.combinations(range(3), p)
-                   for t_idx in itertools.combinations(range(3, 6), q))
+                   for t_idx in itertools.combinations(range(3), q))
 
     return BigradedDims.from_function(dim)
 

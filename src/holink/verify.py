@@ -333,11 +333,9 @@ def _suite_principal_divisor(rng: random.Random) -> tuple[list, str]:
 
 
 def _random_sign_family(rng: random.Random) -> GroupAction:
-    """The group of one to three random generators, each three signs
-    repeated on the conjugate frame."""
-    halves = [tuple(rng.choice((-1, 1)) for _ in range(3))
-              for _ in range(rng.randint(1, 3))]
-    return GroupAction.closed([h + h for h in halves])
+    """The group of one to three random generators of three signs each."""
+    return GroupAction.closed([tuple(rng.choice((-1, 1)) for _ in range(3))
+                               for _ in range(rng.randint(1, 3))])
 
 
 def _suite_invariant_dims_dual_route(rng: random.Random) -> tuple[list, str]:

@@ -14,11 +14,11 @@ import pytest
 
 from holink.cli import (
     CSV_HEADER,
-    ScanGrid,
     divisor_from_json,
     format_complex,
     main,
     parse_complex,
+    scan_axes,
 )
 from holink.errors import DivergenceError
 from holink.massey import massey_report, massey_value_closed_form
@@ -93,12 +93,10 @@ def test_divisor_json_schema():
 
 
 def test_scan_grid_geometry():
-    g = ScanGrid(-1.0, 1.0, 0.5, 1.5, 3, 2)
-    assert g.re_axis == [-1.0, 0.0, 1.0]  # endpoints inclusive
-    assert g.im_axis == [0.5, 1.5]
-    single = ScanGrid(0.25, 0.25, 1.0, 1.0, 1, 1)
-    assert (single.re_axis, single.im_axis) == ([0.25], [1.0])
-    signed_zero, = ScanGrid(-0.0, -0.0, 1.0, 1.0, 1, 1).re_axis
+    # endpoints inclusive
+    assert scan_axes(-1.0, 1.0, 0.5, 1.5, 3, 2) == ([-1.0, 0.0, 1.0], [0.5, 1.5])
+    assert scan_axes(0.25, 0.25, 1.0, 1.0, 1, 1) == ([0.25], [1.0])
+    (signed_zero,), _ = scan_axes(-0.0, -0.0, 1.0, 1.0, 1, 1)
     assert math.copysign(1.0, signed_zero) == -1.0
     for bad in (
         dict(re_min=1.0, re_max=-1.0, im_min=0.5, im_max=1.5, steps_re=2, steps_im=2),
@@ -115,7 +113,7 @@ def test_scan_grid_geometry():
         dict(re_min=-1.0, re_max=1.0, im_min=0.05, im_max=1e308, steps_re=2, steps_im=3),
     ):
         with pytest.raises(ValueError):
-            ScanGrid(**bad)
+            scan_axes(**bad)
 
 
 # ------------------------------------------------------------- subcommands
@@ -314,7 +312,7 @@ def test_scan_command(tmp_path, capsys):
     assert lines[3].split(",")[0] == "0.5"
     assert lines[4].split(",")[1] == "1.2"
     assert list(tmp_path.glob("grid.csv.*.tmp")) == []
-    assert lines == _scalar_rows(ScanGrid(-0.5, 0.5, 0.8, 1.2, 3, 2))
+    assert lines == _scalar_rows(scan_axes(-0.5, 0.5, 0.8, 1.2, 3, 2))
     capsys.readouterr()
 
 
@@ -426,10 +424,12 @@ def test_scan_builds_no_green_terms(tmp_path, monkeypatch):
     assert "_green_terms" in vars(built[0])
 
 
-def _scalar_rows(grid):
-    """The CSV rows of ``grid`` from a scalar ``modular_lambda`` loop."""
+def _scalar_rows(axes):
+    """The CSV rows of the grid on ``axes``, the pair (re_axis, im_axis),
+    from a scalar ``modular_lambda`` loop."""
+    re_axis, im_axis = axes
     rows = []
-    for tau in (complex(re, im) for im in grid.im_axis for re in grid.re_axis):
+    for tau in (complex(re, im) for im in im_axis for re in re_axis):
         lam = modular_lambda(tau)
         rows.append(f"{tau.real:.12g},{tau.imag:.12g},{lam.real:.12g},"
                     f"{lam.imag:.12g},{massey_value_closed_form(tau):.12g}")
@@ -441,8 +441,8 @@ def test_scan_one_column_matches_scalar_loop(tmp_path):
     steps_im = 1061
     out_path = tmp_path / "column.csv"
     assert _scan(out_path, 0.25, 0.25, 0.5, 3, 1, steps_im) == 0
-    grid = ScanGrid(0.25, 0.25, 0.5, 3.0, 1, steps_im)
-    assert out_path.read_text().splitlines() == _scalar_rows(grid)
+    axes = scan_axes(0.25, 0.25, 0.5, 3.0, 1, steps_im)
+    assert out_path.read_text().splitlines() == _scalar_rows(axes)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -454,7 +454,7 @@ def test_scan_one_column_matches_scalar_loop(tmp_path):
 def test_scan_wide_grid_matches_scalar_loop(tmp_path, bounds):
     out_path = tmp_path / "wide.csv"
     assert _scan(out_path, *bounds) == 0
-    assert out_path.read_text().splitlines() == _scalar_rows(ScanGrid(*bounds))
+    assert out_path.read_text().splitlines() == _scalar_rows(scan_axes(*bounds))
 
 
 def test_scan_far_up_the_imaginary_axis_is_silent(tmp_path):
@@ -466,8 +466,8 @@ def test_scan_far_up_the_imaginary_axis_is_silent(tmp_path):
         warnings.simplefilter("error")
         for im_min, im_max, steps in ((1e300, 1e308, 2), (0.05, 1e307, 5)):
             assert _scan(out_path, -0.0, 0.5, im_min, im_max, 3, steps) == 0
-            grid = ScanGrid(-0.0, 0.5, im_min, im_max, 3, steps)
-            assert out_path.read_text().splitlines() == _scalar_rows(grid)
+            axes = scan_axes(-0.0, 0.5, im_min, im_max, 3, steps)
+            assert out_path.read_text().splitlines() == _scalar_rows(axes)
 
 
 def test_scan_first_failing_tau_decides(tmp_path, capsys):

@@ -576,6 +576,10 @@ def test_theta_kind_and_convergence_guards():
             theta(kind, 0.0, 1j)
     with pytest.raises(DomainError):
         theta(2, 0.0, 1.0 - 1.0j)
+    for z in (math.inf, complex(0.1, -math.inf), complex(math.nan, 0.2)):
+        for kind in (1, 2, 3, 4):
+            with pytest.raises(DomainError, match="theta argument must be finite"):
+                theta(kind, z, 0.3 + 1.1j)
 
 
 def test_half_periods_square_lattice():

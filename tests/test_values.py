@@ -26,9 +26,8 @@ from holink import (
     torus_hodge,
 )
 from holink._frozen import Frozen
-from holink.cli import ScanGrid
 
-_SIGNS = [(1, -1, -1, 1, -1, -1), (-1, 1, -1, -1, 1, -1)]
+_SIGNS = [(1, -1, -1), (-1, 1, -1)]
 
 
 def _warm_tau():
@@ -77,8 +76,7 @@ CASES = {
     "GroupAction": (
         lambda: GroupAction.closed(_SIGNS),
         lambda: GroupAction.closed(_SIGNS[::-1]), "elements",
-        "GroupAction(elements=((1, 1, 1, 1, 1, 1), (1, -1, -1, 1, -1, -1), "
-        "(-1, 1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1)))"),
+        "GroupAction(elements=((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)))"),
     "BigradedDims": (
         torus_hodge, None, "table",
         "BigradedDims(table=((1, 3, 3, 1), (3, 9, 9, 3), (3, 9, 9, 3), "
@@ -99,11 +97,6 @@ CASES = {
         "curve",
         "Divisor(Curve.elliptic((0.3+1.1j)), [((0.25+0.55j), -1), "
         "((0.5+0j), 1)])"),
-    "ScanGrid": (
-        lambda: ScanGrid(re_min=-1.0, re_max=1.0, im_min=0.5, im_max=1.5,
-                         steps_re=3, steps_im=2), None, "re_axis",
-        "ScanGrid(re_min=-1.0, re_max=1.0, im_min=0.5, im_max=1.5, steps_re=3, "
-        "steps_im=2)"),
 }
 
 #: The records: namedtuples, not ``Frozen`` values.

@@ -76,8 +76,10 @@ FAULTS = (
     ("d_n exponent x 1.001", "special_functions.py",
      "(-_PI * tv.imag * (n * n), phase)",
      "(-_PI * tv.imag * (n * n) * 1.001, phase)"),
+    ("pullback root phase pi*k", "linking.py",
+     "(phase + 2 * math.pi * k) / n", "(phase + math.pi * k) / n"),
     ("enumeration's conjugate subsets of size p", "hodge.py",
-     "combinations(range(3, 6), q)", "combinations(range(3, 6), p)"),
+     "combinations(range(3), q)", "combinations(range(3), p)"),
     ("diamond's q range 1 <= q <= 3", "hodge.py",
      "1 <= q <= 2", "1 <= q <= 3"),
     ("sixteen fixed curves -> 15", "hodge.py",
@@ -85,9 +87,17 @@ FAULTS = (
 )
 
 #: Faults that no suite catches: the merge distance sees no pair between
-#: 1e-12 and 1e-6 apart; every suite draws tau from |Re tau| <= 1, where no
-#: shift is taken; and 15 fixed curves keep the diamond symmetric with Euler
-#: characteristic 0, while no second route counts the curves.
+#: 1e-12 and 1e-6 apart.  The even shift one period too far is equivalent:
+#: Z + Z tau and Z + Z (tau - 2) are one lattice.  lambda-periodicity does
+#: evaluate at tau + 2 and tau +- 1, and every suite passes while the digest
+#: of ``verify --seed 42`` moves.  The tier-1 tests that pin bits or the
+#: shifted tau kill it: test_no_series_runs_at_an_unshifted_tau,
+#: test_theta_far_along_re_tau_is_a_power_of_i_times_the_shifted,
+#: test_evaluators_keep_their_bits_under_an_even_shift_of_tau,
+#: test_weierstrass_p_bits_are_pinned, test_lambda_errors and
+#: test_verify_seed_42_stdout_is_pinned.  And 15 fixed curves keep the
+#: diamond symmetric with Euler characteristic 0, while no second route
+#: counts the curves.
 KNOWN_SURVIVORS = frozenset({
     "MERGE_TOL 1e-12 -> 1e-6",
     "even shift one period too far",
