@@ -8,8 +8,7 @@ suites).
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 3 mathematical domain error, 4 I/O error (without a message where the
-reader of stdout has closed the pipe).  The environment variable HOLINK_TOL
-supplies a default tolerance; an explicit --tol flag wins over it.
+reader of stdout has closed the pipe).
 """
 
 from __future__ import annotations
@@ -111,19 +110,6 @@ def _load_divisor_file(path: str) -> Divisor:
         return divisor_from_json(json.load(fh))
 
 
-def _tolerance(args, default: float | None):
-    """--tol flag, else HOLINK_TOL, else the given default; the callee checks it."""
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("HOLINK_TOL")
-    if env is None:
-        return default
-    try:
-        return float(env)
-    except ValueError:
-        raise ValueError(f"HOLINK_TOL is not a number: {env!r}")
-
-
 def _axis(lo: float, hi: float, steps: int) -> list[float]:
     if steps == 1:
         return [lo]
@@ -176,15 +162,14 @@ def cmd_lambda(args) -> int:
 
 def cmd_massey(args) -> int:
     tau = parse_complex(args.tau)
-    tol = _tolerance(args, DEFAULT_NONVANISHING_TOL)
-    report = massey_report(tau, tolerance=tol)
+    report = massey_report(tau, tolerance=args.tol)
     print(f"tau                = {format_complex(report.tau)}")
     print(f"lambda(tau)        = {format_complex(report.lambda_at_tau)}")
     print(f"value_closed_form  = {report.value_closed_form:.15g}")
     print(f"value_via_linking  = {report.value_via_linking:.15g}")
     print(f"residual           = {report.residual:.3e}")
     print(f"nonvanishing       = {'true' if report.nonvanishing else 'false'}")
-    print(f"tolerance          = {tol:g}")
+    print(f"tolerance          = {args.tol:g}")
     return 0
 
 
@@ -252,9 +237,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance(args, None)
-    results = run_all(seed=args.seed, tol=tol)
-    sys.stdout.write(format_summary(results, args.seed, tol))
+    results = run_all(seed=args.seed, tol=args.tol)
+    sys.stdout.write(format_summary(results, args.seed, args.tol))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -273,8 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("massey", help="Massey product value via both routes")
     p.add_argument("tau", help='tau in the upper half-plane, e.g. "0+1i"')
-    p.add_argument("--tol", type=float, default=None,
-                   help="nonvanishing threshold (default 1e-6, or HOLINK_TOL)")
+    p.add_argument("--tol", type=float, default=DEFAULT_NONVANISHING_TOL,
+                   help="nonvanishing threshold (default %(default)g)")
     p.set_defaults(func=cmd_massey)
 
     p = sub.add_parser("hodge", help="print the exact Hodge diamond")

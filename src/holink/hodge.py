@@ -6,15 +6,16 @@ holomorphic cotangent frame (dt, dz1, dz2) by sign patterns, which act on
 the conjugate frame the same way.  Everything here is exact integer
 arithmetic; no floats enter at any point.
 
-The computation runs in three steps:
+The computation runs in two steps.  ``torus_hodge``, C(3,p) * C(3,q), is
+not one of them: it is the binomial reference that the tests compare the
+trivial group's ``invariant_dims`` against.
 
-1. ``torus_hodge``: h^{p,q}(T) = C(3,p) * C(3,q).
-2. ``invariant_dims``: dimensions of the G-invariant part of
+1. ``invariant_dims``: dimensions of the G-invariant part of
    Lambda^p(frame) tensor Lambda^q(conjugate frame), by averaging
    characters over the group; ``invariant_dims_by_enumeration`` counts
    invariant wedge monomials directly and must agree (both routes are kept
    on purpose, as a cross-check).
-3. ``hodge_diamond_x``: the invariant table plus 16 on each cell with
+2. ``hodge_diamond_x``: the invariant table plus 16 on each cell with
    1 <= p, q <= 2, one elliptic-curve blow-up for each of the sixteen fixed
    curves of the quotient.
 """

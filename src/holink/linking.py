@@ -20,20 +20,20 @@ to finite sums of logarithms:
   constant is fixed to zero.  Elliptic divisors on one tau share one
   ``Curve``, so the pairing compares their curves by identity.
 
-One kernel body, ``_pair_greens``, evaluates g_tau, for the pairing and
-``arakelov_green`` alike, and clears each pair of the pairing just before
-its term: it builds theta1 at each difference from per-point phases and
-per-tau coefficients, divided by its largest term, so that no term leaves
-double range at any Im tau; ``weierstrass_p`` sums the same folded theta1,
-``_folded_theta1``.  Its independent references are theta1's own series,
-in the tests, and Abel's theorem, in ``verify``'s principal-divisor suite:
-the pairing with the divisor of p - p(a) is a sum of log|p(Q) - p(a)|,
-summed by Eisenstein's rows without theta.  Each pair is taken in one
-canonical order, and both evaluators add their terms with ``math.fsum``,
-which is correctly rounded and so order independent: hence linking(z, w)
-== linking(w, z) holds bit for bit.  They only sum: the comparison with
-the half-period closed form and the altered-kernel checks live with the
-other route comparisons, in ``massey`` and ``verify``.
+One kernel body, ``_pair_greens``, evaluates g_tau, for the pairing,
+``arakelov_green`` and the Massey route alike, and clears each pair of the
+pairing just before its term: it builds theta1 at each difference from
+per-point phases and per-tau coefficients, divided by its largest term, so
+that no term leaves double range at any Im tau; ``weierstrass_p`` sums the
+same folded theta1, ``_folded_theta1``.  Its independent references are
+theta1's own series, in the tests, and Abel's theorem, in ``verify``'s
+principal-divisor suite: the pairing with the divisor of p - p(a) is a sum
+of log|p(Q) - p(a)|, summed by Eisenstein's rows without theta.  Each pair
+is taken in one canonical order, and both evaluators add their terms with
+``math.fsum``, which is correctly rounded and so order independent: hence
+linking(z, w) == linking(w, z) holds bit for bit.  They only sum: the
+comparison with the half-period closed form and the altered-kernel checks
+live with the other route comparisons, in ``massey`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -464,10 +464,11 @@ class RationalMapSpec(Frozen):
 
     kind = "identity" (either curve), "power" with an integral exponent n
     in {2, 3} (sphere to sphere, z -> z^n), or "translation" by a fixed
-    numeric offset, kept as a complex (elliptic curve to itself).  Anything
-    else, a bool offset included, raises CapabilityError on construction, as
-    does applying a map to a curve it is not defined on; an offset that is
-    not finite in double precision raises DomainError on construction.
+    numeric offset, kept as a complex (elliptic curve to itself); a kind
+    takes no other parameter.  Anything else, a bool offset included, raises
+    CapabilityError on construction, as does applying a map to a curve it is
+    not defined on; an offset that is not finite in double precision raises
+    DomainError on construction.
     """
 
     _fields = ("kind", "exponent", "offset")
@@ -485,6 +486,8 @@ class RationalMapSpec(Frozen):
                 raise CapabilityError("power maps are supported for exponents 2 "
                                       f"and 3 only, got {exponent!r}")
             exponent = n
+        elif exponent is not None:
+            raise CapabilityError(f"{kind} maps take no exponent, got {exponent!r}")
         if kind == "translation":
             if isinstance(offset, bool) or not isinstance(offset, numbers.Complex):
                 raise CapabilityError("translation map needs a numeric offset, "
@@ -495,6 +498,8 @@ class RationalMapSpec(Frozen):
                 offset = complex(math.inf)
             if not cmath.isfinite(offset):
                 raise DomainError(f"translation offset must be finite, got {offset!r}")
+        elif offset is not None:
+            raise CapabilityError(f"{kind} maps take no offset, got {offset!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "offset", offset)

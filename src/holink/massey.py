@@ -11,12 +11,13 @@ linking number on the base curve:
 
 The two routes share only the evaluation tau, ``TauParameter.shifted``,
 the exact even shift of Re tau into [-1, 1]: the closed form sums the theta
-constants' series, the linking route the pairing's own q-series of theta1
-(``linking_elliptic``).  They are computed independently here, and their
-agreement is one of the package's acceptance checks.  The value vanishes
-exactly on the locus |1 - lambda(tau)| = 1, and is nonzero for generic tau,
-so the obstruction it measures does not vanish identically in the family.
-The locus contains the line Re tau = 1/2, where lambda(tau - 1) equals both
+constants' series, the linking route the Green kernel ``_pair_greens`` of
+``linking`` at the four half periods, which need no ``Divisor``: each is
+its own cell representative, and no two are near.  Their agreement is one
+of the package's acceptance checks.  The value vanishes exactly on the
+locus |1 - lambda(tau)| = 1, and is nonzero for generic tau, so the
+obstruction it measures does not vanish identically in the family.  The
+locus contains the line Re tau = 1/2, where lambda(tau - 1) equals both
 conj(lambda(tau)) and lambda / (lambda - 1): so |lambda|^2 = 2 Re lambda,
 and |1 - lambda| = 1.
 """
@@ -28,7 +29,7 @@ import numbers
 from collections import namedtuple
 
 from .errors import DivergenceError, DomainError
-from .linking import Divisor, linking_elliptic
+from .linking import _pair_greens
 from .special_functions import TauParameter, as_tau, modular_lambda
 
 #: Default threshold deciding the ``nonvanishing`` flag of a report.
@@ -73,9 +74,8 @@ def massey_value_via_linking(tau: TauParameter | complex) -> float:
     """
     t = as_tau(tau)
     tv = t.shifted
-    z = Divisor.elliptic(t, [(0.0, 1), (0.5, -1)])
-    w = Divisor.elliptic(t, [(tv / 2.0, 1), ((1.0 + tv) / 2.0, -1)])
-    return 8.0 * linking_elliptic(z, w).value
+    return 8.0 * math.fsum(_pair_greens(t, ((0j, 1), (0.5 + 0j, -1)),
+                                        ((tv / 2.0, 1), ((1.0 + tv) / 2.0, -1))))
 
 
 MasseyReport = namedtuple("MasseyReport", "tau value_closed_form value_via_linking "

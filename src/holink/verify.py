@@ -38,6 +38,7 @@ from .hodge import (
 from .linking import (
     Divisor,
     RationalMapSpec,
+    _sphere_distance,
     arakelov_green,
     check_adjunction,
     linking_elliptic,
@@ -88,15 +89,18 @@ def _random_points(rng: random.Random, count: int, lo: float,
             for _ in range(count)]
 
 
+def _apart(points: list, gap: float, dist: Callable) -> bool:
+    """Whether every two of ``points`` lie at least ``gap`` apart by ``dist``."""
+    return all(dist(p, q) >= gap for i, p in enumerate(points) for q in points[i + 1:])
+
+
 def _disjoint_pair(rng: random.Random, tau: TauParameter,
                    ) -> tuple[Divisor, Divisor]:
     """Two random degree-zero 2-point divisors on C_tau with separated supports."""
     while True:
         pts = [p.real + p.imag * tau.value
                for p in _random_points(rng, 4, 0.05, 0.95)]
-        ok = all(torus_distance(pts[i], pts[j], tau) > 1e-3
-                 for i in range(4) for j in range(i + 1, 4))
-        if ok:
+        if _apart(pts, 1e-3, lambda p, q: torus_distance(p, q, tau)):
             z = Divisor.elliptic(tau, [(pts[0], 1), (pts[1], -1)])
             w = Divisor.elliptic(tau, [(pts[2], 1), (pts[3], -1)])
             return z, w
@@ -173,9 +177,8 @@ def _suite_sphere_closed_form(rng: random.Random) -> tuple[list, str]:
     residuals = []
     for _ in range(50):
         while True:
-            p, q, r, s = _random_points(rng, 4, -2.0, 2.0)
-            if min(abs(p - q), abs(p - r), abs(p - s), abs(q - r),
-                   abs(q - s), abs(r - s)) > 1e-3:
+            p, q, r, s = pts = _random_points(rng, 4, -2.0, 2.0)
+            if _apart(pts, 1e-3, _sphere_distance):
                 break
         z = Divisor.sphere([(p, 1), (q, -1)])
         w = Divisor.sphere([(r, 1), (s, -1)])
@@ -202,8 +205,7 @@ def _suite_linking_bilinearity(rng: random.Random) -> tuple[list, str]:
         residuals.append(abs(lhs - rhs))
     for _ in range(25):
         pts = _random_points(rng, 6, -2.0, 2.0)
-        if min(abs(u - v) for i, u in enumerate(pts)
-               for v in pts[i + 1:]) < 1e-3:
+        if not _apart(pts, 1e-3, _sphere_distance):
             continue
         z1 = Divisor.sphere([(pts[0], 1), (pts[1], -1)])
         z2 = Divisor.sphere([(pts[2], 1), (pts[3], -1)])
@@ -244,8 +246,7 @@ def _suite_adjunction_square(rng: random.Random) -> tuple[list, str]:
     residuals = []
     while len(residuals) < 50:
         pts = _random_points(rng, 4, 0.3, 2.0)
-        if min(abs(u - v) for i, u in enumerate(pts)
-               for v in pts[i + 1:]) < 1e-2:
+        if not _apart(pts, 1e-2, _sphere_distance):
             continue
         z = Divisor.sphere([(pts[0], 1), (pts[1], -1)])
         w = Divisor.sphere([(pts[2], 1), (pts[3], -1)])
@@ -318,8 +319,7 @@ def _suite_principal_divisor(rng: random.Random) -> tuple[list, str]:
             a, *qs = [p.real + p.imag * tau.value
                       for p in _random_points(rng, 5, 0.0, 1.0)]
             pts = [0j, a, -a, *qs]
-            if all(torus_distance(p, q, tau) >= 1e-3
-                   for i, p in enumerate(pts) for q in pts[i + 1:]):
+            if _apart(pts, 1e-3, lambda p, q: torus_distance(p, q, tau)):
                 break
         m, k = rng.choice((1, 2)), rng.choice((1, 2))
         w = Divisor.elliptic(tau, zip(qs, (m, -m, k, -k)))

@@ -25,11 +25,6 @@ from holink.massey import massey_report, massey_value_closed_form
 from holink.special_functions import TauParameter, modular_lambda
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("HOLINK_TOL", raising=False)
-
-
 # ------------------------------------------------------------------ parsing
 
 
@@ -166,20 +161,28 @@ def test_massey_divergence_is_domain_exit(capsys):
     assert "diverges" in capsys.readouterr().err
 
 
-def test_massey_tolerance_sources(capsys, monkeypatch):
+def test_massey_tolerance_sources(capsys):
     main(["massey", "0+1i", "--tol", "1.0"])
     assert "nonvanishing       = false" in capsys.readouterr().out
-    monkeypatch.setenv("HOLINK_TOL", "1.0")
     main(["massey", "0+1i"])
-    assert "nonvanishing       = false" in capsys.readouterr().out
-    main(["massey", "0+1i", "--tol", "1e-6"])   # flag beats environment
     assert "nonvanishing       = true" in capsys.readouterr().out
-    monkeypatch.setenv("HOLINK_TOL", "not-a-number")
-    assert main(["massey", "0+1i"]) == 2
-    monkeypatch.setenv("HOLINK_TOL", "-3")
-    assert main(["massey", "0+1i"]) == 3
-    capsys.readouterr()
+    assert main(["massey", "0+1i", "--tol", "not-a-number"]) == 2
+    assert main(["massey", "0+1i", "--tol", "-3"]) == 3
     assert main(["massey", "0+1i", "--tol", "0"]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("env", ["1.0", "0.5", "not-a-number", "-3"])
+def test_environment_sets_no_tolerance(capsys, monkeypatch, env):
+    # A tolerance comes from --tol or the default, never from HOLINK_TOL.
+    monkeypatch.setenv("HOLINK_TOL", env)
+    assert main(["massey", "0+1i"]) == 0
+    out = capsys.readouterr().out
+    assert "nonvanishing       = true" in out
+    assert "tolerance          = 1e-06" in out
+    assert main(["verify", "--seed", "42"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "verification suites: seed=42 tol=default")
 
 
 def test_hodge_command(capsys):

@@ -875,6 +875,20 @@ def test_map_catalog_validation():
     assert pullback(ell, RationalMapSpec.identity()) == ell
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("identity", {"exponent": 2}),
+    ("identity", {"offset": 0.5}),
+    ("translation", {"exponent": 7, "offset": 0.5}),
+    ("power", {"exponent": 2, "offset": 0.5}),
+    ("power", {"exponent": 2, "offset": 1e400}),
+])
+def test_map_spec_rejects_parameters_its_kind_never_reads(kind, params):
+    # An unread parameter would make two equal maps compare unequal, and an
+    # inf offset on a power map would be stored without a check.
+    with pytest.raises(CapabilityError, match=rf"^{kind} maps take no "):
+        RationalMapSpec(kind, **params)
+
+
 def test_power_map_push_and_pull():
     sq = RationalMapSpec.power(2)
     d = Divisor.sphere([(1 + 1j, 1), (2.0, -1)])

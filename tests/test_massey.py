@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from holink import (
     massey_value_via_linking,
     modular_lambda,
 )
+from holink.linking import Divisor, linking_elliptic
 from holink.massey import _closed_form_from_lambda
-from holink.verify import run_all
+from holink.special_functions import MIN_IM_TAU, as_tau
+from holink.verify import TAU_BOX, run_all
 
 # frozen reference values
 VALUE_AT_I = 4.0 * math.log(0.5) / math.pi     # = -0.8825424006106064
@@ -64,6 +67,33 @@ def test_cross_path_agreement_random_tau():
         rep = massey_report(tau)
         worst = max(worst, rep.residual)
     assert worst < 1e-8
+
+
+def _bit_contract_taus():
+    """Seeded taus over the floor band, TAU_BOX, the cusp and far along
+    Re tau, and the edge cases -0.0+1i and +-1+0.05i."""
+    rng = random.Random(4343)
+    (re_lo, re_hi), (im_lo, im_hi) = TAU_BOX
+    taus = [complex(-0.0, 1.0), 1 + 0.05j, -1 + 0.05j]
+    for _ in range(150):
+        re = rng.uniform(-1.0, 1.0)
+        taus.append(complex(re, rng.uniform(MIN_IM_TAU, 0.3)))
+        taus.append(complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi)))
+        taus.append(complex(re, math.exp(rng.uniform(math.log(3.0), math.log(1000.0)))))
+        taus.append(complex(rng.choice((-1, 1)) * math.exp(rng.uniform(0.0, 700.0)),
+                            rng.uniform(MIN_IM_TAU, 3.0)))
+    return taus
+
+
+def test_linking_route_keeps_the_bits_of_the_divisor_pairing():
+    # The route sums the pairing kernel at the four half periods directly;
+    # through Divisor and linking_elliptic the same points give every bit.
+    for tau in _bit_contract_taus():
+        tv = as_tau(tau).shifted
+        z = Divisor.elliptic(tau, [(0.0, 1), (0.5, -1)])
+        w = Divisor.elliptic(tau, [(tv / 2.0, 1), ((1.0 + tv) / 2.0, -1)])
+        want = 8 * linking_elliptic(z, w).value
+        assert massey_value_via_linking(tau).hex() == want.hex(), tau
 
 
 def test_lambda_shift_periodicity():
@@ -124,9 +154,11 @@ def test_divergent_lambda_value():
 
 def test_report_divergence_runs_no_kernel(monkeypatch):
     # The closed form decides before the linking route runs.  The elliptic
-    # pairing forms each pair's term in ``_pair_greens``, so count there.
-    # ``holink.linking`` names the function, so fetch the module itself.
+    # pairing forms each pair's term in ``_pair_greens``, so count there, at
+    # both of its bindings: the pairing's and the Massey route's own.
+    # ``holink.linking`` names the function, so fetch the modules themselves.
     linking = importlib.import_module("holink.linking")
+    massey = importlib.import_module("holink.massey")
     calls = []
     greens = linking._pair_greens
 
@@ -136,6 +168,7 @@ def test_report_divergence_runs_no_kernel(monkeypatch):
             yield term
 
     monkeypatch.setattr(linking, "_pair_greens", counting)
+    monkeypatch.setattr(massey, "_pair_greens", counting)
     with pytest.raises(DivergenceError):
         massey_report(-0.018 + 0.059j)
     assert calls == []
