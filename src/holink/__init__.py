@@ -50,7 +50,6 @@ from .linking import (
     AdjunctionCheck,
     Curve,
     Divisor,
-    LinkingMethod,
     LinkingResult,
     RationalMapSpec,
     arakelov_green,
@@ -88,10 +87,9 @@ __all__ = [
     "HalfPeriodValues", "TauParameter", "half_period_values",
     "lambda_complement_ratio", "lattice_sum_p", "modular_lambda",
     "reduce_mod_lattice", "theta", "torus_distance", "weierstrass_p",
-    "INFINITY", "AdjunctionCheck", "Curve", "Divisor", "LinkingMethod",
-    "LinkingResult", "RationalMapSpec", "arakelov_green",
-    "check_adjunction", "linking", "linking_elliptic", "linking_sphere",
-    "pullback", "pushforward",
+    "INFINITY", "AdjunctionCheck", "Curve", "Divisor", "LinkingResult",
+    "RationalMapSpec", "arakelov_green", "check_adjunction", "linking",
+    "linking_elliptic", "linking_sphere", "pullback", "pushforward",
     "BigradedDims", "GroupAction", "hodge_diamond_x", "invariant_dims",
     "invariant_dims_by_enumeration", "standard_quotient_action", "torus_hodge",
     "MasseyReport", "massey_report",

@@ -195,7 +195,8 @@ def cmd_link(args) -> int:
     w = _load_divisor_file(args.w)
     res = linking(z, w)
     print(f"value    = {res.value:.15g}")
-    print(f"method   = {res.method.value}")
+    method = "cross-ratio" if z.curve.kind == "sphere" else "arakelov-green"
+    print(f"method   = {method}")
     return 0
 
 

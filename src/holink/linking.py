@@ -28,8 +28,9 @@ that no term leaves double range at any Im tau; ``weierstrass_p`` sums the
 same folded theta1, ``_folded_theta1``.  Its independent references are
 theta1's own series, in the tests, and Abel's theorem, in ``verify``'s
 principal-divisor suite: the pairing with the divisor of p - p(a) is a sum
-of log|p(Q) - p(a)|, summed by Eisenstein's rows without theta.  Each pair
-is taken in one canonical order, and both evaluators add their terms with
+of log|p(Q) - p(a)|, summed by Eisenstein's rows without theta.  The kernel
+reflects each difference into the lower half of the cell by exact steps, so
+a pair and its swap take one u, and both evaluators add their terms with
 ``math.fsum``, which is correctly rounded and so order independent: hence
 linking(z, w) == linking(w, z) holds bit for bit.  They only sum: the
 comparison with the half-period closed form and the altered-kernel checks
@@ -39,7 +40,6 @@ live with the other route comparisons, in ``massey`` and ``verify``.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 import numbers
 from collections import namedtuple
@@ -153,10 +153,13 @@ def _sphere_distance(p: Point, q: Point) -> float:
     return abs(p - q)
 
 
-#: Margin of the merge screen in ``Divisor``, in units of Im tau: far above
-#: MERGE_TOL / MIN_IM_TAU (2e-11), so the pairs it skips lie farther apart
-#: than MERGE_TOL.
-_SCREEN_MARGIN = 1e-9
+def _screen(t: TauParameter, tol: float) -> tuple[float, float]:
+    """(lo, hi), lo = 2 * tol * max(1, Im tau) and hi = Im tau - lo: two
+    reduced points whose Im parts differ by a value in (lo, hi) lie more
+    than 2 * tol apart on the torus, with room for the rounding of their
+    reduction, so a test for nearness within tol need not measure them."""
+    lo = 2.0 * tol * max(1.0, t.shifted.imag)
+    return lo, t.shifted.imag - lo
 
 
 class Divisor(Frozen):
@@ -169,12 +172,10 @@ class Divisor(Frozen):
     Divisors that ``Divisor.elliptic`` builds on one tau share one curve.
 
     A point merges into the first earlier one within MERGE_TOL of it.  On an
-    elliptic curve a screen skips the measurement of most pairs: two
-    reduced points whose imaginary parts differ by a fraction of Im tau in
-    (_SCREEN_MARGIN, 1 - _SCREEN_MARGIN) have a difference whose lattice
-    coordinate y stays that far from an integer, so they lie at least
-    _SCREEN_MARGIN * MIN_IM_TAU apart on the torus.  Every other pair is
-    measured by ``_reduced_difference``, so the screen changes no term.
+    elliptic curve ``_screen`` skips the measurement of most pairs, those
+    whose Im parts place them at least 2 * MERGE_TOL apart; every other
+    pair is measured by ``_reduced_difference``, so the screen changes no
+    term.
     """
 
     _fields = ("curve", "terms")
@@ -255,8 +256,7 @@ def _merged(curve: Curve, terms: tuple, new: Iterable) -> tuple:
     elliptic = curve.kind == "elliptic"
     if elliptic:
         t = curve.tau
-        im_t = t.shifted.imag
-        apart_lo, apart_hi = _SCREEN_MARGIN * im_t, (1.0 - _SCREEN_MARGIN) * im_t
+        apart_lo, apart_hi = _screen(t, MERGE_TOL)
     for point, mult in new:
         for i, (p0, m0) in enumerate(canon):
             if elliptic:
@@ -285,15 +285,9 @@ def _restore_divisor(curve: Curve, terms: tuple) -> Divisor:
     return divisor
 
 
-class LinkingMethod(enum.Enum):
-    CROSS_RATIO = "cross-ratio"
-    ARAKELOV_GREEN = "arakelov-green"
-
-
-LinkingResult = namedtuple("LinkingResult", "value method")
-LinkingResult.__doc__ = """Linking value plus provenance: ``method`` names the
-evaluator that produced ``value``, the cross-ratio log sum on the sphere or
-the Green-kernel double sum on an elliptic curve."""
+LinkingResult = namedtuple("LinkingResult", "value")
+LinkingResult.__doc__ = """A linking value: the cross-ratio log sum on the
+sphere, the Green-kernel double sum on an elliptic curve."""
 
 
 def _check_pair(z: Divisor, w: Divisor, kind: str) -> None:
@@ -343,7 +337,7 @@ def linking_sphere(z: Divisor, w: Divisor) -> LinkingResult:
             if INFINITY not in (p, q):
                 measured.append((a * b, dist))
     total = _pairing_sum(ab * math.log(r) for ab, r in measured)
-    return LinkingResult(total / math.pi, LinkingMethod.CROSS_RATIO)
+    return LinkingResult(total / math.pi)
 
 
 def arakelov_green(u: complex, tau: TauParameter | complex) -> float:
@@ -378,70 +372,60 @@ def linking_elliptic(z: Divisor, w: Divisor) -> LinkingResult:
     """
     _check_pair(z, w, "elliptic")
     greens = _pair_greens(z.curve.tau, z.terms, w.terms)
-    return LinkingResult(_pairing_sum(greens), LinkingMethod.ARAKELOV_GREEN)
+    return LinkingResult(_pairing_sum(greens))
 
 
 def _pair_greens(t: TauParameter, z_terms: Iterable, w_terms: Iterable,
                  clear: bool = True) -> Iterator[float]:
-    """a * b * g_tau(A - B) for each (P, a) of ``z_terms`` and (Q, b) of
-    ``w_terms``, z-major, reduced points of ``t``: (A, B) is (P, Q) with the
-    smaller (re, im) first, as ``_reduced_difference`` orders them.  With
-    ``clear``, a pair nearer than DISJOINTNESS_TOL raises DisjointnessError
-    before its term; only a pair whose Im parts differ by at most apart_lo
-    = 2 * DISJOINTNESS_TOL * max(1, Im tau), or by at least Im tau -
-    apart_lo, can be, and ``_reduced_difference`` measures those.
+    """a * b * g_tau(P - Q) for each (P, a) of ``z_terms`` and (Q, b) of
+    ``w_terms``, z-major, reduced points of ``t``.  With ``clear``, a pair
+    nearer than DISJOINTNESS_TOL raises DisjointnessError before its term:
+    ``_reduced_difference`` measures each pair that ``_screen`` passes.
 
-    The pair is taken at u = A + s*tau - B, s in {-1, 0, 1}, so that
-    y = Im u has |y| <= Im tau / 2 (g is periodic).  With X = exp(2*pi*i*u),
-    or exp(-2*pi*i*u) where y < 0, so that |X| = exp(-2*pi*|y|) <= 1,
-    theta1's q-series (DLMF 20.2.1) is +-i q^(1/4) X^(-1/2) F, where
+    g is even and periodic, so u = P - Q is taken through two reflections:
+    u -> -u where Im u < 0, or Im u = 0 and Re P > Re Q (so a pair and its
+    swap take one u), then u -> tau - u where Im u > Im tau / 2.  Then y =
+    Im u is in [0, Im tau / 2], and with X = exp(2*pi*i*u), |X| =
+    exp(-2*pi*y) <= 1, theta1's q-series (DLMF 20.2.1) is +-i q^(1/4)
+    X^(-1/2) F, where
 
         F = X G(X) - G(1/X),   G(t) = sum_{n >= 0} (-1)^n q^(n(n+1)) t^n,
 
     and |F| is |theta1(u)| over its largest term exp(-pi*Im(tau)/4 +
-    pi*|y|).  So g_tau(u) = log|F| / pi - (Im tau / 2 - |y|)^2 / Im tau.
-    X is exp(-2*pi*|y|) times the unit phases of A, B and s*tau, taken
-    once per point and once per tau.  F is ``_folded_theta1``, as in
-    ``weierstrass_p``; no term of it exceeds 1.  A product a * b beyond
-    double range makes the term inf, which ``_pairing_sum`` reports after
-    the pass, so a later colliding pair raises DisjointnessError first.
+    pi*y).  So g_tau(u) = log|F| / pi - (Im tau / 2 - y)^2 / Im tau.  X is
+    exp(-2*pi*y) times a unit phase, that of P times the conjugate of that
+    of Q, each taken once per point: a reflection conjugates it, and the
+    second also multiplies by tau's unit phase, taken once per tau.  Both
+    steps are exact, so linking(z, w) == linking(w, z) bit for bit.  F is
+    ``_folded_theta1``, as in ``weierstrass_p``; no term of it exceeds 1.
+    A product a * b beyond double range makes the term inf, which
+    ``_pairing_sum`` reports after the pass, so a later colliding pair
+    raises DisjointnessError first.
     """
-    coefs, up, down = t._green_terms
+    coefs, up = t._green_terms
     im_t = t.shifted.imag
     half = 0.5 * im_t
-    apart_lo = 2.0 * DISJOINTNESS_TOL * max(1.0, im_t)
-    apart_hi = im_t - apart_lo
+    apart_lo, apart_hi = _screen(t, DISJOINTNESS_TOL)
     exp, log, fold, two_pi = math.exp, math.log, _folded_theta1, _TWO_PI
     w_phased = []
     for q, b in w_terms:
-        e = _turn(q.real)
-        w_phased.append((q, q.real, q.imag, b, e, e.conjugate()))
+        w_phased.append((q, q.real, q.imag, b, _turn(q.real).conjugate()))
     for p, a in z_terms:
         p_re, p_im = p.real, p.imag
         ep = _turn(p_re)
-        ep_c = ep.conjugate()
-        for q, q_re, q_im, b, eq, eq_c in w_phased:
+        for q, q_re, q_im, b, eq_c in w_phased:
             y = p_im - q_im
             if clear and not apart_lo < abs(y) < apart_hi:
                 dist = _reduced_difference(p, q, t)[1]
                 if dist < DISJOINTNESS_TOL:
                     raise _collision(p, dist)
-            if p_re < q_re or p_re == q_re and p_im <= q_im:
-                ph, ph_c = ep * eq_c, eq * ep_c
-            else:
-                y = -y
-                ph, ph_c = eq * ep_c, ep * eq_c
-            if y > half:
-                y -= im_t
-                ph, ph_c = ph * down, ph_c * up
-            elif y < -half:
-                y += im_t
-                ph, ph_c = ph * up, ph_c * down
-            if y < 0.0:
-                y = -y
-                ph, ph_c = ph_c, ph
+            ph = ep * eq_c
+            if y < 0.0 or y == 0.0 and q_re < p_re:  # g is even
+                ph, y = ph.conjugate(), -y
+            if y > half:  # g is periodic and even: take tau - u
+                ph, y = ph.conjugate() * up, im_t - y
             x = ph * exp(-two_pi * y)
-            x_inv = ph_c * exp(two_pi * (y - half))
+            x_inv = ph.conjugate() * exp(two_pi * (y - half))
             gap = half - y
             g = (log(abs(fold(coefs, x, x_inv))) / math.pi
                  - gap * (gap / im_t))

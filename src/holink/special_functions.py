@@ -115,12 +115,12 @@ class TauParameter(Frozen):
 
     @cached_property
     def _green_terms(self) -> tuple[tuple[tuple[complex, complex], ...],
-                                    complex, complex]:
+                                    complex]:
         """The tau-only data of the Green kernel and ``weierstrass_p`` at
         ``shifted``: (c_n, d_n) = (-1)^n q^(n(n+1)) * (1, exp(pi*Im(tau)*n)),
         highest n first, for n = 0 and each n that ``_term_range`` gives
-        theta3 at z = 0 (|d_n| = |q^(n^2)|), then the unit phases
-        exp(+-2*pi*i*Re tau).  |c_n| <= |d_n| <= 1, so no datum leaves double
+        theta3 at z = 0 (|d_n| = |q^(n^2)|), then the unit phase
+        exp(2*pi*i*Re tau).  |c_n| <= |d_n| <= 1, so no datum leaves double
         range; from Im tau = 13.64 on only n = 0 remains."""
         tv = self.shifted
         coefs = [(1.0 + 0.0j, 1.0 + 0.0j)]
@@ -129,7 +129,7 @@ class TauParameter(Frozen):
             c = cmath.exp(complex(-_PI * tv.imag * (n * (n + 1)), phase))
             d = cmath.exp(complex(-_PI * tv.imag * (n * n), phase))
             coefs.append((-c, -d) if n & 1 else (c, d))
-        return tuple(reversed(coefs)), _turn(tv.real), _turn(-tv.real)
+        return tuple(reversed(coefs)), _turn(tv.real)
 
     @cached_property
     def _gauss_basis(self) -> tuple[complex, complex]:
@@ -370,8 +370,9 @@ def _reduce_point(z: complex, tv: complex) -> complex:
 def _exact_coordinates(z: complex, tv: complex) -> tuple:
     """z's lattice coordinates (x, y), z = x + y*tv, and tv's parts, as
     exact fractions: callers reduce x and y and round the congruent point
-    once.  ``fractions`` is imported here, off the import path: few points
-    reach it."""
+    once.  ``fractions`` is imported here, so importing the package does
+    not load it: every ``lattice_sum_p`` call comes here, ``_reduce_point``
+    only for a point far out."""
     from fractions import Fraction
     tr, ti = Fraction(tv.real), Fraction(tv.imag)
     y = Fraction(z.imag) / ti

@@ -1,5 +1,6 @@
 """Command-line contract: parsing, formatting, exit codes, CSV output."""
 
+import errno
 import hashlib
 import json
 import math
@@ -562,6 +563,26 @@ def test_scan_leaves_other_tmp_files_alone(tmp_path, capsys, monkeypatch,
         assert stat.S_IMODE(out_path.stat().st_mode) == 0o666 & ~umask
     capsys.readouterr()
 
+
+def test_scan_keeps_exit_4_when_its_file_cannot_be_removed(tmp_path, capsys,
+                                                          monkeypatch):
+    # Both the rename and the removal of the temporary file fail: the rename's
+    # error is reported, not the removal's, naming --out, and the file is
+    # left where it is.
+    def failing_replace(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src, None, dst)
+
+    def failing_unlink(path):
+        raise PermissionError(errno.EPERM, "Operation not permitted", path)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    monkeypatch.setattr(os, "unlink", failing_unlink)
+    out = tmp_path / "g.csv"
+    assert _scan(out, 0, 1, 1, 2, 2, 2) == 4
+    assert capsys.readouterr().err == (
+        f"error: [Errno 13] Permission denied: {str(out)!r}\n")
+    [tmp] = tmp_path.iterdir()
+    assert tmp.name.startswith("g.csv.") and tmp.suffix == ".tmp"
 
 def test_scan_io_error_names_the_out_path(tmp_path, capsys):
     # The temporary file is scan's own business: neither a missing

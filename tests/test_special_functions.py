@@ -254,6 +254,26 @@ def test_green_terms_follow_the_rule_at_z_zero():
         assert math.exp(-math.pi * im * (n_max + 1) ** 2) < eps / 4.0
 
 
+
+def test_turn_of_minus_x_is_the_conjugate():
+    # The Green kernel conjugates one unit phase per point and per tau in
+    # place of taking the phase at -x: x - round(x) is odd, as round() is,
+    # and libm's cos is even and sin odd.  Only at an integer x != 0 do the
+    # bits differ, in the sign of a zero imaginary part (x - round(x) is
+    # +0.0 at x and at -x), which no product, sum or abs() of the kernel
+    # carries into a nonzero value.
+    rng = random.Random(44)
+    xs = [0.0, -0.0, 0.5, -0.5, 1.5, 2.5, 0.25, 1e-300, 2.0 ** 51 + 0.5,
+          1e15 + 0.5, 1e300, 7.0]
+    xs += [rng.uniform(-1.0, 1.0) for _ in range(2000)]
+    xs += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(0, 15) for _ in range(2000)]
+    for x in xs:
+        got, want = special_functions._turn(-x), special_functions._turn(x).conjugate()
+        assert got == want, x
+        assert got.real.hex() == want.real.hex(), x
+        if x != round(x):
+            assert got.imag.hex() == want.imag.hex(), x
+
 #: ``lattice_sum_p`` values as (real, imag) ``float.hex``: the
 #: weierstrass-oracle suite's former 10 points per tau at seed 42, and three
 #: points at two skewed taus.  The row sum gives them, at each z's

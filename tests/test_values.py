@@ -17,7 +17,6 @@ from holink import (
     GroupAction,
     HalfPeriodValues,
     INFINITY,
-    LinkingMethod,
     LinkingResult,
     MasseyReport,
     RationalMapSpec,
@@ -57,9 +56,7 @@ CASES = {
         lambda: Curve.elliptic(0.3 + 1.1j), "tau",
         "Curve.elliptic((0.3+1.1j))"),
     "LinkingResult": (
-        lambda: LinkingResult(-0.25, LinkingMethod.ARAKELOV_GREEN), None, "value",
-        "LinkingResult(value=-0.25, "
-        "method=<LinkingMethod.ARAKELOV_GREEN: 'arakelov-green'>)"),
+        lambda: LinkingResult(-0.25), None, "value", "LinkingResult(value=-0.25)"),
     "RationalMapSpec": (
         lambda: RationalMapSpec("power", exponent=2), None, "exponent",
         "RationalMapSpec(kind='power', exponent=2, offset=None)"),

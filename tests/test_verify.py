@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from holink import (DomainError, LinkingMethod, LinkingResult, TauParameter,
+from holink import (DomainError, LinkingResult, TauParameter,
                     format_summary, run_all, torus_distance)
 from holink import verify
 from holink.special_functions import _theta_series
@@ -174,7 +174,7 @@ def test_worst_residual_rule():
 def test_nan_residual_fails_its_suite(monkeypatch):
     # A route that returns NaN must fail every suite that compares it,
     # rather than vanish from the worst residual as it would under max().
-    nan_link = LinkingResult(math.nan, LinkingMethod.ARAKELOV_GREEN)
+    nan_link = LinkingResult(math.nan)
     monkeypatch.setattr(verify, "weierstrass_p", lambda z, tau: math.nan)
     monkeypatch.setattr(verify, "linking_elliptic", lambda *a, **k: nan_link)
     # green-flexibility sums arakelov_green itself, its base included
@@ -194,6 +194,24 @@ def test_nan_residual_fails_its_suite(monkeypatch):
     assert line.startswith("[FAIL]") and "worst=nan " in line
     assert text.splitlines()[-1] == "result: 9/18 suites passed"
 
+
+def test_swap_asymmetry_fails_sphere_closed_form(monkeypatch):
+    # A sphere pairing one ulp off in one order: the closed form still
+    # agrees, and the bitwise swap check alone fails the suite.
+    real = verify.linking_sphere
+
+    def one_sided(z, w):
+        value = real(z, w).value
+        if z.terms[0][0].real > w.terms[0][0].real:
+            value = math.nextafter(value, math.inf)
+        return LinkingResult(value)
+
+    monkeypatch.setattr(verify, "linking_sphere", one_sided)
+    result = next(r for r in run_all(seed=42) if r.name == "sphere-closed-form")
+    assert not result.passed and result.worst == math.inf
+    line = next(ln for ln in format_summary([result], seed=42).splitlines()
+                if "sphere-closed-form" in ln)
+    assert line.startswith("[FAIL]") and "worst=inf " in line
 
 def test_nan_lambda_fails_no_underflow(monkeypatch):
     monkeypatch.setattr(verify, "modular_lambda",

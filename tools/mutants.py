@@ -60,7 +60,7 @@ FAULTS = (
      "        return tau - 2.0 * round(tau.real / 2.0)\n",
      "        return tau - 2.0 * round(tau.real / 2.0) - 2.0\n"),
     ("sphere 1/pi -> 1/3.14159265", "linking.py",
-     "LinkingResult(total / math.pi,", "LinkingResult(total / 3.14159265,"),
+     "LinkingResult(total / math.pi)", "LinkingResult(total / 3.14159265)"),
     ("bent kernel: F x (1 + 1e-3 |X|^2)", "special_functions.py",
      "    return x * g - g_inv\n",
      "    return (x * g - g_inv) * (1.0 + 1e-3 * abs(x) ** 2)\n"),
