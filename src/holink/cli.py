@@ -19,12 +19,11 @@ import os
 import re
 import sys
 
+from . import hodge, verify  # each runs at its command's first lookup
 from .errors import HolinkError
-from .hodge import hodge_diamond_x
 from .linking import Curve, Divisor, INFINITY, SPHERE, linking
 from .massey import DEFAULT_NONVANISHING_TOL, _closed_form_from_lambda, massey_report
 from .special_functions import _as_int, _grid_lambdas, as_tau, modular_lambda
-from .verify import format_summary, run_all
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # "a+bi", "a-bi" and "bi": a real part is present only where a sign follows it.
@@ -176,7 +175,7 @@ def cmd_massey(args) -> int:
 def cmd_hodge(args) -> int:
     import json  # off the import path: only ``link`` and ``hodge`` use it
 
-    dims = hodge_diamond_x()
+    dims = hodge.hodge_diamond_x()
     print(dims.diamond())
     betti = [dims.betti(k) for k in range(7)]
     print(f"betti numbers      : {betti}")
@@ -238,8 +237,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(seed=args.seed, tol=args.tol)
-    sys.stdout.write(format_summary(results, args.seed, args.tol))
+    results = verify.run_all(seed=args.seed, tol=args.tol)
+    sys.stdout.write(verify.format_summary(results, args.seed, args.tol))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -167,7 +167,7 @@ def _shared_tau(v: complex, *zero_signs: float) -> TauParameter:
 
 def _turn(x: float) -> complex:
     """exp(2*pi*i*x) for a finite x, taken at x - round(x), which is exact."""
-    return cmath.exp(complex(0.0, 2.0 * _PI * (x - round(x))))
+    return cmath.rect(1.0, 2.0 * _PI * (x - round(x)))
 
 
 def _folded_theta1(coefs: tuple[tuple[complex, complex], ...], x: complex,

@@ -274,6 +274,20 @@ def test_turn_of_minus_x_is_the_conjugate():
         if x != round(x):
             assert got.imag.hex() == want.imag.hex(), x
 
+
+def test_turn_is_the_unit_exponential_bitwise():
+    # rect(1, phi) is (cos phi, sin phi), as exp(i*phi) is for a finite phi:
+    # the bits, signed zeros included, are the exponential's.
+    rng = random.Random(45)
+    xs = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 7.0, -3.0, 1e300, -1e300, 5e-324,
+          -5e-324, 2.0 ** 51 + 0.5]
+    xs += [rng.uniform(-1.0, 1.0) for _ in range(20000)]
+    xs += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(0, 15) for _ in range(20000)]
+    for x in xs:
+        got = special_functions._turn(x)
+        want = cmath.exp(complex(0.0, 2.0 * math.pi * (x - round(x))))
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), x
+
 #: ``lattice_sum_p`` values as (real, imag) ``float.hex``: the
 #: weierstrass-oracle suite's former 10 points per tau at seed 42, and three
 #: points at two skewed taus.  The row sum gives them, at each z's
